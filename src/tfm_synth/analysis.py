@@ -1,15 +1,18 @@
 """State analysis: Schmidt decomposition, TFM projection, fidelity, PGR.
 
-The biphoton state is characterized by the singular value decomposition
-of the (quadrature-weighted) JSA matrix, by its projection onto the
-Hermite-Gaussian product basis, and by the Uhlmann fidelity against the
-ideal maximally entangled target.
+The biphoton state is characterized by the Schmidt weights of the
+(quadrature-weighted) JSA matrix, by its projection onto the
+Hermite-Gaussian product basis, and by its fidelity against the ideal
+maximally entangled target.  Both the pair-confined state and the target
+are pure, so the fidelity is their plain overlap; the Uhlmann form on
+density matrices is kept as an independent oracle.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,37 +26,56 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class SchmidtResult:
-    """Schmidt weights (descending, summing to 1) and paired mode functions."""
+    """Schmidt weights (descending, summing to 1) of a JSA.
+
+    The paired mode functions need a second SVD with singular vectors;
+    it runs on the first read of signal_modes or idler_modes.
+    """
 
     weights: np.ndarray
-    signal_modes: tuple      # of Field1D
-    idler_modes: tuple
+    jsa: Jsa = field(repr=False)
+
+    @cached_property
+    def _modes(self):
+        ds = self.jsa.grid_s.spacing
+        di = self.jsa.grid_i.spacing
+        u, _, vh = np.linalg.svd(
+            self.jsa.amplitude * np.sqrt(ds * di), full_matrices=False
+        )
+        keep = len(self.weights)
+        signal = tuple(
+            Field1D(self.jsa.grid_s, u[:, k] / np.sqrt(ds)) for k in range(keep)
+        )
+        idler = tuple(
+            Field1D(self.jsa.grid_i, vh[k, :] / np.sqrt(di)) for k in range(keep)
+        )
+        return signal, idler
+
+    @property
+    def signal_modes(self) -> tuple:
+        return self._modes[0]
+
+    @property
+    def idler_modes(self) -> tuple:
+        return self._modes[1]
 
 
 def schmidt_decompose(jsa: Jsa, max_modes: int = 0) -> SchmidtResult:
-    """SVD of the quadrature-weighted amplitude; weights are squared
-    singular values.
+    """Values-only SVD of the quadrature-weighted amplitude; weights are
+    squared singular values.
 
     max_modes = 0 keeps every mode with weight above 1e-14.
     """
     if not jsa.normalized:
         raise PreconditionError("schmidt_decompose requires a normalized JSA")
-    ds = jsa.grid_s.spacing
-    di = jsa.grid_i.spacing
-    a = jsa.amplitude * np.sqrt(ds * di)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    a = jsa.amplitude * np.sqrt(jsa.grid_s.spacing * jsa.grid_i.spacing)
+    s = np.linalg.svd(a, compute_uv=False)
     weights = s * s
     if max_modes <= 0:
         keep = int(np.sum(weights > 1e-14)) or 1
     else:
         keep = min(max_modes, len(weights))
-    signal_modes = tuple(
-        Field1D(jsa.grid_s, u[:, k] / np.sqrt(ds)) for k in range(keep)
-    )
-    idler_modes = tuple(
-        Field1D(jsa.grid_i, vh[k, :] / np.sqrt(di)) for k in range(keep)
-    )
-    return SchmidtResult(weights[:keep], signal_modes, idler_modes)
+    return SchmidtResult(weights[:keep], jsa)
 
 
 def schmidt_number(weights) -> float:
@@ -107,48 +129,67 @@ def target_jsa(target: TargetState, grid_s: SpectralGrid, grid_i: SpectralGrid) 
     return normalize(Jsa(grid_s, grid_i, amp))
 
 
+def hg_basis(dim: int, grid: SpectralGrid, center: float, sigma: float) -> np.ndarray:
+    """The HG modes of orders 0..dim-1 on a grid, one real row each."""
+    return np.array([hg_mode(k, grid, center, sigma).values.real for k in range(dim)])
+
+
+def hg_overlaps(jsa: Jsa, modes_s: np.ndarray, modes_i: np.ndarray) -> np.ndarray:
+    """HG pair amplitudes c_kl = <f_k x f_l, F> of real mode rows, as the
+    matrix product modes_s F modes_i^T dw_s dw_i."""
+    return modes_s @ jsa.amplitude @ modes_i.T * jsa.cell_area
+
+
 @dataclass(frozen=True)
 class TfmProjection:
     """Projection of a JSA onto the d x d HG pair basis."""
 
-    coefficients: np.ndarray      # c_kl, d x d complex
-    subspace_weight: float        # sum |c_kl|^2 before renormalization
-    rho: np.ndarray               # d^2 x d^2 pure-state density matrix
+    coefficients: np.ndarray      # c_kl, d x d; real for a real JSA
+    subspace_weight: float        # sum |c_kl|^2
     higher_order_weight: float    # 1 - sum of the first d Schmidt weights
 
 
 def project_to_tfm(
     jsa: Jsa, sigma: float, center_s: float, center_i: float, dim: int = 4
 ) -> TfmProjection:
-    """HG pair-basis amplitudes c_kl = <f_k x f_l, F> and the renormalized
-    pure-state density matrix in the d^2-dimensional subspace."""
+    """HG pair-basis amplitudes c_kl = <f_k x f_l, F>, the weight they
+    carry, and the weight beyond the first d Schmidt modes."""
     if not jsa.normalized:
         raise PreconditionError("project_to_tfm requires a normalized JSA")
-    ds = jsa.grid_s.spacing
-    di = jsa.grid_i.spacing
-    modes_s = [hg_mode(k, jsa.grid_s, center_s, sigma).values for k in range(dim)]
-    modes_i = [hg_mode(k, jsa.grid_i, center_i, sigma).values for k in range(dim)]
-    c = np.empty((dim, dim), dtype=complex)
-    for k in range(dim):
-        for l in range(dim):
-            c[k, l] = np.sum(
-                np.conj(np.outer(modes_s[k], modes_i[l])) * jsa.amplitude
-            ) * ds * di
+    c = hg_overlaps(
+        jsa,
+        hg_basis(dim, jsa.grid_s, center_s, sigma),
+        hg_basis(dim, jsa.grid_i, center_i, sigma),
+    )
     weight = float(np.sum(np.abs(c) ** 2))
     if weight < 0.5:
         warnings.warn(
             f"only {weight:.3f} of the state lies in the {dim}x{dim} HG subspace"
         )
-    psi = c.flatten() / np.sqrt(weight)
-    rho = np.outer(psi, np.conj(psi))
-    schmidt = schmidt_decompose(jsa)
-    w = np.asarray(schmidt.weights)
+    w = schmidt_decompose(jsa).weights
     higher = float(1.0 - np.sum(w[:dim]))
-    return TfmProjection(c, weight, rho, higher)
+    return TfmProjection(c, weight, higher)
+
+
+def pair_fidelity(coefficients: np.ndarray, target_coefficients) -> float:
+    """Fidelity of the pair-confined state against the target.
+
+    The state keeps only the diagonal pair amplitudes c_kk of the d x d
+    projection; it and the target sum_k t_k |kk> (t padded with zeros to
+    d) are pure, so the fidelity is |<t|c_kk>|^2 / sum_k |c_kk|^2.
+    """
+    ckk = np.diagonal(np.asarray(coefficients))
+    w = float(np.sum(np.abs(ckk) ** 2))
+    if w == 0.0:
+        raise PreconditionError("state has no weight on the HG pair modes")
+    t = np.zeros(ckk.size)
+    t[: len(target_coefficients)] = target_coefficients
+    return fidelity_pure(t, ckk) / w
 
 
 def pair_confined_rho(coefficients: np.ndarray, dim: int = 4) -> np.ndarray:
-    """Density matrix of the state confined to the HG pair modes |kk>.
+    """Density matrix of the state confined to the HG pair modes |kk>
+    (oracle for pair_fidelity through the Uhlmann form).
 
     The generated state is dominated by the diagonal pair amplitudes
     c_kk; its reported density matrix keeps only those (renormalized) and
@@ -172,7 +213,8 @@ def pair_confined_rho(coefficients: np.ndarray, dim: int = 4) -> np.ndarray:
 
 
 def target_rho(target: TargetState, dim: int = 4) -> np.ndarray:
-    """Ideal density matrix of the target in the d^2 HG pair basis."""
+    """Ideal density matrix of the target in the d^2 HG pair basis
+    (oracle for pair_fidelity through the Uhlmann form)."""
     psi = np.zeros(dim * dim, dtype=complex)
     for k, c in enumerate(target.coefficients):
         psi[k * dim + k] = c
@@ -194,7 +236,7 @@ def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
 
 
 def fidelity_pure(psi_a: np.ndarray, psi_b: np.ndarray) -> float:
-    """Pure-state shortcut |<a|b>|^2 (cross-check for the general formula)."""
+    """Pure-state overlap |<a|b>|^2, which the Uhlmann form reduces to."""
     return float(np.abs(np.vdot(psi_a, psi_b)) ** 2)
 
 

@@ -27,14 +27,22 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 from scipy.signal import fftconvolve
 
-from .analysis import TargetState, schmidt_decompose, purity, target_jsa
+from .analysis import (
+    TargetState,
+    hg_basis,
+    hg_overlaps,
+    pair_fidelity,
+    purity,
+    schmidt_decompose,
+    target_jsa,
+)
 from .config import ConfigError, DeviceConfig
 from .jsa import Jsa
 from .phase_matching import DispersionModel
 from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, shaped_pump
 from .resonator import field_enhancement_chain
 from .simulate import build_grids, reported_state, simulate
-from .spectral import Field1D, Field2D, GridError, SpectralGrid, hg_mode
+from .spectral import Field1D, Field2D, GridError, SpectralGrid
 from .jsa import _bilinear, compute_jsa
 
 
@@ -362,31 +370,20 @@ def _unity_pmf(dispersion: DispersionModel) -> DispersionModel:
 def _trial_score(cfg, state, modes_s, modes_i, target_coeff):
     """Score of a reported trial state.
 
-    For an entangled target this is the fidelity of the pair-confined
-    state against the target, evaluated in pure-state form from the
-    diagonal pair amplitudes over the full mode basis (weight leaking
-    into pairs above the target dimension counts against the score,
-    matching the verification fidelity).  For the one-dimensional
-    (separable) target the pair-confined fidelity is trivially 1, so
-    the score is the spectral purity instead.
+    For an entangled target this is the verification fidelity: the
+    pair-confined state's overlap with the target over the full mode
+    basis (weight leaking into pairs above the target dimension counts
+    against the score).  For the one-dimensional (separable) target the
+    pair-confined fidelity is trivially 1, so the score is the spectral
+    purity instead.
     """
     if cfg.target.dimension == 1:
         schmidt = schmidt_decompose(state)
         return purity(schmidt.weights)
-    ds = state.grid_s.spacing
-    di = state.grid_i.spacing
-    n_modes = len(modes_s)
-    ckk = np.empty(n_modes, dtype=complex)
-    for k in range(n_modes):
-        ckk[k] = np.sum(
-            np.conj(np.outer(modes_s[k], modes_i[k])) * state.amplitude
-        ) * ds * di
-    w = np.sum(np.abs(ckk) ** 2)
-    if w == 0.0:
+    c = hg_overlaps(state, modes_s, modes_i)
+    if not np.any(np.diagonal(c)):
         return 0.0
-    padded = np.zeros(n_modes, dtype=complex)
-    padded[: len(target_coeff)] = target_coeff
-    return float(np.abs(np.vdot(padded, ckk)) ** 2 / w)
+    return pair_fidelity(c, target_coeff)
 
 
 def _round_trip(x: float) -> float:
@@ -421,15 +418,8 @@ def _run_mu_point(args):
         tdsi = Field2D(grid_s, grid_i, np.outer(l_s.values, l_i.values))
         g = decouple_tdsi(f_target, tdsi, epsilon=search.epsilon)
         profile = extract_antidiagonal(g, n_points=search.fit_profile_points)
-        n_modes = 4
-        modes_s = [
-            hg_mode(k, vgrid_s, vgrid_s.center, cfg.target.sigma).values
-            for k in range(n_modes)
-        ]
-        modes_i = [
-            hg_mode(k, vgrid_i, vgrid_i.center, cfg.target.sigma).values
-            for k in range(n_modes)
-        ]
+        modes_s = hg_basis(4, vgrid_s, vgrid_s.center, cfg.target.sigma)
+        modes_i = hg_basis(4, vgrid_i, vgrid_i.center, cfg.target.sigma)
     unity = _unity_pmf(cfg.dispersion)
     n_taps = len(cfg.pump.taps)
     records = []
@@ -495,14 +485,8 @@ def _polish_candidate(cfg, search, mu, sigma_p, taps):
         l_p = field_enhancement_chain(trial_cfg.pump_resonance, fit_grid)
         l_s = field_enhancement_chain(trial_cfg.signal, grid_s)
         l_i = field_enhancement_chain(trial_cfg.idler, grid_i)
-        modes_s = [
-            hg_mode(k, grid_s, grid_s.center, cfg.target.sigma).values
-            for k in range(4)
-        ]
-        modes_i = [
-            hg_mode(k, grid_i, grid_i.center, cfg.target.sigma).values
-            for k in range(4)
-        ]
+        modes_s = hg_basis(4, grid_s, grid_s.center, cfg.target.sigma)
+        modes_i = hg_basis(4, grid_i, grid_i.center, cfg.target.sigma)
 
     def unpack(x):
         sig = float(np.exp(x[0]))
@@ -543,7 +527,14 @@ def _polish_candidate(cfg, search, mu, sigma_p, taps):
 def _worker_count(n_tasks: int) -> int:
     env = os.environ.get("TFM_SYNTH_THREADS")
     if env is not None:
-        cap = max(1, int(env))
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ConfigError(
+                f"TFM_SYNTH_THREADS must be an integer >= 1, got {env!r}"
+            )
     else:
         cap = os.cpu_count() or 1
     return max(1, min(cap, n_tasks))

@@ -3,10 +3,12 @@
 The JSA of the ring-resonator SFWM source factorizes into three pieces:
 an anti-diagonal pump function ADP(w_s + w_i) (self-convolution of the
 resonance-filtered pump), a phase-matching function, and the rank-1
-signal-idler filter TDSI(w_s, w_i) = l_s(w_s) l_i(w_i).  When the PMF
-depends on w_s - w_i only, the pump integral reduces to the ADP and the
-JSA is assembled directly on the 2-D grid (fast path); otherwise the
-1-D pump quadrature is evaluated at every grid point (slow path).
+signal-idler filter TDSI(w_s, w_i) = l_s(w_s) l_i(w_i).  The linearized
+PMF does not depend on the pump frequency, whatever c1 and c2, so the
+pump integral reduces to ADP(w_s + w_i) times the PMF and the JSA is
+assembled directly on the 2-D grid (fast path).  Only a tabulated
+k(omega) makes the PMF depend on w_p; then the 1-D pump quadrature is
+evaluated at every grid point (slow path).
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ class DegenerateFieldError(ValueError):
 
 @dataclass(frozen=True)
 class Jsa:
-    """Complex joint spectral amplitude on a (signal, idler) grid pair."""
+    """Joint spectral amplitude on a (signal, idler) grid pair.
+
+    A real amplitude is stored as float64, anything else as complex.
+    """
 
     grid_s: SpectralGrid
     grid_i: SpectralGrid
@@ -36,7 +41,8 @@ class Jsa:
     normalized: bool = False
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitude, dtype=complex)
+        dtype = complex if np.iscomplexobj(self.amplitude) else float
+        amp = np.asarray(self.amplitude, dtype=dtype)
         if amp.shape != (self.grid_s.n_points, self.grid_i.n_points):
             raise GridError(
                 f"amplitude shape {amp.shape} does not match grids "
@@ -59,7 +65,10 @@ def normalize(jsa: Jsa) -> Jsa:
     n2 = jsa.norm_squared()
     if n2 == 0.0:
         raise DegenerateFieldError("cannot normalize an all-zero JSA")
-    return Jsa(jsa.grid_s, jsa.grid_i, jsa.amplitude / np.sqrt(n2), normalized=True)
+    # the reciprocal rounds a real amplitude exactly as numpy's complex
+    # division rounds the same values held as complex
+    scale = 1.0 / np.sqrt(n2)
+    return Jsa(jsa.grid_s, jsa.grid_i, jsa.amplitude * scale, normalized=True)
 
 
 def compute_adp(pump_times_lp: Field1D, edge_threshold: float = 1e-4) -> Field1D:
@@ -122,8 +131,9 @@ def compute_jsa(
     """Assemble and normalize the JSA from its constituent spectra.
 
     pump and l_p must share one grid (the pump integration grid); l_s and
-    l_i define the output grid.  The fast path applies when the PMF
-    factorizes as a function of w_s - w_i.
+    l_i define the output grid.  Every linearized PMF takes the fast
+    path, ADP(w_s + w_i) PMF(w_s, w_i) l_s l_i; a tabulated k(omega), or
+    force_slow, takes the pump quadrature.
     """
     if pump.grid != l_p.grid:
         raise GridError("pump and l_p must share the same grid")
@@ -135,7 +145,7 @@ def compute_jsa(
     d_i = (omega_i - grid_i.center)[None, :]
     sums = omega_s[:, None] + omega_i[None, :]
 
-    if dispersion.factorizes and not force_slow:
+    if dispersion.k_of_omega is None and not force_slow:
         adp = compute_adp(Field1D(pump.grid, apl))
         adp_at_sum = _interp_complex(sums, adp.grid.samples, adp.values)
         pm = pmf(dispersion, d_s, d_i)

@@ -4,11 +4,13 @@ Default model: linearized mismatch Delta_k = s (c1 dw_s + c2 dw_i) with
 detunings measured from the perfectly phase-matched frequencies; all
 zeroth-order terms (including the gamma_0 P nonlinear shift) are absorbed
 into the expansion point.  With c1 = -c2 the PMF depends on w_s - w_i
-only, which is the symmetric group-velocity-matched regime assumed by the
-fast JSA path.
+only (the symmetric group-velocity-matched regime, `factorizes`).  For
+any c1 and c2 the linearized PMF is independent of the pump frequency,
+so the fast JSA path covers every linear model.
 
 A full dispersion variant accepting a tabulated/callable k(omega) is also
-provided for forward checks outside the linear regime.
+provided for forward checks outside the linear regime; its mismatch
+depends on w_p and needs the slow pump quadrature.
 """
 
 from __future__ import annotations

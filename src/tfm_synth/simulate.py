@@ -19,14 +19,12 @@ from .analysis import (
     SchmidtResult,
     TargetState,
     TfmProjection,
-    fidelity,
-    pair_confined_rho,
+    pair_fidelity,
     pair_generation_rate,
     project_to_tfm,
     purity,
     schmidt_decompose,
     schmidt_number,
-    target_rho,
 )
 from .config import DeviceConfig
 from .jsa import Jsa, compute_jsa, impose_pi_phase, normalize
@@ -46,7 +44,7 @@ class SimulationResult:
     l_s: Field1D               # signal field enhancement
     l_i: Field1D               # idler field enhancement
     jsa_raw: Jsa               # complex normalized JSA as assembled
-    jsa: Jsa                   # reported state: |JSA| with pi flips imposed
+    jsa: Jsa                   # reported state: |JSA| with pi flips imposed, real
     schmidt: SchmidtResult
     projection: TfmProjection
     fidelity: float
@@ -124,7 +122,7 @@ def simulate(
     target = TargetState(
         cfg.target.dimension, cfg.target.sigma, cfg.signal.omega0, cfg.idler.omega0
     )
-    fid = fidelity(pair_confined_rho(projection.coefficients), target_rho(target))
+    fid = pair_fidelity(projection.coefficients, target.coefficients)
 
     inp = pgr_input(cfg)
     n_pulse, rate = pair_generation_rate(inp)

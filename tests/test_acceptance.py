@@ -115,6 +115,7 @@ def test_criterion_5_pair_rates(sims, capsys):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6_optimize(tmp_path, capsys):
     """Seeded 32-restart inverse design of the two-dimensional target:
     verified fidelity >= 0.94 in under 10 minutes, reproducible trace."""

@@ -10,6 +10,7 @@ from tfm_synth.analysis import (
     fidelity,
     fidelity_pure,
     pair_confined_rho,
+    pair_fidelity,
     pair_generation_rate,
     project_to_tfm,
     purity,
@@ -109,6 +110,43 @@ def test_projection_of_ideal_target():
     assert abs(c[0, 1]) < 1e-6 and abs(c[2, 2]) < 1e-6
     assert proj.subspace_weight == pytest.approx(1.0, abs=1e-6)
     assert proj.higher_order_weight == pytest.approx(0.0, abs=1e-6)
+
+
+def test_projection_matrix_product_matches_pairwise_sums():
+    """c_kl from one matrix product equals the per-pair outer-product
+    sums, for a real and for a complex JSA."""
+    rng = np.random.default_rng(3)
+    real = two_mode_state(np.sqrt(0.6), -np.sqrt(0.4))
+    noise = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    complex_state = normalize(
+        Jsa(GS, GI, real.amplitude + 0.05 * np.max(real.amplitude) * noise)
+    )
+    modes_s = [hg_mode(k, GS, S0, SIGMA).values for k in range(4)]
+    modes_i = [hg_mode(k, GI, I0, SIGMA).values for k in range(4)]
+    for jsa in (real, complex_state):
+        proj = project_to_tfm(jsa, SIGMA, S0, I0)
+        expect = np.empty((4, 4), dtype=complex)
+        for k in range(4):
+            for l in range(4):
+                expect[k, l] = np.sum(
+                    np.conj(np.outer(modes_s[k], modes_i[l])) * jsa.amplitude
+                ) * GS.spacing * GI.spacing
+        scale = np.max(np.abs(expect))
+        np.testing.assert_allclose(
+            proj.coefficients, expect, rtol=0, atol=1e-12 * scale
+        )
+
+
+def test_pair_fidelity_of_target_and_orthogonal_pairs():
+    t = TargetState(3, SIGMA, S0, I0)
+    c = np.zeros((4, 4))
+    c[:3, :3] = np.diag(t.coefficients)
+    c[0, 1] = 0.3     # off-diagonal weight is not part of the pair state
+    assert pair_fidelity(c, t.coefficients) == pytest.approx(1.0, abs=1e-15)
+    c = np.diag([0.0, 0.0, 0.0, 1.0])
+    assert pair_fidelity(c, t.coefficients) == 0.0
+    with pytest.raises(PreconditionError):
+        pair_fidelity(np.zeros((4, 4)), t.coefficients)
 
 
 def test_pair_confined_rho_keeps_diagonal_pairs():

@@ -166,8 +166,21 @@ def test_sweep_mzi_truncation_warning(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# optimize determinism
+# optimize
 
+@pytest.mark.parametrize("threads", ["abc", "0", "1.5"])
+def test_optimize_invalid_threads_exits_2(tmp_path, capsys, monkeypatch, threads):
+    """The worker count is read before any fit runs."""
+    monkeypatch.setenv("TFM_SYNTH_THREADS", threads)
+    code, _, stderr = run(
+        capsys, "optimize", "--config", "bell_phi_minus",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert "TFM_SYNTH_THREADS" in stderr
+
+
+@pytest.mark.slow
 def test_optimize_bit_reproducible(tmp_path, capsys):
     """Two runs with the same seed emit byte-identical traces."""
     args = [

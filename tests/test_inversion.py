@@ -246,6 +246,7 @@ def test_search_config_validation():
         SearchConfig(mu_min=2e9, mu_max=1e9).mu_values
 
 
+@pytest.mark.slow
 def test_optimize_trace_deterministic():
     """Identical seeds give identical traces, field by field."""
     cfg = load_preset("bell_phi_minus")
@@ -258,6 +259,7 @@ def test_optimize_trace_deterministic():
     assert a.best_mu == b.best_mu
 
 
+@pytest.mark.slow
 def test_optimize_trace_ordering_and_verified_score():
     from tfm_synth.simulate import simulate
 
@@ -270,6 +272,7 @@ def test_optimize_trace_ordering_and_verified_score():
     assert res.fidelity == pytest.approx(ver.fidelity, rel=1e-12)
 
 
+@pytest.mark.slow
 def test_optimize_best_reaches_known_quality():
     """A small sweep around the known optimum already beats 0.9."""
     cfg = load_preset("bell_phi_minus")
@@ -279,6 +282,7 @@ def test_optimize_best_reaches_known_quality():
     assert len(res.best_config.pump.taps) == 6
 
 
+@pytest.mark.slow
 def test_optimize_restart_monotone():
     """Best fidelity is non-decreasing in the number of restarts."""
     cfg = load_preset("bell_phi_minus")
@@ -287,6 +291,7 @@ def test_optimize_restart_monotone():
     assert three.fidelity >= one.fidelity - 1e-12
 
 
+@pytest.mark.slow
 def test_optimize_polish_improves_or_keeps_score():
     """The polish stage never returns a worse verified score than the
     unpolished winner (it keeps the better of the two)."""
@@ -304,6 +309,7 @@ def test_optimize_polish_improves_or_keeps_score():
     assert polished.fidelity >= base.fidelity - 1e-12
 
 
+@pytest.mark.slow
 def test_optimize_subspace_weight_of_best():
     """The practical JSA built from fitted parameters keeps most of its
     weight in the 4x4 HG basis.  The Lorentzian resonance tails hold

@@ -90,7 +90,7 @@ def test_tdsi_outer_product():
     )
 
 
-def _assemble(force_slow):
+def _assemble(force_slow, c2=-1.0):
     # grids commensurate with the pump grid: output sum frequencies land
     # on the self-convolution axis and the mirror points on pump nodes,
     # so both paths evaluate the same discrete quadrature
@@ -106,7 +106,7 @@ def _assemble(force_slow):
     )
     l_s = Field1D(gs, 1.0 / (1j * (gs.samples - S0) + 6e9))
     l_i = Field1D(gi, 1.0 / (1j * (gi.samples - I0) + 6e9))
-    disp = DispersionModel(c1=1.0, c2=-1.0, slope=1e-9, length=7.2e-4)
+    disp = DispersionModel(c1=1.0, c2=c2, slope=1e-9, length=7.2e-4)
     return compute_jsa(pump, l_p, l_s, l_i, disp, force_slow=force_slow)
 
 
@@ -114,6 +114,18 @@ def test_fast_and_slow_paths_agree():
     """ADP-interpolation path against row-wise pump quadrature, 1e-8."""
     fast = _assemble(False)
     slow = _assemble(True)
+    scale = np.max(np.abs(fast.amplitude))
+    np.testing.assert_allclose(
+        fast.amplitude, slow.amplitude, atol=1e-8 * scale
+    )
+
+
+@pytest.mark.parametrize("c2", [-0.5, -0.8, -1.3])
+def test_fast_path_exact_for_asymmetric_linear_pmf(c2):
+    """A linear PMF with c1 != -c2 is still independent of w_p, so the
+    ADP route equals the pump quadrature."""
+    fast = _assemble(False, c2)
+    slow = _assemble(True, c2)
     scale = np.max(np.abs(fast.amplitude))
     np.testing.assert_allclose(
         fast.amplitude, slow.amplitude, atol=1e-8 * scale
