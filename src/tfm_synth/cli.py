@@ -27,7 +27,7 @@ from .config import (
     load_config,
     load_preset,
 )
-from .inversion import SearchConfig, optimize_state, write_trace
+from .inversion import SearchConfig, optimize_state
 from .jsa import DegenerateFieldError, save_jsa_binary
 from .pulse_shaper import DegenerateInputError
 from .resonator import bus_transmission, mzi_max_mu, mzi_phase_for_mu
@@ -196,9 +196,9 @@ def cmd_optimize(args) -> int:
     trace_path = os.path.join(out, "trace.jsonl")
     _atomic_write(
         trace_path,
-        lambda fh: [
-            fh.write(json.dumps(_round9(rec)) + "\n") for rec in result.trace
-        ],
+        lambda fh: fh.writelines(
+            json.dumps(_round9(rec)) + "\n" for rec in result.trace
+        ),
     )
 
     verification = simulate(best, n_points=args.grid)

@@ -4,10 +4,11 @@ The six-step procedure: (1) fix the device constants and the target
 state; (2) pick a value of the inter-ring coupling mu and build the
 signal-idler filter TDSI; (3) divide the target JSA by the TDSI
 (regularized) and extract its anti-diagonal profile, reducing the
-problem to one dimension; (4) least-squares fit the pump-side model
-(envelope width sigma_p and the FIR taps) to that profile; (5) repeat
-the fit from many random initial tap settings; (6) sweep mu and keep
-the candidate whose forward-simulated state scores best.  A final
+problem to one dimension; (4) least-squares fit the magnitude of the
+pump-side model (envelope width sigma_p and the FIR taps, through the
+ADP model the forward path uses) to that profile's magnitude; (5)
+repeat the fit from many random initial tap settings; (6) sweep mu and
+keep the candidate whose forward-simulated state scores best.  A final
 derivative-free polish refines the leading candidates at the full
 configured resolution.
 
@@ -17,7 +18,6 @@ factorized model) and enters only in the final forward verification.
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
-from scipy.signal import fftconvolve
 
 from .analysis import (
     TargetState,
@@ -37,16 +36,28 @@ from .analysis import (
     target_jsa,
 )
 from .config import ConfigError, DeviceConfig
-from .jsa import Jsa
+from .jsa import Jsa, _bilinear, adp_model, compute_jsa, compute_tdsi
 from .phase_matching import DispersionModel
-from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, shaped_pump
+from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, shaped_pump, tap_phasors
 from .resonator import field_enhancement_chain
 from .simulate import build_grids, reported_state, simulate
 from .spectral import Field1D, Field2D, GridError, SpectralGrid
-from .jsa import _bilinear, compute_jsa
 
 
 _TWO_PI_GHZ = 2.0 * np.pi * 1e9
+# ADP fit: least-squares stopping tolerances and the residual evaluations
+# one fit may spend, finite-difference Jacobians included
+_FIT_GTOL = 1e-8
+_FIT_XTOL = 1e-10
+_FIT_MAX_NFEV = 600
+# TDSI decoupling regularization
+_EPSILON = 1e-3
+# internal working resolutions of the search loop; the final best
+# candidate is always re-verified at the configured grid size
+_FIT_PUMP_POINTS = 512
+_FIT_PROFILE_POINTS = 129
+_VERIFY_POINTS = 128
+_POLISH_PUMP_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -74,29 +85,17 @@ class SearchConfig:
     mu_min: float = 0.0          # rad/s (1 GHz = 1e9 s^-1, no 2 pi)
     mu_max: float = 5.0e9
     mu_step: float = 0.25e9
-    gtol: float = 1e-8
-    xtol: float = 1e-10
-    max_iter: int = 600
     seed: int = 0
-    epsilon: float = 1e-3        # TDSI decoupling regularization
-    # internal working resolutions of the search loop; the final best
-    # candidate is always re-verified at the configured grid size
-    fit_pump_points: int = 512
-    fit_profile_points: int = 129
-    verify_points: int = 128
     # derivative-free refinement of the top candidates, run at the
     # configured grid size (0 evals disables the stage)
     polish_evals: int = 400
     polish_top: int = 2
-    polish_pump_points: int = 2048
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.mu_step <= 0:
             raise ConfigError(f"mu_step must be > 0, got {self.mu_step}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
 
     @property
     def mu_values(self) -> np.ndarray:
@@ -113,7 +112,7 @@ class SearchConfig:
 class FitResult:
     sigma_p: float
     taps: tuple              # of Tap
-    scale: complex           # fitted complex nuisance scale c
+    scale: float             # fitted magnitude scale c >= 0
     residual: float
     converged: bool
 
@@ -130,7 +129,7 @@ class OptimizeResult:
 # ---------------------------------------------------------------------------
 # steps (3): decoupling and extraction
 
-def decouple_tdsi(target: Jsa, tdsi: Field2D, epsilon: float = 1e-3) -> Field2D:
+def decouple_tdsi(target: Jsa, tdsi: Field2D, epsilon: float = _EPSILON) -> Field2D:
     """Regularized division of the target JSA by the signal-idler filter.
 
     G = F conj(T) / (|T|^2 + eps^2 max|T|^2); where |T| >> eps this
@@ -182,37 +181,17 @@ def extract_antidiagonal(
 # ---------------------------------------------------------------------------
 # step (4): least-squares ADP fit
 
-def _adp_at(
-    sigma_p: float,
-    taps,
-    template: PumpSpec,
-    l_p: Field1D,
-    sum_points: np.ndarray,
-) -> np.ndarray:
-    """ADP of the shaped, resonance-filtered pump, sampled at absolute
-    sum frequencies."""
-    spec = replace(template, sigma_p=sigma_p, taps=tuple(taps))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pump = shaped_pump(spec, l_p.grid)
-    apl = pump.values * l_p.values
-    grid = l_p.grid
-    conv = fftconvolve(apl, apl, mode="full") * grid.spacing
-    axis = np.linspace(
-        2.0 * (grid.center - grid.half_span),
-        2.0 * (grid.center + grid.half_span),
-        2 * grid.n_points - 1,
-    )
-    re = np.interp(sum_points, axis, conv.real, left=0.0, right=0.0)
-    im = np.interp(sum_points, axis, conv.imag, left=0.0, right=0.0)
-    return re + 1j * im
+def _pack(sigma_p: float, amplitudes, phases) -> np.ndarray:
+    """Search vector x = (log sigma_p, tap amplitudes, tap phases)."""
+    return np.concatenate([[np.log(sigma_p)], amplitudes, phases])
 
 
-def _nuisance_scale(model: np.ndarray, data: np.ndarray) -> complex:
-    denom = np.sum(np.abs(model) ** 2)
-    if denom == 0.0:
-        return 0.0 + 0.0j
-    return complex(np.sum(np.conj(model) * data) / denom)
+def _unpack(x: np.ndarray):
+    """(sigma_p, taps) of a search vector, amplitudes clipped to [0, 1]."""
+    n_taps = (len(x) - 1) // 2
+    amps = np.clip(x[1 : 1 + n_taps], 0.0, 1.0)
+    taps = tuple(Tap(float(a), float(p)) for a, p in zip(amps, x[1 + n_taps :]))
+    return float(np.exp(x[0])), taps
 
 
 def _magnitude_scale(model_mag: np.ndarray, data_mag: np.ndarray) -> float:
@@ -229,26 +208,19 @@ def fit_adp(
     init_sigma_p: float,
     init_alphas,
     init_phis,
-    gtol: float = 1e-8,
-    xtol: float = 1e-10,
-    max_iter: int = 2000,
-    magnitude_only: bool = False,
 ) -> FitResult:
-    """Fit sigma_p and the FIR taps so the model ADP matches the profile.
+    """Fit sigma_p and the FIR taps so |ADP| matches the profile magnitude.
 
-    Minimizes sum_u |c ADP(u) - profile(u)|^2 over sigma_p (log-space),
-    the tap amplitudes (bounded to [0, 1]), the tap phases, and a
-    complex global scale c eliminated in closed form at every step (both
-    sides carry arbitrary normalization).  Tap solutions are non-unique;
-    only the reconstructed ADP is meaningful.
-
-    With magnitude_only the residual compares |c| |ADP| against
-    |profile| instead.  A profile obtained by decoupling a target from
-    the measured filter carries the filter's conjugated phase, which the
-    pump model cannot and need not reproduce -- the reported state is
-    built from the magnitude with the pi flips re-imposed at the nodes
-    -- so the search loop matches magnitudes; the node positions still
-    pin the sign structure.
+    Minimizes sum_u (c |ADP(u)| - |profile(u)|)^2 over sigma_p
+    (log-space), the tap amplitudes (bounded to [0, 1]), the tap phases,
+    and a real global scale c >= 0 eliminated in closed form at every
+    step (both sides carry arbitrary normalization).  Only magnitudes are
+    compared: a profile obtained by decoupling a target from the measured
+    filter carries the filter's conjugated phase, which the pump model
+    cannot and need not reproduce -- the reported state is built from the
+    magnitude with the pi flips re-imposed at the nodes, whose positions
+    the magnitude still pins.  Tap solutions are non-unique; only the
+    reconstructed |ADP| is meaningful.
     """
     data = np.asarray(profile.values, dtype=complex)
     peak = np.max(np.abs(data))
@@ -263,52 +235,25 @@ def fit_adp(
         raise ValueError(
             f"initial taps must match the template's {n_taps} taps"
         )
-    sum_points = profile.sum_center + profile.u
 
-    # precomputed pieces of the ADP evaluation: per-tap delay phasors,
-    # filtered-pump samples, and the self-convolution sum axis
-    grid = l_p.grid
-    detuning = grid.samples - template.carrier
-    n_idx = np.arange(1, n_taps + 1)
-    phasor = np.exp(
-        1j
-        * n_idx[:, None]
-        * (template.comb_alignment - detuning * template.base_delay)[None, :]
-    )
+    # the shaped pump's envelope and FIR factors on the pump grid, and the
+    # ADP model at the profile's sum frequencies, set up once per fit
+    detuning = l_p.grid.samples - template.carrier
+    phasors = tap_phasors(template, l_p.grid)
     lp_vals = l_p.values
-    axis = np.linspace(
-        2.0 * (grid.center - grid.half_span),
-        2.0 * (grid.center + grid.half_span),
-        2 * grid.n_points - 1,
-    )
+    adp = adp_model(l_p.grid, profile.sum_center + profile.u)
 
-    def model_adp(sigma_p, alphas_x, phis_x):
+    def model_mag(x):
+        sigma_p = np.exp(x[0])
         env = np.exp(-(detuning * detuning) / (2.0 * sigma_p * sigma_p))
-        h = (alphas_x * np.exp(1j * phis_x)) @ phasor
-        apl = env * h * lp_vals
-        conv = fftconvolve(apl, apl, mode="full") * grid.spacing
-        re = np.interp(sum_points, axis, conv.real, left=0.0, right=0.0)
-        im = np.interp(sum_points, axis, conv.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
-    def unpack(x):
-        sigma_p = float(np.exp(x[0]))
-        taps = tuple(
-            Tap(float(a), float(p))
-            for a, p in zip(x[1 : 1 + n_taps], x[1 + n_taps :])
-        )
-        return sigma_p, taps
+        h = (x[1 : 1 + n_taps] * np.exp(1j * x[1 + n_taps :])) @ phasors
+        return np.abs(adp(env * h * lp_vals))
 
     def residual_vec(x):
-        model = model_adp(np.exp(x[0]), x[1 : 1 + n_taps], x[1 + n_taps :])
-        if magnitude_only:
-            mag = np.abs(model)
-            return _magnitude_scale(mag, data_mag) * mag - data_mag
-        c = _nuisance_scale(model, data)
-        diff = c * model - data
-        return np.concatenate([diff.real, diff.imag])
+        mag = model_mag(x)
+        return _magnitude_scale(mag, data_mag) * mag - data_mag
 
-    x0 = np.concatenate([[np.log(init_sigma_p)], np.clip(alphas, 0.0, 1.0), phis])
+    x0 = _pack(init_sigma_p, np.clip(alphas, 0.0, 1.0), phis)
     lower = np.concatenate([[np.log(1e7)], np.zeros(n_taps), np.full(n_taps, -np.inf)])
     upper = np.concatenate([[np.log(1e13)], np.ones(n_taps), np.full(n_taps, np.inf)])
     res = least_squares(
@@ -316,24 +261,19 @@ def fit_adp(
         x0,
         bounds=(lower, upper),
         method="trf",
-        gtol=gtol,
-        xtol=xtol,
+        gtol=_FIT_GTOL,
+        xtol=_FIT_XTOL,
         ftol=None,
-        max_nfev=max_iter,
+        max_nfev=_FIT_MAX_NFEV,
     )
-    sigma_p, taps = unpack(res.x)
-    model = model_adp(sigma_p, res.x[1 : 1 + n_taps], res.x[1 + n_taps :])
-    if magnitude_only:
-        c = complex(_magnitude_scale(np.abs(model), data_mag))
-        residual = float(np.sum((abs(c) * np.abs(model) - data_mag) ** 2))
-    else:
-        c = _nuisance_scale(model, data)
-        residual = float(np.sum(np.abs(c * model - data) ** 2))
+    sigma_p, taps = _unpack(res.x)
+    mag = model_mag(res.x)
+    scale = _magnitude_scale(mag, data_mag)
     return FitResult(
         sigma_p=sigma_p,
         taps=taps,
-        scale=c,
-        residual=residual,
+        scale=scale,
+        residual=float(np.sum((scale * mag - data_mag) ** 2)),
         converged=res.status > 0,
     )
 
@@ -386,41 +326,64 @@ def _trial_score(cfg, state, modes_s, modes_i, target_coeff):
     return pair_fidelity(c, target_coeff)
 
 
-def _round_trip(x: float) -> float:
-    return float(x)
+def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int):
+    """What scoring trial pumps at one coupling point needs, built once.
+
+    Returns (trial_cfg, target, l_p, score): the template with the swept
+    couplings, the target state, the pump enhancement on a pump grid of
+    pump_points, and score(sigma_p, taps), the trial score of the
+    reported state with a flat phase-matching function on an
+    n_points^2 signal/idler grid.
+    """
+    trial_cfg = _swept_chains(cfg, mu)
+    pump_grid, grid_s, grid_i = build_grids(trial_cfg, n_points)
+    pump_grid = SpectralGrid(pump_grid.center, pump_grid.half_span, pump_points)
+    target = TargetState(
+        cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
+    )
+    unity = _unity_pmf(cfg.dispersion)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        l_p = field_enhancement_chain(trial_cfg.pump_resonance, pump_grid)
+        l_s = field_enhancement_chain(trial_cfg.signal, grid_s)
+        l_i = field_enhancement_chain(trial_cfg.idler, grid_i)
+        modes_s = hg_basis(4, grid_s, grid_s.center, cfg.target.sigma)
+        modes_i = hg_basis(4, grid_i, grid_i.center, cfg.target.sigma)
+
+    def score(sigma_p, taps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pump_spec = replace(cfg.pump, sigma_p=sigma_p, taps=taps)
+            pump = shaped_pump(pump_spec, pump_grid)
+            jsa = compute_jsa(pump, l_p, l_s, l_i, unity)
+            state = reported_state(jsa)
+            return _trial_score(
+                cfg, state, modes_s, modes_i, target.coefficients
+            )
+
+    return trial_cfg, target, l_p, score
 
 
 def _mu_record(mu: tuple) -> dict:
-    return {f"mu_{m + 1}{m + 2}": _round_trip(v) for m, v in enumerate(mu)}
+    return {f"mu_{m + 1}{m + 2}": float(v) for m, v in enumerate(mu)}
 
 
 def _run_mu_point(args):
     """All restarts for one mu-grid point; returns (mu_idx, records, best)."""
     cfg, search, mu_idx, mu = args
-    trial_cfg = _swept_chains(cfg, mu)
-    pump_grid, grid_s, grid_i = build_grids(trial_cfg)
-    target = TargetState(
-        cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
+    trial_cfg, target, l_p, score = _trial_context(
+        cfg, mu, _FIT_PUMP_POINTS, _VERIFY_POINTS
     )
-    fit_grid = SpectralGrid(
-        pump_grid.center, pump_grid.half_span, search.fit_pump_points
-    )
-    vgrid_s = SpectralGrid(grid_s.center, grid_s.half_span, search.verify_points)
-    vgrid_i = SpectralGrid(grid_i.center, grid_i.half_span, search.verify_points)
+    _, grid_s, grid_i = build_grids(trial_cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         f_target = target_jsa(target, grid_s, grid_i)
-        l_p_fit = field_enhancement_chain(trial_cfg.pump_resonance, fit_grid)
-        l_s = field_enhancement_chain(trial_cfg.signal, grid_s)
-        l_i = field_enhancement_chain(trial_cfg.idler, grid_i)
-        l_s_v = field_enhancement_chain(trial_cfg.signal, vgrid_s)
-        l_i_v = field_enhancement_chain(trial_cfg.idler, vgrid_i)
-        tdsi = Field2D(grid_s, grid_i, np.outer(l_s.values, l_i.values))
-        g = decouple_tdsi(f_target, tdsi, epsilon=search.epsilon)
-        profile = extract_antidiagonal(g, n_points=search.fit_profile_points)
-        modes_s = hg_basis(4, vgrid_s, vgrid_s.center, cfg.target.sigma)
-        modes_i = hg_basis(4, vgrid_i, vgrid_i.center, cfg.target.sigma)
-    unity = _unity_pmf(cfg.dispersion)
+        tdsi = compute_tdsi(
+            field_enhancement_chain(trial_cfg.signal, grid_s),
+            field_enhancement_chain(trial_cfg.idler, grid_i),
+        )
+        g = decouple_tdsi(f_target, tdsi)
+        profile = extract_antidiagonal(g, n_points=_FIT_PROFILE_POINTS)
     n_taps = len(cfg.pump.taps)
     records = []
     best = None
@@ -433,31 +396,21 @@ def _run_mu_point(args):
         phi0 = rng.uniform(0.0, 2.0 * np.pi, n_taps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fit = fit_adp(
-                profile, cfg.pump, l_p_fit, sigma0, alpha0, phi0,
-                gtol=search.gtol, xtol=search.xtol, max_iter=search.max_iter,
-                magnitude_only=True,
-            )
-            pump_spec = replace(cfg.pump, sigma_p=fit.sigma_p, taps=fit.taps)
-            pump = shaped_pump(pump_spec, fit_grid)
-            trial_jsa = compute_jsa(pump, l_p_fit, l_s_v, l_i_v, unity)
-            state = reported_state(trial_jsa)
-            score = _trial_score(
-                cfg, state, modes_s, modes_i, target.coefficients
-            )
+            fit = fit_adp(profile, cfg.pump, l_p, sigma0, alpha0, phi0)
+        trial = score(fit.sigma_p, fit.taps)
         record = {
             "mu": _mu_record(mu),
             "restart": restart,
             "sigma_p": fit.sigma_p,
             "alpha": [t.amplitude for t in fit.taps],
             "phi": [float(np.mod(t.phase, 2.0 * np.pi)) for t in fit.taps],
-            "fidelity": score,
+            "fidelity": trial,
             "residual": fit.residual,
             "converged": fit.converged,
         }
         records.append(record)
-        if best is None or score > best[0]:
-            best = (score, fit.residual, fit.sigma_p, fit.taps)
+        if best is None or trial > best[0]:
+            best = (trial, fit.residual, fit.sigma_p, fit.taps)
     return mu_idx, mu, records, best
 
 
@@ -470,58 +423,14 @@ def _polish_candidate(cfg, search, mu, sigma_p, taps):
     admit spurious optima that do not survive verification, so the
     polish must run at full resolution.
     """
-    trial_cfg = _swept_chains(cfg, mu)
-    pump_grid, grid_s, grid_i = build_grids(trial_cfg)
-    target = TargetState(
-        cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
-    )
-    fit_grid = SpectralGrid(
-        pump_grid.center, pump_grid.half_span, search.polish_pump_points
-    )
-    unity = _unity_pmf(cfg.dispersion)
-    n_taps = len(taps)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        l_p = field_enhancement_chain(trial_cfg.pump_resonance, fit_grid)
-        l_s = field_enhancement_chain(trial_cfg.signal, grid_s)
-        l_i = field_enhancement_chain(trial_cfg.idler, grid_i)
-        modes_s = hg_basis(4, grid_s, grid_s.center, cfg.target.sigma)
-        modes_i = hg_basis(4, grid_i, grid_i.center, cfg.target.sigma)
-
-    def unpack(x):
-        sig = float(np.exp(x[0]))
-        amps = np.clip(x[1 : 1 + n_taps], 0.0, 1.0)
-        return sig, tuple(
-            Tap(float(a), float(p)) for a, p in zip(amps, x[1 + n_taps :])
-        )
-
-    def negative_score(x):
-        sig, taps_x = unpack(x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pump_spec = replace(cfg.pump, sigma_p=sig, taps=taps_x)
-            pump = shaped_pump(pump_spec, fit_grid)
-            jsa = compute_jsa(pump, l_p, l_s, l_i, unity)
-            state = reported_state(jsa)
-            return -_trial_score(
-                cfg, state, modes_s, modes_i, target.coefficients
-            )
-
-    x0 = np.concatenate(
-        [
-            [np.log(sigma_p)],
-            [t.amplitude for t in taps],
-            [t.phase for t in taps],
-        ]
-    )
+    *_, score = _trial_context(cfg, mu, _POLISH_PUMP_POINTS, cfg.grid.n_points)
     res = minimize(
-        negative_score,
-        x0,
+        lambda x: -score(*_unpack(x)),
+        _pack(sigma_p, [t.amplitude for t in taps], [t.phase for t in taps]),
         method="Nelder-Mead",
         options=dict(maxfev=search.polish_evals, xatol=1e-6, fatol=1e-10),
     )
-    sigma_out, taps_out = unpack(res.x)
-    return sigma_out, taps_out
+    return _unpack(res.x)
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -612,9 +521,3 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
         trace=tuple(trace),
     )
 
-
-def write_trace(trace, path: str) -> None:
-    """JSON-lines trace log, one record per trial."""
-    with open(path, "w") as fh:
-        for record in trace:
-            fh.write(json.dumps(record) + "\n")

@@ -24,6 +24,11 @@ from .phase_matching import DispersionModel, pmf, pmf_full
 from .spectral import Field1D, Field2D, GridError, SpectralGrid
 
 
+# alpha_p * l_p above this fraction of its peak at a grid edge truncates
+# the self-convolution
+_EDGE_THRESHOLD = 1e-4
+
+
 class DegenerateFieldError(ValueError):
     """All-zero amplitude where a nonzero field is required."""
 
@@ -71,30 +76,61 @@ def normalize(jsa: Jsa) -> Jsa:
     return Jsa(jsa.grid_s, jsa.grid_i, jsa.amplitude * scale, normalized=True)
 
 
-def compute_adp(pump_times_lp: Field1D, edge_threshold: float = 1e-4) -> Field1D:
-    """Anti-diagonal pump function: self-convolution of alpha_p * l_p.
+def _sum_grid(grid: SpectralGrid) -> SpectralGrid:
+    """Grid of the self-convolution of samples on grid: 2n-1 points, same
+    spacing, centered at twice the input center."""
+    return SpectralGrid(2.0 * grid.center, 2.0 * grid.half_span, 2 * grid.n_points - 1)
 
-    Returned on the sum-frequency grid (2n-1 points, same spacing,
-    centered at twice the input center).  The grid quadrature weight is
-    included, so the result approximates the continuous convolution.
+
+def adp_model(grid: SpectralGrid, sums: np.ndarray):
+    """The anti-diagonal pump function as a map alpha_p * l_p -> ADP(sums).
+
+    The returned function self-convolves alpha_p * l_p samples on grid
+    (grid quadrature weight included, so the result approximates the
+    continuous convolution) and samples it at the absolute sum
+    frequencies sums, linearly interpolated and zero beyond the
+    sum-frequency grid.  It checks nothing, so the inverse fit can call
+    it in its residual; compute_adp and compute_jsa check its input.
     """
-    values = pump_times_lp.values
+    spacing = grid.spacing
+    axis = _sum_grid(grid).samples
+
+    def adp(apl: np.ndarray) -> np.ndarray:
+        conv = fftconvolve(apl, apl, mode="full") * spacing
+        return _interp_complex(sums, axis, conv)
+
+    return adp
+
+
+def _check_adp_input(values: np.ndarray, edge_threshold: float) -> str | None:
+    """Reject an all-zero alpha_p * l_p; warn (and return the message)
+    when it is not negligible at the grid edges."""
     peak = np.max(np.abs(values))
     if peak == 0.0:
         raise DegenerateFieldError("alpha_p * l_p is identically zero")
     edge = max(abs(values[0]), abs(values[-1]))
-    warning = None
-    if edge > edge_threshold * peak:
-        warning = (
-            f"input not negligible at grid edges ({edge / peak:.3g} of peak); "
-            "the self-convolution is truncated"
-        )
-        warnings.warn(warning)
-    grid = pump_times_lp.grid
-    conv = fftconvolve(values, values, mode="full") * grid.spacing
-    sum_grid = SpectralGrid(
-        2.0 * grid.center, 2.0 * grid.half_span, 2 * grid.n_points - 1
+    if edge <= edge_threshold * peak:
+        return None
+    warning = (
+        f"input not negligible at grid edges ({edge / peak:.3g} of peak); "
+        "the self-convolution is truncated"
     )
+    warnings.warn(warning)
+    return warning
+
+
+def compute_adp(
+    pump_times_lp: Field1D, edge_threshold: float = _EDGE_THRESHOLD
+) -> Field1D:
+    """Anti-diagonal pump function: self-convolution of alpha_p * l_p.
+
+    Returned on the sum-frequency grid (2n-1 points, same spacing,
+    centered at twice the input center), where adp_model is exact.
+    """
+    values = pump_times_lp.values
+    warning = _check_adp_input(values, edge_threshold)
+    sum_grid = _sum_grid(pump_times_lp.grid)
+    conv = adp_model(pump_times_lp.grid, sum_grid.samples)(values)
     return Field1D(sum_grid, conv, warning=warning)
 
 
@@ -103,10 +139,7 @@ def convolve_direct(pump_times_lp: Field1D) -> Field1D:
     values = pump_times_lp.values
     grid = pump_times_lp.grid
     conv = np.convolve(values, values, mode="full") * grid.spacing
-    sum_grid = SpectralGrid(
-        2.0 * grid.center, 2.0 * grid.half_span, 2 * grid.n_points - 1
-    )
-    return Field1D(sum_grid, conv)
+    return Field1D(_sum_grid(grid), conv)
 
 
 def compute_tdsi(l_s: Field1D, l_i: Field1D) -> Field2D:
@@ -144,12 +177,12 @@ def compute_jsa(
     d_s = (omega_s - grid_s.center)[:, None]
     d_i = (omega_i - grid_i.center)[None, :]
     sums = omega_s[:, None] + omega_i[None, :]
+    tdsi = np.outer(l_s.values, l_i.values)
 
     if dispersion.k_of_omega is None and not force_slow:
-        adp = compute_adp(Field1D(pump.grid, apl))
-        adp_at_sum = _interp_complex(sums, adp.grid.samples, adp.values)
+        _check_adp_input(apl, _EDGE_THRESHOLD)
         pm = pmf(dispersion, d_s, d_i)
-        amp = adp_at_sum * pm * np.outer(l_s.values, l_i.values)
+        amp = adp_model(pump.grid, sums)(apl) * pm * tdsi
     else:
         omega_p = pump.grid.samples
         dp = pump.grid.spacing
@@ -164,7 +197,7 @@ def compute_jsa(
             else:
                 pm_row = pmf(dispersion, d_s[j, 0], d_i[0][:, None])
             amp[j] = np.sum(apl[None, :] * apl_mirror * pm_row, axis=1) * dp
-        amp *= np.outer(l_s.values, l_i.values)
+        amp *= tdsi
     return normalize(Jsa(grid_s, grid_i, amp))
 
 

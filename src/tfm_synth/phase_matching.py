@@ -4,9 +4,9 @@ Default model: linearized mismatch Delta_k = s (c1 dw_s + c2 dw_i) with
 detunings measured from the perfectly phase-matched frequencies; all
 zeroth-order terms (including the gamma_0 P nonlinear shift) are absorbed
 into the expansion point.  With c1 = -c2 the PMF depends on w_s - w_i
-only (the symmetric group-velocity-matched regime, `factorizes`).  For
-any c1 and c2 the linearized PMF is independent of the pump frequency,
-so the fast JSA path covers every linear model.
+only (the symmetric group-velocity-matched regime).  For any c1 and c2
+the linearized PMF is independent of the pump frequency, so the fast JSA
+path covers every linear model.
 
 A full dispersion variant accepting a tabulated/callable k(omega) is also
 provided for forward checks outside the linear regime; its mismatch
@@ -42,11 +42,6 @@ class DispersionModel:
             raise ValueError(f"length must be > 0, got {self.length}")
         if self.c1 == 0.0 and self.c2 == 0.0:
             raise ValueError("(c1, c2) must not both be zero")
-
-    @property
-    def factorizes(self) -> bool:
-        """True when the PMF is a function of w_s - w_i only."""
-        return self.k_of_omega is None and self.c1 == -self.c2
 
 
 def delta_k_linear(model: DispersionModel, d_omega_s, d_omega_i):

@@ -61,6 +61,20 @@ class PumpSpec:
         object.__setattr__(self, "taps", taps)
 
 
+def tap_phasors(spec: PumpSpec, grid: SpectralGrid) -> np.ndarray:
+    """Per-tap delay phasors exp[i n (theta - (omega - carrier) tau)].
+
+    Row n - 1 belongs to tap n; H is (alpha_n exp(i phi_n)) @ phasors.
+    """
+    detuning = grid.samples - spec.carrier
+    n_idx = np.arange(1, len(spec.taps) + 1)
+    return np.exp(
+        1j
+        * n_idx[:, None]
+        * (spec.comb_alignment - detuning * spec.base_delay)[None, :]
+    )
+
+
 def fir_response(spec: PumpSpec, grid: SpectralGrid) -> Field1D:
     """Complex FIR transfer function H on the grid.
 
@@ -69,13 +83,9 @@ def fir_response(spec: PumpSpec, grid: SpectralGrid) -> Field1D:
     """
     if all(tap.amplitude == 0.0 for tap in spec.taps):
         raise DegenerateInputError("all tap amplitudes are zero")
-    detuning = grid.samples - spec.carrier
-    h = np.zeros(grid.n_points, dtype=complex)
-    for n, tap in enumerate(spec.taps, start=1):
-        h += tap.amplitude * np.exp(
-            1j * (tap.phase + n * (spec.comb_alignment - detuning * spec.base_delay))
-        )
-    return Field1D(grid, h)
+    alphas = np.array([tap.amplitude for tap in spec.taps])
+    phis = np.array([tap.phase for tap in spec.taps])
+    return Field1D(grid, (alphas * np.exp(1j * phis)) @ tap_phasors(spec, grid))
 
 
 def shaped_pump(spec: PumpSpec, grid: SpectralGrid) -> Field1D:

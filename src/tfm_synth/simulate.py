@@ -98,11 +98,7 @@ def pgr_input(cfg: DeviceConfig) -> PgrInput:
     )
 
 
-def simulate(
-    cfg: DeviceConfig,
-    n_points: int | None = None,
-    force_slow: bool = False,
-) -> SimulationResult:
+def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult:
     """Run the forward model and compute all figures of merit."""
     pump_grid, grid_s, grid_i = build_grids(cfg, n_points)
 
@@ -112,7 +108,7 @@ def simulate(
     l_s = field_enhancement_chain(cfg.signal, grid_s)
     l_i = field_enhancement_chain(cfg.idler, grid_i)
 
-    jsa_raw = compute_jsa(pump, l_p, l_s, l_i, cfg.dispersion, force_slow=force_slow)
+    jsa_raw = compute_jsa(pump, l_p, l_s, l_i, cfg.dispersion)
     state = reported_state(jsa_raw)
 
     schmidt = schmidt_decompose(state)

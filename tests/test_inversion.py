@@ -1,5 +1,7 @@
 """Inverse-design pipeline: decoupling, extraction, fitting, search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,12 @@ from tfm_synth.config import ConfigError, load_preset
 from tfm_synth.inversion import (
     AdpProfile,
     SearchConfig,
-    _adp_at,
     decouple_tdsi,
     extract_antidiagonal,
     fit_adp,
     optimize_state,
 )
-from tfm_synth.jsa import Jsa, normalize
+from tfm_synth.jsa import Jsa, adp_model, normalize
 from tfm_synth.pulse_shaper import (
     DegenerateInputError,
     PumpSpec,
@@ -149,34 +150,64 @@ def lorentzian_lp():
     return Field1D(PUMP_GRID, 1.0 / (1j * delta + 9.7e9))
 
 
+def synth_adp(spec, l_p, u):
+    """ADP of the shaped, resonance-filtered pump at sum offsets u, through
+    the model the forward path and the fit share."""
+    pump = shaped_pump(spec, l_p.grid)
+    return adp_model(l_p.grid, 2.0 * P0 + u)(pump.values * l_p.values)
+
+
+def fitted_magnitude(fit, template, l_p, u):
+    spec = replace(template, sigma_p=fit.sigma_p, taps=fit.taps)
+    return fit.scale * np.abs(synth_adp(spec, l_p, u))
+
+
+def unit_magnitude(values):
+    return np.abs(values) / np.sqrt(np.sum(np.abs(values) ** 2))
+
+
 def synth_profile(spec, l_p, n_u=257, span=112e9):
     u = np.linspace(-span, span, n_u)
-    vals = _adp_at(spec.sigma_p, spec.taps, spec, l_p, 2.0 * P0 + u)
-    return AdpProfile(u, vals, 2.0 * P0)
+    return AdpProfile(u, synth_adp(spec, l_p, u), 2.0 * P0)
 
 
-def test_fit_round_trip_known_taps():
-    """Residual < 1e-6 and pointwise ADP agreement < 1e-5 when the
-    profile was synthesized from the model itself (seed 0 taps)."""
+def round_trip_case():
+    """Seed-0 taps, their synthesized profile and the fit template."""
     rng = np.random.default_rng(0)
     amps = rng.uniform(0.1, 1.0, 6)
     phis = rng.uniform(0.0, 2.0 * np.pi, 6)
-    template = pump_template()
     truth = PumpSpec(
         sigma_p=20e9, carrier=P0, taps=make_taps(amps, phis),
         base_delay=75e-12, comb_alignment=0.297,
     )
     l_p = lorentzian_lp()
-    prof = synth_profile(truth, l_p)
+    return amps, phis, synth_profile(truth, l_p), l_p
+
+
+def test_fit_round_trip_known_taps():
+    """Residual < 1e-6 and pointwise |ADP| agreement < 1e-5 of the peak
+    when the profile was synthesized from the model itself (seed 0
+    taps)."""
+    amps, phis, prof, l_p = round_trip_case()
+    template = pump_template()
     fit = fit_adp(prof, template, l_p, 20e9, amps, phis)
     assert fit.residual < 1e-6
-    # reconstructed ADP against the input ADP, both unit-normalized
-    got = fit.scale * _adp_at(
-        fit.sigma_p, fit.taps, template, l_p, 2.0 * P0 + prof.u
-    )
-    want = prof.values / np.sqrt(np.sum(np.abs(prof.values) ** 2))
-    np.testing.assert_allclose(got, want, atol=1e-5 * np.max(np.abs(want)))
+    # reconstructed |ADP| against the input's, both unit-normalized
+    got = fitted_magnitude(fit, template, l_p, prof.u)
+    want = unit_magnitude(prof.values)
+    np.testing.assert_allclose(got, want, atol=1e-5 * np.max(want))
     assert fit.converged
+
+
+def test_fit_ignores_profile_phase():
+    """The round-trip profile times a seeded random unit-modulus phase, as
+    decoupling from the filter leaves it, still fits to < 1e-6."""
+    amps, phis, prof, l_p = round_trip_case()
+    rng = np.random.default_rng(11)
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, prof.u.shape))
+    scrambled = AdpProfile(prof.u, prof.values * phase, prof.sum_center)
+    fit = fit_adp(scrambled, pump_template(), l_p, 20e9, amps, phis)
+    assert fit.residual < 1e-6
 
 
 def test_fit_single_tap_gaussian_sigma_recovery():
@@ -216,11 +247,8 @@ def test_fit_reported_residual_consistent():
         prof, pump_template(), l_p, 30e9,
         rng.uniform(0.1, 1, 6), rng.uniform(0, 2 * np.pi, 6),
     )
-    model = fit.scale * _adp_at(
-        fit.sigma_p, fit.taps, pump_template(), l_p, 2.0 * P0 + prof.u
-    )
-    want = prof.values / np.sqrt(np.sum(np.abs(prof.values) ** 2))
-    direct = float(np.sum(np.abs(model - want) ** 2))
+    got = fitted_magnitude(fit, pump_template(), l_p, prof.u)
+    direct = float(np.sum((got - unit_magnitude(prof.values)) ** 2))
     assert direct == pytest.approx(fit.residual, rel=1e-6, abs=1e-12)
 
 
@@ -230,7 +258,6 @@ def test_fit_reported_residual_consistent():
 def tiny_search(**kw):
     defaults = dict(
         restarts=2, mu_min=1.25e9, mu_max=1.5e9, mu_step=0.25e9, seed=0,
-        fit_pump_points=512, fit_profile_points=129, verify_points=128,
         polish_evals=0,
     )
     defaults.update(kw)

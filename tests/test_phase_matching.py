@@ -25,12 +25,6 @@ def test_linear_mismatch_values():
     assert delta_k_linear(m, 1e9, 1e9) == pytest.approx(0.0)
 
 
-def test_factorizes_only_for_antisymmetric_coefficients():
-    assert DispersionModel(c1=1.0, c2=-1.0).factorizes
-    assert not DispersionModel(c1=1.0, c2=-0.5).factorizes
-    assert not DispersionModel(c1=1.0, c2=-1.0, k_of_omega=lambda w: w).factorizes
-
-
 def test_pmf_sinc_oracle():
     """PMF = sinc(x) e^{ix} with x = L dk / 2 against direct evaluation."""
     m = DispersionModel(c1=1.0, c2=-1.0, slope=1e-9, length=7.17791089e-4)

@@ -86,6 +86,22 @@ def test_periodicity():
     assert delta.shape == h_a.shape
 
 
+def test_response_matches_per_tap_sum():
+    """The phasor-matrix product against the per-tap sum
+    sum_n alpha_n exp[i (phi_n + n theta - n delta tau)], to 1e-12."""
+    amps = [0.216, 0.805, 0.123, 0.995, 0.754, 0.523]
+    phases = [1.590, 1.187, 2.670, 4.860, 1.108, 6.282]
+    theta = 0.297
+    grid = SpectralGrid(CARRIER, 300e9, 2048)
+    delta = grid.samples - CARRIER
+    expect = sum(
+        a * np.exp(1j * (p + n * (theta - delta * TAU)))
+        for n, (a, p) in enumerate(zip(amps, phases), start=1)
+    )
+    h = fir_response(spec_with(amps, phases, theta=theta), grid).values
+    np.testing.assert_allclose(h, expect, rtol=0.0, atol=1e-12)
+
+
 def test_magnitude_bounded_by_tap_sum():
     spec = spec_with([0.9, 0.4, 0.6], [0.1, 2.0, 4.0])
     grid = SpectralGrid(CARRIER, 300e9, 2048)
