@@ -209,6 +209,7 @@ def cmd_optimize(args) -> int:
         "best_mu": [float(m) for m in result.best_mu],
         "trial_fidelity": result.fidelity,
         "fit_residual": result.residual,
+        "fits": result.fits,
     }
     _write_json(os.path.join(out, "report.json"), report)
     print(json.dumps(_round9({

@@ -6,11 +6,11 @@ signal-idler filter TDSI; (3) divide the target JSA by the TDSI
 (regularized) and extract its anti-diagonal profile, reducing the
 problem to one dimension; (4) least-squares fit the magnitude of the
 pump-side model (envelope width sigma_p and the FIR taps, through the
-ADP model the forward path uses) to that profile's magnitude; (5)
-repeat the fit from many random initial tap settings; (6) sweep mu and
-keep the candidate whose forward-simulated state scores best.  A final
-derivative-free polish refines the leading candidates at the full
-configured resolution.
+ADP model the forward path uses and its exact derivative) to that
+profile's magnitude; (5) repeat the fit from many random initial tap
+settings; (6) sweep mu and keep the candidate whose forward-simulated
+state scores best.  A final derivative-free polish refines the leading
+candidates at the full configured resolution.
 
 The phase-matching function is treated as unity inside the loop (the
 factorized model) and enters only in the final forward verification.
@@ -36,7 +36,14 @@ from .analysis import (
     target_jsa,
 )
 from .config import ConfigError, DeviceConfig
-from .jsa import Jsa, _bilinear, adp_model, compute_jsa, compute_tdsi
+from .jsa import (
+    Jsa,
+    _bilinear,
+    adp_derivative,
+    adp_model,
+    compute_jsa,
+    compute_tdsi,
+)
 from .phase_matching import DispersionModel
 from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, shaped_pump, tap_phasors
 from .resonator import field_enhancement_chain
@@ -46,7 +53,7 @@ from .spectral import Field1D, Field2D, GridError, SpectralGrid
 
 _TWO_PI_GHZ = 2.0 * np.pi * 1e9
 # ADP fit: least-squares stopping tolerances and the residual evaluations
-# one fit may spend, finite-difference Jacobians included
+# one fit may spend (scipy's nfev; Jacobian evaluations count in njev)
 _FIT_GTOL = 1e-8
 _FIT_XTOL = 1e-10
 _FIT_MAX_NFEV = 600
@@ -115,6 +122,8 @@ class FitResult:
     scale: float             # fitted magnitude scale c >= 0
     residual: float
     converged: bool
+    nfev: int                # residual evaluations of the fit
+    njev: int                # Jacobian evaluations of the fit
 
 
 @dataclass(frozen=True)
@@ -124,6 +133,8 @@ class OptimizeResult:
     fidelity: float              # full-grid verified score of the winner
     residual: float
     trace: tuple                 # of dict, ordered by (mu index, restart)
+    fits: dict                   # the ADP fits' converged fraction and
+                                 # median nfev and njev
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +212,71 @@ def _magnitude_scale(model_mag: np.ndarray, data_mag: np.ndarray) -> float:
     return float(np.sum(model_mag * data_mag) / denom)
 
 
+def _magnitude_fit(profile: AdpProfile, template: PumpSpec, l_p: Field1D):
+    """The magnitude fit's pieces for a profile: (data, model, residual, jac).
+
+    data is the unit-normalized profile magnitude; model(x) is |ADP| of the
+    search vector x (see _pack); residual(x) = c |ADP| - data with the
+    scale c eliminated in closed form; jac(x) is residual's exact Jacobian.
+    """
+    data = np.asarray(profile.values, dtype=complex)
+    peak = np.max(np.abs(data))
+    if peak == 0.0:
+        raise DegenerateInputError("profile is identically zero")
+    data = data / np.sqrt(np.sum(np.abs(data) ** 2))
+    data_mag = np.abs(data)
+    n_taps = len(template.taps)
+
+    # the shaped pump's envelope and FIR factors on the pump grid, and the
+    # ADP model and its derivative at the profile's sum frequencies, set
+    # up once per fit
+    detuning = l_p.grid.samples - template.carrier
+    phasors = tap_phasors(template, l_p.grid)
+    lp_vals = l_p.values
+    sums = profile.sum_center + profile.u
+    adp = adp_model(l_p.grid, sums)
+    d_adp = adp_derivative(l_p.grid, sums)
+
+    def envelope_and_apl(x):
+        sigma_p = np.exp(x[0])
+        env = np.exp(-(detuning * detuning) / (2.0 * sigma_p * sigma_p))
+        h = (x[1 : 1 + n_taps] * np.exp(1j * x[1 + n_taps :])) @ phasors
+        return env, env * h * lp_vals
+
+    def model_mag(x):
+        return np.abs(adp(envelope_and_apl(x)[1]))
+
+    def residual_vec(x):
+        mag = model_mag(x)
+        return _magnitude_scale(mag, data_mag) * mag - data_mag
+
+    def jacobian(x):
+        env, apl = envelope_and_apl(x)
+        alphas = x[1 : 1 + n_taps]
+        # d apl / d log sigma_p and d apl / d alpha_n
+        d_alpha = np.exp(1j * x[1 + n_taps :])[:, None] * phasors * (env * lp_vals)
+        d_sigma = apl * (detuning * detuning) * np.exp(-2.0 * x[0])
+        d_a = d_adp(apl, np.vstack([d_sigma, d_alpha]))
+        # apl = alphas @ d_alpha, so ADP = alphas @ dADP/d alpha / 2, and
+        # dADP/d phi_n = i alpha_n dADP/d alpha_n
+        a = 0.5 * (alphas @ d_a[1:])
+        d_a = np.concatenate([d_a, 1j * alphas[:, None] * d_a[1:]])
+        mag = np.abs(a)
+        # d|A| = Re(conj(A) dA) / |A|, taken as 0 where |A| = 0
+        d_mag = np.divide(
+            (np.conj(a) * d_a).real, mag, out=np.zeros(d_a.shape), where=mag > 0.0
+        )
+        norm2 = np.sum(mag * mag)
+        if norm2 == 0.0:
+            return np.zeros(d_mag.T.shape)
+        # variable projection: c = (m.d)/(m.m) moves with the model
+        scale = np.sum(mag * data_mag) / norm2
+        d_scale = (d_mag @ data_mag - 2.0 * scale * (d_mag @ mag)) / norm2
+        return (d_scale[:, None] * mag + scale * d_mag).T
+
+    return data_mag, model_mag, residual_vec, jacobian
+
+
 def fit_adp(
     profile: AdpProfile,
     template: PumpSpec,
@@ -214,20 +290,22 @@ def fit_adp(
     Minimizes sum_u (c |ADP(u)| - |profile(u)|)^2 over sigma_p
     (log-space), the tap amplitudes (bounded to [0, 1]), the tap phases,
     and a real global scale c >= 0 eliminated in closed form at every
-    step (both sides carry arbitrary normalization).  Only magnitudes are
-    compared: a profile obtained by decoupling a target from the measured
-    filter carries the filter's conjugated phase, which the pump model
-    cannot and need not reproduce -- the reported state is built from the
+    step (both sides carry arbitrary normalization).  The trust-region
+    steps use the exact Jacobian of that variable-projection residual
+    (Golub & Pereyra, Inverse Problems 19, R1 (2003)): every column
+    d|ADP|/d theta comes from 2 alpha_p l_p * d(alpha_p l_p)/d theta, one
+    batched FFT convolution through adp_derivative, and the scale's own
+    derivative enters each column.  Only magnitudes are compared: a
+    profile obtained by decoupling a target from the measured filter
+    carries the filter's conjugated phase, which the pump model cannot
+    and need not reproduce -- the reported state is built from the
     magnitude with the pi flips re-imposed at the nodes, whose positions
     the magnitude still pins.  Tap solutions are non-unique; only the
     reconstructed |ADP| is meaningful.
     """
-    data = np.asarray(profile.values, dtype=complex)
-    peak = np.max(np.abs(data))
-    if peak == 0.0:
-        raise DegenerateInputError("profile is identically zero")
-    data = data / np.sqrt(np.sum(np.abs(data) ** 2))
-    data_mag = np.abs(data)
+    data_mag, model_mag, residual_vec, jacobian = _magnitude_fit(
+        profile, template, l_p
+    )
     n_taps = len(template.taps)
     alphas = np.asarray(init_alphas, dtype=float)
     phis = np.asarray(init_phis, dtype=float)
@@ -236,29 +314,13 @@ def fit_adp(
             f"initial taps must match the template's {n_taps} taps"
         )
 
-    # the shaped pump's envelope and FIR factors on the pump grid, and the
-    # ADP model at the profile's sum frequencies, set up once per fit
-    detuning = l_p.grid.samples - template.carrier
-    phasors = tap_phasors(template, l_p.grid)
-    lp_vals = l_p.values
-    adp = adp_model(l_p.grid, profile.sum_center + profile.u)
-
-    def model_mag(x):
-        sigma_p = np.exp(x[0])
-        env = np.exp(-(detuning * detuning) / (2.0 * sigma_p * sigma_p))
-        h = (x[1 : 1 + n_taps] * np.exp(1j * x[1 + n_taps :])) @ phasors
-        return np.abs(adp(env * h * lp_vals))
-
-    def residual_vec(x):
-        mag = model_mag(x)
-        return _magnitude_scale(mag, data_mag) * mag - data_mag
-
     x0 = _pack(init_sigma_p, np.clip(alphas, 0.0, 1.0), phis)
     lower = np.concatenate([[np.log(1e7)], np.zeros(n_taps), np.full(n_taps, -np.inf)])
     upper = np.concatenate([[np.log(1e13)], np.ones(n_taps), np.full(n_taps, np.inf)])
     res = least_squares(
         residual_vec,
         x0,
+        jac=jacobian,
         bounds=(lower, upper),
         method="trf",
         gtol=_FIT_GTOL,
@@ -275,6 +337,8 @@ def fit_adp(
         scale=scale,
         residual=float(np.sum((scale * mag - data_mag) ** 2)),
         converged=res.status > 0,
+        nfev=int(res.nfev),
+        njev=int(res.njev),
     )
 
 
@@ -369,7 +433,11 @@ def _mu_record(mu: tuple) -> dict:
 
 
 def _run_mu_point(args):
-    """All restarts for one mu-grid point; returns (mu_idx, records, best)."""
+    """All restarts for one mu-grid point.
+
+    Returns (mu_idx, mu, records, best, fits), fits holding each restart's
+    (converged, nfev, njev).
+    """
     cfg, search, mu_idx, mu = args
     trial_cfg, target, l_p, score = _trial_context(
         cfg, mu, _FIT_PUMP_POINTS, _VERIFY_POINTS
@@ -386,6 +454,7 @@ def _run_mu_point(args):
         profile = extract_antidiagonal(g, n_points=_FIT_PROFILE_POINTS)
     n_taps = len(cfg.pump.taps)
     records = []
+    fits = []
     best = None
     for restart in range(search.restarts):
         rng = np.random.default_rng([search.seed, mu_idx, restart])
@@ -409,9 +478,10 @@ def _run_mu_point(args):
             "converged": fit.converged,
         }
         records.append(record)
+        fits.append((fit.converged, fit.nfev, fit.njev))
         if best is None or trial > best[0]:
             best = (trial, fit.residual, fit.sigma_p, fit.taps)
-    return mu_idx, mu, records, best
+    return mu_idx, mu, records, best, fits
 
 
 def _polish_candidate(cfg, search, mu, sigma_p, taps):
@@ -478,9 +548,12 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     results.sort(key=lambda r: r[0])
     trace = []
     candidates = []
-    for mu_idx, mu, records, point_best in results:
+    fits = []
+    for mu_idx, mu, records, point_best, point_fits in results:
         trace.extend(records)
         candidates.append((point_best, mu))
+        fits.extend(point_fits)
+    converged, nfev, njev = np.array(fits, dtype=float).T
     # trial scores are computed at the reduced working resolution with a
     # flat phase-matching function; re-verify each mu point's best
     # candidate on the configured grid with the full model and select by
@@ -519,5 +592,10 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
         fidelity=score,
         residual=residual,
         trace=tuple(trace),
+        fits={
+            "converged_frac": float(np.mean(converged)),
+            "nfev_median": float(np.median(nfev)),
+            "njev_median": float(np.median(njev)),
+        },
     )
 

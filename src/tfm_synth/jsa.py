@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.signal import fftconvolve
 
 from .phase_matching import DispersionModel, pmf, pmf_full
@@ -102,6 +103,34 @@ def adp_model(grid: SpectralGrid, sums: np.ndarray):
     return adp
 
 
+def adp_derivative(grid: SpectralGrid, sums: np.ndarray):
+    """Directional derivatives of adp_model(grid, sums).
+
+    The returned function maps alpha_p * l_p and a stack of directions
+    (one per row) to the rows of dADP(sums) = interp(2 apl * d_apl) dw:
+    the self-convolution's derivative for every direction from one FFT
+    of apl and one batched FFT of the directions, then adp_model's
+    linear interpolation, whose indices and weights are built here once.
+    """
+    sum_grid = _sum_grid(grid)
+    n_conv = sum_grid.n_points
+    n_fft = next_fast_len(n_conv)
+    axis = sum_grid.samples
+    pos = (sums - axis[0]) / sum_grid.spacing
+    lo = np.clip(np.floor(pos).astype(int), 0, n_conv - 2)
+    frac = pos - lo
+    inside = (sums >= axis[0]) & (sums <= axis[-1])
+    w_lo = np.where(inside, 1.0 - frac, 0.0) * (2.0 * grid.spacing)
+    w_hi = np.where(inside, frac, 0.0) * (2.0 * grid.spacing)
+
+    def d_adp(apl: np.ndarray, d_apl: np.ndarray) -> np.ndarray:
+        spec = fft(apl, n_fft) * fft(d_apl, n_fft, axis=-1)
+        conv = ifft(spec, axis=-1)
+        return conv[..., lo] * w_lo + conv[..., lo + 1] * w_hi
+
+    return d_adp
+
+
 def _check_adp_input(values: np.ndarray, edge_threshold: float) -> str | None:
     """Reject an all-zero alpha_p * l_p; warn (and return the message)
     when it is not negligible at the grid edges."""
@@ -165,8 +194,9 @@ def compute_jsa(
 
     pump and l_p must share one grid (the pump integration grid); l_s and
     l_i define the output grid.  Every linearized PMF takes the fast
-    path, ADP(w_s + w_i) PMF(w_s, w_i) l_s l_i; a tabulated k(omega), or
-    force_slow, takes the pump quadrature.
+    path, ADP(w_s + w_i) PMF(w_s, w_i) l_s l_i, which skips the PMF when
+    a zero slope makes it unity; a tabulated k(omega), or force_slow,
+    takes the pump quadrature.
     """
     if pump.grid != l_p.grid:
         raise GridError("pump and l_p must share the same grid")
@@ -181,8 +211,15 @@ def compute_jsa(
 
     if dispersion.k_of_omega is None and not force_slow:
         _check_adp_input(apl, _EDGE_THRESHOLD)
-        pm = pmf(dispersion, d_s, d_i)
-        amp = adp_model(pump.grid, sums)(apl) * pm * tdsi
+        if dispersion.slope == 0.0:
+            # the PMF is sinc(0) exp(i 0) = 1 everywhere
+            amp = adp_model(pump.grid, sums)(apl) * tdsi
+        else:
+            # kept as one expression: numpy's complex product is not
+            # bitwise commutative, and a temporary on the right may be
+            # reused with the operands swapped
+            pm = pmf(dispersion, d_s, d_i)
+            amp = adp_model(pump.grid, sums)(apl) * pm * tdsi
     else:
         omega_p = pump.grid.samples
         dp = pump.grid.spacing

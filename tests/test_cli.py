@@ -205,3 +205,13 @@ def test_optimize_bit_reproducible(tmp_path, capsys):
     report = json.loads((tmp_path / "a" / "report.json").read_text())
     assert report["search"]["seed"] == 0
     assert report["search"]["restarts"] == 1
+    # fit diagnostics: the trace's converged fraction, and medians that
+    # repeat with the seed
+    fits = report["search"]["fits"]
+    records = [json.loads(line) for line in trace_a.splitlines()]
+    assert fits["converged_frac"] == pytest.approx(
+        np.mean([r["converged"] for r in records]), abs=1e-9
+    )
+    assert 1 <= fits["njev_median"] <= fits["nfev_median"] <= 600
+    report_b = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert report_b["search"]["fits"] == fits

@@ -6,6 +6,7 @@ import pytest
 from tfm_synth.jsa import (
     DegenerateFieldError,
     Jsa,
+    adp_model,
     antidiagonal_cut,
     compute_adp,
     compute_jsa,
@@ -18,7 +19,7 @@ from tfm_synth.jsa import (
     save_jsa_binary,
     save_jsa_csv,
 )
-from tfm_synth.phase_matching import DispersionModel
+from tfm_synth.phase_matching import DispersionModel, pmf
 from tfm_synth.spectral import Field1D, SpectralGrid, hg_mode
 
 S0 = 1215.70e12
@@ -130,6 +131,33 @@ def test_fast_path_exact_for_asymmetric_linear_pmf(c2):
     np.testing.assert_allclose(
         fast.amplitude, slow.amplitude, atol=1e-8 * scale
     )
+
+
+def test_zero_slope_skips_the_unity_pmf_exactly():
+    """With slope 0 the PMF is sinc(0) exp(i 0) = 1, so leaving it out
+    changes no value: the JSA equals ADP * PMF * TDSI, normalized."""
+    pump_grid = SpectralGrid(P0, 200e9, 256)
+    gs = SpectralGrid(S0, 40e9, 48)
+    gi = SpectralGrid(I0, 40e9, 48)
+    rng = np.random.default_rng(2)
+    pump = Field1D(
+        pump_grid,
+        gaussian_field(pump_grid, P0, 25e9).values
+        * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 256)),
+    )
+    l_p = Field1D(pump_grid, 1.0 / (1j * (pump_grid.samples - P0) + 8e9))
+    l_s = Field1D(gs, 1.0 / (1j * (gs.samples - S0) + 6e9))
+    l_i = Field1D(gi, 1.0 / (1j * (gi.samples - I0) + 6e9))
+    disp = DispersionModel(c1=1.0, c2=-0.8, slope=0.0, length=7.2e-4)
+    d_s = (gs.samples - S0)[:, None]
+    d_i = (gi.samples - I0)[None, :]
+    sums = gs.samples[:, None] + gi.samples[None, :]
+    adp = adp_model(pump_grid, sums)(pump.values * l_p.values)
+    want = normalize(
+        Jsa(gs, gi, adp * pmf(disp, d_s, d_i) * np.outer(l_s.values, l_i.values))
+    )
+    got = compute_jsa(pump, l_p, l_s, l_i, disp)
+    assert np.array_equal(got.amplitude, want.amplitude)
 
 
 def test_jsa_grid_mismatch_rejected():
