@@ -44,7 +44,6 @@ _NUMERICAL_ERRORS = (
     PreconditionError,
     FloatingPointError,
     np.linalg.LinAlgError,
-    ValueError,
 )
 
 
@@ -98,6 +97,13 @@ def _power_or_rate(raw: str, kind: str, field: str) -> float:
         raise
 
 
+def _grid_override(n_points):
+    """--grid, checked like the config's grid.n_points."""
+    if n_points is not None and n_points < 8:
+        raise ConfigError(f"--grid must be >= 8, got {n_points}")
+    return n_points
+
+
 def _magnitude_csv(field, header: str, squared: bool = False) -> str:
     lines = [f"omega_rad_per_s,{header}"]
     mag = np.abs(field.values)
@@ -112,7 +118,7 @@ def cmd_simulate(args) -> int:
     cfg = _load(args.config)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    result = simulate(cfg, n_points=args.grid)
+    result = simulate(cfg, n_points=_grid_override(args.grid))
 
     # binary JSA dump is already atomic enough for regression use, but we
     # follow the same temp+rename discipline through a staging pair
@@ -165,6 +171,7 @@ def _taps_fragment(taps) -> list:
 
 def cmd_optimize(args) -> int:
     cfg = _load(args.config)
+    grid = _grid_override(args.grid)
     out = args.out
     os.makedirs(out, exist_ok=True)
     search = SearchConfig(restarts=args.restarts, seed=args.seed)
@@ -201,7 +208,7 @@ def cmd_optimize(args) -> int:
         ),
     )
 
-    verification = simulate(best, n_points=args.grid)
+    verification = simulate(best, n_points=grid)
     report = analysis_report(verification)
     report["search"] = {
         "seed": search.seed,
@@ -247,6 +254,10 @@ def cmd_sweep_mzi(args) -> int:
     if cfg.mzi is None:
         raise ConfigError("config has no 'mzi' section")
     spec = cfg.mzi
+    if args.mu_min < 0:
+        raise ConfigError(f"--mu-min must be >= 0, got {args.mu_min}")
+    if args.mu_step <= 0:
+        raise ConfigError(f"--mu-step must be > 0, got {args.mu_step}")
     mu_max_reachable = mzi_max_mu(spec)
     mu_hi = args.mu_max
     if mu_hi > mu_max_reachable:

@@ -9,6 +9,7 @@ amplitudes, phases, grid sizes) are plain numbers.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -51,11 +52,20 @@ class PgrConfig:
     avg_power: float   # W
     rep_rate: float    # Hz
 
+    def __post_init__(self):
+        for name in ("n2", "a_eff", "avg_power", "rep_rate"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"pgr.{name} must be > 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class TargetConfig:
     dimension: int     # 1..4; 1 denotes the separable target
     sigma: float       # rad/s, HG basis width
+
+    def __post_init__(self):
+        if self.sigma <= 0:
+            raise ConfigError(f"target.sigma must be > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,8 @@ def _number(tree, key, context):
     val = _get(tree, key, context)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"key '{context}{key}' must be a number, got {val!r}")
+    if not math.isfinite(val):
+        raise ConfigError(f"key '{context}{key}' must be finite, got {val!r}")
     return float(val)
 
 

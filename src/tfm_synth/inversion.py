@@ -18,9 +18,11 @@ factorized model) and enters only in the final forward verification.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,11 +43,11 @@ from .jsa import (
     _bilinear,
     adp_derivative,
     adp_model,
-    compute_jsa,
     compute_tdsi,
+    jsa_model,
 )
 from .phase_matching import DispersionModel
-from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, shaped_pump, tap_phasors
+from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, tap_phasors, tap_sum
 from .resonator import field_enhancement_chain
 from .simulate import build_grids, reported_state, simulate
 from .spectral import Field1D, Field2D, GridError, SpectralGrid
@@ -103,6 +105,8 @@ class SearchConfig:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.mu_step <= 0:
             raise ConfigError(f"mu_step must be > 0, got {self.mu_step}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def mu_values(self) -> np.ndarray:
@@ -397,7 +401,11 @@ def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int
     couplings, the target state, the pump enhancement on a pump grid of
     pump_points, and score(sigma_p, taps), the trial score of the
     reported state with a flat phase-matching function on an
-    n_points^2 signal/idler grid.
+    n_points^2 signal/idler grid.  The chains, the HG bases, the tap
+    phasors, the squared detuning and the JSA model (jsa_model: sum
+    frequencies, ADP interpolation plan, TDSI) are built here; a score
+    evaluates only the shaped pump times l_p, the JSA, the reported state
+    and its HG overlaps.
     """
     trial_cfg = _swept_chains(cfg, mu)
     pump_grid, grid_s, grid_i = build_grids(trial_cfg, n_points)
@@ -405,7 +413,6 @@ def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int
     target = TargetState(
         cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
     )
-    unity = _unity_pmf(cfg.dispersion)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         l_p = field_enhancement_chain(trial_cfg.pump_resonance, pump_grid)
@@ -413,14 +420,18 @@ def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int
         l_i = field_enhancement_chain(trial_cfg.idler, grid_i)
         modes_s = hg_basis(4, grid_s, grid_s.center, cfg.target.sigma)
         modes_i = hg_basis(4, grid_i, grid_i.center, cfg.target.sigma)
+    assemble = jsa_model(pump_grid, l_s, l_i, _unity_pmf(cfg.dispersion))
+    phasors = tap_phasors(cfg.pump, pump_grid)
+    detuning = pump_grid.samples - cfg.pump.carrier
+    detuning2 = detuning * detuning
 
     def score(sigma_p, taps):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            pump_spec = replace(cfg.pump, sigma_p=sigma_p, taps=taps)
-            pump = shaped_pump(pump_spec, pump_grid)
-            jsa = compute_jsa(pump, l_p, l_s, l_i, unity)
-            state = reported_state(jsa)
+            # shaped_pump's Gaussian envelope times the FIR response
+            env = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
+            apl = env * tap_sum(taps, phasors) * l_p.values
+            state = reported_state(assemble(apl))
             return _trial_score(
                 cfg, state, modes_s, modes_i, target.coefficients
             )
@@ -432,11 +443,21 @@ def _mu_record(mu: tuple) -> dict:
     return {f"mu_{m + 1}{m + 2}": float(v) for m, v in enumerate(mu)}
 
 
-def _run_mu_point(args):
-    """All restarts for one mu-grid point.
+def _verified_score(cfg: DeviceConfig, mu: tuple, sigma_p: float, taps) -> float:
+    """Score of a candidate from the full forward model on the configured
+    grid: the fidelity, or the purity for the separable target."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        verified = simulate(apply_free_params(cfg, mu, sigma_p, taps))
+    return verified.purity if cfg.target.dimension == 1 else verified.fidelity
 
-    Returns (mu_idx, mu, records, best, fits), fits holding each restart's
-    (converged, nfev, njev).
+
+def _run_mu_point(args):
+    """All restarts for one mu-grid point, and its best candidate verified.
+
+    Returns (mu_idx, records, candidate, fits): candidate is (verified
+    score, residual, sigma_p, taps, mu) of the restart with the best
+    trial score, fits each restart's (converged, nfev, njev).
     """
     cfg, search, mu_idx, mu = args
     trial_cfg, target, l_p, score = _trial_context(
@@ -481,18 +502,22 @@ def _run_mu_point(args):
         fits.append((fit.converged, fit.nfev, fit.njev))
         if best is None or trial > best[0]:
             best = (trial, fit.residual, fit.sigma_p, fit.taps)
-    return mu_idx, mu, records, best, fits
+    _, residual, sigma_p, taps = best
+    verified = _verified_score(cfg, mu, sigma_p, taps)
+    return mu_idx, records, (verified, residual, sigma_p, taps, mu), fits
 
 
-def _polish_candidate(cfg, search, mu, sigma_p, taps):
-    """Derivative-free refinement of one candidate.
+def _polish_candidate(args):
+    """Derivative-free refinement of one candidate, verified.
 
     Maximizes the trial score directly (Nelder-Mead over the pump width
     and taps) on the configured signal/idler grid, where the score
     coincides with the verification fidelity; the coarse restart grids
     admit spurious optima that do not survive verification, so the
-    polish must run at full resolution.
+    polish must run at full resolution.  Returns (verified score,
+    sigma_p, taps) of the polished parameters.
     """
+    cfg, search, (_, _, sigma_p, taps, mu) = args
     *_, score = _trial_context(cfg, mu, _POLISH_PUMP_POINTS, cfg.grid.n_points)
     res = minimize(
         lambda x: -score(*_unpack(x)),
@@ -500,7 +525,50 @@ def _polish_candidate(cfg, search, mu, sigma_p, taps):
         method="Nelder-Mead",
         options=dict(maxfev=search.polish_evals, xatol=1e-6, fatol=1e-10),
     )
-    return _unpack(res.x)
+    sigma_ref, taps_ref = _unpack(res.x)
+    return _verified_score(cfg, mu, sigma_ref, taps_ref), sigma_ref, taps_ref
+
+
+# OpenBLAS's thread-count setters, by build: the numpy and scipy wheels
+# bundle prefixed copies (64 for the 64-bit-integer interface)
+_OPENBLAS_SET_THREADS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one thread for every OpenBLAS the worker has loaded.
+
+    The workers already fill the cores.  A threaded BLAS call in one of
+    them (the verification's SVDs, the HG overlaps of a 512^2 polish)
+    leaves OpenBLAS threads spinning on the cores the other workers
+    compute on.  Where no OpenBLAS is found (another BLAS, no /proc),
+    this does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {
+                line.split()[-1]
+                for line in fh
+                if "openblas" in line.rsplit("/", 1)[-1].lower()
+            }
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -525,7 +593,11 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     The trace is deterministic for a fixed seed: each restart draws from
     an RNG keyed by (seed, mu index, restart), the draw order is sigma_p,
     amplitudes, phases, and records are merged by (mu index, restart)
-    regardless of execution order.
+    regardless of execution order.  One process pool, of at most
+    TFM_SYNTH_THREADS workers, runs the mu points (fits and the
+    verification of each point's best candidate) and then the polish of
+    the leading candidates; with one worker everything runs in this
+    process.
     """
     n_swept = max(
         len(cfg.signal.couplings)
@@ -540,50 +612,40 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     ]
     tasks = [(cfg, search, idx, mu) for idx, mu in enumerate(mu_points)]
     workers = _worker_count(len(tasks))
-    if workers == 1:
-        results = [_run_mu_point(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_mu_point, tasks))
-    results.sort(key=lambda r: r[0])
-    trace = []
-    candidates = []
-    fits = []
-    for mu_idx, mu, records, point_best, point_fits in results:
-        trace.extend(records)
-        candidates.append((point_best, mu))
-        fits.extend(point_fits)
-    converged, nfev, njev = np.array(fits, dtype=float).T
-    # trial scores are computed at the reduced working resolution with a
-    # flat phase-matching function; re-verify each mu point's best
-    # candidate on the configured grid with the full model and select by
-    # that score
-    def verified_score(mu, sigma_p, taps):
-        cand_cfg = apply_free_params(cfg, mu, sigma_p, taps)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            verified = simulate(cand_cfg)
-        return (
-            verified.purity if cfg.target.dimension == 1 else verified.fidelity
-        )
-
-    scored = []
-    for (score, residual, sigma_p, taps), mu in candidates:
-        scored.append(
-            (verified_score(mu, sigma_p, taps), residual, sigma_p, taps, mu)
-        )
-    scored.sort(key=lambda s: -s[0])
-    best = scored[0]
-    # refine the leading candidates at full resolution; keep a polished
-    # parameter set only if it re-verifies better
-    if search.polish_evals > 0:
-        for vscore, residual, sigma_p, taps, mu in scored[: search.polish_top]:
-            sigma_ref, taps_ref = _polish_candidate(
-                cfg, search, mu, sigma_p, taps
+    with ExitStack() as stack:
+        if workers == 1:
+            run = map
+        else:
+            pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=_one_blas_thread
             )
-            vref = verified_score(mu, sigma_ref, taps_ref)
-            if vref > best[0]:
-                best = (vref, residual, sigma_ref, taps_ref, mu)
+            run = stack.enter_context(pool).map
+        results = sorted(run(_run_mu_point, tasks), key=lambda r: r[0])
+        trace = []
+        scored = []
+        fits = []
+        for _, records, candidate, point_fits in results:
+            trace.extend(records)
+            scored.append(candidate)
+            fits.extend(point_fits)
+        # trial scores are computed at the reduced working resolution with
+        # a flat phase-matching function, so the mu points are ranked by
+        # their best candidate's full-model score on the configured grid
+        scored.sort(key=lambda s: -s[0])
+        best = scored[0]
+        # refine the leading candidates at full resolution; keep a
+        # polished parameter set only if it re-verifies better
+        if search.polish_evals > 0:
+            leaders = scored[: search.polish_top]
+            polished = run(
+                _polish_candidate, [(cfg, search, lead) for lead in leaders]
+            )
+            for (_, residual, _, _, mu), (vref, sigma_ref, taps_ref) in zip(
+                leaders, polished
+            ):
+                if vref > best[0]:
+                    best = (vref, residual, sigma_ref, taps_ref, mu)
+    converged, nfev, njev = np.array(fits, dtype=float).T
     score, residual, sigma_p, taps, mu = best
     best_cfg = apply_free_params(cfg, mu, sigma_p, taps)
     return OptimizeResult(
@@ -598,4 +660,3 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
             "njev_median": float(np.median(njev)),
         },
     )
-

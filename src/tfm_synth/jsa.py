@@ -63,24 +63,60 @@ class Jsa:
         return self.grid_s.spacing * self.grid_i.spacing
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitude) ** 2) * self.cell_area)
+        mag2 = np.abs(self.amplitude)
+        mag2 *= mag2
+        return float(np.sum(mag2) * self.cell_area)
 
 
-def normalize(jsa: Jsa) -> Jsa:
-    """Scale so that sum |F|^2 dw_s dw_i = 1."""
+def normalize(jsa: Jsa, in_place: bool = False) -> Jsa:
+    """Scale so that sum |F|^2 dw_s dw_i = 1.
+
+    in_place scales jsa's own amplitude array, for a Jsa just built
+    around a fresh array that nothing else holds.
+    """
     n2 = jsa.norm_squared()
     if n2 == 0.0:
         raise DegenerateFieldError("cannot normalize an all-zero JSA")
     # the reciprocal rounds a real amplitude exactly as numpy's complex
     # division rounds the same values held as complex
     scale = 1.0 / np.sqrt(n2)
-    return Jsa(jsa.grid_s, jsa.grid_i, jsa.amplitude * scale, normalized=True)
+    if in_place:
+        amp = jsa.amplitude
+        amp *= scale
+    else:
+        amp = jsa.amplitude * scale
+    return Jsa(jsa.grid_s, jsa.grid_i, amp, normalized=True)
 
 
 def _sum_grid(grid: SpectralGrid) -> SpectralGrid:
     """Grid of the self-convolution of samples on grid: 2n-1 points, same
     spacing, centered at twice the input center."""
     return SpectralGrid(2.0 * grid.center, 2.0 * grid.half_span, 2 * grid.n_points - 1)
+
+
+def _interp_plan(grid: SpectralGrid, sums: np.ndarray):
+    """Linear interpolation on the sum-frequency grid of a self-convolution
+    on grid, at the absolute sum frequencies sums, as (lo, hi, w_lo, w_hi):
+    the sample at sums is conv[lo] w_lo + conv[hi] w_hi, zero beyond the
+    sum-frequency grid.  The weights carry the quadrature weight dw."""
+    sum_grid = _sum_grid(grid)
+    axis = sum_grid.samples
+    # in place: this runs once per simulate on the full signal/idler grid
+    pos = sums - axis[0]
+    pos /= sum_grid.spacing
+    # truncation is floor wherever the clip keeps it
+    lo = pos.astype(np.intp)
+    np.clip(lo, 0, sum_grid.n_points - 2, out=lo)
+    w_hi = pos
+    w_hi -= lo
+    w_lo = 1.0 - w_hi
+    w_lo *= grid.spacing
+    w_hi *= grid.spacing
+    if sums.min() < axis[0] or sums.max() > axis[-1]:
+        outside = (sums < axis[0]) | (sums > axis[-1])
+        w_lo[outside] = 0.0
+        w_hi[outside] = 0.0
+    return lo, lo + 1, w_lo, w_hi
 
 
 def adp_model(grid: SpectralGrid, sums: np.ndarray):
@@ -90,15 +126,23 @@ def adp_model(grid: SpectralGrid, sums: np.ndarray):
     (grid quadrature weight included, so the result approximates the
     continuous convolution) and samples it at the absolute sum
     frequencies sums, linearly interpolated and zero beyond the
-    sum-frequency grid.  It checks nothing, so the inverse fit can call
-    it in its residual; compute_adp and compute_jsa check its input.
+    sum-frequency grid; the interpolation's indices and weights are built
+    here once, with one scratch buffer, so a model must not be called
+    from two threads at once.  It checks nothing, so the inverse fit can
+    call it in its residual; compute_adp and jsa_model check its input.
     """
-    spacing = grid.spacing
-    axis = _sum_grid(grid).samples
+    lo, hi, w_lo, w_hi = _interp_plan(grid, sums)
+    # on a signal/idler grid every temporary is a full array: gather and
+    # weigh in place, the upper neighbours in a buffer kept across calls
+    upper = np.empty(np.shape(sums), dtype=complex)
 
     def adp(apl: np.ndarray) -> np.ndarray:
-        conv = fftconvolve(apl, apl, mode="full") * spacing
-        return _interp_complex(sums, axis, conv)
+        conv = fftconvolve(apl, apl, mode="full")
+        out = np.take(conv, lo)
+        out *= w_lo
+        np.take(conv, hi, out=upper)
+        out += np.multiply(upper, w_hi, out=upper)
+        return out
 
     return adp
 
@@ -110,23 +154,16 @@ def adp_derivative(grid: SpectralGrid, sums: np.ndarray):
     (one per row) to the rows of dADP(sums) = interp(2 apl * d_apl) dw:
     the self-convolution's derivative for every direction from one FFT
     of apl and one batched FFT of the directions, then adp_model's
-    linear interpolation, whose indices and weights are built here once.
+    interpolation plan.
     """
-    sum_grid = _sum_grid(grid)
-    n_conv = sum_grid.n_points
-    n_fft = next_fast_len(n_conv)
-    axis = sum_grid.samples
-    pos = (sums - axis[0]) / sum_grid.spacing
-    lo = np.clip(np.floor(pos).astype(int), 0, n_conv - 2)
-    frac = pos - lo
-    inside = (sums >= axis[0]) & (sums <= axis[-1])
-    w_lo = np.where(inside, 1.0 - frac, 0.0) * (2.0 * grid.spacing)
-    w_hi = np.where(inside, frac, 0.0) * (2.0 * grid.spacing)
+    n_fft = next_fast_len(_sum_grid(grid).n_points)
+    lo, hi, w_lo, w_hi = _interp_plan(grid, sums)
 
     def d_adp(apl: np.ndarray, d_apl: np.ndarray) -> np.ndarray:
-        spec = fft(apl, n_fft) * fft(d_apl, n_fft, axis=-1)
+        # the factor 2 is exact in binary floating point
+        spec = (2.0 * fft(apl, n_fft)) * fft(d_apl, n_fft, axis=-1)
         conv = ifft(spec, axis=-1)
-        return conv[..., lo] * w_lo + conv[..., lo + 1] * w_hi
+        return conv[..., lo] * w_lo + conv[..., hi] * w_hi
 
     return d_adp
 
@@ -182,6 +219,46 @@ def _interp_complex(x, xp, fp):
     return real + 1j * imag
 
 
+def jsa_model(
+    pump_grid: SpectralGrid, l_s: Field1D, l_i: Field1D, dispersion: DispersionModel
+):
+    """The JSA of a linearized PMF as a map alpha_p * l_p -> normalized Jsa.
+
+    Everything that depends only on the grids is built here once: the
+    sum frequencies w_s + w_i with the ADP's interpolation plan
+    (adp_model), the TDSI l_s(w_s) l_i(w_i) and the PMF, which is left
+    out when a zero slope makes it unity.  The returned function takes
+    alpha_p * l_p on pump_grid, applies compute_adp's zero check and edge
+    warning, and returns normalize(ADP(w_s + w_i) PMF TDSI) on the grids
+    of l_s and l_i.  compute_jsa calls it once; the inverse loop keeps
+    one per trial grid and calls it for every trial pump.
+    """
+    grid_s, grid_i = l_s.grid, l_i.grid
+    sums = grid_s.samples[:, None] + grid_i.samples[None, :]
+    adp = adp_model(pump_grid, sums)
+    tdsi = np.outer(l_s.values, l_i.values)
+    pm = None
+    if dispersion.slope != 0.0:
+        pm = pmf(
+            dispersion,
+            (grid_s.samples - grid_s.center)[:, None],
+            (grid_i.samples - grid_i.center)[None, :],
+        )
+
+    def assemble(apl: np.ndarray) -> Jsa:
+        _check_adp_input(apl, _EDGE_THRESHOLD)
+        # ADP * PMF * TDSI in that operand order (numpy's complex product
+        # is not bitwise commutative), in place; the PMF is left out when
+        # it is sinc(0) exp(i 0) = 1 everywhere
+        amp = adp(apl)
+        if pm is not None:
+            amp *= pm
+        amp *= tdsi
+        return normalize(Jsa(grid_s, grid_i, amp), in_place=True)
+
+    return assemble
+
+
 def compute_jsa(
     pump: Field1D,
     l_p: Field1D,
@@ -194,47 +271,35 @@ def compute_jsa(
 
     pump and l_p must share one grid (the pump integration grid); l_s and
     l_i define the output grid.  Every linearized PMF takes the fast
-    path, ADP(w_s + w_i) PMF(w_s, w_i) l_s l_i, which skips the PMF when
-    a zero slope makes it unity; a tabulated k(omega), or force_slow,
-    takes the pump quadrature.
+    path, jsa_model's ADP(w_s + w_i) PMF(w_s, w_i) l_s l_i; a tabulated
+    k(omega), or force_slow, takes the pump quadrature.
     """
     if pump.grid != l_p.grid:
         raise GridError("pump and l_p must share the same grid")
-    grid_s, grid_i = l_s.grid, l_i.grid
     apl = pump.values * l_p.values
+    if dispersion.k_of_omega is None and not force_slow:
+        return jsa_model(pump.grid, l_s, l_i, dispersion)(apl)
+
+    grid_s, grid_i = l_s.grid, l_i.grid
     omega_s = grid_s.samples
     omega_i = grid_i.samples
     d_s = (omega_s - grid_s.center)[:, None]
     d_i = (omega_i - grid_i.center)[None, :]
     sums = omega_s[:, None] + omega_i[None, :]
-    tdsi = np.outer(l_s.values, l_i.values)
-
-    if dispersion.k_of_omega is None and not force_slow:
-        _check_adp_input(apl, _EDGE_THRESHOLD)
-        if dispersion.slope == 0.0:
-            # the PMF is sinc(0) exp(i 0) = 1 everywhere
-            amp = adp_model(pump.grid, sums)(apl) * tdsi
+    omega_p = pump.grid.samples
+    dp = pump.grid.spacing
+    amp = np.empty((grid_s.n_points, grid_i.n_points), dtype=complex)
+    for j in range(grid_s.n_points):
+        mirror = sums[j][:, None] - omega_p[None, :]
+        apl_mirror = _interp_complex(mirror, omega_p, apl)
+        if dispersion.k_of_omega is not None:
+            pm_row = pmf_full(
+                dispersion, omega_p[None, :], omega_s[j], omega_i[:, None]
+            )
         else:
-            # kept as one expression: numpy's complex product is not
-            # bitwise commutative, and a temporary on the right may be
-            # reused with the operands swapped
-            pm = pmf(dispersion, d_s, d_i)
-            amp = adp_model(pump.grid, sums)(apl) * pm * tdsi
-    else:
-        omega_p = pump.grid.samples
-        dp = pump.grid.spacing
-        amp = np.empty((grid_s.n_points, grid_i.n_points), dtype=complex)
-        for j in range(grid_s.n_points):
-            mirror = sums[j][:, None] - omega_p[None, :]
-            apl_mirror = _interp_complex(mirror, omega_p, apl)
-            if dispersion.k_of_omega is not None:
-                pm_row = pmf_full(
-                    dispersion, omega_p[None, :], omega_s[j], omega_i[:, None]
-                )
-            else:
-                pm_row = pmf(dispersion, d_s[j, 0], d_i[0][:, None])
-            amp[j] = np.sum(apl[None, :] * apl_mirror * pm_row, axis=1) * dp
-        amp *= tdsi
+            pm_row = pmf(dispersion, d_s[j, 0], d_i[0][:, None])
+        amp[j] = np.sum(apl[None, :] * apl_mirror * pm_row, axis=1) * dp
+    amp *= np.outer(l_s.values, l_i.values)
     return normalize(Jsa(grid_s, grid_i, amp))
 
 
@@ -250,11 +315,13 @@ def antidiagonal_cut(jsa: Jsa, n_points: int | None = None):
     u = np.linspace(-span, span, n_points)
     ws = jsa.grid_s.center + u / 2.0
     wi = jsa.grid_i.center + u / 2.0
-    mag = _bilinear(np.abs(jsa.amplitude), jsa.grid_s, jsa.grid_i, ws, wi)
+    mag = _bilinear(jsa.amplitude, jsa.grid_s, jsa.grid_i, ws, wi, np.abs)
     return u, mag
 
 
-def _bilinear(values, grid_s, grid_i, ws, wi):
+def _bilinear(values, grid_s, grid_i, ws, wi, corner=None):
+    """Bilinear interpolation of values at (ws, wi); corner, if given, maps
+    the gathered corner samples first."""
     fs = (ws - grid_s.samples[0]) / grid_s.spacing
     fi = (wi - grid_i.samples[0]) / grid_i.spacing
     j0 = np.clip(np.floor(fs).astype(int), 0, grid_s.n_points - 2)
@@ -265,6 +332,8 @@ def _bilinear(values, grid_s, grid_i, ws, wi):
     v10 = values[j0 + 1, k0]
     v01 = values[j0, k0 + 1]
     v11 = values[j0 + 1, k0 + 1]
+    if corner is not None:
+        v00, v10, v01, v11 = corner(v00), corner(v10), corner(v01), corner(v11)
     return (
         v00 * (1 - ts) * (1 - ti)
         + v10 * ts * (1 - ti)
@@ -280,21 +349,24 @@ def find_cut_minima(u, mag, prominence: float = 0.5):
     smaller of the two neighboring local maxima (grid edges count as
     maxima), which rejects shallow numerical ripples.
     """
-    n = len(mag)
+    mag = np.asarray(mag)
+    # local minima: below the left neighbour, not above the right one
+    inner = mag[1:-1]
+    candidates = np.flatnonzero((inner < mag[:-2]) & (inner <= mag[2:])) + 1
+    if candidates.size == 0:
+        return []
+    left_max = np.maximum.accumulate(mag)[candidates]
+    right_max = np.maximum.accumulate(mag[::-1])[::-1][candidates]
     minima = []
-    for i in range(1, n - 1):
-        if mag[i] < mag[i - 1] and mag[i] <= mag[i + 1]:
-            left_max = np.max(mag[: i + 1])
-            right_max = np.max(mag[i:])
-            if mag[i] < prominence * min(left_max, right_max):
-                # parabolic refinement keeps the location stable under
-                # changes of grid resolution
-                denom = mag[i + 1] - 2.0 * mag[i] + mag[i - 1]
-                shift = 0.0
-                if denom > 0:
-                    shift = 0.5 * (mag[i - 1] - mag[i + 1]) / denom
-                    shift = float(np.clip(shift, -0.5, 0.5))
-                minima.append(u[i] + shift * (u[i] - u[i - 1]))
+    for i in candidates[mag[candidates] < prominence * np.minimum(left_max, right_max)]:
+        # parabolic refinement keeps the location stable under changes
+        # of grid resolution
+        denom = mag[i + 1] - 2.0 * mag[i] + mag[i - 1]
+        shift = 0.0
+        if denom > 0:
+            shift = 0.5 * (mag[i - 1] - mag[i + 1]) / denom
+            shift = float(np.clip(shift, -0.5, 0.5))
+        minima.append(u[i] + shift * (u[i] - u[i - 1]))
     return minima
 
 
@@ -313,14 +385,30 @@ def impose_pi_phase(jsa: Jsa, prominence: float = 0.5) -> Jsa:
     if not minima:
         return jsa
     sum0 = jsa.grid_s.center + jsa.grid_i.center
-    sums = (
-        jsa.grid_s.samples[:, None] + jsa.grid_i.samples[None, :] - sum0
-    )
     cell = jsa.grid_s.spacing + jsa.grid_i.spacing
-    signs = np.ones_like(sums)
+    # the product of the clipped ramps (w_s + w_i - sum0 - u_min) / cell,
+    # negated once per minimum (rounding is symmetric in sign, so this is
+    # the product of the negated ramps), built in place: every temporary
+    # is a full grid
+    signs = ramp = None
     for u_min in minima:
-        signs *= -np.clip((sums - u_min) / cell, -1.0, 1.0)
-    return Jsa(jsa.grid_s, jsa.grid_i, jsa.amplitude * signs, jsa.normalized)
+        ramp = np.add(
+            jsa.grid_s.samples[:, None], jsa.grid_i.samples[None, :], out=ramp
+        )
+        ramp -= sum0
+        ramp -= u_min
+        ramp /= cell
+        np.clip(ramp, -1.0, 1.0, out=ramp)
+        if signs is None:
+            signs, ramp = ramp, None
+        else:
+            signs *= ramp
+    if len(minima) % 2:
+        np.negative(signs, out=signs)
+    if np.iscomplexobj(jsa.amplitude):
+        return Jsa(jsa.grid_s, jsa.grid_i, jsa.amplitude * signs, jsa.normalized)
+    signs *= jsa.amplitude
+    return Jsa(jsa.grid_s, jsa.grid_i, signs, jsa.normalized)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ class PumpSpec:
 def tap_phasors(spec: PumpSpec, grid: SpectralGrid) -> np.ndarray:
     """Per-tap delay phasors exp[i n (theta - (omega - carrier) tau)].
 
-    Row n - 1 belongs to tap n; H is (alpha_n exp(i phi_n)) @ phasors.
+    Row n - 1 belongs to tap n; H is tap_sum(taps, phasors).
     """
     detuning = grid.samples - spec.carrier
     n_idx = np.arange(1, len(spec.taps) + 1)
@@ -75,6 +75,19 @@ def tap_phasors(spec: PumpSpec, grid: SpectralGrid) -> np.ndarray:
     )
 
 
+def tap_sum(taps, phasors: np.ndarray) -> np.ndarray:
+    """H = sum_n alpha_n exp(i phi_n) phasors[n - 1] over the taps.
+
+    A plain product summed over the tap axis: as a matrix product this
+    is a complex gemv with a handful of rows, which OpenBLAS splits over
+    threads from a few thousand frequencies on, and the threads cost
+    more than the sum itself.
+    """
+    alphas = np.array([tap.amplitude for tap in taps])
+    phis = np.array([tap.phase for tap in taps])
+    return ((alphas * np.exp(1j * phis))[:, None] * phasors).sum(axis=0)
+
+
 def fir_response(spec: PumpSpec, grid: SpectralGrid) -> Field1D:
     """Complex FIR transfer function H on the grid.
 
@@ -83,9 +96,7 @@ def fir_response(spec: PumpSpec, grid: SpectralGrid) -> Field1D:
     """
     if all(tap.amplitude == 0.0 for tap in spec.taps):
         raise DegenerateInputError("all tap amplitudes are zero")
-    alphas = np.array([tap.amplitude for tap in spec.taps])
-    phis = np.array([tap.phase for tap in spec.taps])
-    return Field1D(grid, (alphas * np.exp(1j * phis)) @ tap_phasors(spec, grid))
+    return Field1D(grid, tap_sum(spec.taps, tap_phasors(spec, grid)))
 
 
 def shaped_pump(spec: PumpSpec, grid: SpectralGrid) -> Field1D:

@@ -36,6 +36,8 @@ class ResonanceChain:
     def __post_init__(self):
         rates = tuple(float(r) for r in self.decay_rates)
         mus = tuple(float(m) for m in self.couplings)
+        if self.omega0 <= 0:
+            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
         if len(rates) < 1:
             raise ValueError("need at least one stage")
         if any(r <= 0 for r in rates):

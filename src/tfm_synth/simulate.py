@@ -80,7 +80,7 @@ def reported_state(jsa_raw: Jsa) -> Jsa:
     on the magnitude.
     """
     mag = Jsa(jsa_raw.grid_s, jsa_raw.grid_i, np.abs(jsa_raw.amplitude))
-    return impose_pi_phase(normalize(mag))
+    return impose_pi_phase(normalize(mag, in_place=True))
 
 
 def pgr_input(cfg: DeviceConfig) -> PgrInput:

@@ -12,6 +12,8 @@ use Hz-family units instead.
 
 from __future__ import annotations
 
+import math
+
 
 class UnitError(ValueError):
     """Raised when a dimensioned value is missing or has a wrong unit."""
@@ -106,6 +108,8 @@ def parse_quantity(raw, kind: str, field: str = "") -> float:
         value = float(value_str)
     except ValueError as exc:
         raise UnitError(f"field '{field}': bad number {value_str!r}") from exc
+    if not math.isfinite(value):
+        raise UnitError(f"field '{field}': value must be finite, got {value_str!r}")
     return value * table[unit]
 
 

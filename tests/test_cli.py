@@ -110,6 +110,83 @@ def test_pgr_bad_power_exits_2(capsys):
 
 
 # ---------------------------------------------------------------------------
+# exit codes
+
+def _preset_with(tmp_path, section, key, value):
+    with open(preset_path("bell_phi_minus")) as fh:
+        tree = yaml.safe_load(fh)
+    tree[section][key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pgr", "--config", "bell_phi_minus", "--avg-power", "-1 mW"),
+        ("pgr", "--config", "bell_phi_minus", "--rep-rate", "0 MHz"),
+        ("pgr", "--config", "bell_phi_minus", "--avg-power", "nan mW"),
+        ("sweep-mzi", "--config", "bell_phi_minus", "--mu-min=-1e9"),
+        ("sweep-mzi", "--config", "bell_phi_minus", "--mu-step", "0"),
+        ("simulate", "--config", "bell_phi_minus", "--grid", "1", "--out", "{tmp}"),
+        ("optimize", "--config", "bell_phi_minus", "--seed=-1", "--out", "{tmp}"),
+        ("optimize", "--config", "bell_phi_minus", "--grid", "0", "--out", "{tmp}"),
+    ],
+)
+def test_bad_flags_exit_2(tmp_path, capsys, argv):
+    """Flags a user can get wrong are config errors, not numerical ones."""
+    argv = [a.format(tmp=tmp_path / "o") for a in argv]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert "config error" in stderr
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("target", "sigma", "-6 GHz"),
+        ("pgr", "avg_power", "0 mW"),
+        ("dispersion", "c1", float("nan")),
+        ("grid", "n_points", float("inf")),
+    ],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
+    config = _preset_with(tmp_path, section, key, value)
+    code, _, stderr = run(
+        capsys, "simulate", "--config", config, "--out", str(tmp_path / "o")
+    )
+    assert code == 2
+    assert key in stderr
+
+
+def test_numerical_failure_exits_3(capsys, monkeypatch):
+    from tfm_synth import cli
+    from tfm_synth.jsa import DegenerateFieldError
+
+    def degenerate(_):
+        raise DegenerateFieldError("all-zero field")
+
+    monkeypatch.setattr(cli, "pair_generation_rate", degenerate)
+    code, _, stderr = run(capsys, "pgr", "--config", "bell_phi_minus")
+    assert code == 3
+    assert "numerical error" in stderr
+
+
+def test_internal_value_error_is_a_traceback(monkeypatch):
+    """A bare ValueError from inside the package is a bug: it propagates
+    instead of exiting 3 as a numerical failure."""
+    from tfm_synth import cli
+
+    def bug(_):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "pair_generation_rate", bug)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["pgr", "--config", "bell_phi_minus"])
+
+
+# ---------------------------------------------------------------------------
 # sweep-mzi
 
 def _mzi_spec():

@@ -1,17 +1,28 @@
 """Inverse-design pipeline: decoupling, extraction, fitting, search."""
 
+import ctypes
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
-from tfm_synth.analysis import TargetState, target_jsa
+from tfm_synth import inversion
+from tfm_synth.analysis import TargetState, hg_basis, target_jsa
 from tfm_synth.config import ConfigError, load_preset
 from tfm_synth.inversion import (
+    _FIT_PUMP_POINTS,
+    _POLISH_PUMP_POINTS,
+    _VERIFY_POINTS,
     AdpProfile,
     SearchConfig,
     _magnitude_fit,
     _pack,
+    _swept_chains,
+    _trial_context,
+    _trial_score,
     decouple_tdsi,
     extract_antidiagonal,
     fit_adp,
@@ -25,7 +36,7 @@ from tfm_synth.pulse_shaper import (
     shaped_pump,
 )
 from tfm_synth.resonator import field_enhancement_chain
-from tfm_synth.simulate import build_grids
+from tfm_synth.simulate import build_grids, reported_state
 from tfm_synth.spectral import Field1D, Field2D, GridError, SpectralGrid, hg_mode
 
 S0 = 1215.70e12
@@ -319,6 +330,113 @@ def test_fit_jacobian_finite_at_model_zeros():
 # ---------------------------------------------------------------------------
 # search loop
 
+def _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps):
+    """The trial score as the chain shaped_pump -> JSA -> reported_state ->
+    _trial_score rebuilt every time, with the ADP sampled by np.interp."""
+    trial_cfg = _swept_chains(cfg, mu)
+    pump_grid, grid_s, grid_i = build_grids(trial_cfg, n_points)
+    pump_grid = SpectralGrid(pump_grid.center, pump_grid.half_span, pump_points)
+    l_p = field_enhancement_chain(trial_cfg.pump_resonance, pump_grid)
+    l_s = field_enhancement_chain(trial_cfg.signal, grid_s)
+    l_i = field_enhancement_chain(trial_cfg.idler, grid_i)
+    pump = shaped_pump(replace(cfg.pump, sigma_p=sigma_p, taps=taps), pump_grid)
+    apl = pump.values * l_p.values
+    conv = fftconvolve(apl, apl) * pump_grid.spacing
+    axis = np.linspace(
+        2.0 * pump_grid.center - 2.0 * pump_grid.half_span,
+        2.0 * pump_grid.center + 2.0 * pump_grid.half_span,
+        conv.size,
+    )
+    sums = grid_s.samples[:, None] + grid_i.samples[None, :]
+    adp = np.interp(sums, axis, conv.real, left=0.0, right=0.0) + 1j * np.interp(
+        sums, axis, conv.imag, left=0.0, right=0.0
+    )
+    jsa = normalize(Jsa(grid_s, grid_i, adp * np.outer(l_s.values, l_i.values)))
+    target = TargetState(
+        cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
+    )
+    return _trial_score(
+        cfg,
+        reported_state(jsa),
+        hg_basis(4, grid_s, grid_s.center, cfg.target.sigma),
+        hg_basis(4, grid_i, grid_i.center, cfg.target.sigma),
+        target.coefficients,
+    )
+
+
+@pytest.mark.parametrize(
+    "pump_points, n_points",
+    [(_FIT_PUMP_POINTS, _VERIFY_POINTS), (_POLISH_PUMP_POINTS, 256)],
+)
+def test_trial_context_score_matches_the_rebuilt_chain(pump_points, n_points):
+    """The context's score, with its grid constants built once, equals the
+    chain rebuilt from scratch at seeded pump widths and taps."""
+    cfg = load_preset("bell_phi_minus")
+    rng = np.random.default_rng(pump_points)
+    for mu in ((1.25e9,), (2.0e9,)):
+        *_, score = _trial_context(cfg, mu, pump_points, n_points)
+        for _ in range(2):
+            sigma_p = cfg.pump.sigma_p * rng.uniform(0.7, 1.3)
+            taps = make_taps(rng.uniform(0.1, 1.0, 6), rng.uniform(0.0, 2.0 * np.pi, 6))
+            want = _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps)
+            assert abs(score(sigma_p, taps) - want) <= 1e-10
+        # the preset itself scores high, so the check covers a good state
+        want = _parent_trial_score(
+            cfg, mu, pump_points, n_points, cfg.pump.sigma_p, cfg.pump.taps
+        )
+        assert abs(score(cfg.pump.sigma_p, cfg.pump.taps) - want) <= 1e-10
+    assert want > 0.9
+
+
+def _loaded_blas_threads():
+    """Thread counts of the OpenBLAS copies this process has loaded."""
+    with open("/proc/self/maps") as fh:
+        paths = {
+            line.split()[-1] for line in fh
+            if "openblas" in line.rsplit("/", 1)[-1].lower()
+        }
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in (
+            "openblas_get_num_threads", "openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_",
+        ):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                counts.append(getter())
+                break
+    return counts
+
+
+def _worker_blas_threads(_):
+    return _loaded_blas_threads()
+
+
+def test_search_pool_workers_run_one_blas_thread(monkeypatch):
+    """The workers of optimize_state's pool keep one BLAS thread each:
+    the workers already fill the cores."""
+    if not os.path.exists("/proc/self/maps") or not _loaded_blas_threads():
+        pytest.skip("needs OpenBLAS and /proc")
+    probed = []
+
+    class ProbedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            probed.append(self.submit(_worker_blas_threads, None).result())
+
+    monkeypatch.setattr(inversion, "ProcessPoolExecutor", ProbedPool)
+    monkeypatch.setenv("TFM_SYNTH_THREADS", "2")
+    cfg = load_preset("bell_phi_minus")
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=64))
+    optimize_state(cfg, tiny_search(restarts=1))
+    assert len(probed) == 1
+    assert probed[0]
+    assert all(c == 1 for c in probed[0])
+
+
 def tiny_search(**kw):
     defaults = dict(
         restarts=2, mu_min=1.25e9, mu_max=1.5e9, mu_step=0.25e9, seed=0,
@@ -349,6 +467,25 @@ def test_optimize_trace_deterministic():
     assert a.fidelity == b.fidelity
     assert a.best_mu == b.best_mu
     assert a.fits == b.fits
+
+
+@pytest.mark.slow
+def test_optimize_same_result_in_process_and_on_the_pool(monkeypatch):
+    """One worker runs everything in this process, two run the mu points
+    and the polish on a pool; both give the same result."""
+    cfg = load_preset("bell_phi_minus")
+    search = tiny_search(polish_top=2, polish_evals=40)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TFM_SYNTH_THREADS", threads)
+        runs.append(optimize_state(cfg, search))
+    serial, pooled = runs
+    assert len(serial.trace) == 4
+    assert serial.trace == pooled.trace
+    assert serial.best_mu == pooled.best_mu
+    assert serial.fidelity == pooled.fidelity
+    assert serial.fits == pooled.fits
+    assert serial.best_config == pooled.best_config
 
 
 @pytest.mark.slow

@@ -6,6 +6,7 @@ import pytest
 from tfm_synth.jsa import (
     DegenerateFieldError,
     Jsa,
+    _bilinear,
     adp_model,
     antidiagonal_cut,
     compute_adp,
@@ -201,6 +202,103 @@ def test_find_cut_minima_rejects_shallow_ripple():
     u = np.linspace(-1.0, 1.0, 2001)
     mag = 1.0 + 0.05 * np.cos(8.0 * np.pi * u)
     assert find_cut_minima(u, mag) == []
+
+
+def _find_cut_minima_loop(u, mag, prominence=0.5):
+    """The per-index scan find_cut_minima replaced, kept as its oracle."""
+    minima = []
+    for i in range(1, len(mag) - 1):
+        if mag[i] < mag[i - 1] and mag[i] <= mag[i + 1]:
+            left_max = np.max(mag[: i + 1])
+            right_max = np.max(mag[i:])
+            if mag[i] < prominence * min(left_max, right_max):
+                denom = mag[i + 1] - 2.0 * mag[i] + mag[i - 1]
+                shift = 0.0
+                if denom > 0:
+                    shift = 0.5 * (mag[i - 1] - mag[i + 1]) / denom
+                    shift = float(np.clip(shift, -0.5, 0.5))
+                minima.append(u[i] + shift * (u[i] - u[i - 1]))
+    return minima
+
+
+def _impose_pi_phase_reference(jsa, prominence=0.5):
+    """impose_pi_phase as it was: |F| over the whole grid before the cut,
+    and a sign field grown from ones by a negated clipped ramp per node."""
+    span = 2.0 * min(jsa.grid_s.half_span, jsa.grid_i.half_span)
+    n_cut = 2 * max(jsa.grid_s.n_points, jsa.grid_i.n_points) - 1
+    u = np.linspace(-span, span, n_cut)
+    mag = _bilinear(
+        np.abs(jsa.amplitude), jsa.grid_s, jsa.grid_i,
+        jsa.grid_s.center + u / 2.0, jsa.grid_i.center + u / 2.0,
+    )
+    minima = _find_cut_minima_loop(u, mag, prominence)
+    if not minima:
+        return jsa
+    sums = (
+        jsa.grid_s.samples[:, None] + jsa.grid_i.samples[None, :]
+        - (jsa.grid_s.center + jsa.grid_i.center)
+    )
+    cell = jsa.grid_s.spacing + jsa.grid_i.spacing
+    signs = np.ones_like(sums)
+    for u_min in minima:
+        signs *= -np.clip((sums - u_min) / cell, -1.0, 1.0)
+    return Jsa(jsa.grid_s, jsa.grid_i, jsa.amplitude * signs, jsa.normalized)
+
+
+def _seeded_cut_profiles():
+    """Cut-like profiles with plateaus, equal neighbours and deep nodes."""
+    rng = np.random.default_rng(11)
+    u = np.linspace(-1.0, 1.0, 257)
+    profiles = []
+    for _ in range(20):
+        # coarse integer levels: runs of equal values everywhere
+        profiles.append(rng.integers(0, 6, 257).astype(float))
+        # smooth nodes, quantized so flats and ties form around them
+        nodes = rng.uniform(-0.8, 0.8, rng.integers(1, 5))
+        smooth = np.abs(np.prod(u[:, None] - nodes[None, :], axis=1))
+        smooth *= np.exp(-u * u / rng.uniform(0.1, 0.5))
+        profiles.append(np.round(smooth / smooth.max(), rng.integers(1, 4)))
+        # plateaus of repeated samples around random dips
+        steps = np.repeat(rng.uniform(0.0, 1.0, 33), 8)[:257]
+        profiles.append(np.concatenate([steps, np.full(257 - steps.size, steps[-1])]))
+    return u, profiles
+
+
+def test_find_cut_minima_matches_the_loop_on_ties_and_plateaus():
+    u, profiles = _seeded_cut_profiles()
+    found = 0
+    for mag in profiles:
+        want = _find_cut_minima_loop(u, mag)
+        got = find_cut_minima(u, mag)
+        assert got == want
+        assert [type(m) for m in got] == [type(m) for m in want]
+        found += len(want)
+    assert found > 50
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 3])
+def test_impose_pi_phase_matches_the_full_grid_version_bitwise(n_nodes):
+    """Same minima, same signs: the reported state is byte-identical."""
+    gs = SpectralGrid(S0, 50e9, 129)
+    gi = SpectralGrid(I0, 50e9, 97)
+    sums = gs.samples[:, None] + gi.samples[None, :] - (S0 + I0)
+    d_s = (gs.samples - S0)[:, None]
+    d_i = (gi.samples - I0)[None, :]
+    rng = np.random.default_rng(n_nodes)
+    nodes = rng.uniform(-40e9, 40e9, n_nodes)
+    field = np.prod(sums[..., None] - nodes, axis=-1) * np.exp(
+        -(sums**2) / (4.0 * (20e9) ** 2) - (d_s**2 + d_i**2) / (2.0 * (15e9) ** 2)
+    )
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, field.shape))
+    for jsa in (
+        normalize(Jsa(gs, gi, np.abs(field))),
+        normalize(Jsa(gs, gi, field * phase)),
+    ):
+        want = _impose_pi_phase_reference(jsa)
+        got = impose_pi_phase(jsa)
+        assert want is not jsa
+        assert got.amplitude.dtype == want.amplitude.dtype
+        assert np.array_equal(got.amplitude, want.amplitude)
 
 
 def test_impose_pi_phase_identity_without_minima():
