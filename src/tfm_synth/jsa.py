@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.signal import fftconvolve
 
 from .phase_matching import DispersionModel, pmf, pmf_full
 from .spectral import Field1D, Field2D, GridError, SpectralGrid
@@ -119,53 +118,61 @@ def _interp_plan(grid: SpectralGrid, sums: np.ndarray):
     return lo, lo + 1, w_lo, w_hi
 
 
-def adp_model(grid: SpectralGrid, sums: np.ndarray):
+class AdpModel:
     """The anti-diagonal pump function as a map alpha_p * l_p -> ADP(sums).
 
-    The returned function self-convolves alpha_p * l_p samples on grid
-    (grid quadrature weight included, so the result approximates the
+    The model self-convolves alpha_p * l_p samples on grid (grid
+    quadrature weight included, so the result approximates the
     continuous convolution) and samples it at the absolute sum
     frequencies sums, linearly interpolated and zero beyond the
-    sum-frequency grid; the interpolation's indices and weights are built
-    here once, with one scratch buffer, so a model must not be called
-    from two threads at once.  It checks nothing, so the inverse fit can
-    call it in its residual; compute_adp and jsa_model check its input.
+    sum-frequency grid.  The FFT length and the interpolation's indices
+    and weights are built once, with one scratch buffer, so a model must
+    not be called from two threads at once.  model(apl) is
+    model.from_spectrum(model.spectrum(apl)); from_spectrum and
+    derivative(spectrum, d_apl) can share one spectrum, as the inverse
+    fit's residual and Jacobian do at one search point.  The model
+    checks nothing, so the fit can call it in its residual; compute_adp
+    and jsa_model check its input.
     """
-    lo, hi, w_lo, w_hi = _interp_plan(grid, sums)
-    # on a signal/idler grid every temporary is a full array: gather and
-    # weigh in place, the upper neighbours in a buffer kept across calls
-    upper = np.empty(np.shape(sums), dtype=complex)
 
-    def adp(apl: np.ndarray) -> np.ndarray:
-        conv = fftconvolve(apl, apl, mode="full")
-        out = np.take(conv, lo)
-        out *= w_lo
-        np.take(conv, hi, out=upper)
-        out += np.multiply(upper, w_hi, out=upper)
+    def __init__(self, grid: SpectralGrid, sums: np.ndarray):
+        # fftconvolve's length for complex input, so that a model call
+        # equals fftconvolve(apl, apl) sampled at sums bit for bit
+        self._n_fft = next_fast_len(_sum_grid(grid).n_points)
+        self._lo, self._hi, self._w_lo, self._w_hi = _interp_plan(grid, sums)
+        # on a signal/idler grid every temporary is a full array: gather and
+        # weigh in place, the upper neighbours in a buffer kept across calls
+        self._upper = np.empty(np.shape(sums), dtype=complex)
+
+    def spectrum(self, apl: np.ndarray) -> np.ndarray:
+        """FFT of alpha_p * l_p, zero-padded to the self-convolution."""
+        return fft(apl, self._n_fft)
+
+    def __call__(self, apl: np.ndarray) -> np.ndarray:
+        """ADP(sums) of alpha_p * l_p."""
+        return self.from_spectrum(self.spectrum(apl))
+
+    def from_spectrum(self, spectrum: np.ndarray) -> np.ndarray:
+        """ADP(sums) of the alpha_p * l_p whose spectrum is given."""
+        conv = ifft(spectrum * spectrum)
+        out = np.take(conv, self._lo)
+        out *= self._w_lo
+        upper = self._upper
+        np.take(conv, self._hi, out=upper)
+        out += np.multiply(upper, self._w_hi, out=upper)
         return out
 
-    return adp
+    def derivative(self, spectrum: np.ndarray, d_apl: np.ndarray) -> np.ndarray:
+        """Directional derivatives dADP(sums) = interp(2 apl * d_apl) dw.
 
-
-def adp_derivative(grid: SpectralGrid, sums: np.ndarray):
-    """Directional derivatives of adp_model(grid, sums).
-
-    The returned function maps alpha_p * l_p and a stack of directions
-    (one per row) to the rows of dADP(sums) = interp(2 apl * d_apl) dw:
-    the self-convolution's derivative for every direction from one FFT
-    of apl and one batched FFT of the directions, then adp_model's
-    interpolation plan.
-    """
-    n_fft = next_fast_len(_sum_grid(grid).n_points)
-    lo, hi, w_lo, w_hi = _interp_plan(grid, sums)
-
-    def d_adp(apl: np.ndarray, d_apl: np.ndarray) -> np.ndarray:
+        spectrum is self.spectrum(apl) and d_apl a stack of directions,
+        one per row; every row comes from one batched FFT of the
+        directions and the model's interpolation plan.
+        """
         # the factor 2 is exact in binary floating point
-        spec = (2.0 * fft(apl, n_fft)) * fft(d_apl, n_fft, axis=-1)
+        spec = (2.0 * spectrum) * fft(d_apl, self._n_fft, axis=-1)
         conv = ifft(spec, axis=-1)
-        return conv[..., lo] * w_lo + conv[..., hi] * w_hi
-
-    return d_adp
+        return conv[..., self._lo] * self._w_lo + conv[..., self._hi] * self._w_hi
 
 
 def _check_adp_input(values: np.ndarray, edge_threshold: float) -> str | None:
@@ -191,12 +198,12 @@ def compute_adp(
     """Anti-diagonal pump function: self-convolution of alpha_p * l_p.
 
     Returned on the sum-frequency grid (2n-1 points, same spacing,
-    centered at twice the input center), where adp_model is exact.
+    centered at twice the input center), where AdpModel is exact.
     """
     values = pump_times_lp.values
     warning = _check_adp_input(values, edge_threshold)
     sum_grid = _sum_grid(pump_times_lp.grid)
-    conv = adp_model(pump_times_lp.grid, sum_grid.samples)(values)
+    conv = AdpModel(pump_times_lp.grid, sum_grid.samples)(values)
     return Field1D(sum_grid, conv, warning=warning)
 
 
@@ -226,7 +233,7 @@ def jsa_model(
 
     Everything that depends only on the grids is built here once: the
     sum frequencies w_s + w_i with the ADP's interpolation plan
-    (adp_model), the TDSI l_s(w_s) l_i(w_i) and the PMF, which is left
+    (AdpModel), the TDSI l_s(w_s) l_i(w_i) and the PMF, which is left
     out when a zero slope makes it unity.  The returned function takes
     alpha_p * l_p on pump_grid, applies compute_adp's zero check and edge
     warning, and returns normalize(ADP(w_s + w_i) PMF TDSI) on the grids
@@ -235,7 +242,7 @@ def jsa_model(
     """
     grid_s, grid_i = l_s.grid, l_i.grid
     sums = grid_s.samples[:, None] + grid_i.samples[None, :]
-    adp = adp_model(pump_grid, sums)
+    adp = AdpModel(pump_grid, sums)
     tdsi = np.outer(l_s.values, l_i.values)
     pm = None
     if dispersion.slope != 0.0:

@@ -28,7 +28,7 @@ from tfm_synth.inversion import (
     fit_adp,
     optimize_state,
 )
-from tfm_synth.jsa import Jsa, adp_model, normalize
+from tfm_synth.jsa import AdpModel, Jsa, normalize
 from tfm_synth.pulse_shaper import (
     DegenerateInputError,
     PumpSpec,
@@ -167,7 +167,7 @@ def synth_adp(spec, l_p, u):
     """ADP of the shaped, resonance-filtered pump at sum offsets u, through
     the model the forward path and the fit share."""
     pump = shaped_pump(spec, l_p.grid)
-    return adp_model(l_p.grid, 2.0 * P0 + u)(pump.values * l_p.values)
+    return AdpModel(l_p.grid, 2.0 * P0 + u)(pump.values * l_p.values)
 
 
 def fitted_magnitude(fit, template, l_p, u):
@@ -325,6 +325,46 @@ def test_fit_jacobian_finite_at_model_zeros():
     jac = jacobian(x)
     assert np.all(np.isfinite(jac))
     assert not np.any(jac[zeros])
+
+
+def test_fit_shared_evaluation_is_never_stale():
+    """The residual, the model and the Jacobian share one evaluation per
+    search point; a call at another point, or at the caller's x changed in
+    place, gives what a freshly built fit gives there, bit for bit."""
+    _, _, prof, l_p = round_trip_case()
+    template = pump_template()
+
+    def fresh():
+        return _magnitude_fit(prof, template, l_p)
+
+    _, model, residual, jacobian = fresh()
+    rng = np.random.default_rng(8)
+    x = _pack(20e9, rng.uniform(0.1, 1.0, 6), rng.uniform(0.0, 2.0 * np.pi, 6))
+    y = x + rng.uniform(-0.05, 0.05, x.shape)
+    assert not np.array_equal(x, y)
+    residual(y)
+    assert np.array_equal(jacobian(x), fresh()[3](x))
+    residual(x)
+    assert np.array_equal(jacobian(y), fresh()[3](y))
+
+    # the caller's x changed in place after a call
+    z = x.copy()
+    r_before = residual(z)
+    jac_before = jacobian(z)
+    z[0] += 0.02
+    z[1:4] *= 0.9
+    _, model_z, residual_z, jacobian_z = fresh()
+    r_after = residual(z)
+    assert not np.array_equal(r_after, r_before)
+    assert np.array_equal(r_after, residual_z(z))
+    assert not np.array_equal(jacobian(z), jac_before)
+    assert np.array_equal(jacobian(z), jacobian_z(z))
+
+    # a returned model magnitude is the caller's to change
+    m = model(z)
+    m[:] = 0.0
+    assert np.array_equal(model(z), model_z(z))
+    assert np.array_equal(residual(z), residual_z(z))
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +576,31 @@ def test_optimize_polish_improves_or_keeps_score():
         ),
     )
     assert polished.fidelity >= base.fidelity - 1e-12
+
+
+@pytest.mark.slow
+def test_fit_budget_keeps_the_design_quality(monkeypatch):
+    """At the capped fit budget, one-restart designs of the Bell target at
+    256^2 still verify at F >= 0.9995 on seeds 0-3, and no fit spends more
+    residual evaluations than the cap."""
+    nfevs = []
+
+    def recording_fit(*args, **kwargs):
+        fit = fit_adp(*args, **kwargs)
+        nfevs.append(fit.nfev)
+        return fit
+
+    # in this process, where the recording fit is seen
+    monkeypatch.setenv("TFM_SYNTH_THREADS", "1")
+    monkeypatch.setattr(inversion, "fit_adp", recording_fit)
+    cfg = load_preset("bell_phi_minus")
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=256))
+    n_mu = len(SearchConfig().mu_values)
+    for seed in range(4):
+        res = optimize_state(cfg, SearchConfig(seed=seed, restarts=1))
+        assert res.fidelity >= 0.9995, (seed, res.fidelity)
+    assert len(nfevs) == 4 * n_mu
+    assert max(nfevs) <= inversion._FIT_MAX_NFEV
 
 
 @pytest.mark.slow

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from tfm_synth.jsa import (
+    AdpModel,
     DegenerateFieldError,
     Jsa,
     _bilinear,
-    adp_model,
+    _interp_plan,
+    _sum_grid,
     antidiagonal_cut,
     compute_adp,
     compute_jsa,
@@ -44,7 +47,7 @@ def test_normalize_unit_l2():
 
 
 def test_adp_fft_matches_direct():
-    """fftconvolve path against the O(n^2) direct sum, to 1e-10."""
+    """FFT self-convolution against the O(n^2) direct sum, to 1e-10."""
     grid = SpectralGrid(P0, 250e9, 512)
     rng = np.random.default_rng(7)
     env = gaussian_field(grid, P0, 30e9).values
@@ -55,6 +58,31 @@ def test_adp_fft_matches_direct():
     scale = np.max(np.abs(slow.values))
     np.testing.assert_allclose(fast.values, slow.values, atol=1e-10 * scale)
     assert fast.grid == slow.grid
+
+
+@pytest.mark.parametrize("n", [101, 256, 513, 2048])
+def test_adp_model_matches_fftconvolve_bitwise(n):
+    """The model's explicit FFT, at fftconvolve's length for complex input,
+    gives fftconvolve's self-convolution bit for bit, on odd and even pump
+    sizes, from apl and from its spectrum."""
+    grid = SpectralGrid(P0, 250e9, n)
+    rng = np.random.default_rng(n)
+    apl = gaussian_field(grid, P0, 30e9).values * (
+        rng.normal(size=n) + 1j * rng.normal(size=n)
+    )
+    conv = fftconvolve(apl, apl, mode="full")
+    sum_grid = _sum_grid(grid)
+    span = sum_grid.half_span
+    # the sum-grid nodes, and off-node points reaching past the sum grid
+    for sums in (
+        sum_grid.samples,
+        2.0 * P0 + rng.uniform(-1.1 * span, 1.1 * span, (7, 9)),
+    ):
+        lo, hi, w_lo, w_hi = _interp_plan(grid, sums)
+        want = conv[lo] * w_lo + conv[hi] * w_hi
+        model = AdpModel(grid, sums)
+        assert np.array_equal(model(apl), want)
+        assert np.array_equal(model.from_spectrum(model.spectrum(apl)), want)
 
 
 def test_adp_gaussian_closed_form():
@@ -153,7 +181,7 @@ def test_zero_slope_skips_the_unity_pmf_exactly():
     d_s = (gs.samples - S0)[:, None]
     d_i = (gi.samples - I0)[None, :]
     sums = gs.samples[:, None] + gi.samples[None, :]
-    adp = adp_model(pump_grid, sums)(pump.values * l_p.values)
+    adp = AdpModel(pump_grid, sums)(pump.values * l_p.values)
     want = normalize(
         Jsa(gs, gi, adp * pmf(disp, d_s, d_i) * np.outer(l_s.values, l_i.values))
     )
