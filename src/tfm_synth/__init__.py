@@ -19,6 +19,7 @@ from .config import (
     preset_path,
     save_config,
 )
+from .jsa import load_jsa_binary
 from .simulate import SimulationResult, analysis_report, simulate
 
 __version__ = "1.0.0"
@@ -30,6 +31,7 @@ __all__ = [
     "SimulationResult",
     "analysis_report",
     "load_config",
+    "load_jsa_binary",
     "load_preset",
     "preset_path",
     "save_config",

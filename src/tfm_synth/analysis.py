@@ -3,21 +3,22 @@
 The biphoton state is characterized by the Schmidt weights of the
 (quadrature-weighted) JSA matrix, by its projection onto the
 Hermite-Gaussian product basis, and by its fidelity against the ideal
-maximally entangled target.  Both the pair-confined state and the target
-are pure, so the fidelity is their plain overlap; the Uhlmann form on
-density matrices is kept as an independent oracle.
+maximally entangled target.  K', purity and the higher-order weight need
+the weights only, not the Schmidt mode functions (Law, Walmsley and
+Eberly, PRL 84, 5304 (2000)).  Both the pair-confined state and the
+target are pure, so the fidelity is their plain overlap; the Uhlmann
+form on density matrices is kept in the tests as the reference.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .jsa import Jsa, normalize
-from .spectral import Field1D, SpectralGrid, hg_mode
+from .spectral import SpectralGrid, hg_mode
 
 
 class PreconditionError(ValueError):
@@ -26,56 +27,21 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class SchmidtResult:
-    """Schmidt weights (descending, summing to 1) of a JSA.
-
-    The paired mode functions need a second SVD with singular vectors;
-    it runs on the first read of signal_modes or idler_modes.
-    """
+    """Schmidt weights (descending, summing to 1) of a JSA."""
 
     weights: np.ndarray
-    jsa: Jsa = field(repr=False)
-
-    @cached_property
-    def _modes(self):
-        ds = self.jsa.grid_s.spacing
-        di = self.jsa.grid_i.spacing
-        u, _, vh = np.linalg.svd(
-            self.jsa.amplitude * np.sqrt(ds * di), full_matrices=False
-        )
-        keep = len(self.weights)
-        signal = tuple(
-            Field1D(self.jsa.grid_s, u[:, k] / np.sqrt(ds)) for k in range(keep)
-        )
-        idler = tuple(
-            Field1D(self.jsa.grid_i, vh[k, :] / np.sqrt(di)) for k in range(keep)
-        )
-        return signal, idler
-
-    @property
-    def signal_modes(self) -> tuple:
-        return self._modes[0]
-
-    @property
-    def idler_modes(self) -> tuple:
-        return self._modes[1]
 
 
-def schmidt_decompose(jsa: Jsa, max_modes: int = 0) -> SchmidtResult:
+def schmidt_decompose(jsa: Jsa) -> SchmidtResult:
     """Values-only SVD of the quadrature-weighted amplitude; weights are
-    squared singular values.
-
-    max_modes = 0 keeps every mode with weight above 1e-14.
-    """
+    squared singular values, those above 1e-14 kept."""
     if not jsa.normalized:
         raise PreconditionError("schmidt_decompose requires a normalized JSA")
     a = jsa.amplitude * np.sqrt(jsa.grid_s.spacing * jsa.grid_i.spacing)
     s = np.linalg.svd(a, compute_uv=False)
     weights = s * s
-    if max_modes <= 0:
-        keep = int(np.sum(weights > 1e-14)) or 1
-    else:
-        keep = min(max_modes, len(weights))
-    return SchmidtResult(weights[:keep], jsa)
+    keep = int(np.sum(weights > 1e-14)) or 1
+    return SchmidtResult(weights[:keep])
 
 
 def schmidt_number(weights) -> float:
@@ -187,56 +153,8 @@ def pair_fidelity(coefficients: np.ndarray, target_coefficients) -> float:
     return fidelity_pure(t, ckk) / w
 
 
-def pair_confined_rho(coefficients: np.ndarray, dim: int = 4) -> np.ndarray:
-    """Density matrix of the state confined to the HG pair modes |kk>
-    (oracle for pair_fidelity through the Uhlmann form).
-
-    The generated state is dominated by the diagonal pair amplitudes
-    c_kk; its reported density matrix keeps only those (renormalized) and
-    lives in the same d^2 basis as target_rho, with support on the pair
-    positions.  The discarded off-diagonal weight is visible separately
-    through subspace_weight.
-    """
-    c = np.asarray(coefficients)
-    if c.shape != (dim, dim):
-        raise PreconditionError(
-            f"coefficient matrix shape {c.shape} does not match dim {dim}"
-        )
-    diag = np.diagonal(c)
-    w = float(np.sum(np.abs(diag) ** 2))
-    if w == 0.0:
-        raise PreconditionError("state has no weight on the HG pair modes")
-    psi = np.zeros(dim * dim, dtype=complex)
-    for k in range(dim):
-        psi[k * dim + k] = diag[k] / np.sqrt(w)
-    return np.outer(psi, np.conj(psi))
-
-
-def target_rho(target: TargetState, dim: int = 4) -> np.ndarray:
-    """Ideal density matrix of the target in the d^2 HG pair basis
-    (oracle for pair_fidelity through the Uhlmann form)."""
-    psi = np.zeros(dim * dim, dtype=complex)
-    for k, c in enumerate(target.coefficients):
-        psi[k * dim + k] = c
-    return np.outer(psi, np.conj(psi))
-
-
-def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
-    """Uhlmann fidelity [Tr sqrt(sqrt(a) b sqrt(a))]^2 via eigendecomposition."""
-    for name, rho in (("first", rho_a), ("second", rho_b)):
-        if abs(np.trace(rho).real - 1.0) > 1e-6:
-            raise PreconditionError(f"{name} density matrix is not unit trace")
-    evals, evecs = np.linalg.eigh(rho_a)
-    evals = np.clip(evals.real, 0.0, None)
-    sqrt_a = (evecs * np.sqrt(evals)) @ np.conj(evecs.T)
-    m = sqrt_a @ rho_b @ sqrt_a
-    mvals = np.linalg.eigvalsh(m)
-    mvals = np.clip(mvals.real, 0.0, None)
-    return float(np.sum(np.sqrt(mvals)) ** 2)
-
-
 def fidelity_pure(psi_a: np.ndarray, psi_b: np.ndarray) -> float:
-    """Pure-state overlap |<a|b>|^2, which the Uhlmann form reduces to."""
+    """Pure-state overlap |<a|b>|^2, which the Uhlmann fidelity reduces to."""
     return float(np.abs(np.vdot(psi_a, psi_b)) ** 2)
 
 

@@ -105,13 +105,14 @@ def _grid_override(n_points):
 
 
 def _magnitude_csv(field, header: str, squared: bool = False) -> str:
-    lines = [f"omega_rad_per_s,{header}"]
     mag = np.abs(field.values)
     if squared:
         mag = mag * mag
-    for w, v in zip(field.grid.samples, mag):
-        lines.append(f"{w:.9g},{v:.9g}")
-    return "\n".join(lines) + "\n"
+    # Python floats format as numpy's do, without a numpy scalar per value
+    body = "\n".join(
+        map("{:.9g},{:.9g}".format, field.grid.samples.tolist(), mag.tolist())
+    )
+    return f"omega_rad_per_s,{header}\n{body}\n"
 
 
 def cmd_simulate(args) -> int:

@@ -105,6 +105,13 @@ def _number(tree, key, context):
     return float(val)
 
 
+def _integer(tree, key, context):
+    val = _number(tree, key, context)
+    if not val.is_integer():
+        raise ConfigError(f"key '{context}{key}' must be an integer, got {val!r}")
+    return int(val)
+
+
 def _chain(tree, label, kappa, perimeter, group_velocity, context):
     omega0 = _quantity(tree, "omega0", "angular_frequency", context)
     rates_raw = _get(tree, "decay_rates", context)
@@ -142,7 +149,7 @@ def parse_config(tree: dict, name_hint: str = "") -> DeviceConfig:
     name = tree.get("name", name_hint or "unnamed")
 
     tc = _get(tree, "target", "")
-    dimension = int(_number(tc, "dimension", "target."))
+    dimension = _integer(tc, "dimension", "target.")
     if dimension < 1 or dimension > 4:
         raise ConfigError(f"key 'target.dimension' must be 1..4, got {dimension}")
     target = TargetConfig(
@@ -204,9 +211,9 @@ def parse_config(tree: dict, name_hint: str = "") -> DeviceConfig:
     gc = _get(tree, "grid", "")
     grid = GridConfig(
         half_span=_quantity(gc, "half_span", "angular_frequency", "grid."),
-        n_points=int(_number(gc, "n_points", "grid.")),
+        n_points=_integer(gc, "n_points", "grid."),
         pump_half_span=_quantity(gc, "pump_half_span", "angular_frequency", "grid."),
-        pump_points=int(_number(gc, "pump_points", "grid.")),
+        pump_points=_integer(gc, "pump_points", "grid."),
     )
 
     pg = _get(tree, "pgr", "")

@@ -45,7 +45,6 @@ from .jsa import (
     compute_tdsi,
     jsa_model,
 )
-from .phase_matching import DispersionModel
 from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, tap_phasors, tap_sum
 from .resonator import field_enhancement_chain
 from .simulate import build_grids, reported_state, simulate
@@ -389,12 +388,6 @@ def apply_free_params(
     return replace(cfg, pump=pump)
 
 
-def _unity_pmf(dispersion: DispersionModel) -> DispersionModel:
-    return DispersionModel(
-        c1=dispersion.c1, c2=dispersion.c2, slope=0.0, length=dispersion.length
-    )
-
-
 def _trial_score(cfg, state, modes_s, modes_i, target_coeff):
     """Score of a reported trial state.
 
@@ -440,7 +433,7 @@ def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int
         l_i = field_enhancement_chain(trial_cfg.idler, grid_i)
         modes_s = hg_basis(4, grid_s, grid_s.center, cfg.target.sigma)
         modes_i = hg_basis(4, grid_i, grid_i.center, cfg.target.sigma)
-    assemble = jsa_model(pump_grid, l_s, l_i, _unity_pmf(cfg.dispersion))
+    assemble = jsa_model(pump_grid, l_s, l_i, replace(cfg.dispersion, slope=0.0))
     phasors = tap_phasors(cfg.pump, pump_grid)
     detuning = pump_grid.samples - cfg.pump.carrier
     detuning2 = detuning * detuning

@@ -6,27 +6,29 @@ resonance-filtered pump), a phase-matching function, and the rank-1
 signal-idler filter TDSI(w_s, w_i) = l_s(w_s) l_i(w_i).  The linearized
 PMF does not depend on the pump frequency, whatever c1 and c2, so the
 pump integral reduces to ADP(w_s + w_i) times the PMF and the JSA is
-assembled directly on the 2-D grid (fast path).  Only a tabulated
-k(omega) makes the PMF depend on w_p; then the 1-D pump quadrature is
-evaluated at every grid point (slow path).
+assembled directly on the 2-D grid.  The per-row pump integral is kept
+in tests/oracles.py as the reference for this route.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
-from .phase_matching import DispersionModel, pmf, pmf_full
+from .phase_matching import DispersionModel, pmf
 from .spectral import Field1D, Field2D, GridError, SpectralGrid
 
 
 # alpha_p * l_p above this fraction of its peak at a grid edge truncates
 # the self-convolution
 _EDGE_THRESHOLD = 1e-4
+# a cut minimum is a node when it lies below this fraction of the lower of
+# its two flanking maxima
+_PROMINENCE = 0.5
 
 
 class DegenerateFieldError(ValueError):
@@ -131,8 +133,8 @@ class AdpModel:
     model.from_spectrum(model.spectrum(apl)); from_spectrum and
     derivative(spectrum, d_apl) can share one spectrum, as the inverse
     fit's residual and Jacobian do at one search point.  The model
-    checks nothing, so the fit can call it in its residual; compute_adp
-    and jsa_model check its input.
+    checks nothing, so the fit can call it in its residual; jsa_model
+    checks its input.
     """
 
     def __init__(self, grid: SpectralGrid, sums: np.ndarray):
@@ -175,55 +177,23 @@ class AdpModel:
         return conv[..., self._lo] * self._w_lo + conv[..., self._hi] * self._w_hi
 
 
-def _check_adp_input(values: np.ndarray, edge_threshold: float) -> str | None:
-    """Reject an all-zero alpha_p * l_p; warn (and return the message)
-    when it is not negligible at the grid edges."""
+def _check_adp_input(values: np.ndarray) -> None:
+    """Reject an all-zero alpha_p * l_p; warn when it is not negligible at
+    the grid edges."""
     peak = np.max(np.abs(values))
     if peak == 0.0:
         raise DegenerateFieldError("alpha_p * l_p is identically zero")
     edge = max(abs(values[0]), abs(values[-1]))
-    if edge <= edge_threshold * peak:
-        return None
-    warning = (
-        f"input not negligible at grid edges ({edge / peak:.3g} of peak); "
-        "the self-convolution is truncated"
-    )
-    warnings.warn(warning)
-    return warning
-
-
-def compute_adp(
-    pump_times_lp: Field1D, edge_threshold: float = _EDGE_THRESHOLD
-) -> Field1D:
-    """Anti-diagonal pump function: self-convolution of alpha_p * l_p.
-
-    Returned on the sum-frequency grid (2n-1 points, same spacing,
-    centered at twice the input center), where AdpModel is exact.
-    """
-    values = pump_times_lp.values
-    warning = _check_adp_input(values, edge_threshold)
-    sum_grid = _sum_grid(pump_times_lp.grid)
-    conv = AdpModel(pump_times_lp.grid, sum_grid.samples)(values)
-    return Field1D(sum_grid, conv, warning=warning)
-
-
-def convolve_direct(pump_times_lp: Field1D) -> Field1D:
-    """Direct-sum self-convolution; O(n^2) oracle for the FFT path."""
-    values = pump_times_lp.values
-    grid = pump_times_lp.grid
-    conv = np.convolve(values, values, mode="full") * grid.spacing
-    return Field1D(_sum_grid(grid), conv)
+    if edge > _EDGE_THRESHOLD * peak:
+        warnings.warn(
+            f"input not negligible at grid edges ({edge / peak:.3g} of peak); "
+            "the self-convolution is truncated"
+        )
 
 
 def compute_tdsi(l_s: Field1D, l_i: Field1D) -> Field2D:
     """Two-dimensional signal-idler filter: outer product l_s(w_s) l_i(w_i)."""
     return Field2D(l_s.grid, l_i.grid, np.outer(l_s.values, l_i.values))
-
-
-def _interp_complex(x, xp, fp):
-    real = np.interp(x, xp, fp.real, left=0.0, right=0.0)
-    imag = np.interp(x, xp, fp.imag, left=0.0, right=0.0)
-    return real + 1j * imag
 
 
 def jsa_model(
@@ -235,10 +205,11 @@ def jsa_model(
     sum frequencies w_s + w_i with the ADP's interpolation plan
     (AdpModel), the TDSI l_s(w_s) l_i(w_i) and the PMF, which is left
     out when a zero slope makes it unity.  The returned function takes
-    alpha_p * l_p on pump_grid, applies compute_adp's zero check and edge
-    warning, and returns normalize(ADP(w_s + w_i) PMF TDSI) on the grids
-    of l_s and l_i.  compute_jsa calls it once; the inverse loop keeps
-    one per trial grid and calls it for every trial pump.
+    alpha_p * l_p on pump_grid, rejects it when all zero, warns when it
+    is not negligible at the grid edges, and returns
+    normalize(ADP(w_s + w_i) PMF TDSI) on the grids of l_s and l_i.
+    compute_jsa calls it once; the inverse loop keeps one per trial grid
+    and calls it for every trial pump.
     """
     grid_s, grid_i = l_s.grid, l_i.grid
     sums = grid_s.samples[:, None] + grid_i.samples[None, :]
@@ -253,7 +224,7 @@ def jsa_model(
         )
 
     def assemble(apl: np.ndarray) -> Jsa:
-        _check_adp_input(apl, _EDGE_THRESHOLD)
+        _check_adp_input(apl)
         # ADP * PMF * TDSI in that operand order (numpy's complex product
         # is not bitwise commutative), in place; the PMF is left out when
         # it is sinc(0) exp(i 0) = 1 everywhere
@@ -272,42 +243,16 @@ def compute_jsa(
     l_s: Field1D,
     l_i: Field1D,
     dispersion: DispersionModel,
-    force_slow: bool = False,
 ) -> Jsa:
     """Assemble and normalize the JSA from its constituent spectra.
 
     pump and l_p must share one grid (the pump integration grid); l_s and
-    l_i define the output grid.  Every linearized PMF takes the fast
-    path, jsa_model's ADP(w_s + w_i) PMF(w_s, w_i) l_s l_i; a tabulated
-    k(omega), or force_slow, takes the pump quadrature.
+    l_i define the output grid.  The JSA is jsa_model's
+    ADP(w_s + w_i) PMF(w_s, w_i) l_s l_i.
     """
     if pump.grid != l_p.grid:
         raise GridError("pump and l_p must share the same grid")
-    apl = pump.values * l_p.values
-    if dispersion.k_of_omega is None and not force_slow:
-        return jsa_model(pump.grid, l_s, l_i, dispersion)(apl)
-
-    grid_s, grid_i = l_s.grid, l_i.grid
-    omega_s = grid_s.samples
-    omega_i = grid_i.samples
-    d_s = (omega_s - grid_s.center)[:, None]
-    d_i = (omega_i - grid_i.center)[None, :]
-    sums = omega_s[:, None] + omega_i[None, :]
-    omega_p = pump.grid.samples
-    dp = pump.grid.spacing
-    amp = np.empty((grid_s.n_points, grid_i.n_points), dtype=complex)
-    for j in range(grid_s.n_points):
-        mirror = sums[j][:, None] - omega_p[None, :]
-        apl_mirror = _interp_complex(mirror, omega_p, apl)
-        if dispersion.k_of_omega is not None:
-            pm_row = pmf_full(
-                dispersion, omega_p[None, :], omega_s[j], omega_i[:, None]
-            )
-        else:
-            pm_row = pmf(dispersion, d_s[j, 0], d_i[0][:, None])
-        amp[j] = np.sum(apl[None, :] * apl_mirror * pm_row, axis=1) * dp
-    amp *= np.outer(l_s.values, l_i.values)
-    return normalize(Jsa(grid_s, grid_i, amp))
+    return jsa_model(pump.grid, l_s, l_i, dispersion)(pump.values * l_p.values)
 
 
 def antidiagonal_cut(jsa: Jsa, n_points: int | None = None):
@@ -349,10 +294,10 @@ def _bilinear(values, grid_s, grid_i, ws, wi, corner=None):
     )
 
 
-def find_cut_minima(u, mag, prominence: float = 0.5):
+def find_cut_minima(u, mag):
     """Interior local minima of the cut profile that pass the prominence rule.
 
-    A minimum qualifies if its magnitude is below ``prominence`` times the
+    A minimum qualifies if its magnitude is below _PROMINENCE times the
     smaller of the two neighboring local maxima (grid edges count as
     maxima), which rejects shallow numerical ripples.
     """
@@ -365,7 +310,7 @@ def find_cut_minima(u, mag, prominence: float = 0.5):
     left_max = np.maximum.accumulate(mag)[candidates]
     right_max = np.maximum.accumulate(mag[::-1])[::-1][candidates]
     minima = []
-    for i in candidates[mag[candidates] < prominence * np.minimum(left_max, right_max)]:
+    for i in candidates[mag[candidates] < _PROMINENCE * np.minimum(left_max, right_max)]:
         # parabolic refinement keeps the location stable under changes
         # of grid resolution
         denom = mag[i + 1] - 2.0 * mag[i] + mag[i - 1]
@@ -377,7 +322,7 @@ def find_cut_minima(u, mag, prominence: float = 0.5):
     return minima
 
 
-def impose_pi_phase(jsa: Jsa, prominence: float = 0.5) -> Jsa:
+def impose_pi_phase(jsa: Jsa) -> Jsa:
     """Impose a pi phase flip at each magnitude minimum along the anti-diagonal.
 
     The flips are constant along anti-diagonals: the field is multiplied by
@@ -388,7 +333,7 @@ def impose_pi_phase(jsa: Jsa, prominence: float = 0.5) -> Jsa:
     identity.
     """
     u, mag = antidiagonal_cut(jsa)
-    minima = find_cut_minima(u, mag, prominence=prominence)
+    minima = find_cut_minima(u, mag)
     if not minima:
         return jsa
     sum0 = jsa.grid_s.center + jsa.grid_i.center
@@ -420,18 +365,6 @@ def impose_pi_phase(jsa: Jsa, prominence: float = 0.5) -> Jsa:
 
 # ---------------------------------------------------------------------------
 # export
-
-def save_jsa_csv(jsa: Jsa, path: str) -> None:
-    """CSV rows (omega_s, omega_i, Re F, Im F), signal-major order."""
-    ws = jsa.grid_s.samples
-    wi = jsa.grid_i.samples
-    with open(path, "w") as fh:
-        fh.write("omega_s_rad_per_s,omega_i_rad_per_s,re_f,im_f\n")
-        for j in range(jsa.grid_s.n_points):
-            for k in range(jsa.grid_i.n_points):
-                v = jsa.amplitude[j, k]
-                fh.write(f"{ws[j]:.9g},{wi[k]:.9g},{v.real:.9g},{v.imag:.9g}\n")
-
 
 def save_jsa_binary(jsa: Jsa, bin_path: str, sidecar_path: str) -> None:
     """Raw dump: little-endian float64 (re, im) pairs, row-major over

@@ -17,7 +17,6 @@ therefore kept as an explicit calibration input (zero by default).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -104,9 +103,3 @@ def shaped_pump(spec: PumpSpec, grid: SpectralGrid) -> Field1D:
     envelope = gaussian_envelope(grid, spec.carrier, spec.sigma_p)
     response = fir_response(spec, grid)
     return Field1D(grid, envelope.values * response.values)
-
-
-def make_taps(amplitudes: Sequence[float], phases: Sequence[float]) -> tuple:
-    if len(amplitudes) != len(phases):
-        raise ValueError("amplitude and phase lists must have equal length")
-    return tuple(Tap(a, p) for a, p in zip(amplitudes, phases))

@@ -88,19 +88,6 @@ def field_enhancement_chain(chain: ResonanceChain, grid: SpectralGrid) -> Field1
     return Field1D(grid, scale * a1)
 
 
-def field_enhancement_two_stage(chain: ResonanceChain, grid: SpectralGrid) -> Field1D:
-    """Closed form of l_x(omega) for M = 2 (split resonance)."""
-    if chain.stages != 2:
-        raise ValueError(f"closed form requires M=2, got M={chain.stages}")
-    delta = grid.samples - chain.omega0
-    g1, g2 = chain.decay_rates
-    mu = chain.couplings[0]
-    numer = chain.kappa * (delta - 1j * g2)
-    denom = (1j * delta + g1) * (1j * delta + g2) + mu * mu
-    scale = np.sqrt(chain.group_velocity / chain.perimeter)
-    return Field1D(grid, scale * numer / denom)
-
-
 def bus_transmission(chain: ResonanceChain, grid: SpectralGrid) -> Field1D:
     """Complex bus transmission S_t / S_i on the grid."""
     a1 = _solve_chain_a1(chain, grid.samples)
@@ -136,18 +123,6 @@ def _composed_matrix(spec: MziCouplerSpec) -> np.ndarray:
     arms = np.diag([np.exp(1j * spec.phi_h1), np.exp(1j * spec.phi_h2)])
     out = np.diag([np.exp(1j * spec.phi_h3), 1.0])
     return out @ coupler @ arms @ coupler
-
-
-def mzi_effective_mu(spec: MziCouplerSpec) -> float:
-    """Effective mutual coupling mu_12 realized by the MZI coupler.
-
-    mu_12 = k_12 sqrt(v_g^2 / (L_1 L_2)) with k_12 the power cross-coupling
-    of the composed transfer matrix.
-    """
-    k12 = abs(_composed_matrix(spec)[0, 1]) ** 2
-    return k12 * np.sqrt(
-        spec.group_velocity**2 / (spec.perimeter_main * spec.perimeter_aux)
-    )
 
 
 def mzi_max_mu(spec: MziCouplerSpec) -> float:

@@ -117,17 +117,3 @@ def gaussian_envelope(grid: SpectralGrid, center: float, sigma_p: float) -> Fiel
         raise ValueError(f"sigma_p must be > 0, got {sigma_p}")
     d = grid.samples - center
     return Field1D(grid, np.exp(-(d * d) / (2.0 * sigma_p * sigma_p)))
-
-
-def inner_product(a, b) -> complex:
-    """Grid quadrature <a, b> = sum conj(a) b dA; conjugate-linear in a."""
-    if isinstance(a, Field1D) and isinstance(b, Field1D):
-        if a.grid != b.grid:
-            raise GridError("inner_product requires identical grids")
-        return complex(np.sum(np.conj(a.values) * b.values) * a.grid.spacing)
-    if isinstance(a, Field2D) and isinstance(b, Field2D):
-        if a.grid_s != b.grid_s or a.grid_i != b.grid_i:
-            raise GridError("inner_product requires identical grids")
-        weight = a.grid_s.spacing * a.grid_i.spacing
-        return complex(np.sum(np.conj(a.values) * b.values) * weight)
-    raise GridError("inner_product arguments must both be Field1D or both Field2D")

@@ -2,15 +2,17 @@
 
 import copy
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
 
-from tfm_synth import inversion
+import oracles
+from tfm_synth import cli, inversion
 from tfm_synth.cli import main
 from tfm_synth.config import load_preset, preset_path
-from tfm_synth.resonator import MziCouplerSpec, mzi_effective_mu
+from tfm_synth.resonator import MziCouplerSpec
 
 
 def run(capsys, *argv):
@@ -49,6 +51,38 @@ def test_simulate_outputs_and_summary(tmp_path, capsys):
     assert meta["shape"] == [128, 128, 2]
     lines = (out / "pump_shaper.csv").read_text().strip().split("\n")
     assert lines[0] == "omega_rad_per_s,abs_h"
+
+
+def _magnitude_csv_loop(field, header, squared=False):
+    """The per-row formatting cli._magnitude_csv replaced, kept as its
+    reference."""
+    lines = [f"omega_rad_per_s,{header}"]
+    mag = np.abs(field.values)
+    if squared:
+        mag = mag * mag
+    for w, v in zip(field.grid.samples, mag):
+        lines.append(f"{w:.9g},{v:.9g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("squared", [False, True])
+def test_magnitude_csv_matches_the_row_loop(squared):
+    """Same bytes as the loop over numpy scalars, on 10^5 magnitudes from
+    1e-300 to 1e300 of either sign, signed zeros, the smallest subnormal
+    and the largest float, in both columns."""
+    rng = np.random.default_rng(0)
+    n = 100_000
+    values = 10.0 ** rng.uniform(-300.0, 300.0, n) * rng.choice([-1.0, 1.0], n)
+    big = np.finfo(float).max
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, big, -big])
+    samples = np.concatenate([edges, values])
+    field = SimpleNamespace(
+        grid=SimpleNamespace(samples=samples), values=samples[::-1] * 1j
+    )
+    with np.errstate(over="ignore", under="ignore"):
+        want = _magnitude_csv_loop(field, "abs_l", squared)
+        got = cli._magnitude_csv(field, "abs_l", squared)
+    assert got == want
 
 
 def test_simulate_missing_kappa_exits_2(tmp_path, capsys):
@@ -150,6 +184,7 @@ def test_bad_flags_exit_2(tmp_path, capsys, argv):
         ("pgr", "avg_power", "0 mW"),
         ("dispersion", "c1", float("nan")),
         ("grid", "n_points", float("inf")),
+        ("target", "dimension", 2.7),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
@@ -162,7 +197,6 @@ def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
 
 
 def test_numerical_failure_exits_3(capsys, monkeypatch):
-    from tfm_synth import cli
     from tfm_synth.jsa import DegenerateFieldError
 
     def degenerate(_):
@@ -177,7 +211,6 @@ def test_numerical_failure_exits_3(capsys, monkeypatch):
 def test_internal_value_error_is_a_traceback(monkeypatch):
     """A bare ValueError from inside the package is a bug: it propagates
     instead of exiting 3 as a numerical failure."""
-    from tfm_synth import cli
 
     def bug(_):
         raise ValueError("internal bug")
@@ -208,7 +241,7 @@ def test_sweep_mzi_round_trip(capsys):
     spec = _mzi_spec()
     for line in lines[1:]:
         mu, h1, h2, h3, _ = (float(v) for v in line.split(","))
-        realized = mzi_effective_mu(
+        realized = oracles.mzi_effective_mu(
             MziCouplerSpec(
                 spec.k_prime, h1, h2, h3,
                 spec.perimeter_main, spec.perimeter_aux, spec.group_velocity,

@@ -94,6 +94,18 @@ def test_bad_dimension(bell_tree):
         parse_config(tree)
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [("target", "dimension"), ("grid", "n_points"), ("grid", "pump_points")],
+)
+def test_non_integral_count_rejected(bell_tree, section, key):
+    """A count is never truncated: 2.7 is an error, not 2."""
+    tree = copy.deepcopy(bell_tree)
+    tree[section][key] += 0.7
+    with pytest.raises(ConfigError, match=f"{key}' must be an integer"):
+        parse_config(tree)
+
+
 def test_coupling_count_mismatch(bell_tree):
     tree = copy.deepcopy(bell_tree)
     tree["resonator"]["signal"]["couplings"] = ["1.45 GHz", "1.0 GHz"]

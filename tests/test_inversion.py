@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+import oracles
 from tfm_synth import inversion
 from tfm_synth.analysis import TargetState, hg_basis, target_jsa
 from tfm_synth.config import ConfigError, load_preset
@@ -29,12 +30,7 @@ from tfm_synth.inversion import (
     optimize_state,
 )
 from tfm_synth.jsa import AdpModel, Jsa, normalize
-from tfm_synth.pulse_shaper import (
-    DegenerateInputError,
-    PumpSpec,
-    make_taps,
-    shaped_pump,
-)
+from tfm_synth.pulse_shaper import DegenerateInputError, PumpSpec, shaped_pump
 from tfm_synth.resonator import field_enhancement_chain
 from tfm_synth.simulate import build_grids, reported_state
 from tfm_synth.spectral import Field1D, Field2D, GridError, SpectralGrid, hg_mode
@@ -148,7 +144,7 @@ def pump_template():
     return PumpSpec(
         sigma_p=25.2584049e9,
         carrier=P0,
-        taps=make_taps([0.5] * 6, [0.0] * 6),
+        taps=oracles.make_taps([0.5] * 6, [0.0] * 6),
         base_delay=75e-12,
         comb_alignment=0.297,
     )
@@ -190,7 +186,7 @@ def round_trip_case():
     amps = rng.uniform(0.1, 1.0, 6)
     phis = rng.uniform(0.0, 2.0 * np.pi, 6)
     truth = PumpSpec(
-        sigma_p=20e9, carrier=P0, taps=make_taps(amps, phis),
+        sigma_p=20e9, carrier=P0, taps=oracles.make_taps(amps, phis),
         base_delay=75e-12, comb_alignment=0.297,
     )
     l_p = lorentzian_lp()
@@ -227,13 +223,13 @@ def test_fit_single_tap_gaussian_sigma_recovery():
     """One-tap profile: sigma_p recovered within 0.1%."""
     sigma_true = 18.0e9
     truth = PumpSpec(
-        sigma_p=sigma_true, carrier=P0, taps=make_taps([1.0], [0.0]),
+        sigma_p=sigma_true, carrier=P0, taps=oracles.make_taps([1.0], [0.0]),
         base_delay=75e-12,
     )
     l_p = flat_lp()
     prof = synth_profile(truth, l_p)
     template = PumpSpec(
-        sigma_p=10e9, carrier=P0, taps=make_taps([0.5], [0.0]),
+        sigma_p=10e9, carrier=P0, taps=oracles.make_taps([0.5], [0.0]),
         base_delay=75e-12,
     )
     fit = fit_adp(prof, template, l_p, 10e9, [0.5], [0.0])
@@ -251,7 +247,7 @@ def test_fit_reported_residual_consistent():
     rng = np.random.default_rng(3)
     truth = PumpSpec(
         sigma_p=15e9, carrier=P0,
-        taps=make_taps(rng.uniform(0.1, 1, 6), rng.uniform(0, 2 * np.pi, 6)),
+        taps=oracles.make_taps(rng.uniform(0.1, 1, 6), rng.uniform(0, 2 * np.pi, 6)),
         base_delay=75e-12,
     )
     l_p = lorentzian_lp()
@@ -268,10 +264,10 @@ def test_fit_reported_residual_consistent():
 def single_tap_case():
     """One-tap profile on a flat l_p and its fit template."""
     truth = PumpSpec(
-        sigma_p=18.0e9, carrier=P0, taps=make_taps([1.0], [0.0]),
+        sigma_p=18.0e9, carrier=P0, taps=oracles.make_taps([1.0], [0.0]),
         base_delay=75e-12,
     )
-    template = replace(truth, sigma_p=10e9, taps=make_taps([0.5], [0.0]))
+    template = replace(truth, sigma_p=10e9, taps=oracles.make_taps([0.5], [0.0]))
     return synth_profile(truth, flat_lp()), template, flat_lp()
 
 
@@ -417,7 +413,7 @@ def test_trial_context_score_matches_the_rebuilt_chain(pump_points, n_points):
         *_, score = _trial_context(cfg, mu, pump_points, n_points)
         for _ in range(2):
             sigma_p = cfg.pump.sigma_p * rng.uniform(0.7, 1.3)
-            taps = make_taps(rng.uniform(0.1, 1.0, 6), rng.uniform(0.0, 2.0 * np.pi, 6))
+            taps = oracles.make_taps(rng.uniform(0.1, 1.0, 6), rng.uniform(0.0, 2.0 * np.pi, 6))
             want = _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps)
             assert abs(score(sigma_p, taps) - want) <= 1e-10
         # the preset itself scores high, so the check covers a good state

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+import oracles
 from tfm_synth.jsa import (
     AdpModel,
     DegenerateFieldError,
@@ -12,16 +13,13 @@ from tfm_synth.jsa import (
     _interp_plan,
     _sum_grid,
     antidiagonal_cut,
-    compute_adp,
     compute_jsa,
     compute_tdsi,
-    convolve_direct,
     find_cut_minima,
     impose_pi_phase,
     load_jsa_binary,
     normalize,
     save_jsa_binary,
-    save_jsa_csv,
 )
 from tfm_synth.phase_matching import DispersionModel, pmf
 from tfm_synth.spectral import Field1D, SpectralGrid, hg_mode
@@ -53,11 +51,10 @@ def test_adp_fft_matches_direct():
     env = gaussian_field(grid, P0, 30e9).values
     noise = rng.normal(size=512) + 1j * rng.normal(size=512)
     f = Field1D(grid, env * noise)
-    fast = compute_adp(f)
-    slow = convolve_direct(f)
+    slow = oracles.convolve_direct(f)
+    fast = AdpModel(grid, _sum_grid(grid).samples)(f.values)
     scale = np.max(np.abs(slow.values))
-    np.testing.assert_allclose(fast.values, slow.values, atol=1e-10 * scale)
-    assert fast.grid == slow.grid
+    np.testing.assert_allclose(fast, slow.values, atol=1e-10 * scale)
 
 
 @pytest.mark.parametrize("n", [101, 256, 513, 2048])
@@ -90,22 +87,38 @@ def test_adp_gaussian_closed_form():
     conv has width sigma sqrt(2) and peak sigma sqrt(pi)."""
     sigma = 20e9
     grid = SpectralGrid(P0, 300e9, 4096)
-    adp = compute_adp(gaussian_field(grid, P0, sigma))
-    u = adp.grid.samples - 2.0 * P0
+    sums = _sum_grid(grid).samples
+    adp = AdpModel(grid, sums)(gaussian_field(grid, P0, sigma).values)
+    u = sums - 2.0 * P0
     expect = sigma * np.sqrt(np.pi) * np.exp(-(u * u) / (4.0 * sigma * sigma))
-    np.testing.assert_allclose(adp.values.real, expect, rtol=1e-3, atol=1e-4 * expect.max())
+    np.testing.assert_allclose(adp.real, expect, rtol=1e-3, atol=1e-4 * expect.max())
+
+
+def _unit_filters(pump_grid):
+    """l_p = l_s = l_i = 1, so that alpha_p * l_p is the pump itself."""
+    gs = SpectralGrid(S0, 10e9, 16)
+    gi = SpectralGrid(I0, 10e9, 16)
+    return (
+        Field1D(pump_grid, np.ones(pump_grid.n_points)),
+        Field1D(gs, np.ones(16)),
+        Field1D(gi, np.ones(16)),
+    )
 
 
 def test_adp_warns_on_truncation():
     grid = SpectralGrid(P0, 30e9, 256)
     with pytest.warns(UserWarning, match="truncated"):
-        compute_adp(gaussian_field(grid, P0, 100e9))
+        compute_jsa(
+            gaussian_field(grid, P0, 100e9), *_unit_filters(grid), DispersionModel()
+        )
 
 
 def test_adp_rejects_zero_input():
     grid = SpectralGrid(P0, 30e9, 64)
     with pytest.raises(DegenerateFieldError):
-        compute_adp(Field1D(grid, np.zeros(64)))
+        compute_jsa(
+            Field1D(grid, np.zeros(64)), *_unit_filters(grid), DispersionModel()
+        )
 
 
 def test_tdsi_outer_product():
@@ -120,10 +133,13 @@ def test_tdsi_outer_product():
     )
 
 
-def _assemble(force_slow, c2=-1.0):
-    # grids commensurate with the pump grid: output sum frequencies land
-    # on the self-convolution axis and the mirror points on pump nodes,
-    # so both paths evaluate the same discrete quadrature
+def _spectra(c2=-1.0):
+    """(pump, l_p, l_s, l_i, dispersion) of a small device.
+
+    The grids are commensurate with the pump grid: output sum frequencies
+    land on the self-convolution axis and the mirror points on pump
+    nodes, so the ADP route and the pump quadrature evaluate the same
+    discrete sum."""
     pump_grid = SpectralGrid(P0, 200e9, 1025)
     spacing = 2.0 * 200e9 / 1024
     half = 32.0 * spacing
@@ -137,13 +153,13 @@ def _assemble(force_slow, c2=-1.0):
     l_s = Field1D(gs, 1.0 / (1j * (gs.samples - S0) + 6e9))
     l_i = Field1D(gi, 1.0 / (1j * (gi.samples - I0) + 6e9))
     disp = DispersionModel(c1=1.0, c2=c2, slope=1e-9, length=7.2e-4)
-    return compute_jsa(pump, l_p, l_s, l_i, disp, force_slow=force_slow)
+    return pump, l_p, l_s, l_i, disp
 
 
 def test_fast_and_slow_paths_agree():
     """ADP-interpolation path against row-wise pump quadrature, 1e-8."""
-    fast = _assemble(False)
-    slow = _assemble(True)
+    fast = compute_jsa(*_spectra())
+    slow = oracles.pump_quadrature_jsa(*_spectra())
     scale = np.max(np.abs(fast.amplitude))
     np.testing.assert_allclose(
         fast.amplitude, slow.amplitude, atol=1e-8 * scale
@@ -154,8 +170,8 @@ def test_fast_and_slow_paths_agree():
 def test_fast_path_exact_for_asymmetric_linear_pmf(c2):
     """A linear PMF with c1 != -c2 is still independent of w_p, so the
     ADP route equals the pump quadrature."""
-    fast = _assemble(False, c2)
-    slow = _assemble(True, c2)
+    fast = compute_jsa(*_spectra(c2))
+    slow = oracles.pump_quadrature_jsa(*_spectra(c2))
     scale = np.max(np.abs(fast.amplitude))
     np.testing.assert_allclose(
         fast.amplitude, slow.amplitude, atol=1e-8 * scale
@@ -375,16 +391,3 @@ def test_save_load_binary_round_trip(tmp_path):
     assert back.grid_s == jsa.grid_s
     assert back.grid_i == jsa.grid_i
     assert back.normalized
-
-
-def test_save_csv_layout(tmp_path):
-    gs = SpectralGrid(S0, 40e9, 4)
-    gi = SpectralGrid(I0, 40e9, 3)
-    jsa = Jsa(gs, gi, np.arange(12, dtype=float).reshape(4, 3))
-    path = tmp_path / "jsa.csv"
-    save_jsa_csv(jsa, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "omega_s_rad_per_s,omega_i_rad_per_s,re_f,im_f"
-    assert len(lines) == 1 + 12
-    first = lines[1].split(",")
-    assert float(first[2]) == 0.0 and float(first[3]) == 0.0

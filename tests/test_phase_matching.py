@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from tfm_synth.phase_matching import (
-    DispersionModel,
-    delta_k_full,
-    delta_k_linear,
-    orientation_angle,
-    pmf,
-    pmf_full,
-)
+from tfm_synth.phase_matching import DispersionModel, delta_k_linear, pmf
 
 
 def test_zero_detuning_is_phase_matched():
@@ -42,31 +35,6 @@ def test_pmf_magnitude_bounded():
     m = DispersionModel(slope=1e-6, length=1e-2)
     vals = pmf(m, np.linspace(-1e11, 1e11, 999), 0.0)
     assert np.max(np.abs(vals)) <= 1.0 + 1e-12
-
-
-def test_full_dispersion_reduces_to_energy_conservation():
-    """With k(w) linear in w, all four wavevector terms cancel."""
-    m = DispersionModel(k_of_omega=lambda w: 5e-9 * np.asarray(w), length=1e-3)
-    dk = delta_k_full(m, 1215.075e12, 1215.70e12, 1214.45e12)
-    assert dk == pytest.approx(0.0, abs=1e-6)
-    assert pmf_full(m, 1215.075e12, 1215.70e12, 1214.45e12) == pytest.approx(1.0)
-
-
-def test_full_dispersion_nonlinear_shift():
-    m = DispersionModel(
-        k_of_omega=lambda w: 0.0 * np.asarray(w),
-        gamma0=2.0,
-        peak_power=0.5,
-        length=1e-3,
-    )
-    assert delta_k_full(m, 1.0, 1.0, 1.0) == pytest.approx(-1.0)
-
-
-def test_orientation_angle():
-    assert orientation_angle(1.0, -1.0) == pytest.approx(45.0)
-    assert orientation_angle(1.0, 1.0) == pytest.approx(-45.0)
-    with pytest.warns(UserWarning):
-        assert orientation_angle(1.0, 0.0) == pytest.approx(-90.0)
 
 
 def test_validation():

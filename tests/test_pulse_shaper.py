@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tfm_synth.pulse_shaper import (
     DegenerateInputError,
     PumpSpec,
     Tap,
     fir_response,
-    make_taps,
     shaped_pump,
 )
 from tfm_synth.spectral import SpectralGrid
@@ -23,7 +23,7 @@ def spec_with(amplitudes, phases, theta=0.0, sigma_p=25e9):
     return PumpSpec(
         sigma_p=sigma_p,
         carrier=CARRIER,
-        taps=make_taps(amplitudes, phases),
+        taps=oracles.make_taps(amplitudes, phases),
         base_delay=TAU,
         comb_alignment=theta,
     )

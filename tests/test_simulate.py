@@ -4,13 +4,9 @@ figures of merit computed from it."""
 import numpy as np
 import pytest
 
+import oracles
 from tfm_synth import load_preset, simulate
-from tfm_synth.analysis import (
-    TargetState,
-    fidelity,
-    pair_confined_rho,
-    target_rho,
-)
+from tfm_synth.analysis import TargetState
 
 PRESETS = ("bell_phi_minus", "mes_d3", "mes_d4", "separable")
 
@@ -41,7 +37,8 @@ def test_fidelity_matches_uhlmann_oracle(results):
             cfg.target.dimension, cfg.target.sigma,
             cfg.signal.omega0, cfg.idler.omega0,
         )
-        oracle = fidelity(
-            pair_confined_rho(result.projection.coefficients), target_rho(target)
+        oracle = oracles.fidelity(
+            oracles.pair_confined_rho(result.projection.coefficients),
+            oracles.target_rho(target),
         )
         assert result.fidelity == pytest.approx(oracle, rel=1e-7)
