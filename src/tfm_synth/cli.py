@@ -218,6 +218,9 @@ def cmd_optimize(args) -> int:
         "trial_fidelity": result.fidelity,
         "fit_residual": result.residual,
         "fits": result.fits,
+        # the search and polish run on the config's grid whatever --grid
+        # says, so that the trace does not depend on --grid
+        "grid_points": cfg.grid.n_points,
     }
     _write_json(os.path.join(out, "report.json"), report)
     print(json.dumps(_round9({
@@ -225,6 +228,8 @@ def cmd_optimize(args) -> int:
         "verified_fidelity": verification.fidelity,
         "verified_purity": verification.purity,
         "best_mu": [float(m) for m in result.best_mu],
+        "search_grid": cfg.grid.n_points,
+        "verified_grid": verification.jsa.grid_s.n_points,
     })))
     return 0
 

@@ -13,7 +13,14 @@ state scores best.  A final derivative-free polish refines the leading
 candidates at the full configured resolution.
 
 The phase-matching function is treated as unity inside the loop (the
-factorized model) and enters only in the final forward verification.
+factorized model) and enters only in the forward verification of each
+mu point's best candidate and of the polished ones.  With it unity, the
+reported trial state of an entangled target is |ADP(w_s + w_i)| |l_s|
+|l_i| times the pi-flip signs, a function of the sum frequency times a
+product, so the trial score (each restart's record and every polish
+step) reads its HG pair amplitudes off the 2n - 1 sum frequencies of the
+n^2 grid.  The separable target's score, a purity, takes the SVD of the
+full n^2 state.
 """
 
 from __future__ import annotations
@@ -40,14 +47,25 @@ from .analysis import (
 from .config import ConfigError, DeviceConfig
 from .jsa import (
     AdpModel,
+    DegenerateFieldError,
     Jsa,
     _bilinear,
+    _check_adp_input,
+    compute_jsa,
     compute_tdsi,
+    find_cut_minima,
     jsa_model,
 )
-from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, tap_phasors, tap_sum
+from .pulse_shaper import (
+    DegenerateInputError,
+    PumpSpec,
+    Tap,
+    shaped_pump,
+    tap_phasors,
+    tap_sum,
+)
 from .resonator import field_enhancement_chain
-from .simulate import build_grids, reported_state, simulate
+from .simulate import build_grids, reported_state
 from .spectral import Field1D, Field2D, GridError, SpectralGrid
 
 
@@ -389,14 +407,17 @@ def apply_free_params(
 
 
 def _trial_score(cfg, state, modes_s, modes_i, target_coeff):
-    """Score of a reported trial state.
+    """Score of a reported state on its full n^2 grid.
 
     For an entangled target this is the verification fidelity: the
     pair-confined state's overlap with the target over the full mode
     basis (weight leaking into pairs above the target dimension counts
     against the score).  For the one-dimensional (separable) target the
     pair-confined fidelity is trivially 1, so the score is the spectral
-    purity instead.
+    purity instead, from one values-only SVD.  The verification scores
+    every candidate this way, and so does the trial score of the
+    separable target; _sum_index_score gives the entangled trial score
+    from the 2n - 1 sum frequencies alone.
     """
     if cfg.target.dimension == 1:
         schmidt = schmidt_decompose(state)
@@ -407,6 +428,74 @@ def _trial_score(cfg, state, modes_s, modes_i, target_coeff):
     return pair_fidelity(c, target_coeff)
 
 
+def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
+    """The entangled trial score as a map alpha_p * l_p -> score, on the
+    2n - 1 sum indices m = j + k of an n^2 signal/idler grid pair.
+
+    With a flat phase-matching function the reported state is
+    |ADP(w_s + w_i)| |l_s(w_s)| |l_i(w_i)| s(w_s + w_i) / N, where s is the
+    pi-flip sign field of impose_pi_phase; equal spacings make w_s + w_i
+    depend on j + k alone.  Built once: the sum frequencies with their ADP
+    model, C_k = (f_k |l_s|) * (f_k |l_i|) (linear convolutions) for the
+    HG orders k, D = |l_s|^2 * |l_i|^2, and the weights of the centre cut
+    impose_pi_phase reads (its even sample 2h is node (h, h), its odd
+    sample 2h + 1 the mean of the four corners, on sums 2h, 2h + 1, 2h + 1
+    and 2h + 2).  A score then takes |ADP| at the 2n - 1 sums, finds the
+    cut's nodes with find_cut_minima, builds s there, and forms
+    c_kk = dA C_k.(s |ADP|) / sqrt(dA D.|ADP|^2), the diagonal pair
+    amplitudes pair_fidelity reads (Brecht et al., PRX 5, 041017 (2015)).
+    It raises what the full-grid chain raises on degenerate input.
+    """
+    grid_s, grid_i = l_s.grid, l_i.grid
+    n = grid_s.n_points
+    if grid_i.n_points != n or grid_i.spacing != grid_s.spacing:
+        raise GridError("signal and idler grids must share size and spacing")
+    mag_s = np.abs(l_s.values)
+    mag_i = np.abs(l_i.values)
+    # sum index m stands for its node nearest the diagonal, (m // 2,
+    # m - m // 2): the cut's even samples read those nodes, and the nodes of
+    # one anti-diagonal differ in w_s + w_i by round-off only
+    m = np.arange(2 * n - 1)
+    sums = grid_s.samples[m // 2] + grid_i.samples[m - m // 2]
+    adp = AdpModel(pump_grid, sums)
+    overlaps = np.array(
+        [np.convolve(fs * mag_s, fi * mag_i) for fs, fi in zip(modes_s, modes_i)]
+    )
+    weight = np.convolve(mag_s * mag_s, mag_i * mag_i)
+    cell_area = grid_s.spacing * grid_i.spacing
+    node = mag_s * mag_i
+    corner = 0.25 * node
+    cross = 0.25 * (mag_s[1:] * mag_i[:-1] + mag_s[:-1] * mag_i[1:])
+    # antidiagonal_cut's offsets, and the sign ramp's as impose_pi_phase
+    # builds them
+    span = 2.0 * min(grid_s.half_span, grid_i.half_span)
+    u = np.linspace(-span, span, 2 * n - 1)
+    offsets = sums - (grid_s.center + grid_i.center)
+    cell = grid_s.spacing + grid_i.spacing
+
+    def score(apl):
+        _check_adp_input(apl)
+        a = np.abs(adp(apl))
+        norm2 = cell_area * np.dot(weight, a * a)
+        if norm2 == 0.0:
+            raise DegenerateFieldError("cannot normalize an all-zero JSA")
+        cut = np.empty(2 * n - 1)
+        cut[0::2] = a[0::2] * node
+        cut[1::2] = a[0:-1:2] * corner[:-1] + a[1::2] * cross + a[2::2] * corner[1:]
+        # impose_pi_phase's product of clipped ramps, on |ADP| in place
+        minima = find_cut_minima(u, cut)
+        for u_min in minima:
+            a *= np.clip((offsets - u_min) / cell, -1.0, 1.0)
+        if len(minima) % 2:
+            np.negative(a, out=a)
+        ckk = overlaps @ a * (cell_area / np.sqrt(norm2))
+        if not np.any(ckk):
+            return 0.0
+        return pair_fidelity(np.diag(ckk), target_coeff)
+
+    return score
+
+
 def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int):
     """What scoring trial pumps at one coupling point needs, built once.
 
@@ -415,10 +504,12 @@ def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int
     pump_points, and score(sigma_p, taps), the trial score of the
     reported state with a flat phase-matching function on an
     n_points^2 signal/idler grid.  The chains, the HG bases, the tap
-    phasors, the squared detuning and the JSA model (jsa_model: sum
-    frequencies, ADP interpolation plan, TDSI) are built here; a score
-    evaluates only the shaped pump times l_p, the JSA, the reported state
-    and its HG overlaps.
+    phasors and the squared detuning are built here, and so is the
+    state's model: for an entangled target _sum_index_score, which works
+    on the 2n - 1 sum frequencies only; for the separable target, whose
+    purity needs the SVD of the full state, jsa_model on the n^2 grid,
+    with the reported state and _trial_score built per score.  A score
+    evaluates the shaped pump times l_p and that model.
     """
     trial_cfg = _swept_chains(cfg, mu)
     pump_grid, grid_s, grid_i = build_grids(trial_cfg, n_points)
@@ -433,7 +524,19 @@ def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int
         l_i = field_enhancement_chain(trial_cfg.idler, grid_i)
         modes_s = hg_basis(4, grid_s, grid_s.center, cfg.target.sigma)
         modes_i = hg_basis(4, grid_i, grid_i.center, cfg.target.sigma)
-    assemble = jsa_model(pump_grid, l_s, l_i, replace(cfg.dispersion, slope=0.0))
+    if cfg.target.dimension >= 2:
+        state_score = _sum_index_score(
+            pump_grid, l_s, l_i, modes_s, modes_i, target.coefficients
+        )
+    else:
+        assemble = jsa_model(pump_grid, l_s, l_i, replace(cfg.dispersion, slope=0.0))
+
+        def state_score(apl):
+            return _trial_score(
+                cfg, reported_state(assemble(apl)), modes_s, modes_i,
+                target.coefficients,
+            )
+
     phasors = tap_phasors(cfg.pump, pump_grid)
     detuning = pump_grid.samples - cfg.pump.carrier
     detuning2 = detuning * detuning
@@ -443,11 +546,7 @@ def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int
             warnings.simplefilter("ignore")
             # shaped_pump's Gaussian envelope times the FIR response
             env = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
-            apl = env * tap_sum(taps, phasors) * l_p.values
-            state = reported_state(assemble(apl))
-            return _trial_score(
-                cfg, state, modes_s, modes_i, target.coefficients
-            )
+            return state_score(env * tap_sum(taps, phasors) * l_p.values)
 
     return trial_cfg, target, l_p, score
 
@@ -458,11 +557,32 @@ def _mu_record(mu: tuple) -> dict:
 
 def _verified_score(cfg: DeviceConfig, mu: tuple, sigma_p: float, taps) -> float:
     """Score of a candidate from the full forward model on the configured
-    grid: the fidelity, or the purity for the separable target."""
+    grid: the fidelity simulate reports, or its purity for the separable
+    target.  Only the chain to that number runs -- the shaped pump, the
+    chains, the JSA with its phase matching, the reported state and
+    _trial_score -- not simulate's second SVD or pair rate."""
+    design = apply_free_params(cfg, mu, sigma_p, taps)
+    pump_grid, grid_s, grid_i = build_grids(design)
+    sigma = design.target.sigma
+    target = TargetState(
+        design.target.dimension, sigma, design.signal.omega0, design.idler.omega0
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        verified = simulate(apply_free_params(cfg, mu, sigma_p, taps))
-    return verified.purity if cfg.target.dimension == 1 else verified.fidelity
+        jsa_raw = compute_jsa(
+            shaped_pump(design.pump, pump_grid),
+            field_enhancement_chain(design.pump_resonance, pump_grid),
+            field_enhancement_chain(design.signal, grid_s),
+            field_enhancement_chain(design.idler, grid_i),
+            design.dispersion,
+        )
+        return _trial_score(
+            design,
+            reported_state(jsa_raw),
+            hg_basis(4, grid_s, design.signal.omega0, sigma),
+            hg_basis(4, grid_i, design.idler.omega0, sigma),
+            target.coefficients,
+        )
 
 
 def _run_mu_point(args):
@@ -525,10 +645,13 @@ def _polish_candidate(args):
 
     Maximizes the trial score directly (Nelder-Mead over the pump width
     and taps) on the configured signal/idler grid, where the score
-    coincides with the verification fidelity; the coarse restart grids
-    admit spurious optima that do not survive verification, so the
-    polish must run at full resolution.  Returns (verified score,
-    sigma_p, taps) of the polished parameters.
+    coincides with the verification fidelity up to the phase-matching
+    function; the coarse restart grids admit spurious optima that do not
+    survive verification, so the polish must run at full resolution.
+    For an entangled target each step scores the 2n - 1 sum frequencies
+    of that n^2 grid (_sum_index_score), and the separable target's
+    purity the full grid.  Returns (verified score, sigma_p, taps) of the
+    polished parameters.
     """
     cfg, search, (_, _, sigma_p, taps, mu) = args
     *_, score = _trial_context(cfg, mu, _POLISH_PUMP_POINTS, cfg.grid.n_points)

@@ -209,7 +209,7 @@ def jsa_model(
     is not negligible at the grid edges, and returns
     normalize(ADP(w_s + w_i) PMF TDSI) on the grids of l_s and l_i.
     compute_jsa calls it once; the inverse loop keeps one per trial grid
-    and calls it for every trial pump.
+    of the separable target and calls it for every trial pump.
     """
     grid_s, grid_i = l_s.grid, l_i.grid
     sums = grid_s.samples[:, None] + grid_i.samples[None, :]

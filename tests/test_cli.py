@@ -292,6 +292,24 @@ def test_optimize_invalid_threads_exits_2(tmp_path, capsys, monkeypatch, threads
 
 
 @pytest.mark.slow
+def test_optimize_reports_the_search_and_verified_grids(tmp_path, capsys):
+    """--grid sets the verification's grid only; the search runs on the
+    config's, and both are reported."""
+    code, out, _ = run(
+        capsys, "optimize", "--config", "bell_phi_minus",
+        "--seed", "0", "--restarts", "1", "--grid", "128",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 0
+    searched = load_preset("bell_phi_minus").grid.n_points
+    summary = json.loads(out)
+    assert summary["search_grid"] == searched != 128
+    assert summary["verified_grid"] == 128
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["search"]["grid_points"] == searched
+
+
+@pytest.mark.slow
 def test_optimize_bit_reproducible(tmp_path, capsys):
     """Two runs with the same seed emit byte-identical traces."""
     args = [

@@ -24,15 +24,17 @@ from tfm_synth.inversion import (
     _swept_chains,
     _trial_context,
     _trial_score,
+    _verified_score,
+    apply_free_params,
     decouple_tdsi,
     extract_antidiagonal,
     fit_adp,
     optimize_state,
 )
-from tfm_synth.jsa import AdpModel, Jsa, normalize
+from tfm_synth.jsa import AdpModel, DegenerateFieldError, Jsa, normalize
 from tfm_synth.pulse_shaper import DegenerateInputError, PumpSpec, shaped_pump
 from tfm_synth.resonator import field_enhancement_chain
-from tfm_synth.simulate import build_grids, reported_state
+from tfm_synth.simulate import build_grids, reported_state, simulate
 from tfm_synth.spectral import Field1D, Field2D, GridError, SpectralGrid, hg_mode
 
 S0 = 1215.70e12
@@ -422,6 +424,86 @@ def test_trial_context_score_matches_the_rebuilt_chain(pump_points, n_points):
         )
         assert abs(score(cfg.pump.sigma_p, cfg.pump.taps) - want) <= 1e-10
     assert want > 0.9
+
+
+@pytest.mark.parametrize(
+    "pump_points, n_points", [(512, 128), (2048, 256), (2048, 512)]
+)
+@pytest.mark.parametrize("preset", ["mes_d3", "mes_d4"])
+def test_sum_index_score_matches_the_rebuilt_chain_beyond_bell(
+    preset, pump_points, n_points
+):
+    """The entangled trial score, on the 2n - 1 sum frequencies, equals
+    the full-grid chain for the d = 3 and d = 4 targets, at the preset and
+    at seeded pump widths and taps."""
+    cfg = load_preset(preset)
+    mu = cfg.signal.couplings
+    n_taps = len(cfg.pump.taps)
+    rng = np.random.default_rng([pump_points, n_points])
+    *_, score = _trial_context(cfg, mu, pump_points, n_points)
+    trials = [(cfg.pump.sigma_p, cfg.pump.taps)] + [
+        (
+            cfg.pump.sigma_p * rng.uniform(0.7, 1.3),
+            oracles.make_taps(
+                rng.uniform(0.1, 1.0, n_taps), rng.uniform(0.0, 2.0 * np.pi, n_taps)
+            ),
+        )
+        for _ in range(3)
+    ]
+    for sigma_p, taps in trials:
+        want = _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps)
+        assert abs(score(sigma_p, taps) - want) <= 1e-10
+    # the preset's own pump scores high, so the check covers a good state
+    assert score(cfg.pump.sigma_p, cfg.pump.taps) > 0.8
+
+
+@pytest.mark.parametrize("preset", ["bell_phi_minus", "separable"])
+def test_trial_score_rejects_an_all_zero_pump(preset):
+    """All-zero tap amplitudes raise on the sum-index score as on the
+    full-grid one the separable target keeps."""
+    cfg = load_preset(preset)
+    *_, score = _trial_context(cfg, (1.0e9,), _FIT_PUMP_POINTS, _VERIFY_POINTS)
+    taps = oracles.make_taps([0.0] * len(cfg.pump.taps), [0.3] * len(cfg.pump.taps))
+    with pytest.raises(DegenerateFieldError):
+        score(cfg.pump.sigma_p, taps)
+
+
+def test_separable_trial_score_is_the_purity_of_the_full_grid_state():
+    cfg = load_preset("separable")
+    mu = cfg.pump_resonance.couplings
+    rng = np.random.default_rng(7)
+    *_, score = _trial_context(cfg, mu, _FIT_PUMP_POINTS, _VERIFY_POINTS)
+    n_taps = len(cfg.pump.taps)
+    for sigma_p, taps in [
+        (cfg.pump.sigma_p, cfg.pump.taps),
+        (
+            cfg.pump.sigma_p * 1.2,
+            oracles.make_taps(
+                rng.uniform(0.1, 1.0, n_taps), rng.uniform(0.0, 2.0 * np.pi, n_taps)
+            ),
+        ),
+    ]:
+        want = _parent_trial_score(
+            cfg, mu, _FIT_PUMP_POINTS, _VERIFY_POINTS, sigma_p, taps
+        )
+        assert abs(score(sigma_p, taps) - want) <= 1e-10
+
+
+@pytest.mark.parametrize("n_points", [256, 512])
+@pytest.mark.parametrize(
+    "preset", ["bell_phi_minus", "mes_d3", "mes_d4", "separable"]
+)
+def test_verified_score_equals_simulate(preset, n_points):
+    """The verification computes exactly the figure simulate reports:
+    the fidelity, or the purity for the separable target."""
+    cfg = load_preset(preset)
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=n_points))
+    swept = cfg.signal if cfg.target.dimension >= 2 else cfg.pump_resonance
+    mu = swept.couplings
+    got = _verified_score(cfg, mu, cfg.pump.sigma_p, cfg.pump.taps)
+    full = simulate(apply_free_params(cfg, mu, cfg.pump.sigma_p, cfg.pump.taps))
+    want = full.purity if cfg.target.dimension == 1 else full.fidelity
+    assert got == want
 
 
 def _loaded_blas_threads():
