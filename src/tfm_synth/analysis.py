@@ -33,13 +33,24 @@ class SchmidtResult:
 
 
 def schmidt_decompose(jsa: Jsa) -> SchmidtResult:
-    """Values-only SVD of the quadrature-weighted amplitude; weights are
-    squared singular values, those above 1e-14 kept."""
+    """Schmidt weights as the eigenvalues of the Gram matrix F F^H dA of
+    the amplitude F, taken on its smaller side; those above 1e-14 are
+    kept.
+
+    The weights are the squared singular values of F sqrt(dA).  The
+    state is normalized, so the largest weight is at most 1, and the
+    symmetric eigensolver returns every weight to an absolute error of
+    about eps * lambda_max, the scale the 1e-14 threshold assumes.
+    """
     if not jsa.normalized:
         raise PreconditionError("schmidt_decompose requires a normalized JSA")
-    a = jsa.amplitude * np.sqrt(jsa.grid_s.spacing * jsa.grid_i.spacing)
-    s = np.linalg.svd(a, compute_uv=False)
-    weights = s * s
+    a = jsa.amplitude
+    if a.shape[0] > a.shape[1]:
+        a = a.T
+    gram = a @ a.conj().T
+    gram *= jsa.cell_area
+    weights = np.linalg.eigvalsh(gram)[::-1]
+    np.clip(weights, 0.0, None, out=weights)
     keep = int(np.sum(weights > 1e-14)) or 1
     return SchmidtResult(weights[:keep])
 

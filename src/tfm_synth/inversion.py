@@ -19,8 +19,8 @@ reported trial state of an entangled target is |ADP(w_s + w_i)| |l_s|
 |l_i| times the pi-flip signs, a function of the sum frequency times a
 product, so the trial score (each restart's record and every polish
 step) reads its HG pair amplitudes off the 2n - 1 sum frequencies of the
-n^2 grid.  The separable target's score, a purity, takes the SVD of the
-full n^2 state.
+n^2 grid.  The separable target's score, a purity, takes the Schmidt
+weights of the full n^2 state from one eigensolve of its Gram matrix.
 """
 
 from __future__ import annotations
@@ -414,7 +414,8 @@ def _trial_score(cfg, state, modes_s, modes_i, target_coeff):
     basis (weight leaking into pairs above the target dimension counts
     against the score).  For the one-dimensional (separable) target the
     pair-confined fidelity is trivially 1, so the score is the spectral
-    purity instead, from one values-only SVD.  The verification scores
+    purity instead, from the eigenvalues of the state's Gram matrix
+    (analysis.schmidt_decompose).  The verification scores
     every candidate this way, and so does the trial score of the
     separable target; _sum_index_score gives the entangled trial score
     from the 2n - 1 sum frequencies alone.
@@ -507,9 +508,9 @@ def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int
     phasors and the squared detuning are built here, and so is the
     state's model: for an entangled target _sum_index_score, which works
     on the 2n - 1 sum frequencies only; for the separable target, whose
-    purity needs the SVD of the full state, jsa_model on the n^2 grid,
-    with the reported state and _trial_score built per score.  A score
-    evaluates the shaped pump times l_p and that model.
+    purity needs the Schmidt weights of the full state, jsa_model on the
+    n^2 grid, with the reported state and _trial_score built per score.  A
+    score evaluates the shaped pump times l_p and that model.
     """
     trial_cfg = _swept_chains(cfg, mu)
     pump_grid, grid_s, grid_i = build_grids(trial_cfg, n_points)
@@ -560,7 +561,8 @@ def _verified_score(cfg: DeviceConfig, mu: tuple, sigma_p: float, taps) -> float
     grid: the fidelity simulate reports, or its purity for the separable
     target.  Only the chain to that number runs -- the shaped pump, the
     chains, the JSA with its phase matching, the reported state and
-    _trial_score -- not simulate's second SVD or pair rate."""
+    _trial_score -- not simulate's second Schmidt decomposition or pair
+    rate."""
     design = apply_free_params(cfg, mu, sigma_p, taps)
     pump_grid, grid_s, grid_i = build_grids(design)
     sigma = design.target.sigma
@@ -679,10 +681,10 @@ def _one_blas_thread() -> None:
     """Pool initializer: one thread for every OpenBLAS the worker has loaded.
 
     The workers already fill the cores.  A threaded BLAS call in one of
-    them (the verification's SVDs, the HG overlaps of a 512^2 polish)
-    leaves OpenBLAS threads spinning on the cores the other workers
-    compute on.  Where no OpenBLAS is found (another BLAS, no /proc),
-    this does nothing.
+    them (the separable target's Gram eigensolve, the HG overlaps of a
+    512^2 verification) leaves OpenBLAS threads spinning on the cores the
+    other workers compute on.  Where no OpenBLAS is found (another BLAS,
+    no /proc), this does nothing.
     """
     try:
         with open("/proc/self/maps") as fh:

@@ -373,7 +373,7 @@ def save_jsa_binary(jsa: Jsa, bin_path: str, sidecar_path: str) -> None:
     interleaved = np.empty((jsa.grid_i.n_points, jsa.grid_s.n_points, 2))
     interleaved[:, :, 0] = jsa.amplitude.real.T
     interleaved[:, :, 1] = jsa.amplitude.imag.T
-    interleaved.astype("<f8").tofile(bin_path)
+    interleaved.astype("<f8", copy=False).tofile(bin_path)
     sidecar = {
         "dtype": "<f8",
         "layout": "row-major (idler, signal, re/im); signal index fastest",

@@ -118,6 +118,20 @@ def mzi_effective_mu(spec: MziCouplerSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Schmidt weights
+
+def svd_weights(jsa: Jsa) -> np.ndarray:
+    """Schmidt weights as the squared singular values of the
+    quadrature-weighted amplitude, from a values-only SVD, those above
+    1e-14 kept: the reference for analysis.schmidt_decompose's
+    eigensolve of the Gram matrix."""
+    a = jsa.amplitude * np.sqrt(jsa.grid_s.spacing * jsa.grid_i.spacing)
+    s = np.linalg.svd(a, compute_uv=False)
+    weights = s * s
+    return weights[: int(np.sum(weights > 1e-14)) or 1]
+
+
+# ---------------------------------------------------------------------------
 # fidelity
 
 def pair_confined_rho(coefficients: np.ndarray, dim: int = 4) -> np.ndarray:

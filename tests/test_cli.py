@@ -99,6 +99,16 @@ def test_simulate_missing_kappa_exits_2(tmp_path, capsys):
     assert "kappa" in stderr
 
 
+def test_malformed_yaml_exits_2(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("grid:\n  n_points: [256\n  half_span: 1 THz\n")
+    code, _, stderr = run(
+        capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "o")
+    )
+    assert code == 2
+    assert "not valid YAML" in stderr
+
+
 def test_unknown_preset_exits_2(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "simulate", "--config", "no_such_preset",

@@ -8,6 +8,7 @@ import yaml
 from tfm_synth.config import (
     ConfigError,
     PRESET_NAMES,
+    load_config,
     load_preset,
     parse_config,
     preset_path,
@@ -47,6 +48,30 @@ def test_preset_values_separable():
     assert cfg.pump_resonance.couplings == (6.30e9,)
     assert cfg.pump.taps[0].amplitude == 1.0
     assert all(t.amplitude == 0.0 for t in cfg.pump.taps[1:])
+
+
+@pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="pyyaml built without libyaml"
+)
+def test_libyaml_and_python_loaders_agree_on_presets():
+    """load_config parses with libyaml when it can; the pure-Python safe
+    loader gives the same tree and the same DeviceConfig."""
+    for name in PRESET_NAMES:
+        with open(preset_path(name)) as fh:
+            text = fh.read()
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        slow = yaml.load(text, Loader=yaml.SafeLoader)
+        assert fast == slow
+        cfg = parse_config(slow, name_hint=name)
+        assert parse_config(fast, name_hint=name) == cfg
+        assert load_preset(name) == cfg
+
+
+def test_malformed_yaml_raises_config_error(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("grid:\n  n_points: [256\n  half_span: 1 THz\n")
+    with pytest.raises(ConfigError, match="not valid YAML"):
+        load_config(str(path))
 
 
 def test_unknown_preset():

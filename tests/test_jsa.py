@@ -1,5 +1,8 @@
 """JSA assembly, anti-diagonal machinery, and export formats."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
@@ -391,3 +394,28 @@ def test_save_load_binary_round_trip(tmp_path):
     assert back.grid_s == jsa.grid_s
     assert back.grid_i == jsa.grid_i
     assert back.normalized
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_save_binary_bytes_follow_documented_layout(tmp_path, dtype):
+    """jsa.bin holds little-endian float64 (re, im) pairs, row-major over
+    (idler, signal), the signal index varying fastest."""
+    gs = SpectralGrid(S0, 40e9, 5)
+    gi = SpectralGrid(I0, 40e9, 3)
+    rng = np.random.default_rng(8)
+    amp = rng.normal(size=(5, 3)).astype(dtype)
+    if dtype is complex:
+        amp += 1j * rng.normal(size=(5, 3))
+    jsa = Jsa(gs, gi, amp)
+    bin_path = tmp_path / "jsa.bin"
+    meta_path = tmp_path / "jsa.json"
+    save_jsa_binary(jsa, str(bin_path), str(meta_path))
+    want = b"".join(
+        struct.pack("<dd", amp[k, j].real, amp[k, j].imag)
+        for j in range(3)
+        for k in range(5)
+    )
+    assert bin_path.read_bytes() == want
+    meta = json.loads(meta_path.read_text())
+    assert meta["dtype"] == "<f8"
+    assert meta["shape"] == [3, 5, 2]

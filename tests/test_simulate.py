@@ -6,7 +6,9 @@ import pytest
 
 import oracles
 from tfm_synth import load_preset, simulate
-from tfm_synth.analysis import TargetState
+from tfm_synth.analysis import TargetState, purity, schmidt_decompose
+from tfm_synth.jsa import Jsa, normalize
+from tfm_synth.spectral import SpectralGrid
 
 PRESETS = ("bell_phi_minus", "mes_d3", "mes_d4", "separable")
 
@@ -14,6 +16,24 @@ PRESETS = ("bell_phi_minus", "mes_d3", "mes_d4", "separable")
 @pytest.fixture(scope="module")
 def results():
     return {name: simulate(load_preset(name), n_points=512) for name in PRESETS}
+
+
+@pytest.fixture(scope="module")
+def results_96():
+    return {name: simulate(load_preset(name), n_points=96) for name in PRESETS}
+
+
+def assert_weights_match_svd(jsa):
+    """schmidt_decompose's Gram-matrix eigenvalues agree with the
+    values-only SVD to |d lambda_k| <= 1e-15 + 1e-12 lambda_k for k < 16,
+    and on purity to 1e-14 relative."""
+    got = schmidt_decompose(jsa).weights
+    want = oracles.svd_weights(jsa)
+    k = min(16, got.size, want.size)
+    assert k == min(16, want.size)
+    err = np.abs(got[:k] - want[:k])
+    assert np.all(err <= 1e-15 + 1e-12 * want[:k]), err
+    assert purity(got) == pytest.approx(purity(want), rel=1e-14, abs=0)
 
 
 def test_reported_state_is_real(results):
@@ -42,3 +62,26 @@ def test_fidelity_matches_uhlmann_oracle(results):
             oracles.target_rho(target),
         )
         assert result.fidelity == pytest.approx(oracle, rel=1e-7)
+
+
+@pytest.mark.parametrize("grid", ["results", "results_96"])
+def test_gram_weights_match_svd_on_reported_and_raw_states(grid, request):
+    for result in request.getfixturevalue(grid).values():
+        assert np.iscomplexobj(result.jsa_raw.amplitude)
+        assert_weights_match_svd(result.jsa)
+        assert_weights_match_svd(result.jsa_raw)
+
+
+@pytest.mark.parametrize("n_s, n_i", [(160, 96), (96, 160)])
+def test_gram_weights_match_svd_on_non_square_jsa(n_s, n_i):
+    """A correlated complex Gaussian on unequal grids: the taller one is
+    transposed before its Gram matrix is formed."""
+    grid_s = SpectralGrid(1215.70e12, 40e9, n_s)
+    grid_i = SpectralGrid(1214.45e12, 30e9, n_i)
+    d_s = (grid_s.samples - grid_s.center)[:, None] / 10e9
+    d_i = (grid_i.samples - grid_i.center)[None, :] / 10e9
+    amp = np.exp(-((d_s + d_i) ** 2) / 0.5 - ((d_s - d_i) ** 2) / 8.0)
+    amp = amp * np.exp(1j * (0.3 * d_s**2 - 0.7 * d_s * d_i))
+    jsa = normalize(Jsa(grid_s, grid_i, amp))
+    assert schmidt_decompose(jsa).weights.size > 4
+    assert_weights_match_svd(jsa)
