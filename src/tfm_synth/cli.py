@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 All floating-point values in emitted files and stdout are written with
-9 significant digits; file writes are atomic (temp file + rename).
+9 significant digits.  File writes are atomic (temp file + rename), and
+the files are created with mode 0666 less the umask.  `simulate` formats
+each grid's frequency column once and shares it between the CSVs on that
+grid; each CSV is then formatted in one pass.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 import warnings
 from dataclasses import replace
 
@@ -59,9 +61,14 @@ def _round9(obj):
 
 
 def _atomic_write(path: str, writer) -> None:
-    """Write via a temp file in the destination directory, then rename."""
+    """Write via a temp file in the destination directory, then rename.
+
+    The temp file is created 0666 less the umask, like a file that open()
+    creates, under a name no other writer holds (O_EXCL).
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             writer(fh)
@@ -104,15 +111,30 @@ def _grid_override(n_points):
     return n_points
 
 
-def _magnitude_csv(field, header: str, squared: bool = False) -> str:
+def _omega_column(grid) -> list[str]:
+    """The grid's frequencies as '%.9g' strings, formatted in one pass."""
+    samples = grid.samples.tolist()
+    return ("%.9g\n" * len(samples) % tuple(samples)).split("\n")[:-1]
+
+
+def _magnitude_csv(
+    omega: list[str], field, header: str, squared: bool = False
+) -> str:
+    """CSV of |field| (|field|^2 if squared) against its grid's frequencies.
+
+    omega is _omega_column(field.grid).  The header line is
+    'omega_rad_per_s,<header>', then one row per grid sample, both columns
+    with 9 significant digits.  The rows are formatted in one '%' pass
+    over the interleaved (omega, magnitude) values; Python floats format
+    as numpy's do, without a numpy scalar per value.
+    """
     mag = np.abs(field.values)
     if squared:
         mag = mag * mag
-    # Python floats format as numpy's do, without a numpy scalar per value
-    body = "\n".join(
-        map("{:.9g},{:.9g}".format, field.grid.samples.tolist(), mag.tolist())
-    )
-    return f"omega_rad_per_s,{header}\n{body}\n"
+    rows = [None] * (2 * len(omega))
+    rows[::2] = omega
+    rows[1::2] = mag.tolist()
+    return f"omega_rad_per_s,{header}\n" + ("%s,%.9g\n" * len(omega)) % tuple(rows)
 
 
 def cmd_simulate(args) -> int:
@@ -129,27 +151,27 @@ def cmd_simulate(args) -> int:
     os.replace(tmp_bin, os.path.join(out, "jsa.bin"))
     os.replace(tmp_json, os.path.join(out, "jsa.json"))
 
-    _write_text(
-        os.path.join(out, "pump_shaper.csv"),
-        _magnitude_csv(result.fir, "abs_h"),
-    )
-    for name, field in (
-        ("pump", result.l_p), ("signal", result.l_s), ("idler", result.l_i)
-    ):
+    # each grid's frequency column is formatted once, for all its CSVs
+    columns = {}
+
+    def write_csv(name, field, header, squared=False):
+        if field.grid not in columns:
+            columns[field.grid] = _omega_column(field.grid)
         _write_text(
-            os.path.join(out, f"enhancement_{name}.csv"),
-            _magnitude_csv(field, "abs_l"),
+            os.path.join(out, name),
+            _magnitude_csv(columns[field.grid], field, header, squared),
         )
-    for name, chain, grid in (
-        ("pump", cfg.pump_resonance, result.l_p.grid),
-        ("signal", cfg.signal, result.l_s.grid),
-        ("idler", cfg.idler, result.l_i.grid),
+
+    write_csv("pump_shaper.csv", result.fir, "abs_h")
+    for name, field, chain in (
+        ("pump", result.l_p, cfg.pump_resonance),
+        ("signal", result.l_s, cfg.signal),
+        ("idler", result.l_i, cfg.idler),
     ):
-        _write_text(
-            os.path.join(out, f"transmission_{name}.csv"),
-            _magnitude_csv(
-                bus_transmission(chain, grid), "abs_t_squared", squared=True
-            ),
+        write_csv(f"enhancement_{name}.csv", field, "abs_l")
+        write_csv(
+            f"transmission_{name}.csv",
+            bus_transmission(chain, field.grid), "abs_t_squared", squared=True,
         )
     _write_json(os.path.join(out, "report.json"), analysis_report(result))
     print(json.dumps(_round9({

@@ -100,6 +100,12 @@ def fir_response(spec: PumpSpec, grid: SpectralGrid) -> Field1D:
 
 def shaped_pump(spec: PumpSpec, grid: SpectralGrid) -> Field1D:
     """Shaped pump spectrum: Gaussian envelope times FIR response."""
+    return apply_envelope(spec, fir_response(spec, grid))
+
+
+def apply_envelope(spec: PumpSpec, response: Field1D) -> Field1D:
+    """Shaped pump from a FIR response already evaluated on its grid: the
+    Gaussian envelope times the response, as shaped_pump forms it."""
+    grid = response.grid
     envelope = gaussian_envelope(grid, spec.carrier, spec.sigma_p)
-    response = fir_response(spec, grid)
     return Field1D(grid, envelope.values * response.values)

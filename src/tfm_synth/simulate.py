@@ -28,7 +28,7 @@ from .analysis import (
 )
 from .config import DeviceConfig
 from .jsa import Jsa, compute_jsa, impose_pi_phase, normalize
-from .pulse_shaper import fir_response, shaped_pump
+from .pulse_shaper import apply_envelope, fir_response
 from .resonator import field_enhancement_chain
 from .spectral import Field1D, SpectralGrid
 
@@ -102,8 +102,10 @@ def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult
     """Run the forward model and compute all figures of merit."""
     pump_grid, grid_s, grid_i = build_grids(cfg, n_points)
 
-    pump = shaped_pump(cfg.pump, pump_grid)
+    # the FIR response is evaluated once: it is an output of its own and
+    # the factor of the shaped pump
     fir = fir_response(cfg.pump, pump_grid)
+    pump = apply_envelope(cfg.pump, fir)
     l_p = field_enhancement_chain(cfg.pump_resonance, pump_grid)
     l_s = field_enhancement_chain(cfg.signal, grid_s)
     l_i = field_enhancement_chain(cfg.idler, grid_i)

@@ -2,6 +2,8 @@
 
 import copy
 import json
+import os
+import stat
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,8 +13,9 @@ import yaml
 import oracles
 from tfm_synth import cli, inversion
 from tfm_synth.cli import main
-from tfm_synth.config import load_preset, preset_path
-from tfm_synth.resonator import MziCouplerSpec
+from tfm_synth.config import PRESET_NAMES, load_preset, preset_path
+from tfm_synth.resonator import MziCouplerSpec, bus_transmission
+from tfm_synth.simulate import simulate
 
 
 def run(capsys, *argv):
@@ -81,8 +84,86 @@ def test_magnitude_csv_matches_the_row_loop(squared):
     )
     with np.errstate(over="ignore", under="ignore"):
         want = _magnitude_csv_loop(field, "abs_l", squared)
-        got = cli._magnitude_csv(field, "abs_l", squared)
+        got = cli._magnitude_csv(
+            cli._omega_column(field.grid), field, "abs_l", squared
+        )
     assert got == want
+
+
+def _simulate_config(tmp_path, config):
+    """A preset name, or 'asymmetric': mes_d3 with c1 = 1, c2 = -0.8."""
+    if config != "asymmetric":
+        return config
+    with open(preset_path("mes_d3")) as fh:
+        tree = yaml.safe_load(fh)
+    tree["dispersion"]["c1"] = 1.0
+    tree["dispersion"]["c2"] = -0.8
+    path = tmp_path / "asymmetric.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    return str(path)
+
+
+@pytest.mark.parametrize("config", [*PRESET_NAMES, "asymmetric"])
+def test_simulate_csvs_match_the_row_loop(tmp_path, capsys, config):
+    """Each CSV of a run is the row loop applied to its own field, so no
+    column comes from another grid: signal and idler share size and
+    spacing but not centre."""
+    config = _simulate_config(tmp_path, config)
+    out = tmp_path / "sim"
+    code, _, _ = run(
+        capsys, "simulate", "--config", config, "--out", str(out), "--grid", "64"
+    )
+    assert code == 0
+    cfg = cli._load(config)
+    result = simulate(cfg, n_points=64)
+    assert result.l_s.grid.center != result.l_i.grid.center
+    want = {
+        "pump_shaper.csv": _magnitude_csv_loop(result.fir, "abs_h"),
+    }
+    for name, field, chain in (
+        ("pump", result.l_p, cfg.pump_resonance),
+        ("signal", result.l_s, cfg.signal),
+        ("idler", result.l_i, cfg.idler),
+    ):
+        want[f"enhancement_{name}.csv"] = _magnitude_csv_loop(field, "abs_l")
+        want[f"transmission_{name}.csv"] = _magnitude_csv_loop(
+            bus_transmission(chain, field.grid), "abs_t_squared", squared=True
+        )
+    for name, text in want.items():
+        assert (out / name).read_text() == text, name
+
+
+def test_output_files_follow_the_umask(tmp_path, capsys):
+    """Every file simulate and sweep-mzi write has mode 0666 less the
+    umask, the mode of jsa.bin, which open() creates."""
+    umask = 0o027
+    previous = os.umask(umask)
+    try:
+        sim, mzi = tmp_path / "sim", tmp_path / "mzi"
+        assert run(
+            capsys, "simulate", "--config", "bell_phi_minus",
+            "--out", str(sim), "--grid", "64",
+        )[0] == 0
+        assert run(
+            capsys, "sweep-mzi", "--config", "bell_phi_minus", "--out", str(mzi)
+        )[0] == 0
+    finally:
+        os.umask(previous)
+    files = sorted(sim.iterdir()) + sorted(mzi.iterdir())
+    assert len(files) == 11
+    modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in files}
+    assert modes["jsa.bin"] == 0o666 & ~umask
+    assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    def broken(fh):
+        fh.write("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        cli._atomic_write(str(tmp_path / "report.json"), broken)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_missing_kappa_exits_2(tmp_path, capsys):

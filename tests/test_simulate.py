@@ -1,14 +1,21 @@
 """Forward model on the shipped presets: the real reported state and the
 figures of merit computed from it."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 import oracles
-from tfm_synth import load_preset, simulate
+from tfm_synth import load_preset, pulse_shaper, simulate
 from tfm_synth.analysis import TargetState, purity, schmidt_decompose
 from tfm_synth.jsa import Jsa, normalize
+from tfm_synth.pulse_shaper import shaped_pump
+from tfm_synth.simulate import build_grids
 from tfm_synth.spectral import SpectralGrid
+
+# the package's `simulate` attribute is the function, not the module
+simulate_module = importlib.import_module("tfm_synth.simulate")
 
 PRESETS = ("bell_phi_minus", "mes_d3", "mes_d4", "separable")
 
@@ -85,3 +92,29 @@ def test_gram_weights_match_svd_on_non_square_jsa(n_s, n_i):
     jsa = normalize(Jsa(grid_s, grid_i, amp))
     assert schmidt_decompose(jsa).weights.size > 4
     assert_weights_match_svd(jsa)
+
+
+def test_one_fir_evaluation_per_simulate(monkeypatch):
+    """simulate evaluates the FIR response once, counted through both the
+    simulate module's binding and the pulse shaper's own."""
+    calls = []
+    original = pulse_shaper.fir_response
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(simulate_module, "fir_response", counted)
+    monkeypatch.setattr(pulse_shaper, "fir_response", counted)
+    simulate(load_preset("bell_phi_minus"), n_points=32)
+    assert len(calls) == 1
+
+
+def test_pump_is_the_shaped_pump_bit_for_bit(results):
+    for result in results.values():
+        cfg = result.config
+        pump_grid = build_grids(cfg)[0]
+        assert result.pump.grid == result.fir.grid == pump_grid
+        assert np.array_equal(
+            result.pump.values, shaped_pump(cfg.pump, pump_grid).values
+        )
