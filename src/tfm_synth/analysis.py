@@ -119,32 +119,31 @@ def hg_overlaps(jsa: Jsa, modes_s: np.ndarray, modes_i: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class TfmProjection:
-    """Projection of a JSA onto the d x d HG pair basis."""
+    """Projection of a JSA onto the 4 x 4 HG pair basis."""
 
-    coefficients: np.ndarray      # c_kl, d x d; real for a real JSA
+    coefficients: np.ndarray      # c_kl, 4 x 4; real for a real JSA
     subspace_weight: float        # sum |c_kl|^2
-    higher_order_weight: float    # 1 - sum of the first d Schmidt weights
+    higher_order_weight: float    # 1 - sum of the first 4 Schmidt weights
 
 
 def project_to_tfm(
-    jsa: Jsa, sigma: float, center_s: float, center_i: float, dim: int = 4
+    jsa: Jsa, sigma: float, center_s: float, center_i: float
 ) -> TfmProjection:
-    """HG pair-basis amplitudes c_kl = <f_k x f_l, F>, the weight they
-    carry, and the weight beyond the first d Schmidt modes."""
+    """HG pair-basis amplitudes c_kl = <f_k x f_l, F> for k, l < 4 (the
+    largest target dimension), the weight they carry, and the weight
+    beyond the first 4 Schmidt modes."""
     if not jsa.normalized:
         raise PreconditionError("project_to_tfm requires a normalized JSA")
     c = hg_overlaps(
         jsa,
-        hg_basis(dim, jsa.grid_s, center_s, sigma),
-        hg_basis(dim, jsa.grid_i, center_i, sigma),
+        hg_basis(4, jsa.grid_s, center_s, sigma),
+        hg_basis(4, jsa.grid_i, center_i, sigma),
     )
     weight = float(np.sum(np.abs(c) ** 2))
     if weight < 0.5:
-        warnings.warn(
-            f"only {weight:.3f} of the state lies in the {dim}x{dim} HG subspace"
-        )
+        warnings.warn(f"only {weight:.3f} of the state lies in the 4x4 HG subspace")
     w = schmidt_decompose(jsa).weights
-    higher = float(1.0 - np.sum(w[:dim]))
+    higher = float(1.0 - np.sum(w[:4]))
     return TfmProjection(c, weight, higher)
 
 

@@ -282,6 +282,13 @@ def cmd_sweep_mzi(args) -> int:
     if cfg.mzi is None:
         raise ConfigError("config has no 'mzi' section")
     spec = cfg.mzi
+    for flag, value in (
+        ("--mu-min", args.mu_min),
+        ("--mu-max", args.mu_max),
+        ("--mu-step", args.mu_step),
+    ):
+        if not np.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     if args.mu_min < 0:
         raise ConfigError(f"--mu-min must be >= 0, got {args.mu_min}")
     if args.mu_step <= 0:

@@ -3,14 +3,14 @@
 The six-step procedure: (1) fix the device constants and the target
 state; (2) pick a value of the inter-ring coupling mu and build the
 signal-idler filter TDSI; (3) divide the target JSA by the TDSI
-(regularized) and extract its anti-diagonal profile, reducing the
-problem to one dimension; (4) least-squares fit the magnitude of the
-pump-side model (envelope width sigma_p and the FIR taps, through the
-ADP model the forward path uses and its exact derivative) to that
-profile's magnitude; (5) repeat the fit from many random initial tap
-settings; (6) sweep mu and keep the candidate whose forward-simulated
-state scores best.  A final derivative-free polish refines the leading
-candidates at the full configured resolution.
+(regularized) and read its anti-diagonal profile (_target_profile),
+reducing the problem to one dimension; (4) least-squares fit the
+magnitude of the pump-side model (envelope width sigma_p and the FIR
+taps, through the ADP model the forward path uses and its exact
+derivative) to that profile's magnitude; (5) repeat the fit from many
+random initial tap settings; (6) sweep mu and keep the candidate whose
+forward-simulated state scores best.  A final derivative-free polish
+refines the leading candidates at the full configured resolution.
 
 The phase-matching function is treated as unity inside the loop (the
 factorized model) and enters only in the forward verification of each
@@ -51,22 +51,13 @@ from .jsa import (
     Jsa,
     _bilinear,
     _check_adp_input,
-    compute_jsa,
-    compute_tdsi,
     find_cut_minima,
     jsa_model,
 )
-from .pulse_shaper import (
-    DegenerateInputError,
-    PumpSpec,
-    Tap,
-    shaped_pump,
-    tap_phasors,
-    tap_sum,
-)
+from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, tap_phasors, tap_sum
 from .resonator import field_enhancement_chain
-from .simulate import build_grids, reported_state
-from .spectral import Field1D, Field2D, GridError, SpectralGrid
+from .simulate import build_grids, forward_chain, reported_state
+from .spectral import Field1D, GridError, SpectralGrid
 
 
 _TWO_PI_GHZ = 2.0 * np.pi * 1e9
@@ -166,53 +157,34 @@ class OptimizeResult:
 
 
 # ---------------------------------------------------------------------------
-# steps (3): decoupling and extraction
+# step (3): decoupling and extraction
 
-def decouple_tdsi(target: Jsa, tdsi: Field2D, epsilon: float = _EPSILON) -> Field2D:
-    """Regularized division of the target JSA by the signal-idler filter.
+def _target_profile(target: Jsa, l_s: Field1D, l_i: Field1D) -> AdpProfile:
+    """The target's anti-diagonal profile with the signal-idler filter
+    divided out, at _FIT_PROFILE_POINTS sum-frequency offsets.
 
-    G = F conj(T) / (|T|^2 + eps^2 max|T|^2); where |T| >> eps this
-    approaches F / T, and the regularization keeps the quotient bounded
-    in the filter's nulls.
+    The target F is divided by the filter T = l_s(w_s) l_i(w_i),
+    regularized: G = F conj(T) / (|T|^2 + eps^2 max|T|^2); where |T| >>
+    eps this approaches F / T, and the regularization keeps the quotient
+    bounded in the filter's nulls.  The profile is u -> G(w_s0 + u/2,
+    w_i0 + u/2), bilinearly interpolated, with u the offset of the sum
+    frequency w_s + w_i from its center value w_s0 + w_i0; the cut runs
+    along the main diagonal, on which the anti-diagonal coordinate is
+    constant.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if target.grid_s != tdsi.grid_s or target.grid_i != tdsi.grid_i:
-        raise GridError("target and TDSI must share the same grids")
-    mag2 = np.abs(tdsi.values) ** 2
+    tdsi = np.outer(l_s.values, l_i.values)
+    mag2 = np.abs(tdsi) ** 2
     peak = np.max(mag2)
     if peak == 0.0:
         raise DegenerateInputError("TDSI is identically zero")
-    g = target.amplitude * np.conj(tdsi.values) / (mag2 + epsilon * epsilon * peak)
-    return Field2D(target.grid_s, target.grid_i, g)
-
-
-def extract_antidiagonal(
-    g: Field2D, n_points: int | None = None, u: np.ndarray | None = None
-) -> AdpProfile:
-    """Profile u -> G(w_s0 + u/2, w_i0 + u/2), bilinearly interpolated.
-
-    u is the offset of the sum frequency w_s + w_i from its center value
-    w_s0 + w_i0; the cut runs along the main diagonal, on which the
-    anti-diagonal coordinate is constant.
-    """
-    grid_s, grid_i = g.grid_s, g.grid_i
+    g = target.amplitude * np.conj(tdsi) / (mag2 + _EPSILON * _EPSILON * peak)
+    grid_s, grid_i = target.grid_s, target.grid_i
     span = 2.0 * min(grid_s.half_span, grid_i.half_span)
-    if u is None:
-        if n_points is None:
-            n_points = 2 * max(grid_s.n_points, grid_i.n_points) - 1
-        u = np.linspace(-span, span, n_points)
-    else:
-        u = np.asarray(u, dtype=float)
-        if np.any(np.abs(u) > span * (1.0 + 1e-12)):
-            raise GridError(
-                f"requested cut extends past the grid (|u| up to "
-                f"{np.max(np.abs(u)):.6g} > {span:.6g})"
-            )
+    u = np.linspace(-span, span, _FIT_PROFILE_POINTS)
     ws = grid_s.center + u / 2.0
     wi = grid_i.center + u / 2.0
-    vals = _bilinear(g.values.real, grid_s, grid_i, ws, wi) + 1j * _bilinear(
-        g.values.imag, grid_s, grid_i, ws, wi
+    vals = _bilinear(g.real, grid_s, grid_i, ws, wi) + 1j * _bilinear(
+        g.imag, grid_s, grid_i, ws, wi
     )
     return AdpProfile(u, vals, grid_s.center + grid_i.center)
 
@@ -545,7 +517,8 @@ def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int
     def score(sigma_p, taps):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            # shaped_pump's Gaussian envelope times the FIR response
+            # the shaped pump (apply_envelope): the Gaussian envelope
+            # times the FIR response
             env = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
             return state_score(env * tap_sum(taps, phasors) * l_p.values)
 
@@ -559,30 +532,23 @@ def _mu_record(mu: tuple) -> dict:
 def _verified_score(cfg: DeviceConfig, mu: tuple, sigma_p: float, taps) -> float:
     """Score of a candidate from the full forward model on the configured
     grid: the fidelity simulate reports, or its purity for the separable
-    target.  Only the chain to that number runs -- the shaped pump, the
-    chains, the JSA with its phase matching, the reported state and
-    _trial_score -- not simulate's second Schmidt decomposition or pair
-    rate."""
+    target.  The reported state comes from simulate's own forward_chain
+    (the shaped pump, the chains, the JSA with its phase matching) and is
+    scored by _trial_score; simulate's second Schmidt decomposition and
+    pair rate do not run."""
     design = apply_free_params(cfg, mu, sigma_p, taps)
-    pump_grid, grid_s, grid_i = build_grids(design)
     sigma = design.target.sigma
     target = TargetState(
         design.target.dimension, sigma, design.signal.omega0, design.idler.omega0
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        jsa_raw = compute_jsa(
-            shaped_pump(design.pump, pump_grid),
-            field_enhancement_chain(design.pump_resonance, pump_grid),
-            field_enhancement_chain(design.signal, grid_s),
-            field_enhancement_chain(design.idler, grid_i),
-            design.dispersion,
-        )
+        *_, state = forward_chain(design)
         return _trial_score(
             design,
-            reported_state(jsa_raw),
-            hg_basis(4, grid_s, design.signal.omega0, sigma),
-            hg_basis(4, grid_i, design.idler.omega0, sigma),
+            state,
+            hg_basis(4, state.grid_s, design.signal.omega0, sigma),
+            hg_basis(4, state.grid_i, design.idler.omega0, sigma),
             target.coefficients,
         )
 
@@ -599,15 +565,11 @@ def _run_mu_point(args):
         cfg, mu, _FIT_PUMP_POINTS, _VERIFY_POINTS
     )
     _, grid_s, grid_i = build_grids(trial_cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        f_target = target_jsa(target, grid_s, grid_i)
-        tdsi = compute_tdsi(
-            field_enhancement_chain(trial_cfg.signal, grid_s),
-            field_enhancement_chain(trial_cfg.idler, grid_i),
-        )
-        g = decouple_tdsi(f_target, tdsi)
-        profile = extract_antidiagonal(g, n_points=_FIT_PROFILE_POINTS)
+    profile = _target_profile(
+        target_jsa(target, grid_s, grid_i),
+        field_enhancement_chain(trial_cfg.signal, grid_s),
+        field_enhancement_chain(trial_cfg.idler, grid_i),
+    )
     n_taps = len(cfg.pump.taps)
     records = []
     fits = []

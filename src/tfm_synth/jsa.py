@@ -20,7 +20,7 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from .phase_matching import DispersionModel, pmf
-from .spectral import Field1D, Field2D, GridError, SpectralGrid
+from .spectral import Field1D, GridError, SpectralGrid
 
 
 # alpha_p * l_p above this fraction of its peak at a grid edge truncates
@@ -191,11 +191,6 @@ def _check_adp_input(values: np.ndarray) -> None:
         )
 
 
-def compute_tdsi(l_s: Field1D, l_i: Field1D) -> Field2D:
-    """Two-dimensional signal-idler filter: outer product l_s(w_s) l_i(w_i)."""
-    return Field2D(l_s.grid, l_i.grid, np.outer(l_s.values, l_i.values))
-
-
 def jsa_model(
     pump_grid: SpectralGrid, l_s: Field1D, l_i: Field1D, dispersion: DispersionModel
 ):
@@ -255,15 +250,15 @@ def compute_jsa(
     return jsa_model(pump.grid, l_s, l_i, dispersion)(pump.values * l_p.values)
 
 
-def antidiagonal_cut(jsa: Jsa, n_points: int | None = None):
+def antidiagonal_cut(jsa: Jsa):
     """Magnitude profile u -> |F(c_s + u/2, c_i + u/2)| through the center.
 
-    u is the sum-frequency offset (w_s + w_i) - (c_s + c_i).  Bilinear
-    interpolation between grid nodes.
+    u is the sum-frequency offset (w_s + w_i) - (c_s + c_i), at 2n - 1
+    points for the larger grid size n.  Bilinear interpolation between
+    grid nodes.
     """
     span = 2.0 * min(jsa.grid_s.half_span, jsa.grid_i.half_span)
-    if n_points is None:
-        n_points = 2 * max(jsa.grid_s.n_points, jsa.grid_i.n_points) - 1
+    n_points = 2 * max(jsa.grid_s.n_points, jsa.grid_i.n_points) - 1
     u = np.linspace(-span, span, n_points)
     ws = jsa.grid_s.center + u / 2.0
     wi = jsa.grid_i.center + u / 2.0

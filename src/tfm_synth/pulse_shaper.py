@@ -98,14 +98,9 @@ def fir_response(spec: PumpSpec, grid: SpectralGrid) -> Field1D:
     return Field1D(grid, tap_sum(spec.taps, tap_phasors(spec, grid)))
 
 
-def shaped_pump(spec: PumpSpec, grid: SpectralGrid) -> Field1D:
-    """Shaped pump spectrum: Gaussian envelope times FIR response."""
-    return apply_envelope(spec, fir_response(spec, grid))
-
-
 def apply_envelope(spec: PumpSpec, response: Field1D) -> Field1D:
-    """Shaped pump from a FIR response already evaluated on its grid: the
-    Gaussian envelope times the response, as shaped_pump forms it."""
+    """Shaped pump spectrum from a FIR response already evaluated on its
+    grid: the Gaussian envelope times the response."""
     grid = response.grid
     envelope = gaussian_envelope(grid, spec.carrier, spec.sigma_p)
     return Field1D(grid, envelope.values * response.values)

@@ -154,12 +154,7 @@ def mzi_phase_for_mu(spec: MziCouplerSpec, target_mu: float) -> MziPhases:
         raise ValueError(
             f"target mu {target_mu:.6g} outside achievable range [0, {mu_max:.6g}]"
         )
-    geometry = np.sqrt(
-        spec.group_velocity**2 / (spec.perimeter_main * spec.perimeter_aux)
-    )
-    k12 = target_mu / geometry
-    ratio = k12 / (4.0 * spec.k_prime * (1.0 - spec.k_prime))
-    delta = 2.0 * np.arccos(np.sqrt(np.clip(ratio, 0.0, 1.0)))
+    delta = _delta_for_mu(spec, target_mu)
     trial = MziCouplerSpec(
         spec.k_prime, delta / 2.0, -delta / 2.0, 0.0,
         spec.perimeter_main, spec.perimeter_aux, spec.group_velocity,
@@ -178,6 +173,7 @@ def mzi_phase_for_mu(spec: MziCouplerSpec, target_mu: float) -> MziPhases:
 
 
 def _delta_for_mu(spec: MziCouplerSpec, mu: float) -> float:
+    """Arm phase difference delta whose balanced MZI gives mu_12 = mu."""
     geometry = np.sqrt(
         spec.group_velocity**2 / (spec.perimeter_main * spec.perimeter_aux)
     )

@@ -1,4 +1,4 @@
-"""Spectral grids, complex field containers, and the Hermite-Gaussian basis.
+"""Spectral grids, the complex field container, and the Hermite-Gaussian basis.
 
 All angular frequencies are in rad/s.  Grids are uniform; integrals are
 evaluated with the rectangle rule, which is spectrally accurate for the
@@ -59,26 +59,6 @@ class Field1D:
             raise GridError(
                 f"values shape {values.shape} does not match grid "
                 f"({self.grid.n_points},)"
-            )
-        if not np.all(np.isfinite(values)):
-            raise GridError("field contains non-finite entries")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class Field2D:
-    """Complex samples F(omega_s, omega_i); axis 0 is signal, axis 1 idler."""
-
-    grid_s: SpectralGrid
-    grid_i: SpectralGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.grid_s.n_points, self.grid_i.n_points):
-            raise GridError(
-                f"values shape {values.shape} does not match grids "
-                f"({self.grid_s.n_points}, {self.grid_i.n_points})"
             )
         if not np.all(np.isfinite(values)):
             raise GridError("field contains non-finite entries")

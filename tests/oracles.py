@@ -9,11 +9,11 @@ None of them runs in the program; test files import them as
 import numpy as np
 
 from tfm_synth.analysis import PreconditionError, TargetState
-from tfm_synth.jsa import Jsa, _sum_grid, normalize
+from tfm_synth.jsa import Jsa, _bilinear, _sum_grid, normalize
 from tfm_synth.phase_matching import DispersionModel, pmf
 from tfm_synth.pulse_shaper import Tap
 from tfm_synth.resonator import MziCouplerSpec, ResonanceChain, _composed_matrix
-from tfm_synth.spectral import Field1D, Field2D, GridError, SpectralGrid
+from tfm_synth.spectral import Field1D, GridError, SpectralGrid
 
 
 def make_taps(amplitudes, phases) -> tuple:
@@ -24,17 +24,11 @@ def make_taps(amplitudes, phases) -> tuple:
 
 
 def inner_product(a, b) -> complex:
-    """Grid quadrature <a, b> = sum conj(a) b dA; conjugate-linear in a."""
-    if isinstance(a, Field1D) and isinstance(b, Field1D):
-        if a.grid != b.grid:
-            raise GridError("inner_product requires identical grids")
-        return complex(np.sum(np.conj(a.values) * b.values) * a.grid.spacing)
-    if isinstance(a, Field2D) and isinstance(b, Field2D):
-        if a.grid_s != b.grid_s or a.grid_i != b.grid_i:
-            raise GridError("inner_product requires identical grids")
-        weight = a.grid_s.spacing * a.grid_i.spacing
-        return complex(np.sum(np.conj(a.values) * b.values) * weight)
-    raise GridError("inner_product arguments must both be Field1D or both Field2D")
+    """Grid quadrature <a, b> = sum conj(a) b dw of two Field1D;
+    conjugate-linear in a."""
+    if a.grid != b.grid:
+        raise GridError("inner_product requires identical grids")
+    return complex(np.sum(np.conj(a.values) * b.values) * a.grid.spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +80,31 @@ def pump_quadrature_jsa(
         amp[j] = np.sum(apl[None, :] * apl_mirror * pm_row, axis=1) * dp
     amp *= np.outer(l_s.values, l_i.values)
     return normalize(Jsa(grid_s, grid_i, amp))
+
+
+# ---------------------------------------------------------------------------
+# the inverse loop's fit profile
+
+def decoupled_target(target: Jsa, l_s: Field1D, l_i: Field1D, epsilon: float):
+    """The target divided by the signal-idler filter T = l_s l_i on the
+    full grid, regularized: F conj(T) / (|T|^2 + eps^2 max|T|^2)."""
+    tdsi = np.outer(l_s.values, l_i.values)
+    mag2 = np.abs(tdsi) ** 2
+    peak = np.max(mag2)
+    return target.amplitude * np.conj(tdsi) / (mag2 + epsilon * epsilon * peak)
+
+
+def diagonal_profile(g, grid_s: SpectralGrid, grid_i: SpectralGrid, n_points: int):
+    """(u, g(w_s0 + u/2, w_i0 + u/2)) at n_points offsets u spanning the
+    grid, bilinearly interpolated, real and imaginary parts apart."""
+    span = 2.0 * min(grid_s.half_span, grid_i.half_span)
+    u = np.linspace(-span, span, n_points)
+    ws = grid_s.center + u / 2.0
+    wi = grid_i.center + u / 2.0
+    values = _bilinear(g.real, grid_s, grid_i, ws, wi) + 1j * _bilinear(
+        g.imag, grid_s, grid_i, ws, wi
+    )
+    return u, values
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,12 @@ def _preset_with(tmp_path, section, key, value):
         ("simulate", "--config", "bell_phi_minus", "--grid", "1", "--out", "{tmp}"),
         ("optimize", "--config", "bell_phi_minus", "--seed=-1", "--out", "{tmp}"),
         ("optimize", "--config", "bell_phi_minus", "--grid", "0", "--out", "{tmp}"),
+        ("sweep-mzi", "--config", "bell_phi_minus", "--mu-step", "nan"),
+        ("sweep-mzi", "--config", "bell_phi_minus", "--mu-min", "nan"),
+        ("sweep-mzi", "--config", "bell_phi_minus", "--mu-max", "nan"),
+        ("sweep-mzi", "--config", "bell_phi_minus", "--mu-min", "inf"),
+        ("sweep-mzi", "--config", "bell_phi_minus", "--mu-max=-inf"),
+        ("sweep-mzi", "--config", "bell_phi_minus", "--mu-max", "inf"),
     ],
 )
 def test_bad_flags_exit_2(tmp_path, capsys, argv):

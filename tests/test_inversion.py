@@ -1,6 +1,7 @@
 """Inverse-design pipeline: decoupling, extraction, fitting, search."""
 
 import ctypes
+import importlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -14,6 +15,8 @@ from tfm_synth import inversion
 from tfm_synth.analysis import TargetState, hg_basis, target_jsa
 from tfm_synth.config import ConfigError, load_preset
 from tfm_synth.inversion import (
+    _EPSILON,
+    _FIT_PROFILE_POINTS,
     _FIT_PUMP_POINTS,
     _POLISH_PUMP_POINTS,
     _VERIFY_POINTS,
@@ -22,90 +25,112 @@ from tfm_synth.inversion import (
     _magnitude_fit,
     _pack,
     _swept_chains,
+    _target_profile,
     _trial_context,
     _trial_score,
     _verified_score,
     apply_free_params,
-    decouple_tdsi,
-    extract_antidiagonal,
     fit_adp,
     optimize_state,
 )
 from tfm_synth.jsa import AdpModel, DegenerateFieldError, Jsa, normalize
-from tfm_synth.pulse_shaper import DegenerateInputError, PumpSpec, shaped_pump
+from tfm_synth.pulse_shaper import (
+    DegenerateInputError,
+    PumpSpec,
+    apply_envelope,
+    fir_response,
+)
 from tfm_synth.resonator import field_enhancement_chain
 from tfm_synth.simulate import build_grids, reported_state, simulate
-from tfm_synth.spectral import Field1D, Field2D, GridError, SpectralGrid, hg_mode
+from tfm_synth.spectral import Field1D, SpectralGrid, hg_mode
 
 S0 = 1215.70e12
 I0 = 1214.45e12
 P0 = 1215.075e12
+# the package's `simulate` attribute is the function, not the module
+simulate_module = importlib.import_module("tfm_synth.simulate")
 GS = SpectralGrid(S0, 56e9, 128)
 GI = SpectralGrid(I0, 56e9, 128)
 
 
-def bell_target_jsa():
-    return target_jsa(TargetState(2, 6.0e9, S0, I0), GS, GI)
-
-
 # ---------------------------------------------------------------------------
-# decoupling
+# decoupling and extraction: _target_profile
+
+# 129-point grids put the _FIT_PROFILE_POINTS profile samples on the
+# diagonal nodes (k, k): the offsets u / 2 step by the grid spacing
+NS = SpectralGrid(S0, 56e9, _FIT_PROFILE_POINTS)
+NI = SpectralGrid(I0, 56e9, _FIT_PROFILE_POINTS)
+
+
+def unit_filter(grid):
+    return Field1D(grid, np.ones(grid.n_points))
+
+
+def bell_target_jsa(grid_s=GS, grid_i=GI):
+    return target_jsa(TargetState(2, 6.0e9, S0, I0), grid_s, grid_i)
+
 
 def test_decouple_identity_filter():
-    f = bell_target_jsa()
-    ones = Field2D(GS, GI, np.ones((128, 128)))
-    g = decouple_tdsi(f, ones, epsilon=1e-6)
-    np.testing.assert_allclose(g.values, f.amplitude, rtol=1e-5)
+    """Unit filters leave the target: the profile is its diagonal."""
+    f = bell_target_jsa(NS, NI)
+    prof = _target_profile(f, unit_filter(NS), unit_filter(NI))
+    np.testing.assert_allclose(prof.values, np.diagonal(f.amplitude), rtol=1e-5)
+    assert prof.sum_center == S0 + I0
 
 
 def test_decouple_self_gives_unity_on_support():
-    f = bell_target_jsa()
-    tdsi = Field2D(GS, GI, f.amplitude)
-    g = decouple_tdsi(f, tdsi, epsilon=1e-4)
-    strong = np.abs(f.amplitude) > 0.3 * np.max(np.abs(f.amplitude))
-    np.testing.assert_allclose(g.values[strong], 1.0, atol=1e-3)
+    """The separable target divided by its own HG-0 filters is 1 wherever
+    the filter is strong."""
+    sigma = 6.0e9
+    f = target_jsa(TargetState(1, sigma, S0, I0), GS, GI)
+    prof = _target_profile(f, hg_mode(0, GS, S0, sigma), hg_mode(0, GI, I0, sigma))
+    f0 = np.exp(-((prof.u / 2.0) ** 2) / (2.0 * sigma * sigma))
+    strong = f0 * f0 > 0.3
+    assert np.count_nonzero(strong) > 5
+    np.testing.assert_allclose(prof.values[strong], 1.0, atol=1e-3)
 
 
 def test_decouple_round_trip():
     """Decouple then re-multiply recovers the target within 1% L2 on the
-    region where the filter is well above the regularization floor."""
-    f = bell_target_jsa()
+    diagonal nodes where the filter is well above the regularization
+    floor, for seeded random complex 1-D filters."""
+    f = bell_target_jsa(NS, NI)
     rng = np.random.default_rng(4)
-    filt = (
-        rng.uniform(0.5, 2.0, (128, 128))
-        * np.exp(1j * rng.uniform(0, 2 * np.pi, (128, 128)))
-    )
-    tdsi = Field2D(GS, GI, filt)
-    eps = 1e-3
-    g = decouple_tdsi(f, tdsi, epsilon=eps)
-    back = g.values * filt
-    region = np.abs(filt) > 10.0 * eps * np.max(np.abs(filt))
-    err = np.linalg.norm((back - f.amplitude)[region])
-    ref = np.linalg.norm(f.amplitude[region])
-    assert err / ref < 0.01
+
+    def random_filter(grid):
+        return Field1D(
+            grid,
+            rng.uniform(0.5, 2.0, grid.n_points)
+            * np.exp(1j * rng.uniform(0, 2 * np.pi, grid.n_points)),
+        )
+
+    l_s, l_i = random_filter(NS), random_filter(NI)
+    prof = _target_profile(f, l_s, l_i)
+    filt = l_s.values * l_i.values
+    back = prof.values * filt
+    want = np.diagonal(f.amplitude)
+    region = np.abs(filt) > 10.0 * _EPSILON * np.max(np.abs(filt))
+    err = np.linalg.norm((back - want)[region])
+    assert err / np.linalg.norm(want[region]) < 0.01
 
 
 def test_decouple_rejects_bad_inputs():
     f = bell_target_jsa()
-    with pytest.raises(ValueError):
-        decouple_tdsi(f, Field2D(GS, GI, np.ones((128, 128))), epsilon=0.0)
+    zero = Field1D(GS, np.zeros(GS.n_points))
     with pytest.raises(DegenerateInputError):
-        decouple_tdsi(f, Field2D(GS, GI, np.zeros((128, 128))), epsilon=1e-3)
-    other = SpectralGrid(S0, 40e9, 128)
-    with pytest.raises(GridError):
-        decouple_tdsi(f, Field2D(other, GI, np.ones((128, 128))), epsilon=1e-3)
+        _target_profile(f, zero, unit_filter(GI))
 
-
-# ---------------------------------------------------------------------------
-# anti-diagonal extraction
 
 def test_extract_pure_sum_function_exact_at_nodes():
-    sums = GS.samples[:, None] + GI.samples[None, :] - (S0 + I0)
+    """A function of w_s + w_i alone is read exactly at the nodes, up to
+    the regularization's factor 1 / (1 + eps^2) of a unit filter."""
+    sums = NS.samples[:, None] + NI.samples[None, :] - (S0 + I0)
     sigma = 20e9
-    g = Field2D(GS, GI, np.exp(-(sums**2) / (2 * sigma * sigma)))
-    prof = extract_antidiagonal(g)
-    expect = np.exp(-(prof.u**2) / (2 * sigma * sigma))
-    np.testing.assert_allclose(prof.values[::2].real, expect[::2], atol=1e-12)
+    f = Jsa(NS, NI, np.exp(-(sums**2) / (2 * sigma * sigma)))
+    prof = _target_profile(f, unit_filter(NS), unit_filter(NI))
+    expect = np.exp(-(prof.u**2) / (2 * sigma * sigma)) / (1.0 + _EPSILON**2)
+    np.testing.assert_allclose(prof.values.real, expect, atol=1e-12)
+    assert not np.any(prof.values.imag)
 
 
 def test_extract_gaussian_product_closed_form():
@@ -113,8 +138,8 @@ def test_extract_gaussian_product_closed_form():
     sigma = 10e9
     f0s = hg_mode(0, GS, S0, sigma).values
     f0i = hg_mode(0, GI, I0, sigma).values
-    g = Field2D(GS, GI, np.outer(f0s, f0i))
-    prof = extract_antidiagonal(g)
+    f = Jsa(GS, GI, np.outer(f0s, f0i))
+    prof = _target_profile(f, unit_filter(GS), unit_filter(GI))
     norm = 1.0 / np.sqrt(np.sqrt(np.pi) * sigma)
     expect = (norm * np.exp(-(prof.u / 2.0) ** 2 / (2.0 * sigma * sigma))) ** 2
     # tolerance reflects the bilinear interpolation error at off-node points
@@ -123,17 +148,42 @@ def test_extract_gaussian_product_closed_form():
 
 def test_extract_symmetry():
     sums = GS.samples[:, None] + GI.samples[None, :] - (S0 + I0)
-    g = Field2D(GS, GI, np.cos(sums / 30e9))
-    prof = extract_antidiagonal(g)
+    f = Jsa(GS, GI, np.cos(sums / 30e9))
+    prof = _target_profile(f, unit_filter(GS), unit_filter(GI))
     np.testing.assert_allclose(
         prof.values.real, prof.values.real[::-1], atol=1e-9
     )
 
 
-def test_extract_out_of_range_rejected():
-    g = Field2D(GS, GI, np.ones((128, 128)))
-    with pytest.raises(GridError, match="past the grid"):
-        extract_antidiagonal(g, u=np.array([0.0, 3.0e11]))
+@pytest.mark.parametrize("n_points", [256, 512])
+@pytest.mark.parametrize(
+    "preset", ["bell_phi_minus", "mes_d3", "mes_d4", "separable"]
+)
+def test_target_profile_is_the_two_step_profile_bit_for_bit(preset, n_points):
+    """The fit's input, as _run_mu_point builds it, equals the reference's
+    regularized division by the outer-product filter followed by the
+    diagonal read, at the preset's couplings and at one swept mu."""
+    cfg = load_preset(preset)
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=n_points))
+    swept = cfg.signal if cfg.target.dimension >= 2 else cfg.pump_resonance
+    for mu in (swept.couplings, (2.25e9,) * len(swept.couplings)):
+        trial_cfg = _swept_chains(cfg, mu)
+        _, grid_s, grid_i = build_grids(trial_cfg)
+        target = target_jsa(
+            TargetState(
+                cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
+            ),
+            grid_s,
+            grid_i,
+        )
+        l_s = field_enhancement_chain(trial_cfg.signal, grid_s)
+        l_i = field_enhancement_chain(trial_cfg.idler, grid_i)
+        got = _target_profile(target, l_s, l_i)
+        g = oracles.decoupled_target(target, l_s, l_i, _EPSILON)
+        u, values = oracles.diagonal_profile(g, grid_s, grid_i, _FIT_PROFILE_POINTS)
+        assert np.array_equal(got.u, u)
+        assert np.array_equal(got.values, values)
+        assert got.sum_center == grid_s.center + grid_i.center
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +214,7 @@ def lorentzian_lp():
 def synth_adp(spec, l_p, u):
     """ADP of the shaped, resonance-filtered pump at sum offsets u, through
     the model the forward path and the fit share."""
-    pump = shaped_pump(spec, l_p.grid)
+    pump = apply_envelope(spec, fir_response(spec, l_p.grid))
     return AdpModel(l_p.grid, 2.0 * P0 + u)(pump.values * l_p.values)
 
 
@@ -369,7 +419,7 @@ def test_fit_shared_evaluation_is_never_stale():
 # search loop
 
 def _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps):
-    """The trial score as the chain shaped_pump -> JSA -> reported_state ->
+    """The trial score as the chain shaped pump -> JSA -> reported_state ->
     _trial_score rebuilt every time, with the ADP sampled by np.interp."""
     trial_cfg = _swept_chains(cfg, mu)
     pump_grid, grid_s, grid_i = build_grids(trial_cfg, n_points)
@@ -377,7 +427,8 @@ def _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps):
     l_p = field_enhancement_chain(trial_cfg.pump_resonance, pump_grid)
     l_s = field_enhancement_chain(trial_cfg.signal, grid_s)
     l_i = field_enhancement_chain(trial_cfg.idler, grid_i)
-    pump = shaped_pump(replace(cfg.pump, sigma_p=sigma_p, taps=taps), pump_grid)
+    spec = replace(cfg.pump, sigma_p=sigma_p, taps=taps)
+    pump = apply_envelope(spec, fir_response(spec, pump_grid))
     apl = pump.values * l_p.values
     conv = fftconvolve(apl, apl) * pump_grid.spacing
     axis = np.linspace(
@@ -504,6 +555,29 @@ def test_verified_score_equals_simulate(preset, n_points):
     full = simulate(apply_free_params(cfg, mu, cfg.pump.sigma_p, cfg.pump.taps))
     want = full.purity if cfg.target.dimension == 1 else full.fidelity
     assert got == want
+
+
+@pytest.mark.parametrize("preset", ["bell_phi_minus", "separable"])
+def test_verified_score_goes_through_simulates_chain(monkeypatch, preset):
+    """The verification builds its state with simulate's forward_chain:
+    one call each through simulate's compute_jsa and reported_state."""
+    calls = {"compute_jsa": 0, "reported_state": 0}
+
+    def counting(name):
+        original = getattr(simulate_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simulate_module, name, counting(name))
+    cfg = load_preset(preset)
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=128))
+    swept = cfg.signal if cfg.target.dimension >= 2 else cfg.pump_resonance
+    _verified_score(cfg, swept.couplings, cfg.pump.sigma_p, cfg.pump.taps)
+    assert calls == {"compute_jsa": 1, "reported_state": 1}
 
 
 def _loaded_blas_threads():

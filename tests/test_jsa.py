@@ -17,7 +17,6 @@ from tfm_synth.jsa import (
     _sum_grid,
     antidiagonal_cut,
     compute_jsa,
-    compute_tdsi,
     find_cut_minima,
     impose_pi_phase,
     load_jsa_binary,
@@ -122,18 +121,6 @@ def test_adp_rejects_zero_input():
         compute_jsa(
             Field1D(grid, np.zeros(64)), *_unit_filters(grid), DispersionModel()
         )
-
-
-def test_tdsi_outer_product():
-    gs = SpectralGrid(S0, 50e9, 32)
-    gi = SpectralGrid(I0, 50e9, 48)
-    a = gaussian_field(gs, S0, 10e9)
-    b = gaussian_field(gi, I0, 15e9)
-    t = compute_tdsi(a, b)
-    assert t.values.shape == (32, 48)
-    np.testing.assert_allclose(
-        t.values, np.outer(a.values, b.values), atol=1e-15
-    )
 
 
 def _spectra(c2=-1.0):

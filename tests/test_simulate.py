@@ -10,7 +10,7 @@ import oracles
 from tfm_synth import load_preset, pulse_shaper, simulate
 from tfm_synth.analysis import TargetState, purity, schmidt_decompose
 from tfm_synth.jsa import Jsa, normalize
-from tfm_synth.pulse_shaper import shaped_pump
+from tfm_synth.pulse_shaper import apply_envelope, fir_response
 from tfm_synth.simulate import build_grids
 from tfm_synth.spectral import SpectralGrid
 
@@ -116,5 +116,6 @@ def test_pump_is_the_shaped_pump_bit_for_bit(results):
         pump_grid = build_grids(cfg)[0]
         assert result.pump.grid == result.fir.grid == pump_grid
         assert np.array_equal(
-            result.pump.values, shaped_pump(cfg.pump, pump_grid).values
+            result.pump.values,
+            apply_envelope(cfg.pump, fir_response(cfg.pump, pump_grid)).values,
         )
