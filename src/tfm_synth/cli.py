@@ -11,6 +11,7 @@ grid; each CSV is then formatted in one pass.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -29,8 +30,8 @@ from .config import (
     load_config,
     load_preset,
 )
-from .inversion import SearchConfig, optimize_state
-from .jsa import DegenerateFieldError, save_jsa_binary
+from .inversion import SearchConfig, mu_grid, optimize_state
+from .jsa import DegenerateFieldError, save_jsa_binary, save_jsa_sidecar
 from .pulse_shaper import DegenerateInputError
 from .resonator import bus_transmission, mzi_max_mu, mzi_phase_for_mu
 from .simulate import analysis_report, pgr_input, simulate
@@ -60,17 +61,18 @@ def _round9(obj):
     return obj
 
 
-def _atomic_write(path: str, writer) -> None:
+def _atomic_write(path: str, writer, binary: bool = False) -> None:
     """Write via a temp file in the destination directory, then rename.
 
     The temp file is created 0666 less the umask, like a file that open()
-    creates, under a name no other writer holds (O_EXCL).
+    creates, under a name no other writer holds (O_EXCL), and opened in
+    binary mode if binary is set.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb" if binary else "w") as fh:
             writer(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -143,13 +145,15 @@ def cmd_simulate(args) -> int:
     os.makedirs(out, exist_ok=True)
     result = simulate(cfg, n_points=_grid_override(args.grid))
 
-    # binary JSA dump is already atomic enough for regression use, but we
-    # follow the same temp+rename discipline through a staging pair
-    tmp_bin = os.path.join(out, ".tmp-jsa.bin")
-    tmp_json = os.path.join(out, ".tmp-jsa.json")
-    save_jsa_binary(result.jsa, tmp_bin, tmp_json)
-    os.replace(tmp_bin, os.path.join(out, "jsa.bin"))
-    os.replace(tmp_json, os.path.join(out, "jsa.json"))
+    _atomic_write(
+        os.path.join(out, "jsa.bin"),
+        lambda fh: save_jsa_binary(result.jsa, fh),
+        binary=True,
+    )
+    _atomic_write(
+        os.path.join(out, "jsa.json"),
+        lambda fh: save_jsa_sidecar(result.jsa, fh),
+    )
 
     # each grid's frequency column is formatted once, for all its CSVs
     columns = {}
@@ -302,12 +306,8 @@ def cmd_sweep_mzi(args) -> int:
             file=sys.stderr,
         )
         mu_hi = mu_max_reachable
-    n = int(np.floor((mu_hi - args.mu_min) / args.mu_step + 1e-9)) + 1
-    if n < 1:
-        raise ConfigError("empty mu sweep range")
     lines = ["mu_12_rad_per_s,phi_h1,phi_h2,phi_h3,finesse"]
-    for k in range(n):
-        mu = args.mu_min + k * args.mu_step
+    for mu in mu_grid(args.mu_min, mu_hi, args.mu_step).tolist():
         phases = mzi_phase_for_mu(spec, mu)
         lines.append(
             f"{mu:.9g},{phases.phi_h1:.9g},{phases.phi_h2:.9g},"
@@ -330,6 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
             "biphoton sources"
         ),
     )
+    # each func looks its cmd_* function up on this module when it runs:
+    # main keeps one parser, and a cmd_* replaced after it was built is
+    # the one called
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--grid", type=int, default=None, help="override signal/idler grid size"
     )
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=lambda args: cmd_simulate(args))
 
     p_opt = sub.add_parser("optimize", help="inverse design of free parameters")
     add_common(p_opt)
@@ -358,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument(
         "--grid", type=int, default=None, help="verification grid size override"
     )
-    p_opt.set_defaults(func=cmd_optimize)
+    p_opt.set_defaults(func=lambda args: cmd_optimize(args))
 
     p_pgr = sub.add_parser("pgr", help="pair generation rate estimate")
     add_common(p_pgr)
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pgr.add_argument(
         "--rep-rate", default=None, help="pulse repetition rate, e.g. '500 MHz'"
     )
-    p_pgr.set_defaults(func=cmd_pgr)
+    p_pgr.set_defaults(func=lambda args: cmd_pgr(args))
 
     p_mzi = sub.add_parser(
         "sweep-mzi", help="MZI coupler phase settings over a mu range"
@@ -384,13 +387,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_mzi.add_argument(
         "--mu-step", type=float, default=0.25e9, help="sweep step, rad/s"
     )
-    p_mzi.set_defaults(func=cmd_sweep_mzi)
+    p_mzi.set_defaults(func=lambda args: cmd_sweep_mzi(args))
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's tree, built on the first call and then kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

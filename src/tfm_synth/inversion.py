@@ -15,12 +15,12 @@ refines the leading candidates at the full configured resolution.
 The phase-matching function is treated as unity inside the loop (the
 factorized model) and enters only in the forward verification of each
 mu point's best candidate and of the polished ones.  With it unity, the
-reported trial state of an entangled target is |ADP(w_s + w_i)| |l_s|
-|l_i| times the pi-flip signs, a function of the sum frequency times a
-product, so the trial score (each restart's record and every polish
-step) reads its HG pair amplitudes off the 2n - 1 sum frequencies of the
-n^2 grid.  The separable target's score, a purity, takes the Schmidt
-weights of the full n^2 state from one eigensolve of its Gram matrix.
+reported trial state is |ADP(w_s + w_i)| |l_s| |l_i| times the pi-flip
+signs, a function of the sum frequency times a product, so every trial
+score (each restart's record and every polish step) starts from the
+2n - 1 sum frequencies of the n^2 grid: an entangled target reads its HG
+pair amplitudes off them, and the separable target's purity takes the
+Schmidt weights of the n^2 state built from them.
 """
 
 from __future__ import annotations
@@ -52,11 +52,10 @@ from .jsa import (
     _bilinear,
     _check_adp_input,
     find_cut_minima,
-    jsa_model,
 )
 from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, tap_phasors, tap_sum
 from .resonator import field_enhancement_chain
-from .simulate import build_grids, forward_chain, reported_state
+from .simulate import build_grids, forward_chain
 from .spectral import Field1D, GridError, SpectralGrid
 
 
@@ -125,13 +124,18 @@ class SearchConfig:
 
     @property
     def mu_values(self) -> np.ndarray:
-        n = int(np.floor((self.mu_max - self.mu_min) / self.mu_step + 1e-9)) + 1
-        if n < 1:
-            raise ConfigError(
-                f"empty mu grid: min {self.mu_min}, max {self.mu_max}, "
-                f"step {self.mu_step}"
-            )
-        return self.mu_min + self.mu_step * np.arange(n)
+        return mu_grid(self.mu_min, self.mu_max, self.mu_step)
+
+
+def mu_grid(mu_min: float, mu_max: float, mu_step: float) -> np.ndarray:
+    """mu_min, mu_min + mu_step, ... up to mu_max, which a step may
+    overshoot by 1e-9 of itself; an empty range is a ConfigError."""
+    n = int(np.floor((mu_max - mu_min) / mu_step + 1e-9)) + 1
+    if n < 1:
+        raise ConfigError(
+            f"empty mu grid: min {mu_min}, max {mu_max}, step {mu_step}"
+        )
+    return mu_min + mu_step * np.arange(n)
 
 
 @dataclass(frozen=True)
@@ -378,23 +382,21 @@ def apply_free_params(
     return replace(cfg, pump=pump)
 
 
-def _trial_score(cfg, state, modes_s, modes_i, target_coeff):
+def _trial_score(state, modes_s, modes_i, target_coeff):
     """Score of a reported state on its full n^2 grid.
 
     For an entangled target this is the verification fidelity: the
     pair-confined state's overlap with the target over the full mode
     basis (weight leaking into pairs above the target dimension counts
-    against the score).  For the one-dimensional (separable) target the
-    pair-confined fidelity is trivially 1, so the score is the spectral
-    purity instead, from the eigenvalues of the state's Gram matrix
-    (analysis.schmidt_decompose).  The verification scores
-    every candidate this way, and so does the trial score of the
-    separable target; _sum_index_score gives the entangled trial score
-    from the 2n - 1 sum frequencies alone.
+    against the score).  For a target of one coefficient (the separable
+    target) the pair-confined fidelity is trivially 1, so the score is
+    the spectral purity instead, from the eigenvalues of the state's Gram
+    matrix (analysis.schmidt_decompose).  The verification scores every
+    candidate this way; _sum_index_score gives the same score of a trial
+    state from its 2n - 1 sum frequencies.
     """
-    if cfg.target.dimension == 1:
-        schmidt = schmidt_decompose(state)
-        return purity(schmidt.weights)
+    if len(target_coeff) == 1:
+        return purity(schmidt_decompose(state).weights)
     c = hg_overlaps(state, modes_s, modes_i)
     if not np.any(np.diagonal(c)):
         return 0.0
@@ -402,8 +404,8 @@ def _trial_score(cfg, state, modes_s, modes_i, target_coeff):
 
 
 def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
-    """The entangled trial score as a map alpha_p * l_p -> score, on the
-    2n - 1 sum indices m = j + k of an n^2 signal/idler grid pair.
+    """The trial score as a map alpha_p * l_p -> score, from the 2n - 1
+    sum indices m = j + k of an n^2 signal/idler grid pair.
 
     With a flat phase-matching function the reported state is
     |ADP(w_s + w_i)| |l_s(w_s)| |l_i(w_i)| s(w_s + w_i) / N, where s is the
@@ -414,10 +416,16 @@ def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
     impose_pi_phase reads (its even sample 2h is node (h, h), its odd
     sample 2h + 1 the mean of the four corners, on sums 2h, 2h + 1, 2h + 1
     and 2h + 2).  A score then takes |ADP| at the 2n - 1 sums, finds the
-    cut's nodes with find_cut_minima, builds s there, and forms
-    c_kk = dA C_k.(s |ADP|) / sqrt(dA D.|ADP|^2), the diagonal pair
-    amplitudes pair_fidelity reads (Brecht et al., PRX 5, 041017 (2015)).
-    It raises what the full-grid chain raises on degenerate input.
+    cut's nodes with find_cut_minima, builds s there and N^2 =
+    dA D.|ADP|^2.  An entangled target's score is pair_fidelity of
+    c_kk = dA C_k.(s |ADP|) / N, the diagonal pair amplitudes (Brecht et
+    al., PRX 5, 041017 (2015)).  A target of one coefficient (the
+    separable target) scores the purity, which needs the Schmidt weights
+    of the whole state: the score builds the n^2 state
+    s |ADP|[j + k] |l_s[j]| |l_i[k]| / N from the sums, with the index
+    j + k and the product |l_s| |l_i| built once for that target only, and
+    takes its weights from schmidt_decompose, as _trial_score does.  It
+    raises what the full-grid chain raises on degenerate input.
     """
     grid_s, grid_i = l_s.grid, l_i.grid
     n = grid_s.n_points
@@ -445,6 +453,9 @@ def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
     u = np.linspace(-span, span, 2 * n - 1)
     offsets = sums - (grid_s.center + grid_i.center)
     cell = grid_s.spacing + grid_i.spacing
+    if len(target_coeff) == 1:
+        index = np.add.outer(np.arange(n), np.arange(n))
+        filt = np.outer(mag_s, mag_i)
 
     def score(apl):
         _check_adp_input(apl)
@@ -461,6 +472,12 @@ def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
             a *= np.clip((offsets - u_min) / cell, -1.0, 1.0)
         if len(minima) % 2:
             np.negative(a, out=a)
+        if len(target_coeff) == 1:
+            amp = a[index]
+            amp *= filt
+            amp *= 1.0 / np.sqrt(norm2)
+            state = Jsa(grid_s, grid_i, amp, normalized=True)
+            return purity(schmidt_decompose(state).weights)
         ckk = overlaps @ a * (cell_area / np.sqrt(norm2))
         if not np.any(ckk):
             return 0.0
@@ -477,11 +494,8 @@ def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int
     pump_points, and score(sigma_p, taps), the trial score of the
     reported state with a flat phase-matching function on an
     n_points^2 signal/idler grid.  The chains, the HG bases, the tap
-    phasors and the squared detuning are built here, and so is the
-    state's model: for an entangled target _sum_index_score, which works
-    on the 2n - 1 sum frequencies only; for the separable target, whose
-    purity needs the Schmidt weights of the full state, jsa_model on the
-    n^2 grid, with the reported state and _trial_score built per score.  A
+    phasors, the squared detuning and the state's model on the 2n - 1 sum
+    frequencies (_sum_index_score) are built here, for every target.  A
     score evaluates the shaped pump times l_p and that model.
     """
     trial_cfg = _swept_chains(cfg, mu)
@@ -490,26 +504,15 @@ def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int
     target = TargetState(
         cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        l_p = field_enhancement_chain(trial_cfg.pump_resonance, pump_grid)
-        l_s = field_enhancement_chain(trial_cfg.signal, grid_s)
-        l_i = field_enhancement_chain(trial_cfg.idler, grid_i)
-        modes_s = hg_basis(4, grid_s, grid_s.center, cfg.target.sigma)
-        modes_i = hg_basis(4, grid_i, grid_i.center, cfg.target.sigma)
-    if cfg.target.dimension >= 2:
-        state_score = _sum_index_score(
-            pump_grid, l_s, l_i, modes_s, modes_i, target.coefficients
-        )
-    else:
-        assemble = jsa_model(pump_grid, l_s, l_i, replace(cfg.dispersion, slope=0.0))
-
-        def state_score(apl):
-            return _trial_score(
-                cfg, reported_state(assemble(apl)), modes_s, modes_i,
-                target.coefficients,
-            )
-
+    l_p = field_enhancement_chain(trial_cfg.pump_resonance, pump_grid)
+    state_score = _sum_index_score(
+        pump_grid,
+        field_enhancement_chain(trial_cfg.signal, grid_s),
+        field_enhancement_chain(trial_cfg.idler, grid_i),
+        hg_basis(4, grid_s, grid_s.center, cfg.target.sigma),
+        hg_basis(4, grid_i, grid_i.center, cfg.target.sigma),
+        target.coefficients,
+    )
     phasors = tap_phasors(cfg.pump, pump_grid)
     detuning = pump_grid.samples - cfg.pump.carrier
     detuning2 = detuning * detuning
@@ -545,7 +548,6 @@ def _verified_score(cfg: DeviceConfig, mu: tuple, sigma_p: float, taps) -> float
         warnings.simplefilter("ignore")
         *_, state = forward_chain(design)
         return _trial_score(
-            design,
             state,
             hg_basis(4, state.grid_s, design.signal.omega0, sigma),
             hg_basis(4, state.grid_i, design.idler.omega0, sigma),
@@ -612,9 +614,8 @@ def _polish_candidate(args):
     coincides with the verification fidelity up to the phase-matching
     function; the coarse restart grids admit spurious optima that do not
     survive verification, so the polish must run at full resolution.
-    For an entangled target each step scores the 2n - 1 sum frequencies
-    of that n^2 grid (_sum_index_score), and the separable target's
-    purity the full grid.  Returns (verified score, sigma_p, taps) of the
+    Each step scores from the 2n - 1 sum frequencies of that n^2 grid
+    (_sum_index_score).  Returns (verified score, sigma_p, taps) of the
     polished parameters.
     """
     cfg, search, (_, _, sigma_p, taps, mu) = args

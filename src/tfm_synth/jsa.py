@@ -133,8 +133,9 @@ class AdpModel:
     model.from_spectrum(model.spectrum(apl)); from_spectrum and
     derivative(spectrum, d_apl) can share one spectrum, as the inverse
     fit's residual and Jacobian do at one search point.  The model
-    checks nothing, so the fit can call it in its residual; jsa_model
-    checks its input.
+    checks nothing, so the fit can call it in its residual; compute_jsa
+    and the inverse loop's trial score check their input with
+    _check_adp_input.
     """
 
     def __init__(self, grid: SpectralGrid, sums: np.ndarray):
@@ -191,47 +192,6 @@ def _check_adp_input(values: np.ndarray) -> None:
         )
 
 
-def jsa_model(
-    pump_grid: SpectralGrid, l_s: Field1D, l_i: Field1D, dispersion: DispersionModel
-):
-    """The JSA of a linearized PMF as a map alpha_p * l_p -> normalized Jsa.
-
-    Everything that depends only on the grids is built here once: the
-    sum frequencies w_s + w_i with the ADP's interpolation plan
-    (AdpModel), the TDSI l_s(w_s) l_i(w_i) and the PMF, which is left
-    out when a zero slope makes it unity.  The returned function takes
-    alpha_p * l_p on pump_grid, rejects it when all zero, warns when it
-    is not negligible at the grid edges, and returns
-    normalize(ADP(w_s + w_i) PMF TDSI) on the grids of l_s and l_i.
-    compute_jsa calls it once; the inverse loop keeps one per trial grid
-    of the separable target and calls it for every trial pump.
-    """
-    grid_s, grid_i = l_s.grid, l_i.grid
-    sums = grid_s.samples[:, None] + grid_i.samples[None, :]
-    adp = AdpModel(pump_grid, sums)
-    tdsi = np.outer(l_s.values, l_i.values)
-    pm = None
-    if dispersion.slope != 0.0:
-        pm = pmf(
-            dispersion,
-            (grid_s.samples - grid_s.center)[:, None],
-            (grid_i.samples - grid_i.center)[None, :],
-        )
-
-    def assemble(apl: np.ndarray) -> Jsa:
-        _check_adp_input(apl)
-        # ADP * PMF * TDSI in that operand order (numpy's complex product
-        # is not bitwise commutative), in place; the PMF is left out when
-        # it is sinc(0) exp(i 0) = 1 everywhere
-        amp = adp(apl)
-        if pm is not None:
-            amp *= pm
-        amp *= tdsi
-        return normalize(Jsa(grid_s, grid_i, amp), in_place=True)
-
-    return assemble
-
-
 def compute_jsa(
     pump: Field1D,
     l_p: Field1D,
@@ -242,12 +202,29 @@ def compute_jsa(
     """Assemble and normalize the JSA from its constituent spectra.
 
     pump and l_p must share one grid (the pump integration grid); l_s and
-    l_i define the output grid.  The JSA is jsa_model's
-    ADP(w_s + w_i) PMF(w_s, w_i) l_s l_i.
+    l_i define the output grid.  alpha_p * l_p = pump * l_p is rejected
+    when all zero and warned about when it is not negligible at the grid
+    edges.  The JSA is normalize(ADP(w_s + w_i) PMF(w_s, w_i) TDSI): the
+    ADP at the sum frequencies w_s + w_i (AdpModel), the PMF, left out
+    when a zero slope makes it unity, and the TDSI l_s(w_s) l_i(w_i).
     """
     if pump.grid != l_p.grid:
         raise GridError("pump and l_p must share the same grid")
-    return jsa_model(pump.grid, l_s, l_i, dispersion)(pump.values * l_p.values)
+    apl = pump.values * l_p.values
+    _check_adp_input(apl)
+    grid_s, grid_i = l_s.grid, l_i.grid
+    # ADP * PMF * TDSI in that operand order (numpy's complex product is
+    # not bitwise commutative), in place; the PMF is left out when it is
+    # sinc(0) exp(i 0) = 1 everywhere
+    amp = AdpModel(pump.grid, grid_s.samples[:, None] + grid_i.samples[None, :])(apl)
+    if dispersion.slope != 0.0:
+        amp *= pmf(
+            dispersion,
+            (grid_s.samples - grid_s.center)[:, None],
+            (grid_i.samples - grid_i.center)[None, :],
+        )
+    amp *= np.outer(l_s.values, l_i.values)
+    return normalize(Jsa(grid_s, grid_i, amp), in_place=True)
 
 
 def antidiagonal_cut(jsa: Jsa):
@@ -361,14 +338,18 @@ def impose_pi_phase(jsa: Jsa) -> Jsa:
 # ---------------------------------------------------------------------------
 # export
 
-def save_jsa_binary(jsa: Jsa, bin_path: str, sidecar_path: str) -> None:
-    """Raw dump: little-endian float64 (re, im) pairs, row-major over
-    (idler, signal) so the signal index varies fastest; JSON sidecar
-    carries the grids and layout."""
+def save_jsa_binary(jsa: Jsa, fh) -> None:
+    """Raw dump to the binary file fh: little-endian float64 (re, im)
+    pairs, row-major over (idler, signal) so the signal index varies
+    fastest.  save_jsa_sidecar writes the grids and layout."""
     interleaved = np.empty((jsa.grid_i.n_points, jsa.grid_s.n_points, 2))
     interleaved[:, :, 0] = jsa.amplitude.real.T
     interleaved[:, :, 1] = jsa.amplitude.imag.T
-    interleaved.astype("<f8", copy=False).tofile(bin_path)
+    interleaved.astype("<f8", copy=False).tofile(fh)
+
+
+def save_jsa_sidecar(jsa: Jsa, fh) -> None:
+    """The JSON sidecar of save_jsa_binary's dump, to the text file fh."""
     sidecar = {
         "dtype": "<f8",
         "layout": "row-major (idler, signal, re/im); signal index fastest",
@@ -386,8 +367,7 @@ def save_jsa_binary(jsa: Jsa, bin_path: str, sidecar_path: str) -> None:
             "n_points": jsa.grid_i.n_points,
         },
     }
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2)
+    json.dump(sidecar, fh, indent=2)
 
 
 def load_jsa_binary(bin_path: str, sidecar_path: str) -> Jsa:

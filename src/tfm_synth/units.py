@@ -62,13 +62,6 @@ _UNIT_TABLES = {
         # maps angular-frequency detuning to wavenumber: (rad/s)^-1 m^-1
         "s/(rad m)": 1.0,
     },
-    "energy": {
-        "J": 1.0,
-        "pJ": 1e-12,
-    },
-    "nonlinear_param": {
-        "1/(W m)": 1.0,
-    },
     "area": {
         "m^2": 1.0,
         "um^2": 1e-12,

@@ -166,6 +166,53 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_jsa_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    """An export of the JSA that raises midway leaves no staged file in
+    --out: jsa.bin and jsa.json are written like every other output."""
+
+    def broken(obj, fh, **kwargs):
+        fh.write("partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken)
+    out = tmp_path / "sim"
+    with pytest.raises(OSError, match="disk full"):
+        main([
+            "simulate", "--config", "bell_phi_minus", "--out", str(out),
+            "--grid", "64",
+        ])
+    assert [f.name for f in out.iterdir() if f.name.startswith(".tmp-")] == []
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    """Two main calls share one argparse tree, and each runs the cmd_*
+    function the module holds at that moment."""
+    build_parser = cli.build_parser
+    builds = []
+
+    def counting_build():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "pgr", "--config", "bell_phi_minus")[0] == 0
+        cmd_pgr = cli.cmd_pgr
+        calls = []
+
+        def counting_pgr(args):
+            calls.append(None)
+            return cmd_pgr(args)
+
+        monkeypatch.setattr(cli, "cmd_pgr", counting_pgr)
+        assert run(capsys, "pgr", "--config", "bell_phi_minus")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert len(calls) == 1
+
+
 def test_simulate_missing_kappa_exits_2(tmp_path, capsys):
     with open(preset_path("bell_phi_minus")) as fh:
         tree = yaml.safe_load(fh)

@@ -445,7 +445,6 @@ def _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps):
         cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
     )
     return _trial_score(
-        cfg,
         reported_state(jsa),
         hg_basis(4, grid_s, grid_s.center, cfg.target.sigma),
         hg_basis(4, grid_i, grid_i.center, cfg.target.sigma),
@@ -519,11 +518,20 @@ def test_trial_score_rejects_an_all_zero_pump(preset):
         score(cfg.pump.sigma_p, taps)
 
 
-def test_separable_trial_score_is_the_purity_of_the_full_grid_state():
+@pytest.mark.parametrize(
+    "pump_points, n_points",
+    [(_FIT_PUMP_POINTS, _VERIFY_POINTS), (_POLISH_PUMP_POINTS, 512)],
+)
+def test_separable_trial_score_is_the_purity_of_the_full_grid_state(
+    pump_points, n_points
+):
+    """The separable target's trial score, built from the 2n - 1 sum
+    frequencies, equals the purity of the full-grid chain's state at the
+    trial and the polish resolutions."""
     cfg = load_preset("separable")
     mu = cfg.pump_resonance.couplings
     rng = np.random.default_rng(7)
-    *_, score = _trial_context(cfg, mu, _FIT_PUMP_POINTS, _VERIFY_POINTS)
+    *_, score = _trial_context(cfg, mu, pump_points, n_points)
     n_taps = len(cfg.pump.taps)
     for sigma_p, taps in [
         (cfg.pump.sigma_p, cfg.pump.taps),
@@ -534,9 +542,7 @@ def test_separable_trial_score_is_the_purity_of_the_full_grid_state():
             ),
         ),
     ]:
-        want = _parent_trial_score(
-            cfg, mu, _FIT_PUMP_POINTS, _VERIFY_POINTS, sigma_p, taps
-        )
+        want = _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps)
         assert abs(score(sigma_p, taps) - want) <= 1e-10
 
 
@@ -691,6 +697,22 @@ def test_optimize_trace_ordering_and_verified_score():
     # the reported score is the winner's full-grid verified fidelity
     ver = simulate(res.best_config)
     assert res.fidelity == pytest.approx(ver.fidelity, rel=1e-12)
+
+
+@pytest.mark.slow
+def test_optimize_separable_end_to_end():
+    """The separable design loop, polish included, around the coupling
+    the full default search picks (3.25 GHz): the reported score is the
+    winner's verified purity.  This search reached 0.9549 when the test
+    was written; the floor of 0.95 leaves 0.005 of headroom."""
+    cfg = load_preset("separable")
+    res = optimize_state(
+        cfg, tiny_search(mu_min=3.25e9, mu_max=3.5e9, polish_evals=40)
+    )
+    assert res.fidelity == pytest.approx(
+        simulate(res.best_config).purity, rel=1e-12
+    )
+    assert res.fidelity > 0.95
 
 
 @pytest.mark.slow

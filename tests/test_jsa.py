@@ -22,6 +22,7 @@ from tfm_synth.jsa import (
     load_jsa_binary,
     normalize,
     save_jsa_binary,
+    save_jsa_sidecar,
 )
 from tfm_synth.phase_matching import DispersionModel, pmf
 from tfm_synth.spectral import Field1D, SpectralGrid, hg_mode
@@ -366,6 +367,14 @@ def test_impose_pi_phase_recovers_sum_coordinate_node():
     assert abs(overlap) > 0.999
 
 
+def _save(jsa, bin_path, meta_path):
+    """jsa.bin and its sidecar jsa.json, as simulate writes them."""
+    with open(bin_path, "wb") as fh:
+        save_jsa_binary(jsa, fh)
+    with open(meta_path, "w") as fh:
+        save_jsa_sidecar(jsa, fh)
+
+
 def test_save_load_binary_round_trip(tmp_path):
     gs = SpectralGrid(S0, 40e9, 33)
     gi = SpectralGrid(I0, 40e9, 17)
@@ -375,7 +384,7 @@ def test_save_load_binary_round_trip(tmp_path):
     )
     bin_path = tmp_path / "jsa.bin"
     meta_path = tmp_path / "jsa.json"
-    save_jsa_binary(jsa, str(bin_path), str(meta_path))
+    _save(jsa, bin_path, meta_path)
     back = load_jsa_binary(str(bin_path), str(meta_path))
     np.testing.assert_allclose(back.amplitude, jsa.amplitude, atol=0)
     assert back.grid_s == jsa.grid_s
@@ -396,7 +405,7 @@ def test_save_binary_bytes_follow_documented_layout(tmp_path, dtype):
     jsa = Jsa(gs, gi, amp)
     bin_path = tmp_path / "jsa.bin"
     meta_path = tmp_path / "jsa.json"
-    save_jsa_binary(jsa, str(bin_path), str(meta_path))
+    _save(jsa, bin_path, meta_path)
     want = b"".join(
         struct.pack("<dd", amp[k, j].real, amp[k, j].imag)
         for j in range(3)
