@@ -30,6 +30,7 @@ __all__ = [
     "PRESET_NAMES",
     "SimulationResult",
     "analysis_report",
+    "fit_adp",
     "load_config",
     "load_jsa_binary",
     "load_preset",
@@ -38,3 +39,13 @@ __all__ = [
     "simulate",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # the one-row ADP fit lives with the inverse loop, which imports
+    # scipy.optimize; that import waits until the fit is asked for
+    if name == "fit_adp":
+        from .inversion import fit_adp
+
+        return fit_adp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

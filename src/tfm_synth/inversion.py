@@ -12,6 +12,14 @@ random initial tap settings; (6) sweep mu and keep the candidate whose
 forward-simulated state scores best.  A final derivative-free polish
 refines the leading candidates at the full configured resolution.
 
+The fits of steps (4)-(5) for a run of consecutive mu points, every
+restart of each, are the rows of one batch: one vectorized
+trust-region-reflective loop (trf.least_squares_trf, a port of the loop
+scipy's least_squares runs) steps all of them at once, with one FFT
+stack and one stacked SVD per step, and a row's fit is bit for bit the
+one it gets alone, so the trace does not depend on how the mu points are
+split among the pool's workers.
+
 The phase-matching function is treated as unity inside the loop (the
 factorized model) and enters only in the forward verification of each
 mu point's best candidate and of the polished ones.  With it unity, the
@@ -33,7 +41,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import minimize
 
 from .analysis import (
     TargetState,
@@ -57,22 +65,29 @@ from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, tap_phasors, tap_
 from .resonator import field_enhancement_chain
 from .simulate import build_grids, forward_chain
 from .spectral import Field1D, GridError, SpectralGrid
+from .trf import least_squares_trf
 
 
 _TWO_PI_GHZ = 2.0 * np.pi * 1e9
 # ADP fit: least-squares stopping tolerances and the residual evaluations
-# one fit may spend (scipy's nfev; Jacobian evaluations count in njev).
+# one fit may spend (nfev; Jacobian evaluations count in njev).
 # Most fits end at the cap, by design: past ~120 evaluations a fit's
 # residual creeps down while the trial score that ranks it stays put, and
 # the polish, not the fit's tail, takes the design the rest of the way.  In a
 # sweep of one-restart Bell designs at 256^2 (seeds 0-19), every cap from
 # 120 to 600 left two or three seeds below F = 0.9995 and a median F of
 # 0.999998, while 100 and 80 dropped seed 3 (80 also seed 7) below it.
-# The 21 fits of one design took 1.3-1.4 s at 120 against 4.9-7.7 s at
-# 600, in one process on a 2-core VM.
+# Fitted one at a time by scipy's least_squares, the 21 fits of one design
+# took 1.3-1.4 s at 120 against 4.9-7.7 s at 600; as one batch of the
+# ported loop they take 0.52-0.72 s at 120 (one process, 2-core VM).
 _FIT_GTOL = 1e-8
 _FIT_XTOL = 1e-10
 _FIT_MAX_NFEV = 120
+# the most fits one batch steps together (see _run_mu_points): 64 Bell
+# fits at 256^2 cost 42, 29, 25, 22 and 20 ms each in batches of 4, 8,
+# 16, 32 and 64 (one process, 2-core VM); past that the per-step Python
+# is paid off and the stacks only grow
+_FIT_BATCH = 64
 # TDSI decoupling regularization
 _EPSILON = 1e-3
 # internal working resolutions of the search loop; the final best
@@ -209,83 +224,135 @@ def _unpack(x: np.ndarray):
     return float(np.exp(x[0])), taps
 
 
-def _magnitude_scale(model_mag: np.ndarray, data_mag: np.ndarray) -> float:
-    denom = np.sum(model_mag * model_mag)
-    if denom == 0.0:
-        return 0.0
-    return float(np.sum(model_mag * data_mag) / denom)
+def _magnitude_fit(profiles, template: PumpSpec, l_ps):
+    """The batched magnitude fit's pieces: (residual, jacobian).
 
-
-def _magnitude_fit(profile: AdpProfile, template: PumpSpec, l_p: Field1D):
-    """The magnitude fit's pieces for a profile: (data, model, residual, jac).
-
-    data is the unit-normalized profile magnitude; model(x) is |ADP| of the
-    search vector x (see _pack); residual(x) = c |ADP| - data with the
-    scale c eliminated in closed form; jac(x) is residual's exact Jacobian.
-    least_squares asks for the Jacobian at the point whose residual it
-    has just evaluated, so the three share one evaluation per search
-    point (alpha_p l_p, its FFT and the ADP), recomputed whenever x
-    differs from the point it was made for.
+    Row r of the batch fits profiles[r] through l_ps[r].  The profiles
+    share their sum frequencies and the l_p their pump grid, so the tap
+    phasors, the squared detuning and the ADP model are built once; each
+    row has its own profile and l_p, since the separable target sweeps
+    the pump chain.  residual(rows, x) gives c |ADP| - data of the rows
+    numbered rows at their search vectors x (see _pack), one per row, with
+    data a row's unit-normalized profile magnitude and the scale c
+    eliminated in closed form, and the evaluation it came from (the
+    envelope, alpha_p l_p, its spectrum, the ADP, |ADP| and c);
+    jacobian(rows, x, point) is the residual's exact Jacobian from that
+    evaluation, so alpha_p l_p is built and transformed once per search
+    point.  A row's numbers do not depend on the rows around it: the tap
+    sums are products summed tap by tap, as tap_sum sums them, and every
+    row reduction runs along a contiguous last axis.
     """
-    data = np.asarray(profile.values, dtype=complex)
-    peak = np.max(np.abs(data))
-    if peak == 0.0:
+    u, sum_center, grid = profiles[0].u, profiles[0].sum_center, l_ps[0].grid
+    if any(
+        not np.array_equal(p.u, u) or p.sum_center != sum_center for p in profiles
+    ):
+        raise GridError("the profiles of one batch must share their sum frequencies")
+    if any(l_p.grid != grid for l_p in l_ps):
+        raise GridError("the l_p of one batch must share their pump grid")
+    data = np.array([p.values for p in profiles])
+    if not np.all(np.any(data, axis=-1)):
         raise DegenerateInputError("profile is identically zero")
-    data = data / np.sqrt(np.sum(np.abs(data) ** 2))
-    data_mag = np.abs(data)
+    data_mag = np.abs(data / np.sqrt(np.sum(np.abs(data) ** 2, axis=-1))[:, None])
+    lp_vals = np.array([l_p.values for l_p in l_ps])
     n_taps = len(template.taps)
 
     # the shaped pump's envelope and FIR factors on the pump grid, and the
-    # ADP model at the profile's sum frequencies, set up once per fit
-    detuning2 = (l_p.grid.samples - template.carrier) ** 2
-    phasors = tap_phasors(template, l_p.grid)
-    lp_vals = l_p.values
-    adp = AdpModel(l_p.grid, profile.sum_center + profile.u)
-    last = {}
+    # ADP model at the profiles' sum frequencies, set up once per batch; the
+    # model's FFT only spans the part of the sum grid the profile reads
+    detuning2 = (grid.samples - template.carrier) ** 2
+    phasors = tap_phasors(template, grid)
+    adp = AdpModel(grid, sum_center + u, cyclic=True)
 
-    def evaluate(x):
-        """(envelope, alpha_p l_p, its spectrum, ADP, |ADP|) at x."""
-        if "x" not in last or not np.array_equal(last["x"], x):
-            sigma_p = np.exp(x[0])
-            env = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
-            apl = env * ((x[1 : 1 + n_taps] * np.exp(1j * x[1 + n_taps :])) @ phasors)
-            apl *= lp_vals
-            spectrum = adp.spectrum(apl)
-            a = adp.from_spectrum(spectrum)
-            # a copy: the caller may change its x in place
-            last["x"] = np.array(x, dtype=float)
-            last["at"] = (env, apl, spectrum, a, np.abs(a))
-        return last["at"]
-
-    def model_mag(x):
-        return evaluate(x)[4].copy()
-
-    def residual_vec(x):
-        mag = evaluate(x)[4]
-        return _magnitude_scale(mag, data_mag) * mag - data_mag
-
-    def jacobian(x):
-        env, apl, spectrum, a, mag = evaluate(x)
-        alphas = x[1 : 1 + n_taps]
-        # d apl / d log sigma_p and d apl / d alpha_n
-        d_alpha = np.exp(1j * x[1 + n_taps :])[:, None] * phasors * (env * lp_vals)
-        d_sigma = apl * detuning2 * np.exp(-2.0 * x[0])
-        d_a = adp.derivative(spectrum, np.vstack([d_sigma, d_alpha]))
-        # dADP/d phi_n = i alpha_n dADP/d alpha_n
-        d_a = np.concatenate([d_a, 1j * alphas[:, None] * d_a[1:]])
-        # d|A| = Re(conj(A) dA) / |A|, taken as 0 where |A| = 0
-        d_mag = np.divide(
-            (np.conj(a) * d_a).real, mag, out=np.zeros(d_a.shape), where=mag > 0.0
+    def residual(rows, x):
+        sigma_p = np.exp(x[:, :1])
+        env = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
+        weights = x[:, 1 : 1 + n_taps] * np.exp(1j * x[:, 1 + n_taps :])
+        fir = weights[:, :1] * phasors[0]
+        for n in range(1, n_taps):
+            fir += weights[:, n : n + 1] * phasors[n]
+        # alpha_p l_p, zero-padded for the FFT in place
+        padded = np.zeros((len(rows), adp.n_fft), dtype=complex)
+        apl = padded[:, : grid.n_points]
+        np.multiply(env, fir, out=apl)
+        apl *= lp_vals[rows]
+        spectrum = adp.spectrum(padded)
+        a = adp.from_spectrum(spectrum)
+        mag = np.abs(a)
+        norm2 = np.sum(mag * mag, axis=-1)
+        scale = np.divide(
+            np.sum(mag * data_mag[rows], axis=-1), norm2,
+            out=np.zeros_like(norm2), where=norm2 > 0.0,
         )
-        norm2 = np.sum(mag * mag)
-        if norm2 == 0.0:
-            return np.zeros(d_mag.T.shape)
-        # variable projection: c = (m.d)/(m.m) moves with the model
-        scale = np.sum(mag * data_mag) / norm2
-        d_scale = (d_mag @ data_mag - 2.0 * scale * (d_mag @ mag)) / norm2
-        return (d_scale[:, None] * mag + scale * d_mag).T
+        point = (env, apl, spectrum, a, mag, scale)
+        return scale[:, None] * mag - data_mag[rows], point
 
-    return data_mag, model_mag, residual_vec, jacobian
+    def jacobian(rows, x, point):
+        env, apl, spectrum, a, mag, scale = point
+        # d apl / d log sigma_p, and d apl / d alpha_n without its phase
+        # factor exp(i phi_n), which multiplies the convolution instead
+        d_apl = np.zeros((len(rows), 1 + n_taps, adp.n_fft), dtype=complex)
+        head = d_apl[..., : grid.n_points]
+        np.multiply(apl, detuning2 * np.exp(-2.0 * x[:, :1]), out=head[:, 0])
+        np.multiply((env * lp_vals[rows])[:, None, :], phasors, out=head[:, 1:])
+        # d|A| = Re(conj(A) dA) / |A|, taken as 0 where |A| = 0, with
+        # dA/d alpha_n = exp(i phi_n) times its convolution and
+        # dA/d phi_n = i alpha_n dA/d alpha_n
+        unit = np.divide(np.conj(a), mag, out=np.zeros_like(a), where=mag > 0.0)
+        z = adp.derivative(spectrum[:, None, :], d_apl)
+        z *= unit[:, None, :]
+        z[:, 1:] *= np.exp(1j * x[:, 1 + n_taps :])[:, :, None]
+        d_mag = np.empty((len(rows), 1 + 2 * n_taps, mag.shape[1]))
+        d_mag[:, : 1 + n_taps] = z.real
+        np.multiply(
+            z[:, 1:].imag, -x[:, 1 : 1 + n_taps, None], out=d_mag[:, 1 + n_taps :]
+        )
+        # variable projection: c = (m.d)/(m.m) moves with the model, by
+        # dc = d_mag.(d - 2 c m)/(m.m); all of a row is 0 where its |ADP| is
+        norm2 = np.sum(mag * mag, axis=-1)[:, None]
+        weight = data_mag[rows] - 2.0 * scale[:, None] * mag
+        d_scale = np.sum(d_mag * weight[:, None, :], axis=-1)
+        np.divide(d_scale, norm2, out=d_scale, where=norm2 > 0.0)
+        jac = mag[:, :, None] * d_scale[:, None, :]
+        jac += scale[:, None, None] * np.swapaxes(d_mag, 1, 2)
+        return jac
+
+    return residual, jacobian
+
+
+def _fit_batch(profiles, template: PumpSpec, l_ps, x0) -> list:
+    """fit_adp of every row of a batch: row r fits profiles[r] through
+    l_ps[r] from the search vector x0[r] (see _pack), and its FitResult is
+    what fit_adp returns for it alone, bit for bit.  The rows share one
+    trust-region-reflective loop (trf.least_squares_trf) and leave it as
+    they terminate."""
+    residual, jacobian = _magnitude_fit(profiles, template, l_ps)
+    n_taps = len(template.taps)
+    lower = np.concatenate([[np.log(1e7)], np.zeros(n_taps), np.full(n_taps, -np.inf)])
+    upper = np.concatenate([[np.log(1e13)], np.ones(n_taps), np.full(n_taps, np.inf)])
+    x, nfev, njev, status = least_squares_trf(
+        residual, jacobian, x0, lower, upper, _FIT_GTOL, _FIT_XTOL, _FIT_MAX_NFEV
+    )
+    # a phase comes back wound by whatever multiple of 2 pi the steps took
+    # it through; |ADP| does not see the winding, but the polish's initial
+    # simplex, scaled by each coordinate, would
+    x[:, 1 + n_taps :] = np.mod(x[:, 1 + n_taps :], 2.0 * np.pi)
+    f, (*_, scale) = residual(np.arange(len(x)), x)
+    cost = np.sum(f * f, axis=-1)
+    fits = []
+    for r in range(len(x)):
+        sigma_p, taps = _unpack(x[r])
+        fits.append(
+            FitResult(
+                sigma_p=sigma_p,
+                taps=taps,
+                scale=float(scale[r]),
+                residual=float(cost[r]),
+                converged=bool(status[r] > 0),
+                nfev=int(nfev[r]),
+                njev=int(njev[r]),
+            )
+        )
+    return fits
 
 
 def fit_adp(
@@ -301,28 +368,30 @@ def fit_adp(
     Minimizes sum_u (c |ADP(u)| - |profile(u)|)^2 over sigma_p
     (log-space), the tap amplitudes (bounded to [0, 1]), the tap phases,
     and a real global scale c >= 0 eliminated in closed form at every
-    step (both sides carry arbitrary normalization).  The trust-region
-    steps use the exact Jacobian of that variable-projection residual
-    (Golub & Pereyra, Inverse Problems 19, R1 (2003)): every column
-    d|ADP|/d theta comes from 2 alpha_p l_p * d(alpha_p l_p)/d theta, one
-    batched FFT convolution through the ADP model's derivative, and the
-    scale's own derivative enters each column.  The Jacobian reuses the
-    residual's evaluation at the same point (alpha_p l_p, its FFT, the
-    ADP), so alpha_p l_p is built and transformed once per search point.
-    The budget of _FIT_MAX_NFEV residual evaluations is deliberately
-    short, and most fits end at it unconverged: a fit only has to bring
-    its restart near a good design, which the trial score ranks and the
-    polish refines (see _FIT_MAX_NFEV).  Only magnitudes are compared: a
-    profile obtained by decoupling a target from the measured filter
-    carries the filter's conjugated phase, which the pump model cannot
-    and need not reproduce -- the reported state is built from the
-    magnitude with the pi flips re-imposed at the nodes, whose positions
-    the magnitude still pins.  Tap solutions are non-unique; only the
-    reconstructed |ADP| is meaningful.
+    step (both sides carry arbitrary normalization).  The minimizer is
+    the trust-region-reflective loop of scipy's least_squares (method
+    "trf", exact trust-region solves, x_scale 1, gtol _FIT_GTOL, xtol
+    _FIT_XTOL, no ftol), ported in trf.least_squares_trf so that the
+    inverse loop runs the fits of many restarts and mu points as one
+    batch; this is a batch of one (_fit_batch).  The steps use the exact
+    Jacobian of the variable-projection residual (Golub & Pereyra,
+    Inverse Problems 19, R1 (2003)): every column d|ADP|/d theta comes
+    from 2 alpha_p l_p * d(alpha_p l_p)/d theta, one batched FFT
+    convolution through the ADP model's derivative, and the scale's own
+    derivative enters each column.  The residual is evaluated at every
+    trial point and the Jacobian only at accepted ones, from the
+    spectrum of alpha_p l_p stored with that trial.  The budget of
+    _FIT_MAX_NFEV residual evaluations is deliberately short, and most
+    fits end at it unconverged: a fit only has to bring its restart near
+    a good design, which the trial score ranks and the polish refines
+    (see _FIT_MAX_NFEV).  Only magnitudes are compared: a profile
+    obtained by decoupling a target from the measured filter carries the
+    filter's conjugated phase, which the pump model cannot and need not
+    reproduce -- the reported state is built from the magnitude with the
+    pi flips re-imposed at the nodes, whose positions the magnitude still
+    pins.  Tap solutions are non-unique; only the reconstructed |ADP| is
+    meaningful.
     """
-    data_mag, model_mag, residual_vec, jacobian = _magnitude_fit(
-        profile, template, l_p
-    )
     n_taps = len(template.taps)
     alphas = np.asarray(init_alphas, dtype=float)
     phis = np.asarray(init_phis, dtype=float)
@@ -330,33 +399,8 @@ def fit_adp(
         raise ValueError(
             f"initial taps must match the template's {n_taps} taps"
         )
-
     x0 = _pack(init_sigma_p, np.clip(alphas, 0.0, 1.0), phis)
-    lower = np.concatenate([[np.log(1e7)], np.zeros(n_taps), np.full(n_taps, -np.inf)])
-    upper = np.concatenate([[np.log(1e13)], np.ones(n_taps), np.full(n_taps, np.inf)])
-    res = least_squares(
-        residual_vec,
-        x0,
-        jac=jacobian,
-        bounds=(lower, upper),
-        method="trf",
-        gtol=_FIT_GTOL,
-        xtol=_FIT_XTOL,
-        ftol=None,
-        max_nfev=_FIT_MAX_NFEV,
-    )
-    sigma_p, taps = _unpack(res.x)
-    mag = model_mag(res.x)
-    scale = _magnitude_scale(mag, data_mag)
-    return FitResult(
-        sigma_p=sigma_p,
-        taps=taps,
-        scale=scale,
-        residual=float(np.sum((scale * mag - data_mag) ** 2)),
-        converged=res.status > 0,
-        nfev=int(res.nfev),
-        njev=int(res.njev),
-    )
+    return _fit_batch([profile], template, [l_p], x0[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -555,55 +599,84 @@ def _verified_score(cfg: DeviceConfig, mu: tuple, sigma_p: float, taps) -> float
         )
 
 
-def _run_mu_point(args):
-    """All restarts for one mu-grid point, and its best candidate verified.
+def _start(seed: int, mu_idx: int, restart: int, n_taps: int) -> np.ndarray:
+    """The search vector a restart starts from, drawn from an RNG keyed by
+    (seed, mu index, restart) in the order sigma_p, amplitudes, phases."""
+    rng = np.random.default_rng([seed, mu_idx, restart])
+    sigma0 = float(
+        np.exp(rng.uniform(np.log(0.5 * _TWO_PI_GHZ), np.log(50.0 * _TWO_PI_GHZ)))
+    )
+    alpha0 = rng.uniform(0.1, 1.0, n_taps)
+    phi0 = rng.uniform(0.0, 2.0 * np.pi, n_taps)
+    return _pack(sigma0, alpha0, phi0)
 
-    Returns (mu_idx, records, candidate, fits): candidate is (verified
-    score, residual, sigma_p, taps, mu) of the restart with the best
-    trial score, fits each restart's (converged, nfev, njev).
+
+def _run_mu_points(args):
+    """All restarts of a run of consecutive mu points, and the best
+    candidate of each point verified.
+
+    The fits of every (mu point, restart) run as rows of _fit_batch, at
+    most _FIT_BATCH rows at a time; a row's fit does not depend on the
+    batch it runs in.  Returns, per point, (mu_idx, records, candidate,
+    fits): candidate is (verified score, residual, sigma_p, taps, mu) of
+    the restart with the best trial score, fits each restart's
+    (converged, nfev, njev).
     """
-    cfg, search, mu_idx, mu = args
-    trial_cfg, target, l_p, score = _trial_context(
-        cfg, mu, _FIT_PUMP_POINTS, _VERIFY_POINTS
-    )
-    _, grid_s, grid_i = build_grids(trial_cfg)
-    profile = _target_profile(
-        target_jsa(target, grid_s, grid_i),
-        field_enhancement_chain(trial_cfg.signal, grid_s),
-        field_enhancement_chain(trial_cfg.idler, grid_i),
-    )
+    cfg, search, first, mu_points = args
+    restarts = search.restarts
     n_taps = len(cfg.pump.taps)
-    records = []
-    fits = []
-    best = None
-    for restart in range(search.restarts):
-        rng = np.random.default_rng([search.seed, mu_idx, restart])
-        sigma0 = float(
-            np.exp(rng.uniform(np.log(0.5 * _TWO_PI_GHZ), np.log(50.0 * _TWO_PI_GHZ)))
+    scores, profiles, l_ps, starts = [], [], [], []
+    for offset, mu in enumerate(mu_points):
+        trial_cfg, target, l_p, score = _trial_context(
+            cfg, mu, _FIT_PUMP_POINTS, _VERIFY_POINTS
         )
-        alpha0 = rng.uniform(0.1, 1.0, n_taps)
-        phi0 = rng.uniform(0.0, 2.0 * np.pi, n_taps)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fit = fit_adp(profile, cfg.pump, l_p, sigma0, alpha0, phi0)
-        trial = score(fit.sigma_p, fit.taps)
-        record = {
-            "mu": _mu_record(mu),
-            "restart": restart,
-            "sigma_p": fit.sigma_p,
-            "alpha": [t.amplitude for t in fit.taps],
-            "phi": [float(np.mod(t.phase, 2.0 * np.pi)) for t in fit.taps],
-            "fidelity": trial,
-            "residual": fit.residual,
-            "converged": fit.converged,
-        }
-        records.append(record)
-        fits.append((fit.converged, fit.nfev, fit.njev))
-        if best is None or trial > best[0]:
-            best = (trial, fit.residual, fit.sigma_p, fit.taps)
-    _, residual, sigma_p, taps = best
-    verified = _verified_score(cfg, mu, sigma_p, taps)
-    return mu_idx, records, (verified, residual, sigma_p, taps, mu), fits
+        _, grid_s, grid_i = build_grids(trial_cfg)
+        profile = _target_profile(
+            target_jsa(target, grid_s, grid_i),
+            field_enhancement_chain(trial_cfg.signal, grid_s),
+            field_enhancement_chain(trial_cfg.idler, grid_i),
+        )
+        scores.append(score)
+        profiles.extend([profile] * restarts)
+        l_ps.extend([l_p] * restarts)
+        starts.extend(
+            _start(search.seed, first + offset, restart, n_taps)
+            for restart in range(restarts)
+        )
+    fits = []
+    for lo in range(0, len(starts), _FIT_BATCH):
+        hi = lo + _FIT_BATCH
+        fits.extend(
+            _fit_batch(profiles[lo:hi], cfg.pump, l_ps[lo:hi], np.array(starts[lo:hi]))
+        )
+    results = []
+    for offset, (mu, score) in enumerate(zip(mu_points, scores)):
+        records = []
+        best = None
+        point_fits = fits[offset * restarts : (offset + 1) * restarts]
+        for restart, fit in enumerate(point_fits):
+            trial = score(fit.sigma_p, fit.taps)
+            records.append({
+                "mu": _mu_record(mu),
+                "restart": restart,
+                "sigma_p": fit.sigma_p,
+                "alpha": [t.amplitude for t in fit.taps],
+                "phi": [float(np.mod(t.phase, 2.0 * np.pi)) for t in fit.taps],
+                "fidelity": trial,
+                "residual": fit.residual,
+                "converged": fit.converged,
+            })
+            if best is None or trial > best[0]:
+                best = (trial, fit.residual, fit.sigma_p, fit.taps)
+        _, residual, sigma_p, taps = best
+        verified = _verified_score(cfg, mu, sigma_p, taps)
+        results.append((
+            first + offset,
+            records,
+            (verified, residual, sigma_p, taps, mu),
+            [(fit.converged, fit.nfev, fit.njev) for fit in point_fits],
+        ))
+    return results
 
 
 def _polish_candidate(args):
@@ -688,6 +761,17 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
+def _chunks(n_points: int, restarts: int, workers: int) -> list:
+    """(start, stop) of the runs of consecutive mu points the pool's tasks
+    take: at least one per worker (workers <= n_points), of sizes that
+    differ by at most one, and no more points than _FIT_BATCH fits fill,
+    but at least one."""
+    per_chunk = max(1, _FIT_BATCH // restarts)
+    n_chunks = max(workers, -(-n_points // per_chunk))
+    bounds = [n_points * c // n_chunks for c in range(n_chunks + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     """Full inverse loop over the mu grid with seeded multi-start fits.
 
@@ -711,8 +795,11 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     mu_points = [
         tuple(float(g.flat[i]) for g in grids) for i in range(grids[0].size)
     ]
-    tasks = [(cfg, search, idx, mu) for idx, mu in enumerate(mu_points)]
-    workers = _worker_count(len(tasks))
+    workers = _worker_count(len(mu_points))
+    tasks = [
+        (cfg, search, lo, mu_points[lo:hi])
+        for lo, hi in _chunks(len(mu_points), search.restarts, workers)
+    ]
     with ExitStack() as stack:
         if workers == 1:
             run = map
@@ -721,7 +808,7 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
                 max_workers=workers, initializer=_one_blas_thread
             )
             run = stack.enter_context(pool).map
-        results = sorted(run(_run_mu_point, tasks), key=lambda r: r[0])
+        results = [point for chunk in run(_run_mu_points, tasks) for point in chunk]
         trace = []
         scored = []
         fits = []

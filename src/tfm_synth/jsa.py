@@ -129,8 +129,12 @@ class AdpModel:
     frequencies sums, linearly interpolated and zero beyond the
     sum-frequency grid.  The FFT length and the interpolation's indices
     and weights are built once, with one scratch buffer, so a model must
-    not be called from two threads at once.  model(apl) is
-    model.from_spectrum(model.spectrum(apl)); from_spectrum and
+    not be called from two threads at once.  Input already zero-padded to
+    n_fft samples transforms without a copy.  A cyclic model takes the
+    shortest FFT whose cyclic self-convolution has no wrap-around at the
+    samples it reads: its ADP is the same function, to round-off, from
+    shorter transforms when the sums cover only part of the sum grid.
+    model(apl) is model.from_spectrum(model.spectrum(apl)); from_spectrum and
     derivative(spectrum, d_apl) can share one spectrum, as the inverse
     fit's residual and Jacobian do at one search point.  The model
     checks nothing, so the fit can call it in its residual; compute_jsa
@@ -138,26 +142,37 @@ class AdpModel:
     _check_adp_input.
     """
 
-    def __init__(self, grid: SpectralGrid, sums: np.ndarray):
-        # fftconvolve's length for complex input, so that a model call
-        # equals fftconvolve(apl, apl) sampled at sums bit for bit
-        self._n_fft = next_fast_len(_sum_grid(grid).n_points)
+    def __init__(self, grid: SpectralGrid, sums: np.ndarray, cyclic: bool = False):
+        n_conv = _sum_grid(grid).n_points
         self._lo, self._hi, self._w_lo, self._w_hi = _interp_plan(grid, sums)
+        if cyclic:
+            # the shortest length whose cyclic self-convolution equals the
+            # linear one at every index read: conv[k - L] and conv[k + L]
+            # fall outside the linear one's n_conv samples for each k read
+            need = max(grid.n_points, self._hi.max() + 1, n_conv - self._lo.min())
+            self.n_fft = next_fast_len(int(need))
+        else:
+            # fftconvolve's length for complex input, so that a model call
+            # equals fftconvolve(apl, apl) sampled at sums bit for bit
+            self.n_fft = next_fast_len(n_conv)
         # on a signal/idler grid every temporary is a full array: gather and
         # weigh in place, the upper neighbours in a buffer kept across calls
         self._upper = np.empty(np.shape(sums), dtype=complex)
 
     def spectrum(self, apl: np.ndarray) -> np.ndarray:
         """FFT of alpha_p * l_p, zero-padded to the self-convolution."""
-        return fft(apl, self._n_fft)
+        return fft(apl, self.n_fft)
 
     def __call__(self, apl: np.ndarray) -> np.ndarray:
         """ADP(sums) of alpha_p * l_p."""
         return self.from_spectrum(self.spectrum(apl))
 
     def from_spectrum(self, spectrum: np.ndarray) -> np.ndarray:
-        """ADP(sums) of the alpha_p * l_p whose spectrum is given."""
+        """ADP(sums) of the alpha_p * l_p whose spectrum is given; a stack
+        of spectra, one per row, gives one ADP per row."""
         conv = ifft(spectrum * spectrum)
+        if conv.ndim > 1:
+            return self._sample(conv)
         out = np.take(conv, self._lo)
         out *= self._w_lo
         upper = self._upper
@@ -170,12 +185,24 @@ class AdpModel:
 
         spectrum is self.spectrum(apl) and d_apl a stack of directions,
         one per row; every row comes from one batched FFT of the
-        directions and the model's interpolation plan.
+        directions and the model's interpolation plan.  Stacked spectra
+        of several apl broadcast against stacked direction sets.
         """
+        spec = fft(d_apl, self.n_fft, axis=-1)
         # the factor 2 is exact in binary floating point
-        spec = (2.0 * spectrum) * fft(d_apl, self._n_fft, axis=-1)
-        conv = ifft(spec, axis=-1)
-        return conv[..., self._lo] * self._w_lo + conv[..., self._hi] * self._w_hi
+        spec *= 2.0 * spectrum
+        return self._sample(ifft(spec, axis=-1, overwrite_x=True))
+
+    def _sample(self, conv: np.ndarray) -> np.ndarray:
+        """The interpolation at sums along the last axis of conv, in C
+        order (an index on the last axis alone would leave a stack with
+        that axis outermost in memory)."""
+        lower = np.take(conv, self._lo, axis=-1)
+        lower *= self._w_lo
+        upper = np.take(conv, self._hi, axis=-1)
+        upper *= self._w_hi
+        lower += upper
+        return lower
 
 
 def _check_adp_input(values: np.ndarray) -> None:

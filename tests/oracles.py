@@ -1,14 +1,17 @@
 """Reference implementations the tests compare the package against.
 
 Each one computes a quantity the package computes another way: a direct
-sum, a closed form, a per-row quadrature or a density-matrix formula.
+sum, a closed form, a per-row quadrature, a density-matrix formula or
+the library optimizer whose loop the package ports.
 None of them runs in the program; test files import them as
 ``import oracles``.
 """
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from tfm_synth.analysis import PreconditionError, TargetState
+from tfm_synth.inversion import _FIT_GTOL, _FIT_MAX_NFEV, _FIT_XTOL, _magnitude_fit
 from tfm_synth.jsa import Jsa, _bilinear, _sum_grid, normalize
 from tfm_synth.phase_matching import DispersionModel, pmf
 from tfm_synth.pulse_shaper import Tap
@@ -105,6 +108,34 @@ def diagonal_profile(g, grid_s: SpectralGrid, grid_i: SpectralGrid, n_points: in
         g.imag, grid_s, grid_i, ws, wi
     )
     return u, values
+
+
+# ---------------------------------------------------------------------------
+# ADP fit
+
+def least_squares_fit(profile, template, l_p, x0):
+    """scipy's least_squares on one row of the package's magnitude fit,
+    with the settings inversion.fit_adp's trust-region loop reproduces:
+    method "trf", exact trust-region solves, x_scale 1, a linear loss,
+    gtol _FIT_GTOL, xtol _FIT_XTOL, no ftol, at most _FIT_MAX_NFEV
+    residual evaluations, and the bounds of the search vector."""
+    residual, jacobian = _magnitude_fit([profile], template, [l_p])
+    row = np.array([0])
+
+    def fun(x):
+        return residual(row, x[None, :])[0][0]
+
+    def jac(x):
+        return jacobian(row, x[None, :], residual(row, x[None, :])[1])[0]
+
+    n_taps = len(template.taps)
+    lower = np.concatenate([[np.log(1e7)], np.zeros(n_taps), np.full(n_taps, -np.inf)])
+    upper = np.concatenate([[np.log(1e13)], np.ones(n_taps), np.full(n_taps, np.inf)])
+    return least_squares(
+        fun, x0, jac=jac, bounds=(lower, upper), method="trf",
+        tr_solver="exact", x_scale=1.0, gtol=_FIT_GTOL, xtol=_FIT_XTOL,
+        ftol=None, max_nfev=_FIT_MAX_NFEV,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from tfm_synth.inversion import (
     _VERIFY_POINTS,
     AdpProfile,
     SearchConfig,
+    _fit_batch,
     _magnitude_fit,
     _pack,
+    _start,
     _swept_chains,
     _target_profile,
     _trial_context,
@@ -332,87 +334,160 @@ def central_differences(fun, x, step=1e-6):
     return np.stack(cols, axis=1)
 
 
-@pytest.mark.parametrize("case", ["round_trip", "single_tap"])
-def test_fit_jacobian_matches_central_differences(case):
-    """The analytic Jacobian of the scale-eliminated magnitude residual
-    agrees with central differences to 1e-6 of its largest entry at
-    seeded points."""
+def jacobian_batch(case):
+    """Three rows of one fit batch: the case's profile through its l_p, a
+    second profile through another l_p, and the first again."""
     if case == "round_trip":
         _, _, prof, l_p = round_trip_case()
         template = pump_template()
+        rng = np.random.default_rng(1)
+        taps = oracles.make_taps(
+            rng.uniform(0.1, 1.0, 6), rng.uniform(0.0, 2.0 * np.pi, 6)
+        )
+        other = replace(template, sigma_p=12e9, taps=taps)
+        other_lp = flat_lp()
     else:
         prof, template, l_p = single_tap_case()
-    *_, residual, jacobian = _magnitude_fit(prof, template, l_p)
+        other = replace(template, sigma_p=12e9)
+        other_lp = lorentzian_lp()
+    profiles = [prof, synth_profile(other, other_lp), prof]
+    return profiles, template, [l_p, other_lp, l_p]
+
+
+def row_residual(residual, r):
+    """Row r's residual alone, as a function of its search vector."""
+    return lambda x: residual(np.array([r]), x[None, :])[0][0]
+
+
+@pytest.mark.parametrize("case", ["round_trip", "single_tap"])
+def test_fit_jacobian_matches_central_differences(case):
+    """On every row of a batch, the analytic Jacobian of the
+    scale-eliminated magnitude residual agrees with central differences
+    to 1e-6 of its largest entry at seeded points."""
+    profiles, template, l_ps = jacobian_batch(case)
+    residual, jacobian = _magnitude_fit(profiles, template, l_ps)
     n_taps = len(template.taps)
+    rows = np.arange(len(profiles))
     rng = np.random.default_rng(21)
     for _ in range(3):
-        x = _pack(
-            np.exp(rng.uniform(np.log(5e9), np.log(40e9))),
-            rng.uniform(0.1, 1.0, n_taps),
-            rng.uniform(0.0, 2.0 * np.pi, n_taps),
-        )
-        jac = jacobian(x)
-        assert jac.shape == (len(prof.u), 1 + 2 * n_taps)
-        np.testing.assert_allclose(
-            jac, central_differences(residual, x),
-            rtol=0.0, atol=1e-6 * np.max(np.abs(jac)),
-        )
+        x = np.array([
+            _pack(
+                np.exp(rng.uniform(np.log(5e9), np.log(40e9))),
+                rng.uniform(0.1, 1.0, n_taps),
+                rng.uniform(0.0, 2.0 * np.pi, n_taps),
+            )
+            for _ in rows
+        ])
+        jac = jacobian(rows, x, residual(rows, x)[1])
+        assert jac.shape == (len(rows), len(profiles[0].u), 1 + 2 * n_taps)
+        for r in rows:
+            np.testing.assert_allclose(
+                jac[r], central_differences(row_residual(residual, r), x[r]),
+                rtol=0.0, atol=1e-6 * np.max(np.abs(jac[r])),
+            )
 
 
 def test_fit_jacobian_finite_at_model_zeros():
     """Sum frequencies beyond the pump grid's self-convolution make
-    |ADP| exactly 0 there; the Jacobian stays finite, with zero rows."""
+    |ADP| exactly 0 there; on every row of a batch the Jacobian stays
+    finite, with zero rows."""
     prof, template, l_p = single_tap_case()
     span = 1.5 * 2.0 * l_p.grid.half_span
     u = np.linspace(-span, span, 101)
     wide = AdpProfile(u, np.exp(-((u / 40e9) ** 2)), prof.sum_center)
-    _, model, _, jacobian = _magnitude_fit(wide, template, l_p)
-    x = _pack(18e9, [0.7], [0.3])
+    narrow = AdpProfile(u, np.exp(-((u / 20e9) ** 2)), prof.sum_center)
+    residual, jacobian = _magnitude_fit(
+        [wide, narrow], template, [l_p, lorentzian_lp()]
+    )
+    rows = np.arange(2)
+    x = np.array([_pack(18e9, [0.7], [0.3]), _pack(25e9, [0.4], [1.1])])
+    _, point = residual(rows, x)
+    model = point[4]
     zeros = np.abs(u) > 2.0 * l_p.grid.half_span
-    assert np.any(zeros) and not np.any(model(x)[zeros])
-    jac = jacobian(x)
-    assert np.all(np.isfinite(jac))
-    assert not np.any(jac[zeros])
+    jac = jacobian(rows, x, point)
+    for r in rows:
+        assert np.any(zeros) and not np.any(model[r][zeros])
+        assert np.all(np.isfinite(jac[r]))
+        assert not np.any(jac[r][zeros])
 
 
-def test_fit_shared_evaluation_is_never_stale():
-    """The residual, the model and the Jacobian share one evaluation per
-    search point; a call at another point, or at the caller's x changed in
-    place, gives what a freshly built fit gives there, bit for bit."""
-    _, _, prof, l_p = round_trip_case()
-    template = pump_template()
+def test_fit_port_reproduces_least_squares():
+    """On the single-tap round trip the batched trust-region loop takes
+    least_squares' path: the same status, residual and Jacobian
+    evaluations, and the same fit to 1e-8.  A single tap's amplitude and
+    phase leave |ADP| unchanged once the scale is eliminated, so their
+    Jacobian columns are round-off and both optimizers leave them
+    wherever that round-off steers; the width, the fitted magnitude and
+    the residual are what the fit determines."""
+    prof, template, l_p = single_tap_case()
+    x0 = _pack(10e9, [0.5], [0.0])
+    want = oracles.least_squares_fit(prof, template, l_p, x0)
+    fit = fit_adp(prof, template, l_p, 10e9, [0.5], [0.0])
+    assert want.status == 1 and fit.converged
+    assert (fit.nfev, fit.njev) == (want.nfev, want.njev)
+    assert np.log(fit.sigma_p) == pytest.approx(want.x[0], abs=1e-8)
+    got = fitted_magnitude(fit, template, l_p, prof.u)
+    np.testing.assert_allclose(
+        got - unit_magnitude(prof.values), want.fun, rtol=0.0, atol=1e-8
+    )
+    assert fit.residual == pytest.approx(2.0 * want.cost, rel=0.0, abs=1e-8)
 
-    def fresh():
-        return _magnitude_fit(prof, template, l_p)
 
-    _, model, residual, jacobian = fresh()
-    rng = np.random.default_rng(8)
-    x = _pack(20e9, rng.uniform(0.1, 1.0, 6), rng.uniform(0.0, 2.0 * np.pi, 6))
-    y = x + rng.uniform(-0.05, 0.05, x.shape)
-    assert not np.array_equal(x, y)
-    residual(y)
-    assert np.array_equal(jacobian(x), fresh()[3](x))
-    residual(x)
-    assert np.array_equal(jacobian(y), fresh()[3](y))
+def mu_point_fit_rows(preset, n_rows):
+    """(profile, l_p, start) of n_rows fits: the preset's default mu points
+    in turn, each row with its own restart's start, at a 128^2 grid."""
+    cfg = load_preset(preset)
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=128))
+    swept = cfg.signal if cfg.target.dimension >= 2 else cfg.pump_resonance
+    mu_values = SearchConfig().mu_values
+    points = []
+    for mu in mu_values:
+        trial_cfg, target, l_p, _ = _trial_context(
+            cfg, (mu,) * len(swept.couplings), _FIT_PUMP_POINTS, _VERIFY_POINTS
+        )
+        _, grid_s, grid_i = build_grids(trial_cfg)
+        profile = _target_profile(
+            target_jsa(target, grid_s, grid_i),
+            field_enhancement_chain(trial_cfg.signal, grid_s),
+            field_enhancement_chain(trial_cfg.idler, grid_i),
+        )
+        points.append((profile, l_p))
+    n_taps = len(cfg.pump.taps)
+    rows = []
+    for r in range(n_rows):
+        k = r % len(points)
+        rows.append((*points[k], _start(0, k, r // len(points), n_taps)))
+    return cfg.pump, rows
 
-    # the caller's x changed in place after a call
-    z = x.copy()
-    r_before = residual(z)
-    jac_before = jacobian(z)
-    z[0] += 0.02
-    z[1:4] *= 0.9
-    _, model_z, residual_z, jacobian_z = fresh()
-    r_after = residual(z)
-    assert not np.array_equal(r_after, r_before)
-    assert np.array_equal(r_after, residual_z(z))
-    assert not np.array_equal(jacobian(z), jac_before)
-    assert np.array_equal(jacobian(z), jacobian_z(z))
 
-    # a returned model magnitude is the caller's to change
-    m = model(z)
-    m[:] = 0.0
-    assert np.array_equal(model(z), model_z(z))
-    assert np.array_equal(residual(z), residual_z(z))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("preset", ["bell_phi_minus", "separable"])
+def test_fit_batch_rows_do_not_depend_on_the_batch(preset):
+    """One (profile, start) fitted alone and at rows 0, 17 and 31 of a
+    32-row batch of the preset's mu points, some of whose rows end before
+    others, gives the same fit bit for bit, evaluation counts included;
+    so does every other row of the batch, fitted alone.  The separable
+    preset sweeps the pump chain, so its rows differ in l_p too.  The fit
+    raises no warning."""
+    template, rows = mu_point_fit_rows(preset, 32)
+    probe = rows[5]
+    for r in (0, 17, 31):
+        rows[r] = probe
+
+    def fit(batch):
+        profiles, l_ps, starts = zip(*batch)
+        return _fit_batch(list(profiles), template, list(l_ps), np.array(starts))
+
+    batch = fit(rows)
+    alone = fit([probe])[0]
+    for r in (0, 17, 31):
+        assert batch[r] == alone
+        assert (batch[r].nfev, batch[r].njev) == (alone.nfev, alone.njev)
+    nfev = [f.nfev for f in batch]
+    assert min(nfev) < inversion._FIT_MAX_NFEV
+    assert max(nfev) > min(nfev)
+    for r in (1, 2, 16, 18, 30):
+        assert fit([rows[r]])[0] == batch[r]
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +728,45 @@ def test_search_config_validation():
         SearchConfig(mu_min=2e9, mu_max=1e9).mu_values
 
 
+@pytest.mark.parametrize(
+    "n_points, restarts, workers",
+    [(21, 1, 1), (21, 1, 2), (21, 1, 3), (21, 32, 2), (5, 1, 4), (9261, 1, 2),
+     (3, 100, 2), (441, 2, 8)],
+)
+def test_mu_points_split_into_chunks_per_worker(n_points, restarts, workers):
+    """The chunks cover the mu points in order, give every worker one at
+    least and hold no more fits than one batch, unless a single point's
+    restarts already exceed it."""
+    chunks = inversion._chunks(n_points, restarts, workers)
+    assert chunks[0][0] == 0 and chunks[-1][1] == n_points
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    assert len(chunks) >= workers
+    sizes = [hi - lo for lo, hi in chunks]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert all(
+        size * restarts <= inversion._FIT_BATCH or size == 1 for size in sizes
+    )
+
+
+def test_optimize_trace_does_not_depend_on_the_fit_batches(monkeypatch):
+    """A mu point whose restarts outnumber one batch fits them in
+    successive batches, and the trace is the one of a single batch, bit
+    for bit, on one worker and on two."""
+    cfg = load_preset("bell_phi_minus")
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=64))
+    search = tiny_search(restarts=3)
+    monkeypatch.setenv("TFM_SYNTH_THREADS", "1")
+    whole = optimize_state(cfg, search)
+    monkeypatch.setattr(inversion, "_FIT_BATCH", 2)
+    split = optimize_state(cfg, search)
+    monkeypatch.setenv("TFM_SYNTH_THREADS", "2")
+    pooled = optimize_state(cfg, search)
+    assert len(whole.trace) == 6
+    assert whole.trace == split.trace == pooled.trace
+    assert whole.fits == split.fits == pooled.fits
+    assert whole.fidelity == split.fidelity == pooled.fidelity
+
+
 @pytest.mark.slow
 def test_optimize_trace_deterministic():
     """Identical seeds give identical traces, field by field."""
@@ -759,14 +873,14 @@ def test_fit_budget_keeps_the_design_quality(monkeypatch):
     residual evaluations than the cap."""
     nfevs = []
 
-    def recording_fit(*args, **kwargs):
-        fit = fit_adp(*args, **kwargs)
-        nfevs.append(fit.nfev)
-        return fit
+    def recording_batch(*args, **kwargs):
+        fits = _fit_batch(*args, **kwargs)
+        nfevs.extend(fit.nfev for fit in fits)
+        return fits
 
-    # in this process, where the recording fit is seen
+    # in this process, where the recording batch is seen
     monkeypatch.setenv("TFM_SYNTH_THREADS", "1")
-    monkeypatch.setattr(inversion, "fit_adp", recording_fit)
+    monkeypatch.setattr(inversion, "_fit_batch", recording_batch)
     cfg = load_preset("bell_phi_minus")
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=256))
     n_mu = len(SearchConfig().mu_values)

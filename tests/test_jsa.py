@@ -85,6 +85,36 @@ def test_adp_model_matches_fftconvolve_bitwise(n):
         assert np.array_equal(model.from_spectrum(model.spectrum(apl)), want)
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [(-0.2, 0.2), (-0.45, 0.45), (-0.9, -0.5), (-1.0, 1.0)]
+)
+def test_cyclic_adp_model_matches_the_linear_one(lo, hi):
+    """A cyclic model, whose FFT only spans the part of the sum grid its
+    sums read (centred or off to one side), gives the linear model's ADP
+    to round-off, for one apl and for a stack of them; it is shorter when
+    the sums cover part of the sum grid, and fftconvolve's length when
+    they reach its ends."""
+    grid = SpectralGrid(P0, 250e9, 512)
+    rng = np.random.default_rng(5)
+    # no envelope: every lag of the self-convolution carries weight, so
+    # any wrap-around would show
+    apl = rng.normal(size=(3, 512)) + 1j * rng.normal(size=(3, 512))
+    half = _sum_grid(grid).half_span
+    sums = 2.0 * P0 + np.linspace(lo * half, hi * half, 129)
+    linear = AdpModel(grid, sums)
+    cyclic = AdpModel(grid, sums, cyclic=True)
+    want = np.array([linear(row) for row in apl])
+    scale = np.max(np.abs(want))
+    np.testing.assert_allclose(
+        cyclic(apl[0]), want[0], rtol=0.0, atol=1e-12 * scale
+    )
+    np.testing.assert_allclose(cyclic(apl), want, rtol=0.0, atol=1e-12 * scale)
+    if hi - lo < 2.0:
+        assert cyclic.n_fft < linear.n_fft
+    else:
+        assert cyclic.n_fft == linear.n_fft
+
+
 def test_adp_gaussian_closed_form():
     """Self-convolution of a Gaussian doubles the variance:
     conv has width sigma sqrt(2) and peak sigma sqrt(pi)."""
