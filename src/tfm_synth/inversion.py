@@ -8,12 +8,13 @@ reducing the problem to one dimension; (4) least-squares fit the
 magnitude of the pump-side model (envelope width sigma_p and the FIR
 taps, through the ADP model the forward path uses and its exact
 derivative) to that profile's magnitude; (5) repeat the fit from many
-random initial tap settings; (6) sweep mu and keep the candidate whose
-forward-simulated state scores best.  A final derivative-free polish
-refines the leading candidates at the full configured resolution.
+random initial tap settings; (6) sweep mu, rank the mu points by their
+best restart's trial score, refine the leading ones with a
+derivative-free polish at the configured resolution, and keep the
+candidate whose forward-simulated state scores best.
 
-The fits of steps (4)-(5) for a run of consecutive mu points, every
-restart of each, are the rows of one batch: one vectorized
+The fits of steps (4)-(5) for the mu points of one task, every restart
+of each, are the rows of one batch: one vectorized
 trust-region-reflective loop (trf.least_squares_trf, a port of the loop
 scipy's least_squares runs) steps all of them at once, with one FFT
 stack and one stacked SVD per step, and a row's fit is bit for bit the
@@ -21,19 +22,26 @@ one it gets alone, so the trace does not depend on how the mu points are
 split among the pool's workers.
 
 The phase-matching function is treated as unity inside the loop (the
-factorized model) and enters only in the forward verification of each
-mu point's best candidate and of the polished ones.  With it unity, the
-reported trial state is |ADP(w_s + w_i)| |l_s| |l_i| times the pi-flip
-signs, a function of the sum frequency times a product, so every trial
-score (each restart's record and every polish step) starts from the
-2n - 1 sum frequencies of the n^2 grid: an entangled target reads its HG
-pair amplitudes off them, and the separable target's purity takes the
-Schmidt weights of the n^2 state built from them.
+factorized model) and enters only in the forward verification
+(_verified_score).  With it unity, the reported trial state is
+|ADP(w_s + w_i)| |l_s| |l_i| times the pi-flip signs, a function of the
+sum frequency times a product, so every trial score (each restart's
+record and every polish step) starts from the 2n - 1 sum frequencies of
+the n^2 grid: an entangled target reads its HG pair amplitudes off them,
+and the separable target's purity takes the Schmidt weights of the n^2
+state built from them.  An entangled target's trial score, on the
+configured grid and the polish's pump grid, agrees with the verification
+to a few 1e-5, so the mu points are ranked by it and only the polish's
+leaders and their polished parameters are verified.  The separable
+target's purity depends on the phase matching the trial score leaves
+out, so its mu points are ranked by the verification of each point's
+best restart.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -61,7 +69,7 @@ from .jsa import (
     _check_adp_input,
     find_cut_minima,
 )
-from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, tap_phasors, tap_sum
+from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, tap_phasors
 from .resonator import field_enhancement_chain
 from .simulate import build_grids, forward_chain
 from .spectral import Field1D, GridError, SpectralGrid
@@ -90,8 +98,12 @@ _FIT_MAX_NFEV = 120
 _FIT_BATCH = 64
 # TDSI decoupling regularization
 _EPSILON = 1e-3
-# internal working resolutions of the search loop; the final best
-# candidate is always re-verified at the configured grid size
+# internal working resolutions of the search loop: the fit's pump grid
+# and profile; the separable target's reduced trial grid, whose score only
+# picks each mu point's best restart; and the pump grid of every other
+# trial score.  On 512 pump points the fitted Bell candidate at 0.25 GHz
+# (256^2, seed 0) scores 0.836 against 0.9097 verified; on 2048 each of
+# that design's 21 candidates scores within 9e-5 of its verification.
 _FIT_PUMP_POINTS = 512
 _FIT_PROFILE_POINTS = 129
 _VERIFY_POINTS = 128
@@ -125,13 +137,18 @@ class SearchConfig:
     mu_step: float = 0.25e9
     seed: int = 0
     # derivative-free refinement of the top candidates, run at the
-    # configured grid size (0 evals disables the stage)
+    # configured grid size (0 evals disables the stage; the polish_top
+    # leading mu points are verified either way)
     polish_evals: int = 400
     polish_top: int = 2
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+        if self.polish_top < 1:
+            raise ConfigError(f"polish_top must be >= 1, got {self.polish_top}")
+        if self.polish_evals < 0:
+            raise ConfigError(f"polish_evals must be >= 0, got {self.polish_evals}")
         if self.mu_step <= 0:
             raise ConfigError(f"mu_step must be > 0, got {self.mu_step}")
         if self.seed < 0:
@@ -216,12 +233,22 @@ def _pack(sigma_p: float, amplitudes, phases) -> np.ndarray:
     return np.concatenate([[np.log(sigma_p)], amplitudes, phases])
 
 
+def _split(x: np.ndarray):
+    """(sigma_p, amplitudes, phases) of a search vector, the amplitudes
+    clipped to [0, 1]."""
+    n_taps = (len(x) - 1) // 2
+    return np.exp(x[0]), np.clip(x[1 : 1 + n_taps], 0.0, 1.0), x[1 + n_taps :]
+
+
 def _unpack(x: np.ndarray):
     """(sigma_p, taps) of a search vector, amplitudes clipped to [0, 1]."""
-    n_taps = (len(x) - 1) // 2
-    amps = np.clip(x[1 : 1 + n_taps], 0.0, 1.0)
-    taps = tuple(Tap(float(a), float(p)) for a, p in zip(amps, x[1 + n_taps :]))
-    return float(np.exp(x[0])), taps
+    sigma_p, amps, phases = _split(x)
+    return float(sigma_p), tuple(Tap(float(a), float(p)) for a, p in zip(amps, phases))
+
+
+def _tap_arrays(taps):
+    """(amplitudes, phases) of a tuple of Tap, as arrays."""
+    return np.array([t.amplitude for t in taps]), np.array([t.phase for t in taps])
 
 
 def _magnitude_fit(profiles, template: PumpSpec, l_ps):
@@ -482,7 +509,9 @@ def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
     # one anti-diagonal differ in w_s + w_i by round-off only
     m = np.arange(2 * n - 1)
     sums = grid_s.samples[m // 2] + grid_i.samples[m - m // 2]
-    adp = AdpModel(pump_grid, sums)
+    # the 2n - 1 sums span half the sum grid: a cyclic model reads them off a
+    # shorter FFT (2520 points instead of 4096 at 2048 pump points)
+    adp = AdpModel(pump_grid, sums, cyclic=True)
     overlaps = np.array(
         [np.convolve(fs * mag_s, fi * mag_i) for fs, fi in zip(modes_s, modes_i)]
     )
@@ -530,29 +559,35 @@ def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
     return score
 
 
-def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int):
-    """What scoring trial pumps at one coupling point needs, built once.
+def _trial_context(
+    cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int, chain=None
+):
+    """The trial score at one coupling point, with what it needs built once.
 
-    Returns (trial_cfg, target, l_p, score): the template with the swept
-    couplings, the target state, the pump enhancement on a pump grid of
-    pump_points, and score(sigma_p, taps), the trial score of the
-    reported state with a flat phase-matching function on an
-    n_points^2 signal/idler grid.  The chains, the HG bases, the tap
-    phasors, the squared detuning and the state's model on the 2n - 1 sum
-    frequencies (_sum_index_score) are built here, for every target.  A
-    score evaluates the shaped pump times l_p and that model.
+    Returns score(sigma_p, amplitudes, phases), the trial score of the
+    reported state with a flat phase-matching function on an n_points^2
+    signal/idler grid, the shaped pump taken on a pump grid of
+    pump_points, for the template with the swept couplings mu.  The
+    chains, the HG bases, the tap phasors, the squared detuning and the
+    state's model on the 2n - 1 sum frequencies (_sum_index_score) are
+    built here; chain(spec, grid) builds the chains, field_enhancement_chain
+    by default, or a task's cache of it that the fit's inputs share.  A
+    score evaluates the shaped pump times l_p and that model: the taps
+    come as arrays (see _split), summed with tap_sum's arithmetic, so the
+    polish scores its search vector without building Tap tuples.
     """
+    chain = chain or field_enhancement_chain
     trial_cfg = _swept_chains(cfg, mu)
     pump_grid, grid_s, grid_i = build_grids(trial_cfg, n_points)
     pump_grid = SpectralGrid(pump_grid.center, pump_grid.half_span, pump_points)
     target = TargetState(
         cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
     )
-    l_p = field_enhancement_chain(trial_cfg.pump_resonance, pump_grid)
+    l_p = chain(trial_cfg.pump_resonance, pump_grid).values
     state_score = _sum_index_score(
         pump_grid,
-        field_enhancement_chain(trial_cfg.signal, grid_s),
-        field_enhancement_chain(trial_cfg.idler, grid_i),
+        chain(trial_cfg.signal, grid_s),
+        chain(trial_cfg.idler, grid_i),
         hg_basis(4, grid_s, grid_s.center, cfg.target.sigma),
         hg_basis(4, grid_i, grid_i.center, cfg.target.sigma),
         target.coefficients,
@@ -561,15 +596,16 @@ def _trial_context(cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int
     detuning = pump_grid.samples - cfg.pump.carrier
     detuning2 = detuning * detuning
 
-    def score(sigma_p, taps):
+    def score(sigma_p, amplitudes, phases):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             # the shaped pump (apply_envelope): the Gaussian envelope
-            # times the FIR response
+            # times the FIR response, summed as tap_sum sums it
             env = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
-            return state_score(env * tap_sum(taps, phasors) * l_p.values)
+            fir = ((amplitudes * np.exp(1j * phases))[:, None] * phasors).sum(axis=0)
+            return state_score(env * fir * l_p)
 
-    return trial_cfg, target, l_p, score
+    return score
 
 
 def _mu_record(mu: tuple) -> dict:
@@ -612,35 +648,50 @@ def _start(seed: int, mu_idx: int, restart: int, n_taps: int) -> np.ndarray:
 
 
 def _run_mu_points(args):
-    """All restarts of a run of consecutive mu points, and the best
-    candidate of each point verified.
+    """All restarts of one task's mu points, and each point's best
+    candidate with the score that ranks it.
 
-    The fits of every (mu point, restart) run as rows of _fit_batch, at
-    most _FIT_BATCH rows at a time; a row's fit does not depend on the
-    batch it runs in.  Returns, per point, (mu_idx, records, candidate,
-    fits): candidate is (verified score, residual, sigma_p, taps, mu) of
-    the restart with the best trial score, fits each restart's
-    (converged, nfev, njev).
+    The task takes the mu points numbered mu_idx, as (mu_idx, mu) pairs.
+    It builds the target JSA once, and each resonance chain once per grid
+    (a cache shared by the trial scores and the fits' inputs, so the
+    chains that mu does not sweep are built once per task).  The fits of
+    every (mu point, restart) run as rows of _fit_batch, at most
+    _FIT_BATCH rows at a time; a row's fit does not depend on the batch it
+    runs in.  Every restart gets a trial score, the record's fidelity: an
+    entangled target's on the configured grid and the polish's pump grid
+    (_POLISH_PUMP_POINTS), which ranks the point; the separable target's
+    on the reduced (_FIT_PUMP_POINTS, _VERIFY_POINTS) grids, after which
+    the point's best restart is verified, and that ranks it.  Returns,
+    per point, (mu_idx, records, candidate, fits): candidate is (ranking
+    score, residual, sigma_p, taps, mu) of the restart with the best trial
+    score, fits each restart's (converged, nfev, njev).
     """
-    cfg, search, first, mu_points = args
+    cfg, search, points = args
     restarts = search.restarts
     n_taps = len(cfg.pump.taps)
+    entangled = cfg.target.dimension >= 2
+    chain = functools.lru_cache(maxsize=None)(field_enhancement_chain)
+    pump_grid, grid_s, grid_i = build_grids(cfg)
+    fit_grid = SpectralGrid(pump_grid.center, pump_grid.half_span, _FIT_PUMP_POINTS)
+    dim, sigma = cfg.target.dimension, cfg.target.sigma
+    target = TargetState(dim, sigma, grid_s.center, grid_i.center)
+    target = target_jsa(target, grid_s, grid_i)
+    trial_grids = (
+        (_POLISH_PUMP_POINTS, grid_s.n_points)
+        if entangled
+        else (_FIT_PUMP_POINTS, _VERIFY_POINTS)
+    )
     scores, profiles, l_ps, starts = [], [], [], []
-    for offset, mu in enumerate(mu_points):
-        trial_cfg, target, l_p, score = _trial_context(
-            cfg, mu, _FIT_PUMP_POINTS, _VERIFY_POINTS
-        )
-        _, grid_s, grid_i = build_grids(trial_cfg)
+    for mu_idx, mu in points:
+        trial_cfg = _swept_chains(cfg, mu)
+        scores.append(_trial_context(cfg, mu, *trial_grids, chain))
         profile = _target_profile(
-            target_jsa(target, grid_s, grid_i),
-            field_enhancement_chain(trial_cfg.signal, grid_s),
-            field_enhancement_chain(trial_cfg.idler, grid_i),
+            target, chain(trial_cfg.signal, grid_s), chain(trial_cfg.idler, grid_i)
         )
-        scores.append(score)
         profiles.extend([profile] * restarts)
-        l_ps.extend([l_p] * restarts)
+        l_ps.extend([chain(trial_cfg.pump_resonance, fit_grid)] * restarts)
         starts.extend(
-            _start(search.seed, first + offset, restart, n_taps)
+            _start(search.seed, mu_idx, restart, n_taps)
             for restart in range(restarts)
         )
     fits = []
@@ -650,12 +701,12 @@ def _run_mu_points(args):
             _fit_batch(profiles[lo:hi], cfg.pump, l_ps[lo:hi], np.array(starts[lo:hi]))
         )
     results = []
-    for offset, (mu, score) in enumerate(zip(mu_points, scores)):
+    for offset, ((mu_idx, mu), score) in enumerate(zip(points, scores)):
         records = []
         best = None
         point_fits = fits[offset * restarts : (offset + 1) * restarts]
         for restart, fit in enumerate(point_fits):
-            trial = score(fit.sigma_p, fit.taps)
+            trial = score(fit.sigma_p, *_tap_arrays(fit.taps))
             records.append({
                 "mu": _mu_record(mu),
                 "restart": restart,
@@ -668,39 +719,51 @@ def _run_mu_points(args):
             })
             if best is None or trial > best[0]:
                 best = (trial, fit.residual, fit.sigma_p, fit.taps)
-        _, residual, sigma_p, taps = best
-        verified = _verified_score(cfg, mu, sigma_p, taps)
+        rank, residual, sigma_p, taps = best
+        if not entangled:
+            rank = _verified_score(cfg, mu, sigma_p, taps)
         results.append((
-            first + offset,
+            mu_idx,
             records,
-            (verified, residual, sigma_p, taps, mu),
+            (rank, residual, sigma_p, taps, mu),
             [(fit.converged, fit.nfev, fit.njev) for fit in point_fits],
         ))
     return results
 
 
 def _polish_candidate(args):
-    """Derivative-free refinement of one candidate, verified.
+    """One leading mu point's verified candidates: its best restart, then
+    the polished parameters when the polish is on.
 
-    Maximizes the trial score directly (Nelder-Mead over the pump width
-    and taps) on the configured signal/idler grid, where the score
-    coincides with the verification fidelity up to the phase-matching
-    function; the coarse restart grids admit spurious optima that do not
-    survive verification, so the polish must run at full resolution.
-    Each step scores from the 2n - 1 sum frequencies of that n^2 grid
-    (_sum_index_score).  Returns (verified score, sigma_p, taps) of the
-    polished parameters.
+    The polish maximizes the trial score directly (Nelder-Mead over the
+    pump width and taps) on the configured signal/idler grid, where the
+    score coincides with the verification fidelity up to the
+    phase-matching function; coarse grids admit spurious optima that do
+    not survive verification, so the polish must run at full resolution.
+    Each step scores its search vector from the 2n - 1 sum frequencies of
+    that n^2 grid (_sum_index_score).  The leader arrives with its ranking
+    score, which is already its verification for the separable target
+    and is verified here for an entangled one.  Returns the candidates
+    (verified score, residual, sigma_p, taps, mu), the leader's first.
     """
-    cfg, search, (_, _, sigma_p, taps, mu) = args
-    *_, score = _trial_context(cfg, mu, _POLISH_PUMP_POINTS, cfg.grid.n_points)
-    res = minimize(
-        lambda x: -score(*_unpack(x)),
-        _pack(sigma_p, [t.amplitude for t in taps], [t.phase for t in taps]),
-        method="Nelder-Mead",
-        options=dict(maxfev=search.polish_evals, xatol=1e-6, fatol=1e-10),
-    )
-    sigma_ref, taps_ref = _unpack(res.x)
-    return _verified_score(cfg, mu, sigma_ref, taps_ref), sigma_ref, taps_ref
+    cfg, search, (rank, residual, sigma_p, taps, mu) = args
+    if cfg.target.dimension >= 2:
+        rank = _verified_score(cfg, mu, sigma_p, taps)
+    verified = [(rank, residual, sigma_p, taps, mu)]
+    if search.polish_evals > 0:
+        score = _trial_context(cfg, mu, _POLISH_PUMP_POINTS, cfg.grid.n_points)
+        res = minimize(
+            lambda x: -score(*_split(x)),
+            _pack(sigma_p, *_tap_arrays(taps)),
+            method="Nelder-Mead",
+            options=dict(maxfev=search.polish_evals, xatol=1e-6, fatol=1e-10),
+        )
+        sigma_ref, taps_ref = _unpack(res.x)
+        verified.append((
+            _verified_score(cfg, mu, sigma_ref, taps_ref),
+            residual, sigma_ref, taps_ref, mu,
+        ))
+    return verified
 
 
 # OpenBLAS's thread-count setters, by build: the numpy and scipy wheels
@@ -762,14 +825,18 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def _chunks(n_points: int, restarts: int, workers: int) -> list:
-    """(start, stop) of the runs of consecutive mu points the pool's tasks
-    take: at least one per worker (workers <= n_points), of sizes that
-    differ by at most one, and no more points than _FIT_BATCH fits fill,
-    but at least one."""
+    """The mu indices each of the pool's tasks takes, dealt round-robin:
+    of C tasks, task c takes c, c + C, ...  At least one task per worker
+    (workers <= n_points), of sizes that differ by at most one, and no
+    more points than _FIT_BATCH fits fill, but at least one.  Dealt, not
+    cut into runs, because a fit's cost grows with mu: high-mu fits run
+    to the evaluation cap, low-mu ones stop near 50 evaluations (one
+    restart of Bell at 256^2, seed 0: the contiguous halves of the 21
+    points take 896 and 1320 residual evaluations, the dealt ones 1211
+    and 1005)."""
     per_chunk = max(1, _FIT_BATCH // restarts)
     n_chunks = max(workers, -(-n_points // per_chunk))
-    bounds = [n_points * c // n_chunks for c in range(n_chunks + 1)]
-    return list(zip(bounds, bounds[1:]))
+    return [range(c, n_points, n_chunks) for c in range(n_chunks)]
 
 
 def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
@@ -779,9 +846,10 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     an RNG keyed by (seed, mu index, restart), the draw order is sigma_p,
     amplitudes, phases, and records are merged by (mu index, restart)
     regardless of execution order.  One process pool, of at most
-    TFM_SYNTH_THREADS workers, runs the mu points (fits and the
-    verification of each point's best candidate) and then the polish of
-    the leading candidates; with one worker everything runs in this
+    TFM_SYNTH_THREADS workers, runs the mu points (the fits and their
+    trial scores; for the separable target also the verification of each
+    point's best candidate) and then one task per leading mu point: its
+    verification and its polish; with one worker everything runs in this
     process.
     """
     n_swept = max(
@@ -797,8 +865,8 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     ]
     workers = _worker_count(len(mu_points))
     tasks = [
-        (cfg, search, lo, mu_points[lo:hi])
-        for lo, hi in _chunks(len(mu_points), search.restarts, workers)
+        (cfg, search, [(i, mu_points[i]) for i in chunk])
+        for chunk in _chunks(len(mu_points), search.restarts, workers)
     ]
     with ExitStack() as stack:
         if workers == 1:
@@ -808,7 +876,10 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
                 max_workers=workers, initializer=_one_blas_thread
             )
             run = stack.enter_context(pool).map
-        results = [point for chunk in run(_run_mu_points, tasks) for point in chunk]
+        results = sorted(
+            (point for chunk in run(_run_mu_points, tasks) for point in chunk),
+            key=lambda point: point[0],
+        )
         trace = []
         scored = []
         fits = []
@@ -816,23 +887,21 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
             trace.extend(records)
             scored.append(candidate)
             fits.extend(point_fits)
-        # trial scores are computed at the reduced working resolution with
-        # a flat phase-matching function, so the mu points are ranked by
-        # their best candidate's full-model score on the configured grid
+        # an entangled target's mu points are ranked by their best trial
+        # score, on the configured grid, the separable target's by their
+        # verified purity (see _run_mu_points); only the leaders the polish
+        # takes are verified, next to their polished parameters, and a
+        # polished parameter set wins only if it verifies better than every
+        # leader
         scored.sort(key=lambda s: -s[0])
-        best = scored[0]
-        # refine the leading candidates at full resolution; keep a
-        # polished parameter set only if it re-verifies better
-        if search.polish_evals > 0:
-            leaders = scored[: search.polish_top]
-            polished = run(
-                _polish_candidate, [(cfg, search, lead) for lead in leaders]
-            )
-            for (_, residual, _, _, mu), (vref, sigma_ref, taps_ref) in zip(
-                leaders, polished
-            ):
-                if vref > best[0]:
-                    best = (vref, residual, sigma_ref, taps_ref, mu)
+        verified = list(run(
+            _polish_candidate,
+            [(cfg, search, lead) for lead in scored[: search.polish_top]],
+        ))
+    # the leaders first: max keeps the first of equal scores
+    candidates = [lead for lead, *_ in verified]
+    candidates += [p for _, *polished in verified for p in polished]
+    best = max(candidates, key=lambda candidate: candidate[0])
     converged, nfev, njev = np.array(fits, dtype=float).T
     score, residual, sigma_p, taps, mu = best
     best_cfg = apply_free_params(cfg, mu, sigma_p, taps)

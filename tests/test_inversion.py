@@ -27,6 +27,7 @@ from tfm_synth.inversion import (
     _pack,
     _start,
     _swept_chains,
+    _tap_arrays,
     _target_profile,
     _trial_context,
     _trial_score,
@@ -440,12 +441,15 @@ def mu_point_fit_rows(preset, n_rows):
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=128))
     swept = cfg.signal if cfg.target.dimension >= 2 else cfg.pump_resonance
     mu_values = SearchConfig().mu_values
+    pump_grid, grid_s, grid_i = build_grids(cfg)
+    pump_grid = SpectralGrid(pump_grid.center, pump_grid.half_span, _FIT_PUMP_POINTS)
+    target = TargetState(
+        cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
+    )
     points = []
     for mu in mu_values:
-        trial_cfg, target, l_p, _ = _trial_context(
-            cfg, (mu,) * len(swept.couplings), _FIT_PUMP_POINTS, _VERIFY_POINTS
-        )
-        _, grid_s, grid_i = build_grids(trial_cfg)
+        trial_cfg = _swept_chains(cfg, (mu,) * len(swept.couplings))
+        l_p = field_enhancement_chain(trial_cfg.pump_resonance, pump_grid)
         profile = _target_profile(
             target_jsa(target, grid_s, grid_i),
             field_enhancement_chain(trial_cfg.signal, grid_s),
@@ -493,6 +497,12 @@ def test_fit_batch_rows_do_not_depend_on_the_batch(preset):
 # ---------------------------------------------------------------------------
 # search loop
 
+def tap_score(cfg, mu, pump_points, n_points):
+    """_trial_context's score, called with a tuple of Tap."""
+    score = _trial_context(cfg, mu, pump_points, n_points)
+    return lambda sigma_p, taps: score(sigma_p, *_tap_arrays(taps))
+
+
 def _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps):
     """The trial score as the chain shaped pump -> JSA -> reported_state ->
     _trial_score rebuilt every time, with the ADP sampled by np.interp."""
@@ -537,7 +547,7 @@ def test_trial_context_score_matches_the_rebuilt_chain(pump_points, n_points):
     cfg = load_preset("bell_phi_minus")
     rng = np.random.default_rng(pump_points)
     for mu in ((1.25e9,), (2.0e9,)):
-        *_, score = _trial_context(cfg, mu, pump_points, n_points)
+        score = tap_score(cfg, mu, pump_points, n_points)
         for _ in range(2):
             sigma_p = cfg.pump.sigma_p * rng.uniform(0.7, 1.3)
             taps = oracles.make_taps(rng.uniform(0.1, 1.0, 6), rng.uniform(0.0, 2.0 * np.pi, 6))
@@ -565,7 +575,7 @@ def test_sum_index_score_matches_the_rebuilt_chain_beyond_bell(
     mu = cfg.signal.couplings
     n_taps = len(cfg.pump.taps)
     rng = np.random.default_rng([pump_points, n_points])
-    *_, score = _trial_context(cfg, mu, pump_points, n_points)
+    score = tap_score(cfg, mu, pump_points, n_points)
     trials = [(cfg.pump.sigma_p, cfg.pump.taps)] + [
         (
             cfg.pump.sigma_p * rng.uniform(0.7, 1.3),
@@ -587,7 +597,7 @@ def test_trial_score_rejects_an_all_zero_pump(preset):
     """All-zero tap amplitudes raise on the sum-index score as on the
     full-grid one the separable target keeps."""
     cfg = load_preset(preset)
-    *_, score = _trial_context(cfg, (1.0e9,), _FIT_PUMP_POINTS, _VERIFY_POINTS)
+    score = tap_score(cfg, (1.0e9,), _FIT_PUMP_POINTS, _VERIFY_POINTS)
     taps = oracles.make_taps([0.0] * len(cfg.pump.taps), [0.3] * len(cfg.pump.taps))
     with pytest.raises(DegenerateFieldError):
         score(cfg.pump.sigma_p, taps)
@@ -606,7 +616,7 @@ def test_separable_trial_score_is_the_purity_of_the_full_grid_state(
     cfg = load_preset("separable")
     mu = cfg.pump_resonance.couplings
     rng = np.random.default_rng(7)
-    *_, score = _trial_context(cfg, mu, pump_points, n_points)
+    score = tap_score(cfg, mu, pump_points, n_points)
     n_taps = len(cfg.pump.taps)
     for sigma_p, taps in [
         (cfg.pump.sigma_p, cfg.pump.taps),
@@ -636,6 +646,37 @@ def test_verified_score_equals_simulate(preset, n_points):
     full = simulate(apply_free_params(cfg, mu, cfg.pump.sigma_p, cfg.pump.taps))
     want = full.purity if cfg.target.dimension == 1 else full.fidelity
     assert got == want
+
+
+@pytest.mark.parametrize("n_points", [256, 512])
+@pytest.mark.parametrize("preset", ["bell_phi_minus", "mes_d3", "mes_d4"])
+def test_trial_score_ranks_as_the_verification(preset, n_points):
+    """An entangled target's trial score, at the polish's pump grid and the
+    configured signal/idler grid, is the verified score up to the
+    phase-matching function it leaves out: within 1e-4 at the preset's
+    pump, within 5e-4 at seeded pump widths and taps.  It ranks the mu
+    points in its place.  The largest difference measured at the preset
+    was 2.5e-5, at seeded pumps 2.3e-4 (Bell at 512^2, a state of
+    F = 0.92)."""
+    cfg = load_preset(preset)
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=n_points))
+    mu = cfg.signal.couplings
+    n_taps = len(cfg.pump.taps)
+    rng = np.random.default_rng([n_points, n_taps])
+    score = tap_score(cfg, mu, _POLISH_PUMP_POINTS, n_points)
+    trials = [(cfg.pump.sigma_p, cfg.pump.taps, 1e-4)] + [
+        (
+            cfg.pump.sigma_p * rng.uniform(0.7, 1.3),
+            oracles.make_taps(
+                rng.uniform(0.1, 1.0, n_taps), rng.uniform(0.0, 2.0 * np.pi, n_taps)
+            ),
+            5e-4,
+        )
+        for _ in range(4)
+    ]
+    for sigma_p, taps, tol in trials:
+        want = _verified_score(cfg, mu, sigma_p, taps)
+        assert abs(score(sigma_p, taps) - want) <= tol, (sigma_p, taps)
 
 
 @pytest.mark.parametrize("preset", ["bell_phi_minus", "separable"])
@@ -726,6 +767,11 @@ def test_search_config_validation():
         SearchConfig(mu_step=0.0)
     with pytest.raises(ConfigError):
         SearchConfig(mu_min=2e9, mu_max=1e9).mu_values
+    # the polish's leaders are the only verified candidates: at least one
+    with pytest.raises(ConfigError):
+        SearchConfig(polish_top=0)
+    with pytest.raises(ConfigError):
+        SearchConfig(polish_evals=-1)
 
 
 @pytest.mark.parametrize(
@@ -734,18 +780,57 @@ def test_search_config_validation():
      (3, 100, 2), (441, 2, 8)],
 )
 def test_mu_points_split_into_chunks_per_worker(n_points, restarts, workers):
-    """The chunks cover the mu points in order, give every worker one at
-    least and hold no more fits than one batch, unless a single point's
-    restarts already exceed it."""
-    chunks = inversion._chunks(n_points, restarts, workers)
-    assert chunks[0][0] == 0 and chunks[-1][1] == n_points
-    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    """The chunks deal the mu points round-robin: every index falls in
+    exactly one chunk, in increasing order within it; the chunks give
+    every worker one at least, differ in size by one at most and hold no
+    more fits than one batch, unless a single point's restarts already
+    exceed it."""
+    chunks = [list(chunk) for chunk in inversion._chunks(n_points, restarts, workers)]
+    assert sorted(i for chunk in chunks for i in chunk) == list(range(n_points))
+    assert all(chunk == sorted(chunk) for chunk in chunks)
+    for c, chunk in enumerate(chunks):
+        assert chunk[0] == c
+        assert all(b - a == len(chunks) for a, b in zip(chunk, chunk[1:]))
     assert len(chunks) >= workers
-    sizes = [hi - lo for lo, hi in chunks]
+    sizes = [len(chunk) for chunk in chunks]
     assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
     assert all(
         size * restarts <= inversion._FIT_BATCH or size == 1 for size in sizes
     )
+
+
+@pytest.mark.parametrize(
+    "preset, polish_evals, want",
+    # an entangled target verifies the 2 leaders and, with the polish on,
+    # their 2 polished parameter sets; the separable one each of the 4 mu
+    # points, and the 2 polished sets
+    [("bell_phi_minus", 20, 4), ("bell_phi_minus", 0, 2),
+     ("separable", 20, 6), ("separable", 0, 4)],
+)
+def test_optimize_verifies_only_the_polish_leaders(
+    monkeypatch, preset, polish_evals, want
+):
+    """The full forward model runs on the polish's leaders and on their
+    polished parameters only, except for the separable target, whose mu
+    points are ranked by it; the winner is one of the verified
+    candidates."""
+    calls = []
+
+    def counting(*args):
+        calls.append(_verified_score(*args))
+        return calls[-1]
+
+    monkeypatch.setenv("TFM_SYNTH_THREADS", "1")
+    monkeypatch.setattr(inversion, "_verified_score", counting)
+    cfg = load_preset(preset)
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=64))
+    search = tiny_search(
+        restarts=1, mu_max=2.0e9, polish_top=2, polish_evals=polish_evals
+    )
+    assert len(search.mu_values) == 4
+    res = optimize_state(cfg, search)
+    assert len(calls) == want
+    assert res.fidelity == max(calls)
 
 
 def test_optimize_trace_does_not_depend_on_the_fit_batches(monkeypatch):
