@@ -19,6 +19,7 @@ from .config import (
     preset_path,
     save_config,
 )
+from .inversion import fit_adp
 from .jsa import load_jsa_binary
 from .simulate import SimulationResult, analysis_report, simulate
 
@@ -40,12 +41,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name):
-    # the one-row ADP fit lives with the inverse loop, which imports
-    # scipy.optimize; that import waits until the fit is asked for
-    if name == "fit_adp":
-        from .inversion import fit_adp
-
-        return fit_adp
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

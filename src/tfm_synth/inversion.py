@@ -49,7 +49,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .analysis import (
     TargetState,
@@ -559,53 +558,59 @@ def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
     return score
 
 
-def _trial_context(
-    cfg: DeviceConfig, mu: tuple, pump_points: int, n_points: int, chain=None
-):
-    """The trial score at one coupling point, with what it needs built once.
+def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=None):
+    """The trial scores of one template, as a map mu -> score.
 
-    Returns score(sigma_p, amplitudes, phases), the trial score of the
-    reported state with a flat phase-matching function on an n_points^2
-    signal/idler grid, the shaped pump taken on a pump grid of
-    pump_points, for the template with the swept couplings mu.  The
-    chains, the HG bases, the tap phasors, the squared detuning and the
-    state's model on the 2n - 1 sum frequencies (_sum_index_score) are
-    built here; chain(spec, grid) builds the chains, field_enhancement_chain
-    by default, or a task's cache of it that the fit's inputs share.  A
-    score evaluates the shaped pump times l_p and that model: the taps
-    come as arrays (see _split), summed with tap_sum's arithmetic, so the
-    polish scores its search vector without building Tap tuples.
+    context(mu) returns score(sigma_p, amplitudes, phases), the trial
+    score of the reported state with a flat phase-matching function on an
+    n_points^2 signal/idler grid, the shaped pump taken on a pump grid of
+    pump_points, for the template with the swept couplings mu.  The grids,
+    the HG bases, the tap phasors and the squared detuning do not depend
+    on mu and are built here, once; a context builds the chains and the
+    state's model on the 2n - 1 sum frequencies (_sum_index_score).
+    chain(spec, grid) builds the chains, field_enhancement_chain by
+    default, or a task's cache of it that the fit's inputs share.  A score
+    evaluates the shaped pump times l_p and that model: the taps come as
+    arrays (see _split), summed with tap_sum's arithmetic, so the polish
+    scores its search vector without building Tap tuples.
     """
     chain = chain or field_enhancement_chain
-    trial_cfg = _swept_chains(cfg, mu)
-    pump_grid, grid_s, grid_i = build_grids(trial_cfg, n_points)
+    pump_grid, grid_s, grid_i = build_grids(cfg, n_points)
     pump_grid = SpectralGrid(pump_grid.center, pump_grid.half_span, pump_points)
     target = TargetState(
         cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
     )
-    l_p = chain(trial_cfg.pump_resonance, pump_grid).values
-    state_score = _sum_index_score(
-        pump_grid,
-        chain(trial_cfg.signal, grid_s),
-        chain(trial_cfg.idler, grid_i),
-        hg_basis(4, grid_s, grid_s.center, cfg.target.sigma),
-        hg_basis(4, grid_i, grid_i.center, cfg.target.sigma),
-        target.coefficients,
-    )
+    modes_s = hg_basis(4, grid_s, grid_s.center, cfg.target.sigma)
+    modes_i = hg_basis(4, grid_i, grid_i.center, cfg.target.sigma)
     phasors = tap_phasors(cfg.pump, pump_grid)
     detuning = pump_grid.samples - cfg.pump.carrier
     detuning2 = detuning * detuning
 
-    def score(sigma_p, amplitudes, phases):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            # the shaped pump (apply_envelope): the Gaussian envelope
-            # times the FIR response, summed as tap_sum sums it
-            env = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
-            fir = ((amplitudes * np.exp(1j * phases))[:, None] * phasors).sum(axis=0)
-            return state_score(env * fir * l_p)
+    def context(mu):
+        trial_cfg = _swept_chains(cfg, mu)
+        l_p = chain(trial_cfg.pump_resonance, pump_grid).values
+        state_score = _sum_index_score(
+            pump_grid,
+            chain(trial_cfg.signal, grid_s),
+            chain(trial_cfg.idler, grid_i),
+            modes_s,
+            modes_i,
+            target.coefficients,
+        )
 
-    return score
+        def score(sigma_p, amplitudes, phases):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                # the shaped pump (apply_envelope): the Gaussian envelope
+                # times the FIR response, summed as tap_sum sums it
+                env = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
+                weights = amplitudes * np.exp(1j * phases)
+                fir = (weights[:, None] * phasors).sum(axis=0)
+                return state_score(env * fir * l_p)
+
+        return score
+
+    return context
 
 
 def _mu_record(mu: tuple) -> dict:
@@ -681,10 +686,11 @@ def _run_mu_points(args):
         if entangled
         else (_FIT_PUMP_POINTS, _VERIFY_POINTS)
     )
+    context = _trial_contexts(cfg, *trial_grids, chain)
     scores, profiles, l_ps, starts = [], [], [], []
     for mu_idx, mu in points:
         trial_cfg = _swept_chains(cfg, mu)
-        scores.append(_trial_context(cfg, mu, *trial_grids, chain))
+        scores.append(context(mu))
         profile = _target_profile(
             target, chain(trial_cfg.signal, grid_s), chain(trial_cfg.idler, grid_i)
         )
@@ -751,19 +757,108 @@ def _polish_candidate(args):
         rank = _verified_score(cfg, mu, sigma_p, taps)
     verified = [(rank, residual, sigma_p, taps, mu)]
     if search.polish_evals > 0:
-        score = _trial_context(cfg, mu, _POLISH_PUMP_POINTS, cfg.grid.n_points)
-        res = minimize(
+        score = _trial_contexts(cfg, _POLISH_PUMP_POINTS, cfg.grid.n_points)(mu)
+        x = _nelder_mead(
             lambda x: -score(*_split(x)),
             _pack(sigma_p, *_tap_arrays(taps)),
-            method="Nelder-Mead",
-            options=dict(maxfev=search.polish_evals, xatol=1e-6, fatol=1e-10),
+            maxfev=search.polish_evals, xatol=1e-6, fatol=1e-10,
         )
-        sigma_ref, taps_ref = _unpack(res.x)
+        sigma_ref, taps_ref = _unpack(x)
         verified.append((
             _verified_score(cfg, mu, sigma_ref, taps_ref),
             residual, sigma_ref, taps_ref, mu,
         ))
     return verified
+
+
+class _BudgetSpent(Exception):
+    """The polish's evaluation budget ran out."""
+
+
+def _nelder_mead(f, x0, maxfev, xatol, fatol):
+    """Minimize f from x0 by the Nelder-Mead simplex (Nelder and Mead,
+    Comput. J. 7, 308 (1965)); returns the best vertex.
+
+    An operation-for-operation port of the unbounded, non-adaptive
+    _minimize_neldermead of scipy 1.17, so a polish takes the steps
+    scipy.optimize.minimize(method="Nelder-Mead") takes: its initial
+    simplex (each coordinate times 1.05, or 0.00025 where it is 0), its
+    reflection, expansion, contraction and shrink coefficients (1, 2, 0.5,
+    0.5), its vertex order (np.argsort, not stable) and its budget, checked
+    before every evaluation, so it may run out inside the initial simplex
+    or a shrink.  The loop stops when the budget is spent or when every
+    vertex lies within xatol of the best and every value within fatol.
+    """
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        sim[k + 1] = x0
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def func(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return f(x)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = func(sim[k])
+    except _BudgetSpent:
+        pass
+    # scipy sorts twice here; an unstable sort may reorder equal values
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    while nfev < maxfev:
+        try:
+            if (
+                np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+            ):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            # reflection
+            xr = 2 * xbar - sim[-1]
+            fxr = func(xr)
+            if fxr < fsim[0]:
+                # expansion
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = func(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = func(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:
+                    # inside contraction
+                    xcc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxcc = func(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = func(sim[j])
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0]
 
 
 # OpenBLAS's thread-count setters, by build: the numpy and scipy wheels

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from numpy.fft import fft, ifft
 
 from .phase_matching import DispersionModel, pmf
 from .spectral import Field1D, GridError, SpectralGrid
@@ -93,6 +93,21 @@ def _sum_grid(grid: SpectralGrid) -> SpectralGrid:
     """Grid of the self-convolution of samples on grid: 2n-1 points, same
     spacing, centered at twice the input center."""
     return SpectralGrid(2.0 * grid.center, 2.0 * grid.half_span, 2 * grid.n_points - 1)
+
+
+def next_fast_len(target: int) -> int:
+    """The smallest n >= target whose prime factors are all among 2, 3, 5,
+    7 and 11: the lengths pocketfft transforms fastest, as
+    scipy.fft.next_fast_len picks them for complex input (1 for 0)."""
+    n = max(target, 1)
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def _interp_plan(grid: SpectralGrid, sums: np.ndarray):
@@ -191,7 +206,7 @@ class AdpModel:
         spec = fft(d_apl, self.n_fft, axis=-1)
         # the factor 2 is exact in binary floating point
         spec *= 2.0 * spectrum
-        return self._sample(ifft(spec, axis=-1, overwrite_x=True))
+        return self._sample(ifft(spec, axis=-1, out=spec))
 
     def _sample(self, conv: np.ndarray) -> np.ndarray:
         """The interpolation at sums along the last axis of conv, in C

@@ -8,7 +8,7 @@ None of them runs in the program; test files import them as
 """
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, minimize
 
 from tfm_synth.analysis import PreconditionError, TargetState
 from tfm_synth.inversion import _FIT_GTOL, _FIT_MAX_NFEV, _FIT_XTOL, _magnitude_fit
@@ -136,6 +136,17 @@ def least_squares_fit(profile, template, l_p, x0):
         tr_solver="exact", x_scale=1.0, gtol=_FIT_GTOL, xtol=_FIT_XTOL,
         ftol=None, max_nfev=_FIT_MAX_NFEV,
     )
+
+
+def nelder_mead(f, x0, maxfev, xatol, fatol, callback=None):
+    """scipy's minimize with method "Nelder-Mead" and the options
+    inversion._nelder_mead takes (unbounded, not adaptive, the default
+    initial simplex); callback(intermediate_result) runs once per
+    iteration.  Returns the result's x."""
+    return minimize(
+        f, x0, method="Nelder-Mead", callback=callback,
+        options=dict(maxfev=maxfev, xatol=xatol, fatol=fatol),
+    ).x
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import copy
 import json
 import os
 import stat
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -490,3 +492,45 @@ def test_optimize_bit_reproducible(tmp_path, capsys):
     )
     report_b = json.loads((tmp_path / "b" / "report.json").read_text())
     assert report_b["search"]["fits"] == fits
+
+
+# ---------------------------------------------------------------------------
+# run-time dependencies
+
+# a fresh interpreter in which every scipy import fails; it runs simulate and
+# optimize (polish on), then names any scipy module that got loaded anyway
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from tfm_synth.cli import main
+out = sys.argv[1]
+for argv in (
+    ["simulate", "--config", "bell_phi_minus", "--grid", "64", "--out", out + "/sim"],
+    ["optimize", "--config", "bell_phi_minus", "--grid", "64", "--restarts", "1",
+     "--out", out + "/opt"],
+):
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+loaded = [m for m, mod in sys.modules.items() if m.startswith("scipy") and mod]
+sys.exit(f"scipy modules loaded: {loaded}" if loaded else 0)
+"""
+
+
+@pytest.mark.slow
+def test_simulate_and_optimize_run_without_scipy(tmp_path):
+    """scipy is a test dependency only: with every scipy import made to
+    fail, simulate and optimize, the polish on, exit 0.  One worker keeps
+    the whole search in the guarded process."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=src + (os.pathsep + path if path else ""),
+        TFM_SYNTH_THREADS="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -25,11 +25,12 @@ from tfm_synth.inversion import (
     _fit_batch,
     _magnitude_fit,
     _pack,
+    _split,
     _start,
     _swept_chains,
     _tap_arrays,
     _target_profile,
-    _trial_context,
+    _trial_contexts,
     _trial_score,
     _verified_score,
     apply_free_params,
@@ -498,8 +499,8 @@ def test_fit_batch_rows_do_not_depend_on_the_batch(preset):
 # search loop
 
 def tap_score(cfg, mu, pump_points, n_points):
-    """_trial_context's score, called with a tuple of Tap."""
-    score = _trial_context(cfg, mu, pump_points, n_points)
+    """_trial_contexts's score at mu, called with a tuple of Tap."""
+    score = _trial_contexts(cfg, pump_points, n_points)(mu)
     return lambda sigma_p, taps: score(sigma_p, *_tap_arrays(taps))
 
 
@@ -559,6 +560,24 @@ def test_trial_context_score_matches_the_rebuilt_chain(pump_points, n_points):
         )
         assert abs(score(cfg.pump.sigma_p, cfg.pump.taps) - want) <= 1e-10
     assert want > 0.9
+
+
+def test_trial_contexts_of_one_template_score_as_fresh_ones():
+    """The grids, HG bases and tap phasors one map of contexts shares
+    across mu points give each point the score a context built for it
+    alone gives, bit for bit."""
+    cfg = load_preset("bell_phi_minus")
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=128))
+    shared = _trial_contexts(cfg, _POLISH_PUMP_POINTS, 128)
+    mus = ((0.5e9,), (1.25e9,), (2.0e9,))
+    scores = [shared(mu) for mu in mus]
+    rng = np.random.default_rng(7)
+    seeded = oracles.make_taps(rng.uniform(0.1, 1.0, 6), rng.uniform(0.0, 6.0, 6))
+    for mu, score in zip(mus, scores):
+        fresh = _trial_contexts(cfg, _POLISH_PUMP_POINTS, 128)(mu)
+        for taps in (cfg.pump.taps, seeded):
+            args = (cfg.pump.sigma_p, *_tap_arrays(taps))
+            assert score(*args) == fresh(*args)
 
 
 @pytest.mark.parametrize(
@@ -989,3 +1008,103 @@ def test_optimize_subspace_weight_of_best():
     res = optimize_state(cfg, tiny_search(restarts=2))
     verified = simulate(res.best_config, n_points=128)
     assert verified.projection.subspace_weight >= 0.7
+
+
+# ---------------------------------------------------------------------------
+# polish: the Nelder-Mead port against scipy's minimize
+
+def rippled_bowl(x):
+    """A bowl whose ripples make contractions fail, so that the simplex
+    shrinks early: in the fourth iteration from RIPPLE_X0."""
+    k = np.arange(1, len(x) + 1)
+    return float(np.sum(x * x) + 0.5 * np.sin(25.0 * np.dot(x, k)))
+
+
+# one coordinate 0, which the initial simplex steps by 0.00025
+RIPPLE_X0 = np.array([0.8, -0.3, 0.0, 1.1, 0.5])
+
+
+def assert_nelder_mead_is_scipys(f, x0, maxfev, xatol=1e-6, fatol=1e-10):
+    """The port evaluates f at scipy's points, in scipy's order, and
+    returns scipy's x, all bit for bit; returns the evaluation count."""
+    runs = []
+    for minimize in (inversion._nelder_mead, oracles.nelder_mead):
+        points = []
+
+        def counted(x):
+            points.append(np.array(x).tobytes())
+            return f(x)
+
+        x = minimize(counted, x0.copy(), maxfev, xatol, fatol)
+        runs.append((np.asarray(x).tobytes(), points))
+    assert runs[0] == runs[1]
+    return len(points)
+
+
+def test_nelder_mead_port_polishes_a_bell_candidate_as_scipy_does():
+    """The real polish objective: the Bell trial score at one mu point, on
+    the polish's pump grid, from the mu point's fitted candidate."""
+    cfg = load_preset("bell_phi_minus")
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=128))
+    mu = (1.5e9,)
+    [(_, _, (_, _, sigma_p, taps, _), _)] = inversion._run_mu_points(
+        (cfg, tiny_search(restarts=1), [(1, mu)])
+    )
+    score = _trial_contexts(cfg, _POLISH_PUMP_POINTS, 128)(mu)
+    x0 = _pack(sigma_p, *_tap_arrays(taps))
+    evals = assert_nelder_mead_is_scipys(lambda x: -score(*_split(x)), x0, 150)
+    assert evals == 150
+
+
+def test_nelder_mead_budget_ends_where_scipys_does():
+    """Every budget from 1 to 59 on the rippled bowl, from a start with a
+    zero coordinate: budgets below the simplex's n + 1 = 6 vertices run
+    out inside the initial simplex, and some run out inside a shrink.
+    scipy's callback marks the iterations; one that spends n + 2
+    evaluations (reflection, contraction, n shrunk vertices) shrinks the
+    simplex."""
+    n = len(RIPPLE_X0)
+    marks = []
+    evals = []
+
+    def counted(x):
+        evals.append(None)
+        return rippled_bowl(x)
+
+    oracles.nelder_mead(
+        counted, RIPPLE_X0.copy(), 60, 1e-6, 1e-10,
+        callback=lambda intermediate_result: marks.append(len(evals)),
+    )
+    starts = [n + 1] + marks[:-1]
+    shrinks = [s for s, e in zip(starts, marks) if e - s == n + 2]
+    assert shrinks, "no shrink within 60 evaluations"
+    # the reflection and the contraction, then part of the shrink
+    assert shrinks[0] + 2 < shrinks[0] + 2 + n // 2 < 60
+    for budget in range(1, 60):
+        assert assert_nelder_mead_is_scipys(rippled_bowl, RIPPLE_X0, budget) == budget
+
+
+def test_nelder_mead_stops_at_the_tolerances_as_scipy_does():
+    """On a smooth bowl the simplex collapses within xatol and fatol long
+    before the budget is spent, after scipy's number of evaluations."""
+    weights = np.arange(1.0, 6.0)
+
+    def bowl(x):
+        return float(np.dot(weights, (x - 0.25) ** 2))
+
+    evals = assert_nelder_mead_is_scipys(bowl, RIPPLE_X0, 5000, xatol=1e-4, fatol=1e-8)
+    assert evals < 5000
+
+
+def test_nelder_mead_ranks_nan_values_as_scipy_does():
+    """An objective that is NaN on part of the space (a score of a
+    degenerate state): NaN vertices sort last and fail every comparison,
+    as in scipy."""
+
+    def holed_bowl(x):
+        # NaN at about a seventh of the points, scattered over the bowl
+        k = np.arange(1, len(x) + 1)
+        return np.nan if np.sin(1e3 * np.dot(x, k)) > 0.9 else rippled_bowl(x)
+
+    for maxfev in (10, 40, 120, 400):
+        assert_nelder_mead_is_scipys(holed_bowl, RIPPLE_X0, maxfev)

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import fftconvolve
 
 import oracles
@@ -20,6 +21,7 @@ from tfm_synth.jsa import (
     find_cut_minima,
     impose_pi_phase,
     load_jsa_binary,
+    next_fast_len,
     normalize,
     save_jsa_binary,
     save_jsa_sidecar,
@@ -58,6 +60,12 @@ def test_adp_fft_matches_direct():
     fast = AdpModel(grid, _sum_grid(grid).samples)(f.values)
     scale = np.max(np.abs(slow.values))
     np.testing.assert_allclose(fast, slow.values, atol=1e-10 * scale)
+
+
+def test_next_fast_len_is_scipys():
+    """The FFT lengths are the ones scipy.fft picks for complex input."""
+    for target in range(1, 8193):
+        assert next_fast_len(target) == scipy.fft.next_fast_len(target), target
 
 
 @pytest.mark.parametrize("n", [101, 256, 513, 2048])
