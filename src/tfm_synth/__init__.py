@@ -19,7 +19,6 @@ from .config import (
     preset_path,
     save_config,
 )
-from .inversion import fit_adp
 from .jsa import load_jsa_binary
 from .simulate import SimulationResult, analysis_report, simulate
 
@@ -31,7 +30,6 @@ __all__ = [
     "PRESET_NAMES",
     "SimulationResult",
     "analysis_report",
-    "fit_adp",
     "load_config",
     "load_jsa_binary",
     "load_preset",

@@ -3,8 +3,9 @@
 The six-step procedure: (1) fix the device constants and the target
 state; (2) pick a value of the inter-ring coupling mu and build the
 signal-idler filter TDSI; (3) divide the target JSA by the TDSI
-(regularized) and read its anti-diagonal profile (_target_profile),
-reducing the problem to one dimension; (4) least-squares fit the
+(regularized) and read its anti-diagonal profile (_target_profile, at
+the offsets _profile_offsets), reducing the problem to one dimension;
+(4) least-squares fit the
 magnitude of the pump-side model (envelope width sigma_p and the FIR
 taps, through the ADP model the forward path uses and its exact
 derivative) to that profile's magnitude; (5) repeat the fit from many
@@ -19,7 +20,11 @@ trust-region-reflective loop (trf.least_squares_trf, a port of the loop
 scipy's least_squares runs) steps all of them at once, with one FFT
 stack and one stacked SVD per step, and a row's fit is bit for bit the
 one it gets alone, so the trace does not depend on how the mu points are
-split among the pool's workers.
+split among the pool's workers.  The profiles and l_p enter the fit as
+arrays, one row per fit, and a candidate stays the search vector x =
+(log sigma_p, tap amplitudes, tap phases) of _pack from the fit through
+the trial scores and the polish; it becomes a DeviceConfig only where
+one is built, for a verification or the final design (_unpack).
 
 The phase-matching function is treated as unity inside the loop (the
 factorized model) and enters only in the forward verification
@@ -68,7 +73,7 @@ from .jsa import (
     _check_adp_input,
     find_cut_minima,
 )
-from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, tap_phasors
+from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, tap_phasors, tap_sum
 from .resonator import field_enhancement_chain
 from .simulate import build_grids, forward_chain
 from .spectral import Field1D, GridError, SpectralGrid
@@ -110,23 +115,6 @@ _POLISH_PUMP_POINTS = 2048
 
 
 @dataclass(frozen=True)
-class AdpProfile:
-    """Complex anti-diagonal profile indexed by sum-frequency offset u."""
-
-    u: np.ndarray            # rad/s, offsets of w_s + w_i from sum_center
-    values: np.ndarray       # complex
-    sum_center: float        # rad/s, w_s0 + w_i0
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        if u.shape != v.shape or u.ndim != 1:
-            raise GridError("profile u and values must be matching 1-D arrays")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class SearchConfig:
     """Multi-start / mu-sweep settings for the inverse loop."""
 
@@ -150,6 +138,10 @@ class SearchConfig:
             raise ConfigError(f"polish_evals must be >= 0, got {self.polish_evals}")
         if self.mu_step <= 0:
             raise ConfigError(f"mu_step must be > 0, got {self.mu_step}")
+        for name in ("mu_min", "mu_max"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -160,24 +152,20 @@ class SearchConfig:
 
 def mu_grid(mu_min: float, mu_max: float, mu_step: float) -> np.ndarray:
     """mu_min, mu_min + mu_step, ... up to mu_max, which a step may
-    overshoot by 1e-9 of itself; an empty range is a ConfigError."""
-    n = int(np.floor((mu_max - mu_min) / mu_step + 1e-9)) + 1
+    overshoot by 1e-9 of itself; an empty range, or a step too small to
+    count the points in a float, is a ConfigError."""
+    steps = np.floor((mu_max - mu_min) / mu_step + 1e-9)
+    if not np.isfinite(steps):
+        raise ConfigError(
+            f"mu grid has no finite point count: min {mu_min}, max {mu_max}, "
+            f"step {mu_step}"
+        )
+    n = int(steps) + 1
     if n < 1:
         raise ConfigError(
             f"empty mu grid: min {mu_min}, max {mu_max}, step {mu_step}"
         )
     return mu_min + mu_step * np.arange(n)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    sigma_p: float
-    taps: tuple              # of Tap
-    scale: float             # fitted magnitude scale c >= 0
-    residual: float
-    converged: bool
-    nfev: int                # residual evaluations of the fit
-    njev: int                # Jacobian evaluations of the fit
 
 
 @dataclass(frozen=True)
@@ -194,18 +182,25 @@ class OptimizeResult:
 # ---------------------------------------------------------------------------
 # step (3): decoupling and extraction
 
-def _target_profile(target: Jsa, l_s: Field1D, l_i: Field1D) -> AdpProfile:
-    """The target's anti-diagonal profile with the signal-idler filter
-    divided out, at _FIT_PROFILE_POINTS sum-frequency offsets.
+def _profile_offsets(grid_s: SpectralGrid, grid_i: SpectralGrid) -> np.ndarray:
+    """The _FIT_PROFILE_POINTS offsets u of the sum frequency w_s + w_i from
+    its center value w_s0 + w_i0 at which _target_profile reads a target,
+    spanning the smaller grid."""
+    span = 2.0 * min(grid_s.half_span, grid_i.half_span)
+    return np.linspace(-span, span, _FIT_PROFILE_POINTS)
+
+
+def _target_profile(target: Jsa, l_s: Field1D, l_i: Field1D) -> np.ndarray:
+    """The target's complex anti-diagonal profile with the signal-idler
+    filter divided out, at the sum-frequency offsets _profile_offsets
+    gives.
 
     The target F is divided by the filter T = l_s(w_s) l_i(w_i),
     regularized: G = F conj(T) / (|T|^2 + eps^2 max|T|^2); where |T| >>
     eps this approaches F / T, and the regularization keeps the quotient
     bounded in the filter's nulls.  The profile is u -> G(w_s0 + u/2,
-    w_i0 + u/2), bilinearly interpolated, with u the offset of the sum
-    frequency w_s + w_i from its center value w_s0 + w_i0; the cut runs
-    along the main diagonal, on which the anti-diagonal coordinate is
-    constant.
+    w_i0 + u/2), bilinearly interpolated; the cut runs along the main
+    diagonal, on which the anti-diagonal coordinate is constant.
     """
     tdsi = np.outer(l_s.values, l_i.values)
     mag2 = np.abs(tdsi) ** 2
@@ -214,14 +209,12 @@ def _target_profile(target: Jsa, l_s: Field1D, l_i: Field1D) -> AdpProfile:
         raise DegenerateInputError("TDSI is identically zero")
     g = target.amplitude * np.conj(tdsi) / (mag2 + _EPSILON * _EPSILON * peak)
     grid_s, grid_i = target.grid_s, target.grid_i
-    span = 2.0 * min(grid_s.half_span, grid_i.half_span)
-    u = np.linspace(-span, span, _FIT_PROFILE_POINTS)
+    u = _profile_offsets(grid_s, grid_i)
     ws = grid_s.center + u / 2.0
     wi = grid_i.center + u / 2.0
-    vals = _bilinear(g.real, grid_s, grid_i, ws, wi) + 1j * _bilinear(
+    return _bilinear(g.real, grid_s, grid_i, ws, wi) + 1j * _bilinear(
         g.imag, grid_s, grid_i, ws, wi
     )
-    return AdpProfile(u, vals, grid_s.center + grid_i.center)
 
 
 # ---------------------------------------------------------------------------
@@ -245,41 +238,30 @@ def _unpack(x: np.ndarray):
     return float(sigma_p), tuple(Tap(float(a), float(p)) for a, p in zip(amps, phases))
 
 
-def _tap_arrays(taps):
-    """(amplitudes, phases) of a tuple of Tap, as arrays."""
-    return np.array([t.amplitude for t in taps]), np.array([t.phase for t in taps])
-
-
-def _magnitude_fit(profiles, template: PumpSpec, l_ps):
+def _magnitude_fit(profiles, sums, template: PumpSpec, grid: SpectralGrid, l_ps):
     """The batched magnitude fit's pieces: (residual, jacobian).
 
-    Row r of the batch fits profiles[r] through l_ps[r].  The profiles
-    share their sum frequencies and the l_p their pump grid, so the tap
-    phasors, the squared detuning and the ADP model are built once; each
-    row has its own profile and l_p, since the separable target sweeps
-    the pump chain.  residual(rows, x) gives c |ADP| - data of the rows
-    numbered rows at their search vectors x (see _pack), one per row, with
-    data a row's unit-normalized profile magnitude and the scale c
-    eliminated in closed form, and the evaluation it came from (the
-    envelope, alpha_p l_p, its spectrum, the ADP, |ADP| and c);
-    jacobian(rows, x, point) is the residual's exact Jacobian from that
-    evaluation, so alpha_p l_p is built and transformed once per search
-    point.  A row's numbers do not depend on the rows around it: the tap
-    sums are products summed tap by tap, as tap_sum sums them, and every
-    row reduction runs along a contiguous last axis.
+    Row r of the batch fits the complex profile profiles[r], read at the
+    absolute sum frequencies sums, through the l_p values l_ps[r] on the
+    pump grid; both are arrays with one row per fit.  The rows share
+    their sum frequencies and pump grid, so the tap phasors, the squared
+    detuning and the ADP model are built once; each row has its own
+    profile and l_p, since the separable target sweeps the pump chain.
+    residual(rows, x) gives c |ADP| - data of the rows numbered rows at
+    their search vectors x (see _pack), one per row, with data a row's
+    unit-normalized profile magnitude and the scale c eliminated in
+    closed form, and the evaluation it came from (the envelope, alpha_p
+    l_p, its spectrum, the ADP, |ADP| and c); jacobian(rows, x, point) is
+    the residual's exact Jacobian from that evaluation, so alpha_p l_p is
+    built and transformed once per search point.  A row's numbers do not
+    depend on the rows around it: tap_sum sums tap by tap, and every row
+    reduction runs along a contiguous last axis.
     """
-    u, sum_center, grid = profiles[0].u, profiles[0].sum_center, l_ps[0].grid
-    if any(
-        not np.array_equal(p.u, u) or p.sum_center != sum_center for p in profiles
-    ):
-        raise GridError("the profiles of one batch must share their sum frequencies")
-    if any(l_p.grid != grid for l_p in l_ps):
-        raise GridError("the l_p of one batch must share their pump grid")
-    data = np.array([p.values for p in profiles])
-    if not np.all(np.any(data, axis=-1)):
+    if not np.all(np.any(profiles, axis=-1)):
         raise DegenerateInputError("profile is identically zero")
-    data_mag = np.abs(data / np.sqrt(np.sum(np.abs(data) ** 2, axis=-1))[:, None])
-    lp_vals = np.array([l_p.values for l_p in l_ps])
+    data_mag = np.abs(
+        profiles / np.sqrt(np.sum(np.abs(profiles) ** 2, axis=-1))[:, None]
+    )
     n_taps = len(template.taps)
 
     # the shaped pump's envelope and FIR factors on the pump grid, and the
@@ -287,20 +269,17 @@ def _magnitude_fit(profiles, template: PumpSpec, l_ps):
     # model's FFT only spans the part of the sum grid the profile reads
     detuning2 = (grid.samples - template.carrier) ** 2
     phasors = tap_phasors(template, grid)
-    adp = AdpModel(grid, sum_center + u, cyclic=True)
+    adp = AdpModel(grid, sums, cyclic=True)
 
     def residual(rows, x):
         sigma_p = np.exp(x[:, :1])
         env = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
-        weights = x[:, 1 : 1 + n_taps] * np.exp(1j * x[:, 1 + n_taps :])
-        fir = weights[:, :1] * phasors[0]
-        for n in range(1, n_taps):
-            fir += weights[:, n : n + 1] * phasors[n]
+        fir = tap_sum(x[:, 1 : 1 + n_taps] * np.exp(1j * x[:, 1 + n_taps :]), phasors)
         # alpha_p l_p, zero-padded for the FFT in place
         padded = np.zeros((len(rows), adp.n_fft), dtype=complex)
         apl = padded[:, : grid.n_points]
         np.multiply(env, fir, out=apl)
-        apl *= lp_vals[rows]
+        apl *= l_ps[rows]
         spectrum = adp.spectrum(padded)
         a = adp.from_spectrum(spectrum)
         mag = np.abs(a)
@@ -319,7 +298,7 @@ def _magnitude_fit(profiles, template: PumpSpec, l_ps):
         d_apl = np.zeros((len(rows), 1 + n_taps, adp.n_fft), dtype=complex)
         head = d_apl[..., : grid.n_points]
         np.multiply(apl, detuning2 * np.exp(-2.0 * x[:, :1]), out=head[:, 0])
-        np.multiply((env * lp_vals[rows])[:, None, :], phasors, out=head[:, 1:])
+        np.multiply((env * l_ps[rows])[:, None, :], phasors, out=head[:, 1:])
         # d|A| = Re(conj(A) dA) / |A|, taken as 0 where |A| = 0, with
         # dA/d alpha_n = exp(i phi_n) times its convolution and
         # dA/d phi_n = i alpha_n dA/d alpha_n
@@ -345,51 +324,10 @@ def _magnitude_fit(profiles, template: PumpSpec, l_ps):
     return residual, jacobian
 
 
-def _fit_batch(profiles, template: PumpSpec, l_ps, x0) -> list:
-    """fit_adp of every row of a batch: row r fits profiles[r] through
-    l_ps[r] from the search vector x0[r] (see _pack), and its FitResult is
-    what fit_adp returns for it alone, bit for bit.  The rows share one
-    trust-region-reflective loop (trf.least_squares_trf) and leave it as
-    they terminate."""
-    residual, jacobian = _magnitude_fit(profiles, template, l_ps)
-    n_taps = len(template.taps)
-    lower = np.concatenate([[np.log(1e7)], np.zeros(n_taps), np.full(n_taps, -np.inf)])
-    upper = np.concatenate([[np.log(1e13)], np.ones(n_taps), np.full(n_taps, np.inf)])
-    x, nfev, njev, status = least_squares_trf(
-        residual, jacobian, x0, lower, upper, _FIT_GTOL, _FIT_XTOL, _FIT_MAX_NFEV
-    )
-    # a phase comes back wound by whatever multiple of 2 pi the steps took
-    # it through; |ADP| does not see the winding, but the polish's initial
-    # simplex, scaled by each coordinate, would
-    x[:, 1 + n_taps :] = np.mod(x[:, 1 + n_taps :], 2.0 * np.pi)
-    f, (*_, scale) = residual(np.arange(len(x)), x)
-    cost = np.sum(f * f, axis=-1)
-    fits = []
-    for r in range(len(x)):
-        sigma_p, taps = _unpack(x[r])
-        fits.append(
-            FitResult(
-                sigma_p=sigma_p,
-                taps=taps,
-                scale=float(scale[r]),
-                residual=float(cost[r]),
-                converged=bool(status[r] > 0),
-                nfev=int(nfev[r]),
-                njev=int(njev[r]),
-            )
-        )
-    return fits
-
-
-def fit_adp(
-    profile: AdpProfile,
-    template: PumpSpec,
-    l_p: Field1D,
-    init_sigma_p: float,
-    init_alphas,
-    init_phis,
-) -> FitResult:
-    """Fit sigma_p and the FIR taps so |ADP| matches the profile magnitude.
+def _fit_batch(profiles, sums, template: PumpSpec, grid: SpectralGrid, l_ps, x0):
+    """Fit sigma_p and the FIR taps so |ADP| matches each profile's
+    magnitude: row r fits profiles[r] through l_ps[r] from the search
+    vector x0[r] (see _pack and _magnitude_fit).
 
     Minimizes sum_u (c |ADP(u)| - |profile(u)|)^2 over sigma_p
     (log-space), the tap amplitudes (bounded to [0, 1]), the tap phases,
@@ -399,8 +337,9 @@ def fit_adp(
     "trf", exact trust-region solves, x_scale 1, gtol _FIT_GTOL, xtol
     _FIT_XTOL, no ftol), ported in trf.least_squares_trf so that the
     inverse loop runs the fits of many restarts and mu points as one
-    batch; this is a batch of one (_fit_batch).  The steps use the exact
-    Jacobian of the variable-projection residual (Golub & Pereyra,
+    batch: the rows share one loop and leave it as they terminate, and a
+    row's fit is bit for bit the one it gets alone.  The steps use the
+    exact Jacobian of the variable-projection residual (Golub & Pereyra,
     Inverse Problems 19, R1 (2003)): every column d|ADP|/d theta comes
     from 2 alpha_p l_p * d(alpha_p l_p)/d theta, one batched FFT
     convolution through the ADP model's derivative, and the scale's own
@@ -417,16 +356,25 @@ def fit_adp(
     pi flips re-imposed at the nodes, whose positions the magnitude still
     pins.  Tap solutions are non-unique; only the reconstructed |ADP| is
     meaningful.
+
+    Returns arrays with one entry per row: (x, residual, converged, nfev,
+    njev), the fitted search vectors with their phases wrapped to
+    [0, 2 pi), the squared residual norms, whether each fit met a
+    tolerance, and its residual and Jacobian evaluations.
     """
+    residual, jacobian = _magnitude_fit(profiles, sums, template, grid, l_ps)
     n_taps = len(template.taps)
-    alphas = np.asarray(init_alphas, dtype=float)
-    phis = np.asarray(init_phis, dtype=float)
-    if alphas.shape != (n_taps,) or phis.shape != (n_taps,):
-        raise ValueError(
-            f"initial taps must match the template's {n_taps} taps"
-        )
-    x0 = _pack(init_sigma_p, np.clip(alphas, 0.0, 1.0), phis)
-    return _fit_batch([profile], template, [l_p], x0[None, :])[0]
+    lower = np.concatenate([[np.log(1e7)], np.zeros(n_taps), np.full(n_taps, -np.inf)])
+    upper = np.concatenate([[np.log(1e13)], np.ones(n_taps), np.full(n_taps, np.inf)])
+    x, nfev, njev, status = least_squares_trf(
+        residual, jacobian, x0, lower, upper, _FIT_GTOL, _FIT_XTOL, _FIT_MAX_NFEV
+    )
+    # a phase comes back wound by whatever multiple of 2 pi the steps took
+    # it through; |ADP| does not see the winding, but the polish's initial
+    # simplex, scaled by each coordinate, would
+    x[:, 1 + n_taps :] = np.mod(x[:, 1 + n_taps :], 2.0 * np.pi)
+    f, _ = residual(np.arange(len(x)), x)
+    return x, np.sum(f * f, axis=-1), status > 0, nfev, njev
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +519,8 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
     chain(spec, grid) builds the chains, field_enhancement_chain by
     default, or a task's cache of it that the fit's inputs share.  A score
     evaluates the shaped pump times l_p and that model: the taps come as
-    arrays (see _split), summed with tap_sum's arithmetic, so the polish
-    scores its search vector without building Tap tuples.
+    arrays (see _split), so a search vector is scored without building
+    Tap tuples.
     """
     chain = chain or field_enhancement_chain
     pump_grid, grid_s, grid_i = build_grids(cfg, n_points)
@@ -602,10 +550,9 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 # the shaped pump (apply_envelope): the Gaussian envelope
-                # times the FIR response, summed as tap_sum sums it
+                # times the FIR response
                 env = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
-                weights = amplitudes * np.exp(1j * phases)
-                fir = (weights[:, None] * phasors).sum(axis=0)
+                fir = tap_sum(amplitudes * np.exp(1j * phases), phasors)
                 return state_score(env * fir * l_p)
 
         return score
@@ -668,8 +615,9 @@ def _run_mu_points(args):
     on the reduced (_FIT_PUMP_POINTS, _VERIFY_POINTS) grids, after which
     the point's best restart is verified, and that ranks it.  Returns,
     per point, (mu_idx, records, candidate, fits): candidate is (ranking
-    score, residual, sigma_p, taps, mu) of the restart with the best trial
-    score, fits each restart's (converged, nfev, njev).
+    score, residual, x, mu) of the restart with the best trial score, x
+    its fitted search vector, and fits holds each restart's (converged,
+    nfev, njev) as a row.
     """
     cfg, search, points = args
     restarts = search.restarts
@@ -687,6 +635,7 @@ def _run_mu_points(args):
         else (_FIT_PUMP_POINTS, _VERIFY_POINTS)
     )
     context = _trial_contexts(cfg, *trial_grids, chain)
+    sums = grid_s.center + grid_i.center + _profile_offsets(grid_s, grid_i)
     scores, profiles, l_ps, starts = [], [], [], []
     for mu_idx, mu in points:
         trial_cfg = _swept_chains(cfg, mu)
@@ -695,45 +644,43 @@ def _run_mu_points(args):
             target, chain(trial_cfg.signal, grid_s), chain(trial_cfg.idler, grid_i)
         )
         profiles.extend([profile] * restarts)
-        l_ps.extend([chain(trial_cfg.pump_resonance, fit_grid)] * restarts)
+        l_ps.extend([chain(trial_cfg.pump_resonance, fit_grid).values] * restarts)
         starts.extend(
             _start(search.seed, mu_idx, restart, n_taps)
             for restart in range(restarts)
         )
-    fits = []
-    for lo in range(0, len(starts), _FIT_BATCH):
-        hi = lo + _FIT_BATCH
-        fits.extend(
-            _fit_batch(profiles[lo:hi], cfg.pump, l_ps[lo:hi], np.array(starts[lo:hi]))
+    batches = [
+        _fit_batch(
+            np.array(profiles[lo : lo + _FIT_BATCH]), sums, cfg.pump, fit_grid,
+            np.array(l_ps[lo : lo + _FIT_BATCH]), np.array(starts[lo : lo + _FIT_BATCH]),
         )
+        for lo in range(0, len(starts), _FIT_BATCH)
+    ]
+    x, residual, converged, nfev, njev = map(np.concatenate, zip(*batches))
+    fits = np.stack((converged, nfev, njev), axis=-1)
     results = []
     for offset, ((mu_idx, mu), score) in enumerate(zip(points, scores)):
+        rows = range(offset * restarts, (offset + 1) * restarts)
         records = []
         best = None
-        point_fits = fits[offset * restarts : (offset + 1) * restarts]
-        for restart, fit in enumerate(point_fits):
-            trial = score(fit.sigma_p, *_tap_arrays(fit.taps))
+        for restart, r in enumerate(rows):
+            sigma_p, amplitudes, phases = _split(x[r])
+            trial = score(sigma_p, amplitudes, phases)
             records.append({
                 "mu": _mu_record(mu),
                 "restart": restart,
-                "sigma_p": fit.sigma_p,
-                "alpha": [t.amplitude for t in fit.taps],
-                "phi": [float(np.mod(t.phase, 2.0 * np.pi)) for t in fit.taps],
+                "sigma_p": float(sigma_p),
+                "alpha": amplitudes.tolist(),
+                "phi": np.mod(phases, 2.0 * np.pi).tolist(),
                 "fidelity": trial,
-                "residual": fit.residual,
-                "converged": fit.converged,
+                "residual": float(residual[r]),
+                "converged": bool(converged[r]),
             })
             if best is None or trial > best[0]:
-                best = (trial, fit.residual, fit.sigma_p, fit.taps)
-        rank, residual, sigma_p, taps = best
+                best = (trial, float(residual[r]), x[r], mu)
         if not entangled:
-            rank = _verified_score(cfg, mu, sigma_p, taps)
-        results.append((
-            mu_idx,
-            records,
-            (rank, residual, sigma_p, taps, mu),
-            [(fit.converged, fit.nfev, fit.njev) for fit in point_fits],
-        ))
+            best = (_verified_score(cfg, mu, *_unpack(best[2])), *best[1:])
+        results.append((mu_idx, records, best, fits[rows]))
     return results
 
 
@@ -750,24 +697,24 @@ def _polish_candidate(args):
     that n^2 grid (_sum_index_score).  The leader arrives with its ranking
     score, which is already its verification for the separable target
     and is verified here for an entangled one.  Returns the candidates
-    (verified score, residual, sigma_p, taps, mu), the leader's first.
+    (verified score, residual, x, mu), the leader's first.
     """
-    cfg, search, (rank, residual, sigma_p, taps, mu) = args
+    cfg, search, (rank, residual, x, mu) = args
     if cfg.target.dimension >= 2:
-        rank = _verified_score(cfg, mu, sigma_p, taps)
-    verified = [(rank, residual, sigma_p, taps, mu)]
+        rank = _verified_score(cfg, mu, *_unpack(x))
+    verified = [(rank, residual, x, mu)]
     if search.polish_evals > 0:
         score = _trial_contexts(cfg, _POLISH_PUMP_POINTS, cfg.grid.n_points)(mu)
-        x = _nelder_mead(
-            lambda x: -score(*_split(x)),
-            _pack(sigma_p, *_tap_arrays(taps)),
+        # the start is the vector of the leader's parameters as scored and
+        # verified: exp, log and the amplitude clip need not give back x
+        polished = _nelder_mead(
+            lambda v: -score(*_split(v)),
+            _pack(*_split(x)),
             maxfev=search.polish_evals, xatol=1e-6, fatol=1e-10,
         )
-        sigma_ref, taps_ref = _unpack(x)
-        verified.append((
-            _verified_score(cfg, mu, sigma_ref, taps_ref),
-            residual, sigma_ref, taps_ref, mu,
-        ))
+        verified.append(
+            (_verified_score(cfg, mu, *_unpack(polished)), residual, polished, mu)
+        )
     return verified
 
 
@@ -981,7 +928,7 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
         for _, records, candidate, point_fits in results:
             trace.extend(records)
             scored.append(candidate)
-            fits.extend(point_fits)
+            fits.append(point_fits)
         # an entangled target's mu points are ranked by their best trial
         # score, on the configured grid, the separable target's by their
         # verified purity (see _run_mu_points); only the leaders the polish
@@ -997,9 +944,9 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     candidates = [lead for lead, *_ in verified]
     candidates += [p for _, *polished in verified for p in polished]
     best = max(candidates, key=lambda candidate: candidate[0])
-    converged, nfev, njev = np.array(fits, dtype=float).T
-    score, residual, sigma_p, taps, mu = best
-    best_cfg = apply_free_params(cfg, mu, sigma_p, taps)
+    converged, nfev, njev = np.concatenate(fits).T
+    score, residual, x, mu = best
+    best_cfg = apply_free_params(cfg, mu, *_unpack(x))
     return OptimizeResult(
         best_config=best_cfg,
         best_mu=tuple(mu),

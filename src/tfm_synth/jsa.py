@@ -143,9 +143,8 @@ class AdpModel:
     continuous convolution) and samples it at the absolute sum
     frequencies sums, linearly interpolated and zero beyond the
     sum-frequency grid.  The FFT length and the interpolation's indices
-    and weights are built once, with one scratch buffer, so a model must
-    not be called from two threads at once.  Input already zero-padded to
-    n_fft samples transforms without a copy.  A cyclic model takes the
+    and weights are built once.  Input already zero-padded to n_fft
+    samples transforms without a copy.  A cyclic model takes the
     shortest FFT whose cyclic self-convolution has no wrap-around at the
     samples it reads: its ADP is the same function, to round-off, from
     shorter transforms when the sums cover only part of the sum grid.
@@ -170,9 +169,6 @@ class AdpModel:
             # fftconvolve's length for complex input, so that a model call
             # equals fftconvolve(apl, apl) sampled at sums bit for bit
             self.n_fft = next_fast_len(n_conv)
-        # on a signal/idler grid every temporary is a full array: gather and
-        # weigh in place, the upper neighbours in a buffer kept across calls
-        self._upper = np.empty(np.shape(sums), dtype=complex)
 
     def spectrum(self, apl: np.ndarray) -> np.ndarray:
         """FFT of alpha_p * l_p, zero-padded to the self-convolution."""
@@ -185,15 +181,7 @@ class AdpModel:
     def from_spectrum(self, spectrum: np.ndarray) -> np.ndarray:
         """ADP(sums) of the alpha_p * l_p whose spectrum is given; a stack
         of spectra, one per row, gives one ADP per row."""
-        conv = ifft(spectrum * spectrum)
-        if conv.ndim > 1:
-            return self._sample(conv)
-        out = np.take(conv, self._lo)
-        out *= self._w_lo
-        upper = self._upper
-        np.take(conv, self._hi, out=upper)
-        out += np.multiply(upper, self._w_hi, out=upper)
-        return out
+        return self._sample(ifft(spectrum * spectrum))
 
     def derivative(self, spectrum: np.ndarray, d_apl: np.ndarray) -> np.ndarray:
         """Directional derivatives dADP(sums) = interp(2 apl * d_apl) dw.
@@ -211,7 +199,8 @@ class AdpModel:
     def _sample(self, conv: np.ndarray) -> np.ndarray:
         """The interpolation at sums along the last axis of conv, in C
         order (an index on the last axis alone would leave a stack with
-        that axis outermost in memory)."""
+        that axis outermost in memory); on a signal/idler grid every
+        temporary is a full array, so the products are taken in place."""
         lower = np.take(conv, self._lo, axis=-1)
         lower *= self._w_lo
         upper = np.take(conv, self._hi, axis=-1)

@@ -63,7 +63,7 @@ class PumpSpec:
 def tap_phasors(spec: PumpSpec, grid: SpectralGrid) -> np.ndarray:
     """Per-tap delay phasors exp[i n (theta - (omega - carrier) tau)].
 
-    Row n - 1 belongs to tap n; H is tap_sum(taps, phasors).
+    Row n - 1 belongs to tap n; H is tap_sum(weights, phasors).
     """
     detuning = grid.samples - spec.carrier
     n_idx = np.arange(1, len(spec.taps) + 1)
@@ -74,17 +74,20 @@ def tap_phasors(spec: PumpSpec, grid: SpectralGrid) -> np.ndarray:
     )
 
 
-def tap_sum(taps, phasors: np.ndarray) -> np.ndarray:
-    """H = sum_n alpha_n exp(i phi_n) phasors[n - 1] over the taps.
+def tap_sum(weights: np.ndarray, phasors: np.ndarray) -> np.ndarray:
+    """H = sum_n c_n phasors[n - 1] of the complex tap weights
+    c_n = alpha_n exp(i phi_n); a stack of weight rows gives one H per row.
 
-    A plain product summed over the tap axis: as a matrix product this
-    is a complex gemv with a handful of rows, which OpenBLAS splits over
-    threads from a few thousand frequencies on, and the threads cost
-    more than the sum itself.
+    The products are summed tap by tap, so a row's H does not depend on
+    the rows around it.  As a matrix product this would be a complex gemv
+    with a handful of rows, which OpenBLAS splits over threads from a few
+    thousand frequencies on, and the threads cost more than the sum
+    itself.
     """
-    alphas = np.array([tap.amplitude for tap in taps])
-    phis = np.array([tap.phase for tap in taps])
-    return ((alphas * np.exp(1j * phis))[:, None] * phasors).sum(axis=0)
+    h = weights[..., :1] * phasors[0]
+    for n in range(1, len(phasors)):
+        h += weights[..., n : n + 1] * phasors[n]
+    return h
 
 
 def fir_response(spec: PumpSpec, grid: SpectralGrid) -> Field1D:
@@ -95,7 +98,9 @@ def fir_response(spec: PumpSpec, grid: SpectralGrid) -> Field1D:
     """
     if all(tap.amplitude == 0.0 for tap in spec.taps):
         raise DegenerateInputError("all tap amplitudes are zero")
-    return Field1D(grid, tap_sum(spec.taps, tap_phasors(spec, grid)))
+    alphas = np.array([tap.amplitude for tap in spec.taps])
+    phis = np.array([tap.phase for tap in spec.taps])
+    return Field1D(grid, tap_sum(alphas * np.exp(1j * phis), tap_phasors(spec, grid)))
 
 
 def apply_envelope(spec: PumpSpec, response: Field1D) -> Field1D:

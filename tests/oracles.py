@@ -113,13 +113,17 @@ def diagonal_profile(g, grid_s: SpectralGrid, grid_i: SpectralGrid, n_points: in
 # ---------------------------------------------------------------------------
 # ADP fit
 
-def least_squares_fit(profile, template, l_p, x0):
-    """scipy's least_squares on one row of the package's magnitude fit,
-    with the settings inversion.fit_adp's trust-region loop reproduces:
-    method "trf", exact trust-region solves, x_scale 1, a linear loss,
-    gtol _FIT_GTOL, xtol _FIT_XTOL, no ftol, at most _FIT_MAX_NFEV
-    residual evaluations, and the bounds of the search vector."""
-    residual, jacobian = _magnitude_fit([profile], template, [l_p])
+def least_squares_fit(values, sums, template, l_p, x0):
+    """scipy's least_squares on one row of the package's magnitude fit, the
+    complex profile values at the absolute sum frequencies sums through
+    the Field1D l_p, with the settings inversion._fit_batch's
+    trust-region loop reproduces: method "trf", exact trust-region
+    solves, x_scale 1, a linear loss, gtol _FIT_GTOL, xtol _FIT_XTOL, no
+    ftol, at most _FIT_MAX_NFEV residual evaluations, and the bounds of
+    the search vector."""
+    residual, jacobian = _magnitude_fit(
+        values[None, :], sums, template, l_p.grid, l_p.values[None, :]
+    )
     row = np.array([0])
 
     def fun(x):

@@ -313,6 +313,8 @@ def _preset_with(tmp_path, section, key, value):
         ("sweep-mzi", "--config", "bell_phi_minus", "--mu-min", "inf"),
         ("sweep-mzi", "--config", "bell_phi_minus", "--mu-max=-inf"),
         ("sweep-mzi", "--config", "bell_phi_minus", "--mu-max", "inf"),
+        # a step so small that the point count overflows a float
+        ("sweep-mzi", "--config", "bell_phi_minus", "--mu-step", "1e-300"),
     ],
 )
 def test_bad_flags_exit_2(tmp_path, capsys, argv):

@@ -3,6 +3,7 @@
 import ctypes
 import importlib
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -20,21 +21,20 @@ from tfm_synth.inversion import (
     _FIT_PUMP_POINTS,
     _POLISH_PUMP_POINTS,
     _VERIFY_POINTS,
-    AdpProfile,
     SearchConfig,
     _fit_batch,
     _magnitude_fit,
     _pack,
+    _profile_offsets,
     _split,
     _start,
     _swept_chains,
-    _tap_arrays,
     _target_profile,
     _trial_contexts,
     _trial_score,
+    _unpack,
     _verified_score,
     apply_free_params,
-    fit_adp,
     optimize_state,
 )
 from tfm_synth.jsa import AdpModel, DegenerateFieldError, Jsa, normalize
@@ -78,8 +78,9 @@ def test_decouple_identity_filter():
     """Unit filters leave the target: the profile is its diagonal."""
     f = bell_target_jsa(NS, NI)
     prof = _target_profile(f, unit_filter(NS), unit_filter(NI))
-    np.testing.assert_allclose(prof.values, np.diagonal(f.amplitude), rtol=1e-5)
-    assert prof.sum_center == S0 + I0
+    np.testing.assert_allclose(prof, np.diagonal(f.amplitude), rtol=1e-5)
+    # the middle offset is the center sum frequency S0 + I0 itself
+    assert _profile_offsets(NS, NI)[_FIT_PROFILE_POINTS // 2] == 0.0
 
 
 def test_decouple_self_gives_unity_on_support():
@@ -88,10 +89,10 @@ def test_decouple_self_gives_unity_on_support():
     sigma = 6.0e9
     f = target_jsa(TargetState(1, sigma, S0, I0), GS, GI)
     prof = _target_profile(f, hg_mode(0, GS, S0, sigma), hg_mode(0, GI, I0, sigma))
-    f0 = np.exp(-((prof.u / 2.0) ** 2) / (2.0 * sigma * sigma))
+    f0 = np.exp(-((_profile_offsets(GS, GI) / 2.0) ** 2) / (2.0 * sigma * sigma))
     strong = f0 * f0 > 0.3
     assert np.count_nonzero(strong) > 5
-    np.testing.assert_allclose(prof.values[strong], 1.0, atol=1e-3)
+    np.testing.assert_allclose(prof[strong], 1.0, atol=1e-3)
 
 
 def test_decouple_round_trip():
@@ -111,7 +112,7 @@ def test_decouple_round_trip():
     l_s, l_i = random_filter(NS), random_filter(NI)
     prof = _target_profile(f, l_s, l_i)
     filt = l_s.values * l_i.values
-    back = prof.values * filt
+    back = prof * filt
     want = np.diagonal(f.amplitude)
     region = np.abs(filt) > 10.0 * _EPSILON * np.max(np.abs(filt))
     err = np.linalg.norm((back - want)[region])
@@ -132,9 +133,10 @@ def test_extract_pure_sum_function_exact_at_nodes():
     sigma = 20e9
     f = Jsa(NS, NI, np.exp(-(sums**2) / (2 * sigma * sigma)))
     prof = _target_profile(f, unit_filter(NS), unit_filter(NI))
-    expect = np.exp(-(prof.u**2) / (2 * sigma * sigma)) / (1.0 + _EPSILON**2)
-    np.testing.assert_allclose(prof.values.real, expect, atol=1e-12)
-    assert not np.any(prof.values.imag)
+    u = _profile_offsets(NS, NI)
+    expect = np.exp(-(u**2) / (2 * sigma * sigma)) / (1.0 + _EPSILON**2)
+    np.testing.assert_allclose(prof.real, expect, atol=1e-12)
+    assert not np.any(prof.imag)
 
 
 def test_extract_gaussian_product_closed_form():
@@ -145,18 +147,17 @@ def test_extract_gaussian_product_closed_form():
     f = Jsa(GS, GI, np.outer(f0s, f0i))
     prof = _target_profile(f, unit_filter(GS), unit_filter(GI))
     norm = 1.0 / np.sqrt(np.sqrt(np.pi) * sigma)
-    expect = (norm * np.exp(-(prof.u / 2.0) ** 2 / (2.0 * sigma * sigma))) ** 2
+    u = _profile_offsets(GS, GI)
+    expect = (norm * np.exp(-(u / 2.0) ** 2 / (2.0 * sigma * sigma))) ** 2
     # tolerance reflects the bilinear interpolation error at off-node points
-    np.testing.assert_allclose(prof.values.real, expect, atol=2e-3 * expect.max())
+    np.testing.assert_allclose(prof.real, expect, atol=2e-3 * expect.max())
 
 
 def test_extract_symmetry():
     sums = GS.samples[:, None] + GI.samples[None, :] - (S0 + I0)
     f = Jsa(GS, GI, np.cos(sums / 30e9))
     prof = _target_profile(f, unit_filter(GS), unit_filter(GI))
-    np.testing.assert_allclose(
-        prof.values.real, prof.values.real[::-1], atol=1e-9
-    )
+    np.testing.assert_allclose(prof.real, prof.real[::-1], atol=1e-9)
 
 
 @pytest.mark.parametrize("n_points", [256, 512])
@@ -164,7 +165,7 @@ def test_extract_symmetry():
     "preset", ["bell_phi_minus", "mes_d3", "mes_d4", "separable"]
 )
 def test_target_profile_is_the_two_step_profile_bit_for_bit(preset, n_points):
-    """The fit's input, as _run_mu_point builds it, equals the reference's
+    """The fit's input, as _run_mu_points builds it, equals the reference's
     regularized division by the outer-product filter followed by the
     diagonal read, at the preset's couplings and at one swept mu."""
     cfg = load_preset(preset)
@@ -185,9 +186,8 @@ def test_target_profile_is_the_two_step_profile_bit_for_bit(preset, n_points):
         got = _target_profile(target, l_s, l_i)
         g = oracles.decoupled_target(target, l_s, l_i, _EPSILON)
         u, values = oracles.diagonal_profile(g, grid_s, grid_i, _FIT_PROFILE_POINTS)
-        assert np.array_equal(got.u, u)
-        assert np.array_equal(got.values, values)
-        assert got.sum_center == grid_s.center + grid_i.center
+        assert np.array_equal(_profile_offsets(grid_s, grid_i), u)
+        assert np.array_equal(got, values)
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +222,50 @@ def synth_adp(spec, l_p, u):
     return AdpModel(l_p.grid, 2.0 * P0 + u)(pump.values * l_p.values)
 
 
-def fitted_magnitude(fit, template, l_p, u):
-    spec = replace(template, sigma_p=fit.sigma_p, taps=fit.taps)
-    return fit.scale * np.abs(synth_adp(spec, l_p, u))
-
-
 def unit_magnitude(values):
     return np.abs(values) / np.sqrt(np.sum(np.abs(values) ** 2))
 
 
+def fitted_magnitude(fit, template, l_p, prof):
+    """c |ADP| of a fit's search vector at the profile's offsets, with the
+    scale c = (m.d)/(m.m) eliminated in closed form against the profile's
+    unit magnitude d, as the fit eliminates it."""
+    sigma_p, taps = _unpack(fit.x)
+    spec = replace(template, sigma_p=sigma_p, taps=taps)
+    mag = np.abs(synth_adp(spec, l_p, prof.u))
+    return np.dot(mag, unit_magnitude(prof.values)) / np.dot(mag, mag) * mag
+
+
+# a complex anti-diagonal profile at the sum-frequency offsets u from 2 P0
+Profile = namedtuple("Profile", "u values")
+# one row of _fit_batch's arrays
+Fit = namedtuple("Fit", "x residual converged nfev njev")
+
+
 def synth_profile(spec, l_p, n_u=257, span=112e9):
     u = np.linspace(-span, span, n_u)
-    return AdpProfile(u, synth_adp(spec, l_p, u), 2.0 * P0)
+    return Profile(u, synth_adp(spec, l_p, u))
+
+
+def magnitude_fit(profiles, template, l_ps):
+    """_magnitude_fit of Profile rows, which share their offsets, through
+    Field1D l_p on one pump grid."""
+    return _magnitude_fit(
+        np.array([p.values for p in profiles]), 2.0 * P0 + profiles[0].u,
+        template, l_ps[0].grid, np.array([l_p.values for l_p in l_ps]),
+    )
+
+
+def fit_one(prof, template, l_p, init_sigma_p, init_alphas, init_phis):
+    """_fit_batch of one row, from the start with its amplitudes clipped to
+    [0, 1]."""
+    alphas = np.clip(np.asarray(init_alphas, dtype=float), 0.0, 1.0)
+    x0 = _pack(init_sigma_p, alphas, np.asarray(init_phis, dtype=float))
+    fit = _fit_batch(
+        np.array([prof.values]), 2.0 * P0 + prof.u, template, l_p.grid,
+        np.array([l_p.values]), x0[None, :],
+    )
+    return Fit(*(a[0] for a in fit))
 
 
 def round_trip_case():
@@ -255,10 +287,10 @@ def test_fit_round_trip_known_taps():
     taps)."""
     amps, phis, prof, l_p = round_trip_case()
     template = pump_template()
-    fit = fit_adp(prof, template, l_p, 20e9, amps, phis)
+    fit = fit_one(prof, template, l_p, 20e9, amps, phis)
     assert fit.residual < 1e-6
     # reconstructed |ADP| against the input's, both unit-normalized
-    got = fitted_magnitude(fit, template, l_p, prof.u)
+    got = fitted_magnitude(fit, template, l_p, prof)
     want = unit_magnitude(prof.values)
     np.testing.assert_allclose(got, want, atol=1e-5 * np.max(want))
     assert fit.converged
@@ -270,8 +302,8 @@ def test_fit_ignores_profile_phase():
     amps, phis, prof, l_p = round_trip_case()
     rng = np.random.default_rng(11)
     phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, prof.u.shape))
-    scrambled = AdpProfile(prof.u, prof.values * phase, prof.sum_center)
-    fit = fit_adp(scrambled, pump_template(), l_p, 20e9, amps, phis)
+    scrambled = Profile(prof.u, prof.values * phase)
+    fit = fit_one(scrambled, pump_template(), l_p, 20e9, amps, phis)
     assert fit.residual < 1e-6
 
 
@@ -288,14 +320,14 @@ def test_fit_single_tap_gaussian_sigma_recovery():
         sigma_p=10e9, carrier=P0, taps=oracles.make_taps([0.5], [0.0]),
         base_delay=75e-12,
     )
-    fit = fit_adp(prof, template, l_p, 10e9, [0.5], [0.0])
-    assert fit.sigma_p == pytest.approx(sigma_true, rel=1e-3)
+    fit = fit_one(prof, template, l_p, 10e9, [0.5], [0.0])
+    assert np.exp(fit.x[0]) == pytest.approx(sigma_true, rel=1e-3)
 
 
 def test_fit_zero_profile_rejected():
-    prof = AdpProfile(np.linspace(-1e9, 1e9, 33), np.zeros(33), 2.0 * P0)
+    prof = Profile(np.linspace(-1e9, 1e9, 33), np.zeros(33))
     with pytest.raises(DegenerateInputError):
-        fit_adp(prof, pump_template(), flat_lp(), 20e9, [0.5] * 6, [0.0] * 6)
+        fit_one(prof, pump_template(), flat_lp(), 20e9, [0.5] * 6, [0.0] * 6)
 
 
 def test_fit_reported_residual_consistent():
@@ -308,11 +340,11 @@ def test_fit_reported_residual_consistent():
     )
     l_p = lorentzian_lp()
     prof = synth_profile(truth, l_p)
-    fit = fit_adp(
+    fit = fit_one(
         prof, pump_template(), l_p, 30e9,
         rng.uniform(0.1, 1, 6), rng.uniform(0, 2 * np.pi, 6),
     )
-    got = fitted_magnitude(fit, pump_template(), l_p, prof.u)
+    got = fitted_magnitude(fit, pump_template(), l_p, prof)
     direct = float(np.sum((got - unit_magnitude(prof.values)) ** 2))
     assert direct == pytest.approx(fit.residual, rel=1e-6, abs=1e-12)
 
@@ -367,7 +399,7 @@ def test_fit_jacobian_matches_central_differences(case):
     scale-eliminated magnitude residual agrees with central differences
     to 1e-6 of its largest entry at seeded points."""
     profiles, template, l_ps = jacobian_batch(case)
-    residual, jacobian = _magnitude_fit(profiles, template, l_ps)
+    residual, jacobian = magnitude_fit(profiles, template, l_ps)
     n_taps = len(template.taps)
     rows = np.arange(len(profiles))
     rng = np.random.default_rng(21)
@@ -396,9 +428,9 @@ def test_fit_jacobian_finite_at_model_zeros():
     prof, template, l_p = single_tap_case()
     span = 1.5 * 2.0 * l_p.grid.half_span
     u = np.linspace(-span, span, 101)
-    wide = AdpProfile(u, np.exp(-((u / 40e9) ** 2)), prof.sum_center)
-    narrow = AdpProfile(u, np.exp(-((u / 20e9) ** 2)), prof.sum_center)
-    residual, jacobian = _magnitude_fit(
+    wide = Profile(u, np.exp(-((u / 40e9) ** 2)))
+    narrow = Profile(u, np.exp(-((u / 20e9) ** 2)))
+    residual, jacobian = magnitude_fit(
         [wide, narrow], template, [l_p, lorentzian_lp()]
     )
     rows = np.arange(2)
@@ -423,12 +455,12 @@ def test_fit_port_reproduces_least_squares():
     the residual are what the fit determines."""
     prof, template, l_p = single_tap_case()
     x0 = _pack(10e9, [0.5], [0.0])
-    want = oracles.least_squares_fit(prof, template, l_p, x0)
-    fit = fit_adp(prof, template, l_p, 10e9, [0.5], [0.0])
+    want = oracles.least_squares_fit(prof.values, 2.0 * P0 + prof.u, template, l_p, x0)
+    fit = fit_one(prof, template, l_p, 10e9, [0.5], [0.0])
     assert want.status == 1 and fit.converged
     assert (fit.nfev, fit.njev) == (want.nfev, want.njev)
-    assert np.log(fit.sigma_p) == pytest.approx(want.x[0], abs=1e-8)
-    got = fitted_magnitude(fit, template, l_p, prof.u)
+    assert fit.x[0] == pytest.approx(want.x[0], abs=1e-8)
+    got = fitted_magnitude(fit, template, l_p, prof)
     np.testing.assert_allclose(
         got - unit_magnitude(prof.values), want.fun, rtol=0.0, atol=1e-8
     )
@@ -436,7 +468,8 @@ def test_fit_port_reproduces_least_squares():
 
 
 def mu_point_fit_rows(preset, n_rows):
-    """(profile, l_p, start) of n_rows fits: the preset's default mu points
+    """The template, the profiles' sum frequencies, the pump grid and the
+    (profile, l_p, start) of n_rows fits: the preset's default mu points
     in turn, each row with its own restart's start, at a 128^2 grid."""
     cfg = load_preset(preset)
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=128))
@@ -456,13 +489,20 @@ def mu_point_fit_rows(preset, n_rows):
             field_enhancement_chain(trial_cfg.signal, grid_s),
             field_enhancement_chain(trial_cfg.idler, grid_i),
         )
-        points.append((profile, l_p))
+        points.append((profile, l_p.values))
     n_taps = len(cfg.pump.taps)
     rows = []
     for r in range(n_rows):
         k = r % len(points)
         rows.append((*points[k], _start(0, k, r // len(points), n_taps)))
-    return cfg.pump, rows
+    sums = grid_s.center + grid_i.center + _profile_offsets(grid_s, grid_i)
+    return cfg.pump, sums, pump_grid, rows
+
+
+def fit_row(fit, r):
+    """Row r of _fit_batch's arrays, comparable with ==."""
+    x, *rest = fit
+    return (x[r].tolist(), *(a[r] for a in rest))
 
 
 @pytest.mark.filterwarnings("error")
@@ -474,34 +514,39 @@ def test_fit_batch_rows_do_not_depend_on_the_batch(preset):
     so does every other row of the batch, fitted alone.  The separable
     preset sweeps the pump chain, so its rows differ in l_p too.  The fit
     raises no warning."""
-    template, rows = mu_point_fit_rows(preset, 32)
+    template, sums, grid, rows = mu_point_fit_rows(preset, 32)
     probe = rows[5]
     for r in (0, 17, 31):
         rows[r] = probe
 
     def fit(batch):
-        profiles, l_ps, starts = zip(*batch)
-        return _fit_batch(list(profiles), template, list(l_ps), np.array(starts))
+        profiles, l_ps, starts = map(np.array, zip(*batch))
+        return Fit(*_fit_batch(profiles, sums, template, grid, l_ps, starts))
 
     batch = fit(rows)
-    alone = fit([probe])[0]
+    alone = fit([probe])
     for r in (0, 17, 31):
-        assert batch[r] == alone
-        assert (batch[r].nfev, batch[r].njev) == (alone.nfev, alone.njev)
-    nfev = [f.nfev for f in batch]
+        assert fit_row(batch, r) == fit_row(alone, 0)
+        assert (batch.nfev[r], batch.njev[r]) == (alone.nfev[0], alone.njev[0])
+    nfev = batch.nfev
     assert min(nfev) < inversion._FIT_MAX_NFEV
     assert max(nfev) > min(nfev)
     for r in (1, 2, 16, 18, 30):
-        assert fit([rows[r]])[0] == batch[r]
+        assert fit_row(fit([rows[r]]), 0) == fit_row(batch, r)
 
 
 # ---------------------------------------------------------------------------
 # search loop
 
+def tap_arrays(taps):
+    """(amplitudes, phases) of a tuple of Tap, as arrays."""
+    return np.array([t.amplitude for t in taps]), np.array([t.phase for t in taps])
+
+
 def tap_score(cfg, mu, pump_points, n_points):
     """_trial_contexts's score at mu, called with a tuple of Tap."""
     score = _trial_contexts(cfg, pump_points, n_points)(mu)
-    return lambda sigma_p, taps: score(sigma_p, *_tap_arrays(taps))
+    return lambda sigma_p, taps: score(sigma_p, *tap_arrays(taps))
 
 
 def _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps):
@@ -576,7 +621,7 @@ def test_trial_contexts_of_one_template_score_as_fresh_ones():
     for mu, score in zip(mus, scores):
         fresh = _trial_contexts(cfg, _POLISH_PUMP_POINTS, 128)(mu)
         for taps in (cfg.pump.taps, seeded):
-            args = (cfg.pump.sigma_p, *_tap_arrays(taps))
+            args = (cfg.pump.sigma_p, *tap_arrays(taps))
             assert score(*args) == fresh(*args)
 
 
@@ -791,6 +836,20 @@ def test_search_config_validation():
         SearchConfig(polish_top=0)
     with pytest.raises(ConfigError):
         SearchConfig(polish_evals=-1)
+    # a step that leaves the point count non-finite
+    with pytest.raises(ConfigError):
+        SearchConfig(mu_step=float("nan")).mu_values
+    # couplings are >= 0: a negative or non-finite bound is rejected
+    # before a resonance chain is built from it
+    for bounds in (
+        dict(mu_min=-1e9, mu_max=-0.5e9),
+        dict(mu_min=-1e9),
+        dict(mu_min=float("nan")),
+        dict(mu_max=float("inf")),
+        dict(mu_max=float("nan")),
+    ):
+        with pytest.raises(ConfigError):
+            SearchConfig(**bounds)
 
 
 @pytest.mark.parametrize(
@@ -850,6 +909,31 @@ def test_optimize_verifies_only_the_polish_leaders(
     res = optimize_state(cfg, search)
     assert len(calls) == want
     assert res.fidelity == max(calls)
+
+
+def test_trace_records_are_the_candidates_own_numbers(monkeypatch):
+    """Each trace record carries the parameters its trial score was taken
+    at: re-scoring its (sigma_p, alpha, phi) gives its fidelity exactly,
+    and with the polish off the winner's pump is one record's sigma_p and
+    taps (Bell at 64^2, 2 mu points, 2 restarts, one process)."""
+    monkeypatch.setenv("TFM_SYNTH_THREADS", "1")
+    cfg = load_preset("bell_phi_minus")
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=64))
+    search = tiny_search(restarts=2, polish_evals=0)
+    assert len(search.mu_values) == 2
+    res = optimize_state(cfg, search)
+    assert len(res.trace) == 4
+    context = _trial_contexts(cfg, _POLISH_PUMP_POINTS, 64)
+    for rec in res.trace:
+        score = context((rec["mu"]["mu_12"],))
+        got = score(rec["sigma_p"], np.array(rec["alpha"]), np.array(rec["phi"]))
+        assert got == rec["fidelity"]
+    pump = res.best_config.pump
+    taps = ([t.amplitude for t in pump.taps], [t.phase for t in pump.taps])
+    assert any(
+        (rec["sigma_p"], rec["alpha"], rec["phi"]) == (pump.sigma_p, *taps)
+        for rec in res.trace
+    )
 
 
 def test_optimize_trace_does_not_depend_on_the_fit_batches(monkeypatch):
@@ -979,7 +1063,7 @@ def test_fit_budget_keeps_the_design_quality(monkeypatch):
 
     def recording_batch(*args, **kwargs):
         fits = _fit_batch(*args, **kwargs)
-        nfevs.extend(fit.nfev for fit in fits)
+        nfevs.extend(Fit(*fits).nfev)
         return fits
 
     # in this process, where the recording batch is seen
@@ -1047,11 +1131,12 @@ def test_nelder_mead_port_polishes_a_bell_candidate_as_scipy_does():
     cfg = load_preset("bell_phi_minus")
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=128))
     mu = (1.5e9,)
-    [(_, _, (_, _, sigma_p, taps, _), _)] = inversion._run_mu_points(
+    [(_, _, (_, _, x, _), _)] = inversion._run_mu_points(
         (cfg, tiny_search(restarts=1), [(1, mu)])
     )
     score = _trial_contexts(cfg, _POLISH_PUMP_POINTS, 128)(mu)
-    x0 = _pack(sigma_p, *_tap_arrays(taps))
+    # the polish's start (_polish_candidate)
+    x0 = _pack(*_split(x))
     evals = assert_nelder_mead_is_scipys(lambda x: -score(*_split(x)), x0, 150)
     assert evals == 150
 
