@@ -54,6 +54,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import (
     TargetState,
@@ -71,12 +72,13 @@ from .jsa import (
     Jsa,
     _bilinear,
     _check_adp_input,
-    find_cut_minima,
+    flip_signs,
+    sum_axis,
 )
 from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, tap_phasors, tap_sum
 from .resonator import field_enhancement_chain
 from .simulate import build_grids, forward_chain
-from .spectral import Field1D, GridError, SpectralGrid
+from .spectral import Field1D, SpectralGrid
 from .trf import least_squares_trf
 
 
@@ -112,6 +114,11 @@ _FIT_PUMP_POINTS = 512
 _FIT_PROFILE_POINTS = 129
 _VERIFY_POINTS = 128
 _POLISH_PUMP_POINTS = 2048
+# the most points a mu grid may have: a 26.7 GHz MZI reach in steps of
+# 27 kHz, far finer than any design needs, while the grid (8 MB) and
+# sweep-mzi's table (about 60 MB) still fit in memory; the count is
+# checked before the grid is allocated
+_MU_GRID_MAX_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -152,13 +159,13 @@ class SearchConfig:
 
 def mu_grid(mu_min: float, mu_max: float, mu_step: float) -> np.ndarray:
     """mu_min, mu_min + mu_step, ... up to mu_max, which a step may
-    overshoot by 1e-9 of itself; an empty range, or a step too small to
-    count the points in a float, is a ConfigError."""
+    overshoot by 1e-9 of itself; an empty range, or a step so small that
+    the grid would pass _MU_GRID_MAX_POINTS, is a ConfigError."""
     steps = np.floor((mu_max - mu_min) / mu_step + 1e-9)
-    if not np.isfinite(steps):
+    if not steps < _MU_GRID_MAX_POINTS:
         raise ConfigError(
-            f"mu grid has no finite point count: min {mu_min}, max {mu_max}, "
-            f"step {mu_step}"
+            f"mu grid has no point count up to {_MU_GRID_MAX_POINTS}: min {mu_min}, "
+            f"max {mu_max}, step {mu_step}"
         )
     n = int(steps) + 1
     if n < 1:
@@ -426,36 +433,28 @@ def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
     sum indices m = j + k of an n^2 signal/idler grid pair.
 
     With a flat phase-matching function the reported state is
-    |ADP(w_s + w_i)| |l_s(w_s)| |l_i(w_i)| s(w_s + w_i) / N, where s is the
-    pi-flip sign field of impose_pi_phase; equal spacings make w_s + w_i
-    depend on j + k alone.  Built once: the sum frequencies with their ADP
-    model, C_k = (f_k |l_s|) * (f_k |l_i|) (linear convolutions) for the
-    HG orders k, D = |l_s|^2 * |l_i|^2, and the weights of the centre cut
-    impose_pi_phase reads (its even sample 2h is node (h, h), its odd
-    sample 2h + 1 the mean of the four corners, on sums 2h, 2h + 1, 2h + 1
-    and 2h + 2).  A score then takes |ADP| at the 2n - 1 sums, finds the
-    cut's nodes with find_cut_minima, builds s there and N^2 =
-    dA D.|ADP|^2.  An entangled target's score is pair_fidelity of
+    |ADP(w_s + w_i)| |l_s(w_s)| |l_i(w_i)| s[j + k] / N, where s is the
+    pi-flip sign field over the sum index that impose_pi_phase imposes
+    (jsa.sum_axis, jsa.flip_signs).  Built once: the sum frequencies with
+    their ADP model, C_k = (f_k |l_s|) * (f_k |l_i|) (linear convolutions)
+    for the HG orders k, D = |l_s|^2 * |l_i|^2, and the weights of
+    jsa._centre_cut's samples on the sums.  A score then takes |ADP| at
+    the 2n - 1 sums, multiplies the cut's sign field into it and takes
+    N^2 = dA D.|ADP|^2.  An entangled target's score is pair_fidelity of
     c_kk = dA C_k.(s |ADP|) / N, the diagonal pair amplitudes (Brecht et
     al., PRX 5, 041017 (2015)).  A target of one coefficient (the
     separable target) scores the purity, which needs the Schmidt weights
     of the whole state: the score builds the n^2 state
-    s |ADP|[j + k] |l_s[j]| |l_i[k]| / N from the sums, with the index
-    j + k and the product |l_s| |l_i| built once for that target only, and
-    takes its weights from schmidt_decompose, as _trial_score does.  It
-    raises what the full-grid chain raises on degenerate input.
+    s |ADP|[j + k] |l_s[j]| |l_i[k]| / N from the sums, through a Hankel
+    view of them and the product |l_s| |l_i| built once for that target
+    only, and takes its weights from schmidt_decompose, as _trial_score
+    does.  It raises what the full-grid chain raises on degenerate input.
     """
     grid_s, grid_i = l_s.grid, l_i.grid
     n = grid_s.n_points
-    if grid_i.n_points != n or grid_i.spacing != grid_s.spacing:
-        raise GridError("signal and idler grids must share size and spacing")
+    sums, offsets, u, cell = sum_axis(grid_s, grid_i)
     mag_s = np.abs(l_s.values)
     mag_i = np.abs(l_i.values)
-    # sum index m stands for its node nearest the diagonal, (m // 2,
-    # m - m // 2): the cut's even samples read those nodes, and the nodes of
-    # one anti-diagonal differ in w_s + w_i by round-off only
-    m = np.arange(2 * n - 1)
-    sums = grid_s.samples[m // 2] + grid_i.samples[m - m // 2]
     # the 2n - 1 sums span half the sum grid: a cyclic model reads them off a
     # shorter FFT (2520 points instead of 4096 at 2048 pump points)
     adp = AdpModel(pump_grid, sums, cyclic=True)
@@ -467,14 +466,7 @@ def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
     node = mag_s * mag_i
     corner = 0.25 * node
     cross = 0.25 * (mag_s[1:] * mag_i[:-1] + mag_s[:-1] * mag_i[1:])
-    # antidiagonal_cut's offsets, and the sign ramp's as impose_pi_phase
-    # builds them
-    span = 2.0 * min(grid_s.half_span, grid_i.half_span)
-    u = np.linspace(-span, span, 2 * n - 1)
-    offsets = sums - (grid_s.center + grid_i.center)
-    cell = grid_s.spacing + grid_i.spacing
     if len(target_coeff) == 1:
-        index = np.add.outer(np.arange(n), np.arange(n))
         filt = np.outer(mag_s, mag_i)
 
     def score(apl):
@@ -486,15 +478,9 @@ def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
         cut = np.empty(2 * n - 1)
         cut[0::2] = a[0::2] * node
         cut[1::2] = a[0:-1:2] * corner[:-1] + a[1::2] * cross + a[2::2] * corner[1:]
-        # impose_pi_phase's product of clipped ramps, on |ADP| in place
-        minima = find_cut_minima(u, cut)
-        for u_min in minima:
-            a *= np.clip((offsets - u_min) / cell, -1.0, 1.0)
-        if len(minima) % 2:
-            np.negative(a, out=a)
+        flip_signs(a, u, cut, offsets, cell)
         if len(target_coeff) == 1:
-            amp = a[index]
-            amp *= filt
+            amp = sliding_window_view(a, n) * filt
             amp *= 1.0 / np.sqrt(norm2)
             state = Jsa(grid_s, grid_i, amp, normalized=True)
             return purity(schmidt_decompose(state).weights)

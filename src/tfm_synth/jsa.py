@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fft, ifft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .phase_matching import DispersionModel, pmf
 from .spectral import Field1D, GridError, SpectralGrid
@@ -258,43 +259,41 @@ def compute_jsa(
     return normalize(Jsa(grid_s, grid_i, amp), in_place=True)
 
 
-def antidiagonal_cut(jsa: Jsa):
-    """Magnitude profile u -> |F(c_s + u/2, c_i + u/2)| through the center.
-
-    u is the sum-frequency offset (w_s + w_i) - (c_s + c_i), at 2n - 1
-    points for the larger grid size n.  Bilinear interpolation between
-    grid nodes.
-    """
-    span = 2.0 * min(jsa.grid_s.half_span, jsa.grid_i.half_span)
-    n_points = 2 * max(jsa.grid_s.n_points, jsa.grid_i.n_points) - 1
-    u = np.linspace(-span, span, n_points)
-    ws = jsa.grid_s.center + u / 2.0
-    wi = jsa.grid_i.center + u / 2.0
-    mag = _bilinear(jsa.amplitude, jsa.grid_s, jsa.grid_i, ws, wi, np.abs)
-    return u, mag
-
-
-def _bilinear(values, grid_s, grid_i, ws, wi, corner=None):
-    """Bilinear interpolation of values at (ws, wi); corner, if given, maps
-    the gathered corner samples first."""
+def _bilinear(values, grid_s, grid_i, ws, wi):
+    """Bilinear interpolation of values at (ws, wi)."""
     fs = (ws - grid_s.samples[0]) / grid_s.spacing
     fi = (wi - grid_i.samples[0]) / grid_i.spacing
     j0 = np.clip(np.floor(fs).astype(int), 0, grid_s.n_points - 2)
     k0 = np.clip(np.floor(fi).astype(int), 0, grid_i.n_points - 2)
     ts = np.clip(fs - j0, 0.0, 1.0)
     ti = np.clip(fi - k0, 0.0, 1.0)
-    v00 = values[j0, k0]
-    v10 = values[j0 + 1, k0]
-    v01 = values[j0, k0 + 1]
-    v11 = values[j0 + 1, k0 + 1]
-    if corner is not None:
-        v00, v10, v01, v11 = corner(v00), corner(v10), corner(v01), corner(v11)
     return (
-        v00 * (1 - ts) * (1 - ti)
-        + v10 * ts * (1 - ti)
-        + v01 * (1 - ts) * ti
-        + v11 * ts * ti
+        values[j0, k0] * (1 - ts) * (1 - ti)
+        + values[j0 + 1, k0] * ts * (1 - ti)
+        + values[j0, k0 + 1] * (1 - ts) * ti
+        + values[j0 + 1, k0 + 1] * ts * ti
     )
+
+
+def sum_axis(grid_s: SpectralGrid, grid_i: SpectralGrid):
+    """The 2n - 1 sum indices m = j + k of an n^2 signal/idler grid pair,
+    as (sums, offsets, u, cell).
+
+    Equal sizes and spacings, which build_grids always gives, make
+    w_s + w_i a function of m alone; other grids are a GridError.  sums
+    is w_s + w_i at m's node nearest the diagonal, (m // 2, m - m // 2),
+    and offsets its distance from w_s0 + w_i0.  u is the centre cut's
+    axis, the same offsets evenly spaced, and cell = dw_s + dw_i the
+    half-width of the pi flip's ramp.
+    """
+    n = grid_s.n_points
+    if grid_i.n_points != n or grid_i.spacing != grid_s.spacing:
+        raise GridError("signal and idler grids must share size and spacing")
+    m = np.arange(2 * n - 1)
+    sums = grid_s.samples[m // 2] + grid_i.samples[m - m // 2]
+    offsets = sums - (grid_s.center + grid_i.center)
+    u = np.linspace(-2.0 * grid_s.half_span, 2.0 * grid_s.half_span, 2 * n - 1)
+    return sums, offsets, u, grid_s.spacing + grid_i.spacing
 
 
 def find_cut_minima(u, mag):
@@ -325,45 +324,56 @@ def find_cut_minima(u, mag):
     return minima
 
 
+def flip_signs(values, u, cut, offsets, cell):
+    """Multiply values, an array over the sum index m, in place by the pi
+    flips of the centre cut (sum_axis gives u, offsets and cell); returns
+    the nodes find_cut_minima found on the cut.
+
+    Each node u_min contributes the clipped ramp (offset - u_min) / cell,
+    negated; the ramps multiply in node order, the negation of their
+    product last.
+    """
+    minima = find_cut_minima(u, cut)
+    for u_min in minima:
+        values *= np.clip((offsets - u_min) / cell, -1.0, 1.0)
+    if len(minima) % 2:
+        np.negative(values, out=values)
+    return minima
+
+
+def _centre_cut(amplitude: np.ndarray) -> np.ndarray:
+    """|F| along the centre cut w_s - w_i = w_s0 - w_i0 of an n^2 grid, at
+    sum_axis's u: node (h, h) at even samples 2h, the mean of the four
+    corners of cell (h, h) at odd samples 2h + 1.  It reads the three
+    centre diagonals only."""
+    node = np.abs(np.diagonal(amplitude))
+    cross = np.abs(np.diagonal(amplitude, 1)) + np.abs(np.diagonal(amplitude, -1))
+    cut = np.empty(2 * node.size - 1)
+    cut[0::2] = node
+    cut[1::2] = 0.25 * (node[:-1] + cross + node[1:])
+    return cut
+
+
 def impose_pi_phase(jsa: Jsa) -> Jsa:
     """Impose a pi phase flip at each magnitude minimum along the anti-diagonal.
 
-    The flips are constant along anti-diagonals: the field is multiplied by
-    (-1)^(number of detected minima below w_s + w_i).  Within the single
-    grid cell containing a minimum the sign crosses zero linearly, which
+    The field is multiplied by a sign field of the sum index m = j + k
+    alone, one factor per anti-diagonal: (-1)^(number of nodes below
+    w_s + w_i), the nodes being the prominent minima of |F| along the
+    centre cut (_centre_cut).  Within +-(dw_s + dw_i) of a node, four
+    anti-diagonals, the sign crosses zero linearly (flip_signs), which
     reproduces the node of the field there and keeps the Schmidt spectrum
-    stable under grid refinement.  With no detected minima this is the
+    stable under grid refinement.  The signal and idler grids must share
+    size and spacing (sum_axis).  With no detected minima this is the
     identity.
     """
-    u, mag = antidiagonal_cut(jsa)
-    minima = find_cut_minima(u, mag)
-    if not minima:
+    _, offsets, u, cell = sum_axis(jsa.grid_s, jsa.grid_i)
+    signs = np.ones(u.size)
+    if not flip_signs(signs, u, _centre_cut(jsa.amplitude), offsets, cell):
         return jsa
-    sum0 = jsa.grid_s.center + jsa.grid_i.center
-    cell = jsa.grid_s.spacing + jsa.grid_i.spacing
-    # the product of the clipped ramps (w_s + w_i - sum0 - u_min) / cell,
-    # negated once per minimum (rounding is symmetric in sign, so this is
-    # the product of the negated ramps), built in place: every temporary
-    # is a full grid
-    signs = ramp = None
-    for u_min in minima:
-        ramp = np.add(
-            jsa.grid_s.samples[:, None], jsa.grid_i.samples[None, :], out=ramp
-        )
-        ramp -= sum0
-        ramp -= u_min
-        ramp /= cell
-        np.clip(ramp, -1.0, 1.0, out=ramp)
-        if signs is None:
-            signs, ramp = ramp, None
-        else:
-            signs *= ramp
-    if len(minima) % 2:
-        np.negative(signs, out=signs)
-    if np.iscomplexobj(jsa.amplitude):
-        return Jsa(jsa.grid_s, jsa.grid_i, jsa.amplitude * signs, jsa.normalized)
-    signs *= jsa.amplitude
-    return Jsa(jsa.grid_s, jsa.grid_i, signs, jsa.normalized)
+    # a zero-copy Hankel view: signs over m read as signs[j + k] on the grid
+    hankel = sliding_window_view(signs, jsa.grid_s.n_points)
+    return Jsa(jsa.grid_s, jsa.grid_i, jsa.amplitude * hankel, jsa.normalized)
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,8 @@ def _preset_with(tmp_path, section, key, value):
         ("sweep-mzi", "--config", "bell_phi_minus", "--mu-max", "inf"),
         # a step so small that the point count overflows a float
         ("sweep-mzi", "--config", "bell_phi_minus", "--mu-step", "1e-300"),
+        # a finite point count past the mu grid's cap, which no array holds
+        ("sweep-mzi", "--config", "bell_phi_minus", "--mu-step", "1e-290"),
     ],
 )
 def test_bad_flags_exit_2(tmp_path, capsys, argv):

@@ -48,6 +48,26 @@ def test_reported_state_is_real(results):
         assert result.jsa.amplitude.dtype == np.float64
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_reported_state_has_one_sign_factor_per_antidiagonal(name):
+    """The pi-flip sign field is a function of j + k: along each
+    anti-diagonal the reported state is |F| times one factor s, to the
+    bit.  The quotient state / |F| may round an ulp off s, so s is taken
+    among the quotients and checked through the product."""
+    result = simulate(load_preset(name), n_points=128)
+    state = result.jsa
+    mag = normalize(
+        Jsa(state.grid_s, state.grid_i, np.abs(result.jsa_raw.amplitude))
+    ).amplitude
+    n = mag.shape[0]
+    for m in range(2 * n - 1):
+        j = np.arange(max(0, m - n + 1), min(m, n - 1) + 1)
+        f, s = mag[j, m - j], state.amplitude[j, m - j]
+        live = f > 0
+        factors = np.unique(s[live] / f[live]) if live.any() else [0.0]
+        assert any(np.array_equal(f * c, s) for c in factors), m
+
+
 def test_values_only_weights_match_full_complex_svd(results):
     for result in results.values():
         state = result.jsa
