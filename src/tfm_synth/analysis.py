@@ -111,12 +111,6 @@ def hg_basis(dim: int, grid: SpectralGrid, center: float, sigma: float) -> np.nd
     return np.array([hg_mode(k, grid, center, sigma).values.real for k in range(dim)])
 
 
-def hg_overlaps(jsa: Jsa, modes_s: np.ndarray, modes_i: np.ndarray) -> np.ndarray:
-    """HG pair amplitudes c_kl = <f_k x f_l, F> of real mode rows, as the
-    matrix product modes_s F modes_i^T dw_s dw_i."""
-    return modes_s @ jsa.amplitude @ modes_i.T * jsa.cell_area
-
-
 @dataclass(frozen=True)
 class TfmProjection:
     """Projection of a JSA onto the 4 x 4 HG pair basis."""
@@ -131,14 +125,13 @@ def project_to_tfm(
 ) -> TfmProjection:
     """HG pair-basis amplitudes c_kl = <f_k x f_l, F> for k, l < 4 (the
     largest target dimension), the weight they carry, and the weight
-    beyond the first 4 Schmidt modes."""
+    beyond the first 4 Schmidt modes.  The amplitudes are the matrix
+    product modes_s F modes_i^T dw_s dw_i of the real HG mode rows."""
     if not jsa.normalized:
         raise PreconditionError("project_to_tfm requires a normalized JSA")
-    c = hg_overlaps(
-        jsa,
-        hg_basis(4, jsa.grid_s, center_s, sigma),
-        hg_basis(4, jsa.grid_i, center_i, sigma),
-    )
+    modes_s = hg_basis(4, jsa.grid_s, center_s, sigma)
+    modes_i = hg_basis(4, jsa.grid_i, center_i, sigma)
+    c = modes_s @ jsa.amplitude @ modes_i.T * jsa.cell_area
     weight = float(np.sum(np.abs(c) ** 2))
     if weight < 0.5:
         warnings.warn(f"only {weight:.3f} of the state lies in the 4x4 HG subspace")
@@ -233,14 +226,24 @@ def pair_generation_rate(inp: PgrInput):
     """Pairs per pulse and pairs per second for a pulsed pump.
 
     N_pulse = 3 gamma^2 W^2 V_g^4 / (8 pi^2 R^2 w_p0^2) * Q_tot^6 / Q_ext^4.
+    A result that is not finite, or a power that overflows on the way, is
+    a FloatingPointError.
     """
-    n_pulse = (
-        3.0
-        * inp.gamma**2
-        * inp.pulse_energy**2
-        * inp.group_velocity**4
-        / (8.0 * np.pi**2 * inp.radius**2 * inp.omega_p0**2)
-        * inp.q_tot**6
-        / inp.q_ext**4
-    )
-    return n_pulse, n_pulse * inp.rep_rate
+    try:
+        n_pulse = (
+            3.0
+            * inp.gamma**2
+            * inp.pulse_energy**2
+            * inp.group_velocity**4
+            / (8.0 * np.pi**2 * inp.radius**2 * inp.omega_p0**2)
+            * inp.q_tot**6
+            / inp.q_ext**4
+        )
+    except OverflowError as exc:
+        raise FloatingPointError(f"pair rate overflows: {exc}") from None
+    rate = n_pulse * inp.rep_rate
+    if not (np.isfinite(n_pulse) and np.isfinite(rate)):
+        raise FloatingPointError(
+            f"pair rate is not finite: {n_pulse} pairs per pulse, {rate} Hz"
+        )
+    return n_pulse, rate

@@ -12,7 +12,7 @@ derivative) to that profile's magnitude; (5) repeat the fit from many
 random initial tap settings; (6) sweep mu, rank the mu points by their
 best restart's trial score, refine the leading ones with a
 derivative-free polish at the configured resolution, and keep the
-candidate whose forward-simulated state scores best.
+candidate whose simulate figure is best.
 
 The fits of steps (4)-(5) for the mu points of one task, every restart
 of each, are the rows of one batch: one vectorized
@@ -27,8 +27,9 @@ the trial scores and the polish; it becomes a DeviceConfig only where
 one is built, for a verification or the final design (_unpack).
 
 The phase-matching function is treated as unity inside the loop (the
-factorized model) and enters only in the forward verification
-(_verified_score).  With it unity, the reported trial state is
+factorized model) and enters only in the verification (_verified_score),
+which is a simulate call: a verified score is the figure simulate
+reports for the design.  With it unity, the reported trial state is
 |ADP(w_s + w_i)| |l_s| |l_i| times the pi-flip signs, a function of the
 sum frequency times a product, so every trial score (each restart's
 record and every polish step) starts from the 2n - 1 sum frequencies of
@@ -59,7 +60,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .analysis import (
     TargetState,
     hg_basis,
-    hg_overlaps,
     pair_fidelity,
     purity,
     schmidt_decompose,
@@ -77,7 +77,7 @@ from .jsa import (
 )
 from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, tap_phasors, tap_sum
 from .resonator import field_enhancement_chain
-from .simulate import build_grids, forward_chain
+from .simulate import build_grids, simulate
 from .spectral import Field1D, SpectralGrid
 from .trf import least_squares_trf
 
@@ -407,27 +407,6 @@ def apply_free_params(
     return replace(cfg, pump=pump)
 
 
-def _trial_score(state, modes_s, modes_i, target_coeff):
-    """Score of a reported state on its full n^2 grid.
-
-    For an entangled target this is the verification fidelity: the
-    pair-confined state's overlap with the target over the full mode
-    basis (weight leaking into pairs above the target dimension counts
-    against the score).  For a target of one coefficient (the separable
-    target) the pair-confined fidelity is trivially 1, so the score is
-    the spectral purity instead, from the eigenvalues of the state's Gram
-    matrix (analysis.schmidt_decompose).  The verification scores every
-    candidate this way; _sum_index_score gives the same score of a trial
-    state from its 2n - 1 sum frequencies.
-    """
-    if len(target_coeff) == 1:
-        return purity(schmidt_decompose(state).weights)
-    c = hg_overlaps(state, modes_s, modes_i)
-    if not np.any(np.diagonal(c)):
-        return 0.0
-    return pair_fidelity(c, target_coeff)
-
-
 def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
     """The trial score as a map alpha_p * l_p -> score, from the 2n - 1
     sum indices m = j + k of an n^2 signal/idler grid pair.
@@ -447,8 +426,8 @@ def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
     of the whole state: the score builds the n^2 state
     s |ADP|[j + k] |l_s[j]| |l_i[k]| / N from the sums, through a Hankel
     view of them and the product |l_s| |l_i| built once for that target
-    only, and takes its weights from schmidt_decompose, as _trial_score
-    does.  It raises what the full-grid chain raises on degenerate input.
+    only, and takes its weights from schmidt_decompose, as simulate does.
+    It raises what simulate raises on degenerate input.
     """
     grid_s, grid_i = l_s.grid, l_i.grid
     n = grid_s.n_points
@@ -551,26 +530,14 @@ def _mu_record(mu: tuple) -> dict:
 
 
 def _verified_score(cfg: DeviceConfig, mu: tuple, sigma_p: float, taps) -> float:
-    """Score of a candidate from the full forward model on the configured
-    grid: the fidelity simulate reports, or its purity for the separable
-    target.  The reported state comes from simulate's own forward_chain
-    (the shaped pump, the chains, the JSA with its phase matching) and is
-    scored by _trial_score; simulate's second Schmidt decomposition and
-    pair rate do not run."""
+    """Score of a candidate from simulate on the configured grid: the
+    fidelity it reports, or its purity for the separable target, whose
+    pair-confined fidelity is trivially 1."""
     design = apply_free_params(cfg, mu, sigma_p, taps)
-    sigma = design.target.sigma
-    target = TargetState(
-        design.target.dimension, sigma, design.signal.omega0, design.idler.omega0
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        *_, state = forward_chain(design)
-        return _trial_score(
-            state,
-            hg_basis(4, state.grid_s, design.signal.omega0, sigma),
-            hg_basis(4, state.grid_i, design.idler.omega0, sigma),
-            target.coefficients,
-        )
+        result = simulate(design)
+    return result.purity if cfg.target.dimension == 1 else result.fidelity
 
 
 def _start(seed: int, mu_idx: int, restart: int, n_taps: int) -> np.ndarray:
@@ -676,7 +643,7 @@ def _polish_candidate(args):
 
     The polish maximizes the trial score directly (Nelder-Mead over the
     pump width and taps) on the configured signal/idler grid, where the
-    score coincides with the verification fidelity up to the
+    score coincides with the fidelity simulate reports up to the
     phase-matching function; coarse grids admit spurious optima that do
     not survive verification, so the polish must run at full resolution.
     Each step scores its search vector from the 2n - 1 sum frequencies of
@@ -878,14 +845,23 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     trial scores; for the separable target also the verification of each
     point's best candidate) and then one task per leading mu point: its
     verification and its polish; with one worker everything runs in this
-    process.
+    process.  A config whose swept chains (see _swept_chains) have no
+    coupling, or signal and idler chains of different stage counts, is a
+    ConfigError, raised before any task is built.
     """
-    n_swept = max(
-        len(cfg.signal.couplings)
-        if cfg.target.dimension >= 2
-        else len(cfg.pump_resonance.couplings),
-        1,
-    )
+    if cfg.target.dimension >= 2:
+        swept, chains = "signal and idler chains", (cfg.signal, cfg.idler)
+    else:
+        swept, chains = "pump chain", (cfg.pump_resonance,)
+    stages = sorted({chain.stages for chain in chains})
+    if len(stages) > 1:
+        raise ConfigError(
+            f"the swept {swept} share one coupling tuple but have "
+            f"{cfg.signal.stages} and {cfg.idler.stages} stages"
+        )
+    if stages == [1]:
+        raise ConfigError(f"swept {swept} with one ring: no coupling to sweep")
+    n_swept = stages[0] - 1
     axis = search.mu_values
     grids = np.meshgrid(*([axis] * n_swept), indexing="ij")
     mu_points = [

@@ -98,14 +98,8 @@ def pgr_input(cfg: DeviceConfig) -> PgrInput:
     )
 
 
-def forward_chain(cfg: DeviceConfig, n_points: int | None = None):
-    """The forward chain up to the reported state, stage by stage.
-
-    Returns (fir, pump, l_p, l_s, l_i, jsa_raw, state) on build_grids'
-    grids: the FIR response, the shaped pump, the three field
-    enhancements, the JSA as assembled and the reported state.  simulate
-    analyses the state; the inverse loop's verification scores it.
-    """
+def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult:
+    """Run the forward model and compute all figures of merit."""
     pump_grid, grid_s, grid_i = build_grids(cfg, n_points)
     # the FIR response is evaluated once: it is an output of its own and
     # the factor of the shaped pump
@@ -115,12 +109,7 @@ def forward_chain(cfg: DeviceConfig, n_points: int | None = None):
     l_s = field_enhancement_chain(cfg.signal, grid_s)
     l_i = field_enhancement_chain(cfg.idler, grid_i)
     jsa_raw = compute_jsa(pump, l_p, l_s, l_i, cfg.dispersion)
-    return fir, pump, l_p, l_s, l_i, jsa_raw, reported_state(jsa_raw)
-
-
-def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult:
-    """Run the forward model and compute all figures of merit."""
-    fir, pump, l_p, l_s, l_i, jsa_raw, state = forward_chain(cfg, n_points)
+    state = reported_state(jsa_raw)
 
     schmidt = schmidt_decompose(state)
     projection = project_to_tfm(

@@ -346,6 +346,26 @@ def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
     assert key in stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pgr", "--config", "bell_phi_minus", "--avg-power", "1e300 W"),
+        # the pulse energy, 1 mW / 1e-320 Hz, is already inf
+        ("pgr", "--config", "bell_phi_minus", "--rep-rate", "1e-320 Hz"),
+        ("simulate", "--config", "{avg_power_1e200}", "--grid", "64", "--out", "{tmp}"),
+    ],
+)
+def test_pair_rate_overflow_exits_3(tmp_path, capsys, argv):
+    """A pair rate that overflows, or is not finite, is a numerical
+    failure: exit 3 and nothing on stdout."""
+    config = _preset_with(tmp_path, "pgr", "avg_power", "1e200 W")
+    argv = [a.format(tmp=tmp_path / "o", avg_power_1e200=config) for a in argv]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 3
+    assert "numerical error" in stderr
+    assert stdout == ""
+
+
 def test_numerical_failure_exits_3(capsys, monkeypatch):
     from tfm_synth.jsa import DegenerateFieldError
 
@@ -439,6 +459,62 @@ def test_optimize_invalid_threads_exits_2(tmp_path, capsys, monkeypatch, threads
     )
     assert code == 2
     assert "TFM_SYNTH_THREADS" in stderr
+
+
+def _single_ring(chain):
+    chain["decay_rates"] = chain["decay_rates"][:1]
+    chain["couplings"] = []
+
+
+def _three_stages(chain):
+    chain["decay_rates"] = chain["decay_rates"] + chain["decay_rates"][-1:]
+    chain["couplings"] = chain["couplings"] * 2
+
+
+@pytest.mark.parametrize(
+    "preset, edits",
+    [
+        # the swept chains are single rings: no coupling to sweep
+        ("bell_phi_minus", {"signal": _single_ring, "idler": _single_ring}),
+        ("separable", {"pump": _single_ring}),
+        # signal and idler share one swept tuple but differ in length
+        ("bell_phi_minus", {"idler": _three_stages}),
+    ],
+)
+def test_optimize_unsweepable_config_exits_2(tmp_path, capsys, preset, edits):
+    """A config whose swept chains optimize cannot sweep is a config
+    error, raised before any fit runs."""
+    with open(preset_path(preset)) as fh:
+        tree = yaml.safe_load(fh)
+    tree["grid"]["n_points"] = 64
+    for name, edit in edits.items():
+        edit(tree["resonator"][name])
+    config = tmp_path / "unsweepable.yaml"
+    config.write_text(yaml.safe_dump(tree))
+    code, stdout, stderr = run(
+        capsys, "optimize", "--config", str(config),
+        "--restarts", "1", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert "config error" in stderr
+    assert stdout == ""
+
+
+def test_optimize_reports_the_verified_score(tmp_path, capsys):
+    """The score the search verified its winner by is the figure simulate
+    reports for the written design: report.json's fidelity is its search
+    trial_fidelity, and stdout's best_fidelity its verified_fidelity
+    (Bell at 64^2, one restart, no --grid)."""
+    config = _preset_with(tmp_path, "grid", "n_points", 64)
+    code, stdout, _ = run(
+        capsys, "optimize", "--config", config, "--restarts", "1",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 0
+    summary = json.loads(stdout)
+    assert summary["best_fidelity"] == summary["verified_fidelity"]
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["fidelity"] == report["search"]["trial_fidelity"]
 
 
 @pytest.mark.slow

@@ -13,7 +13,14 @@ from scipy.signal import fftconvolve
 
 import oracles
 from tfm_synth import inversion
-from tfm_synth.analysis import TargetState, hg_basis, target_jsa
+from tfm_synth.analysis import (
+    TargetState,
+    pair_fidelity,
+    project_to_tfm,
+    purity,
+    schmidt_decompose,
+    target_jsa,
+)
 from tfm_synth.config import ConfigError, load_preset
 from tfm_synth.inversion import (
     _EPSILON,
@@ -31,7 +38,6 @@ from tfm_synth.inversion import (
     _swept_chains,
     _target_profile,
     _trial_contexts,
-    _trial_score,
     _unpack,
     _verified_score,
     apply_free_params,
@@ -551,7 +557,9 @@ def tap_score(cfg, mu, pump_points, n_points):
 
 def _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps):
     """The trial score as the chain shaped pump -> JSA -> reported_state ->
-    _trial_score rebuilt every time, with the ADP sampled by np.interp."""
+    the figure simulate reports rebuilt every time, with the ADP sampled by
+    np.interp: the pair fidelity of the HG projection, or the purity for
+    the separable target."""
     trial_cfg = _swept_chains(cfg, mu)
     pump_grid, grid_s, grid_i = build_grids(trial_cfg, n_points)
     pump_grid = SpectralGrid(pump_grid.center, pump_grid.half_span, pump_points)
@@ -572,15 +580,14 @@ def _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps):
         sums, axis, conv.imag, left=0.0, right=0.0
     )
     jsa = normalize(Jsa(grid_s, grid_i, adp * np.outer(l_s.values, l_i.values)))
+    state = reported_state(jsa)
+    if cfg.target.dimension == 1:
+        return purity(schmidt_decompose(state).weights)
     target = TargetState(
         cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
     )
-    return _trial_score(
-        reported_state(jsa),
-        hg_basis(4, grid_s, grid_s.center, cfg.target.sigma),
-        hg_basis(4, grid_i, grid_i.center, cfg.target.sigma),
-        target.coefficients,
-    )
+    projection = project_to_tfm(state, cfg.target.sigma, grid_s.center, grid_i.center)
+    return pair_fidelity(projection.coefficients, target.coefficients)
 
 
 @pytest.mark.parametrize(
@@ -745,25 +752,27 @@ def test_trial_score_ranks_as_the_verification(preset, n_points):
 
 @pytest.mark.parametrize("preset", ["bell_phi_minus", "separable"])
 def test_verified_score_goes_through_simulates_chain(monkeypatch, preset):
-    """The verification builds its state with simulate's forward_chain:
-    one call each through simulate's compute_jsa and reported_state."""
-    calls = {"compute_jsa": 0, "reported_state": 0}
+    """The verification is one simulate call, looked up as inversion's
+    simulate: one call each through it and through simulate's
+    compute_jsa and reported_state."""
+    calls = {"simulate": 0, "compute_jsa": 0, "reported_state": 0}
 
-    def counting(name):
-        original = getattr(simulate_module, name)
+    def counting(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(simulate_module, name, counting(name))
+    counting(inversion, "simulate")
+    counting(simulate_module, "compute_jsa")
+    counting(simulate_module, "reported_state")
     cfg = load_preset(preset)
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=128))
     swept = cfg.signal if cfg.target.dimension >= 2 else cfg.pump_resonance
     _verified_score(cfg, swept.couplings, cfg.pump.sigma_p, cfg.pump.taps)
-    assert calls == {"compute_jsa": 1, "reported_state": 1}
+    assert calls == {"simulate": 1, "compute_jsa": 1, "reported_state": 1}
 
 
 def _loaded_blas_threads():
