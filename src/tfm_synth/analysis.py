@@ -205,19 +205,27 @@ class PgrInput:
 
         Q_tot = w_p0 / (2 sum 1/tau_m,p) over all pump stages (worst case:
         every resonance split), Q_ext = w_p0 / kappa^2, gamma = n2 w_p0 /
-        (c A_eff), W = P_avg / R_rep.
+        (c A_eff), W = P_avg / R_rep.  A derived quantity that underflows
+        to 0 or is not finite is a FloatingPointError.
         """
-        gamma = n2 * omega_p0 / (_C_LIGHT * a_eff)
-        q_tot = omega_p0 / (2.0 * float(np.sum(pump_decay_rates)))
-        q_ext = omega_p0 / (kappa * kappa)
+        with np.errstate(divide="ignore", over="ignore"):
+            derived = {
+                "gamma": n2 * omega_p0 / (_C_LIGHT * a_eff),
+                "pulse_energy": avg_power / rep_rate,
+                "q_tot": omega_p0 / (2.0 * np.sum(pump_decay_rates)),
+                # numpy's division: kappa^2 may underflow to 0
+                "q_ext": np.float64(omega_p0) / (kappa * kappa),
+            }
+        for name, value in derived.items():
+            if not 0.0 < value < np.inf:
+                raise FloatingPointError(
+                    f"{name} = {value:g} is out of floating-point range"
+                )
         return cls(
-            gamma=gamma,
-            pulse_energy=avg_power / rep_rate,
+            **{name: float(value) for name, value in derived.items()},
             group_velocity=group_velocity,
             radius=radius,
             omega_p0=omega_p0,
-            q_tot=q_tot,
-            q_ext=q_ext,
             rep_rate=rep_rate,
         )
 

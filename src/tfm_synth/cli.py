@@ -106,6 +106,16 @@ def _power_or_rate(raw: str, kind: str, field: str) -> float:
         raise
 
 
+def _make_out_dir(path: str) -> None:
+    """os.makedirs(path, exist_ok=True), an OSError as a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {path}: {exc.strerror}"
+        ) from exc
+
+
 def _grid_override(n_points):
     """--grid, checked like the config's grid.n_points."""
     if n_points is not None and n_points < 8:
@@ -142,7 +152,7 @@ def _magnitude_csv(
 def cmd_simulate(args) -> int:
     cfg = _load(args.config)
     out = args.out
-    os.makedirs(out, exist_ok=True)
+    _make_out_dir(out)
     result = simulate(cfg, n_points=_grid_override(args.grid))
 
     _atomic_write(
@@ -200,7 +210,7 @@ def cmd_optimize(args) -> int:
     cfg = _load(args.config)
     grid = _grid_override(args.grid)
     out = args.out
-    os.makedirs(out, exist_ok=True)
+    _make_out_dir(out)
     search = SearchConfig(restarts=args.restarts, seed=args.seed)
     result = optimize_state(cfg, search)
     best = result.best_config
@@ -315,7 +325,7 @@ def cmd_sweep_mzi(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
         _write_text(os.path.join(args.out, "mzi_sweep.csv"), text)
     else:
         sys.stdout.write(text)

@@ -276,7 +276,7 @@ def _magnitude_fit(profiles, sums, template: PumpSpec, grid: SpectralGrid, l_ps)
     # model's FFT only spans the part of the sum grid the profile reads
     detuning2 = (grid.samples - template.carrier) ** 2
     phasors = tap_phasors(template, grid)
-    adp = AdpModel(grid, sums, cyclic=True)
+    adp = AdpModel(grid, sums)
 
     def residual(rows, x):
         sigma_p = np.exp(x[:, :1])
@@ -407,109 +407,71 @@ def apply_free_params(
     return replace(cfg, pump=pump)
 
 
-def _sum_index_score(pump_grid, l_s, l_i, modes_s, modes_i, target_coeff):
-    """The trial score as a map alpha_p * l_p -> score, from the 2n - 1
-    sum indices m = j + k of an n^2 signal/idler grid pair.
-
-    With a flat phase-matching function the reported state is
-    |ADP(w_s + w_i)| |l_s(w_s)| |l_i(w_i)| s[j + k] / N, where s is the
-    pi-flip sign field over the sum index that impose_pi_phase imposes
-    (jsa.sum_axis, jsa.flip_signs).  Built once: the sum frequencies with
-    their ADP model, C_k = (f_k |l_s|) * (f_k |l_i|) (linear convolutions)
-    for the HG orders k, D = |l_s|^2 * |l_i|^2, and the weights of
-    jsa._centre_cut's samples on the sums.  A score then takes |ADP| at
-    the 2n - 1 sums, multiplies the cut's sign field into it and takes
-    N^2 = dA D.|ADP|^2.  An entangled target's score is pair_fidelity of
-    c_kk = dA C_k.(s |ADP|) / N, the diagonal pair amplitudes (Brecht et
-    al., PRX 5, 041017 (2015)).  A target of one coefficient (the
-    separable target) scores the purity, which needs the Schmidt weights
-    of the whole state: the score builds the n^2 state
-    s |ADP|[j + k] |l_s[j]| |l_i[k]| / N from the sums, through a Hankel
-    view of them and the product |l_s| |l_i| built once for that target
-    only, and takes its weights from schmidt_decompose, as simulate does.
-    It raises what simulate raises on degenerate input.
-    """
-    grid_s, grid_i = l_s.grid, l_i.grid
-    n = grid_s.n_points
-    sums, offsets, u, cell = sum_axis(grid_s, grid_i)
-    mag_s = np.abs(l_s.values)
-    mag_i = np.abs(l_i.values)
-    # the 2n - 1 sums span half the sum grid: a cyclic model reads them off a
-    # shorter FFT (2520 points instead of 4096 at 2048 pump points)
-    adp = AdpModel(pump_grid, sums, cyclic=True)
-    overlaps = np.array(
-        [np.convolve(fs * mag_s, fi * mag_i) for fs, fi in zip(modes_s, modes_i)]
-    )
-    weight = np.convolve(mag_s * mag_s, mag_i * mag_i)
-    cell_area = grid_s.spacing * grid_i.spacing
-    node = mag_s * mag_i
-    corner = 0.25 * node
-    cross = 0.25 * (mag_s[1:] * mag_i[:-1] + mag_s[:-1] * mag_i[1:])
-    if len(target_coeff) == 1:
-        filt = np.outer(mag_s, mag_i)
-
-    def score(apl):
-        _check_adp_input(apl)
-        a = np.abs(adp(apl))
-        norm2 = cell_area * np.dot(weight, a * a)
-        if norm2 == 0.0:
-            raise DegenerateFieldError("cannot normalize an all-zero JSA")
-        cut = np.empty(2 * n - 1)
-        cut[0::2] = a[0::2] * node
-        cut[1::2] = a[0:-1:2] * corner[:-1] + a[1::2] * cross + a[2::2] * corner[1:]
-        flip_signs(a, u, cut, offsets, cell)
-        if len(target_coeff) == 1:
-            amp = sliding_window_view(a, n) * filt
-            amp *= 1.0 / np.sqrt(norm2)
-            state = Jsa(grid_s, grid_i, amp, normalized=True)
-            return purity(schmidt_decompose(state).weights)
-        ckk = overlaps @ a * (cell_area / np.sqrt(norm2))
-        if not np.any(ckk):
-            return 0.0
-        return pair_fidelity(np.diag(ckk), target_coeff)
-
-    return score
-
-
 def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=None):
     """The trial scores of one template, as a map mu -> score.
 
     context(mu) returns score(sigma_p, amplitudes, phases), the trial
     score of the reported state with a flat phase-matching function on an
     n_points^2 signal/idler grid, the shaped pump taken on a pump grid of
-    pump_points, for the template with the swept couplings mu.  The grids,
-    the HG bases, the tap phasors and the squared detuning do not depend
-    on mu and are built here, once; a context builds the chains and the
-    state's model on the 2n - 1 sum frequencies (_sum_index_score).
+    pump_points, for the template with the swept couplings mu.  That
+    state is |ADP(w_s + w_i)| |l_s(w_s)| |l_i(w_i)| s[j + k] / N, where s
+    is the pi-flip sign field over the sum index m = j + k that
+    impose_pi_phase imposes (jsa.sum_axis, jsa.flip_signs), so a score
+    starts from the 2n - 1 sum frequencies.  The grids, the HG bases, the
+    tap phasors, the squared detuning, the sums with their ADP model and
+    the cell area dA do not depend on mu and are built here, once.  A
+    context builds the chains and what depends on them: C_k = (f_k |l_s|)
+    * (f_k |l_i|) (linear convolutions) for the HG orders k, D = |l_s|^2
+    * |l_i|^2, the weights of jsa._centre_cut's samples on the sums, and
+    for a target of one coefficient the product |l_s| |l_i|.
     chain(spec, grid) builds the chains, field_enhancement_chain by
-    default, or a task's cache of it that the fit's inputs share.  A score
-    evaluates the shaped pump times l_p and that model: the taps come as
-    arrays (see _split), so a search vector is scored without building
-    Tap tuples.
+    default, or a task's cache of it that the fit's inputs share.
+
+    A score evaluates the shaped pump times l_p, takes |ADP| at the sums,
+    multiplies the cut's sign field into it and takes N^2 = dA D.|ADP|^2;
+    the taps come as arrays (see _split), so a search vector is scored
+    without building Tap tuples.  An entangled target's score is
+    pair_fidelity of c_kk = dA C_k.(s |ADP|) / N, the diagonal pair
+    amplitudes (Brecht et al., PRX 5, 041017 (2015)).  A target of one
+    coefficient (the separable target) scores the purity, which needs the
+    Schmidt weights of the whole state: the score builds the n^2 state
+    s |ADP|[j + k] |l_s[j]| |l_i[k]| / N through a Hankel view of the
+    sums and takes its weights from schmidt_decompose, as simulate does.
+    It raises what simulate raises on degenerate input.
     """
     chain = chain or field_enhancement_chain
     pump_grid, grid_s, grid_i = build_grids(cfg, n_points)
     pump_grid = SpectralGrid(pump_grid.center, pump_grid.half_span, pump_points)
-    target = TargetState(
+    target_coeff = TargetState(
         cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
-    )
+    ).coefficients
+    separable = len(target_coeff) == 1
     modes_s = hg_basis(4, grid_s, grid_s.center, cfg.target.sigma)
     modes_i = hg_basis(4, grid_i, grid_i.center, cfg.target.sigma)
     phasors = tap_phasors(cfg.pump, pump_grid)
     detuning = pump_grid.samples - cfg.pump.carrier
     detuning2 = detuning * detuning
+    n = grid_s.n_points
+    sums, offsets, u, cell = sum_axis(grid_s, grid_i)
+    # the 2n - 1 sums span half the sum grid: the model reads them off a
+    # shorter FFT (2520 points instead of 4096 at 2048 pump points)
+    adp = AdpModel(pump_grid, sums)
+    cell_area = grid_s.spacing * grid_i.spacing
 
     def context(mu):
         trial_cfg = _swept_chains(cfg, mu)
         l_p = chain(trial_cfg.pump_resonance, pump_grid).values
-        state_score = _sum_index_score(
-            pump_grid,
-            chain(trial_cfg.signal, grid_s),
-            chain(trial_cfg.idler, grid_i),
-            modes_s,
-            modes_i,
-            target.coefficients,
+        mag_s = np.abs(chain(trial_cfg.signal, grid_s).values)
+        mag_i = np.abs(chain(trial_cfg.idler, grid_i).values)
+        overlaps = np.array(
+            [np.convolve(fs * mag_s, fi * mag_i) for fs, fi in zip(modes_s, modes_i)]
         )
+        weight = np.convolve(mag_s * mag_s, mag_i * mag_i)
+        node = mag_s * mag_i
+        corner = 0.25 * node
+        cross = 0.25 * (mag_s[1:] * mag_i[:-1] + mag_s[:-1] * mag_i[1:])
+        if separable:
+            filt = np.outer(mag_s, mag_i)
 
         def score(sigma_p, amplitudes, phases):
             with warnings.catch_warnings():
@@ -518,7 +480,27 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
                 # times the FIR response
                 env = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
                 fir = tap_sum(amplitudes * np.exp(1j * phases), phasors)
-                return state_score(env * fir * l_p)
+                apl = env * fir * l_p
+                _check_adp_input(apl)
+                a = np.abs(adp(apl))
+                norm2 = cell_area * np.dot(weight, a * a)
+                if norm2 == 0.0:
+                    raise DegenerateFieldError("cannot normalize an all-zero JSA")
+                cut = np.empty(2 * n - 1)
+                cut[0::2] = a[0::2] * node
+                cut[1::2] = (
+                    a[0:-1:2] * corner[:-1] + a[1::2] * cross + a[2::2] * corner[1:]
+                )
+                flip_signs(a, u, cut, offsets, cell)
+                if separable:
+                    amp = sliding_window_view(a, n) * filt
+                    amp *= 1.0 / np.sqrt(norm2)
+                    state = Jsa(grid_s, grid_i, amp, normalized=True)
+                    return purity(schmidt_decompose(state).weights)
+                ckk = overlaps @ a * (cell_area / np.sqrt(norm2))
+                if not np.any(ckk):
+                    return 0.0
+                return pair_fidelity(np.diag(ckk), target_coeff)
 
         return score
 
@@ -647,7 +629,7 @@ def _polish_candidate(args):
     phase-matching function; coarse grids admit spurious optima that do
     not survive verification, so the polish must run at full resolution.
     Each step scores its search vector from the 2n - 1 sum frequencies of
-    that n^2 grid (_sum_index_score).  The leader arrives with its ranking
+    that n^2 grid (_trial_contexts).  The leader arrives with its ranking
     score, which is already its verification for the separable target
     and is verified here for an entangled one.  Returns the candidates
     (verified score, residual, x, mu), the leader's first.

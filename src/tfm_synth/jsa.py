@@ -5,9 +5,11 @@ an anti-diagonal pump function ADP(w_s + w_i) (self-convolution of the
 resonance-filtered pump), a phase-matching function, and the rank-1
 signal-idler filter TDSI(w_s, w_i) = l_s(w_s) l_i(w_i).  The linearized
 PMF does not depend on the pump frequency, whatever c1 and c2, so the
-pump integral reduces to ADP(w_s + w_i) times the PMF and the JSA is
-assembled directly on the 2-D grid.  The per-row pump integral is kept
-in tests/oracles.py as the reference for this route.
+pump integral reduces to ADP(w_s + w_i) times the PMF.  On equal signal
+and idler grids the ADP is a function of the sum index m = j + k alone:
+it is taken at the 2n - 1 sums and read on the 2-D grid through a
+Hankel view.  The per-row pump integral is kept in tests/oracles.py as
+the reference for this route.
 """
 
 from __future__ import annotations
@@ -118,21 +120,15 @@ def _interp_plan(grid: SpectralGrid, sums: np.ndarray):
     sum-frequency grid.  The weights carry the quadrature weight dw."""
     sum_grid = _sum_grid(grid)
     axis = sum_grid.samples
-    # in place: this runs once per simulate on the full signal/idler grid
-    pos = sums - axis[0]
-    pos /= sum_grid.spacing
+    pos = (sums - axis[0]) / sum_grid.spacing
     # truncation is floor wherever the clip keeps it
-    lo = pos.astype(np.intp)
-    np.clip(lo, 0, sum_grid.n_points - 2, out=lo)
-    w_hi = pos
-    w_hi -= lo
-    w_lo = 1.0 - w_hi
-    w_lo *= grid.spacing
+    lo = np.clip(pos.astype(np.intp), 0, sum_grid.n_points - 2)
+    w_hi = pos - lo
+    w_lo = (1.0 - w_hi) * grid.spacing
     w_hi *= grid.spacing
-    if sums.min() < axis[0] or sums.max() > axis[-1]:
-        outside = (sums < axis[0]) | (sums > axis[-1])
-        w_lo[outside] = 0.0
-        w_hi[outside] = 0.0
+    outside = (sums < axis[0]) | (sums > axis[-1])
+    w_lo[outside] = 0.0
+    w_hi[outside] = 0.0
     return lo, lo + 1, w_lo, w_hi
 
 
@@ -144,11 +140,13 @@ class AdpModel:
     continuous convolution) and samples it at the absolute sum
     frequencies sums, linearly interpolated and zero beyond the
     sum-frequency grid.  The FFT length and the interpolation's indices
-    and weights are built once.  Input already zero-padded to n_fft
-    samples transforms without a copy.  A cyclic model takes the
-    shortest FFT whose cyclic self-convolution has no wrap-around at the
-    samples it reads: its ADP is the same function, to round-off, from
-    shorter transforms when the sums cover only part of the sum grid.
+    and weights are built once.  The length is the shortest whose cyclic
+    self-convolution has no wrap-around at the samples it reads: where
+    the sums reach an end of the sum grid that is fftconvolve's length
+    for complex input, and a call equals fftconvolve(apl, apl) sampled
+    at sums bit for bit; sums over part of the sum grid give the same
+    ADP, to round-off, from shorter transforms.  Input already
+    zero-padded to n_fft samples transforms without a copy.
     model(apl) is model.from_spectrum(model.spectrum(apl)); from_spectrum and
     derivative(spectrum, d_apl) can share one spectrum, as the inverse
     fit's residual and Jacobian do at one search point.  The model
@@ -157,19 +155,13 @@ class AdpModel:
     _check_adp_input.
     """
 
-    def __init__(self, grid: SpectralGrid, sums: np.ndarray, cyclic: bool = False):
-        n_conv = _sum_grid(grid).n_points
+    def __init__(self, grid: SpectralGrid, sums: np.ndarray):
         self._lo, self._hi, self._w_lo, self._w_hi = _interp_plan(grid, sums)
-        if cyclic:
-            # the shortest length whose cyclic self-convolution equals the
-            # linear one at every index read: conv[k - L] and conv[k + L]
-            # fall outside the linear one's n_conv samples for each k read
-            need = max(grid.n_points, self._hi.max() + 1, n_conv - self._lo.min())
-            self.n_fft = next_fast_len(int(need))
-        else:
-            # fftconvolve's length for complex input, so that a model call
-            # equals fftconvolve(apl, apl) sampled at sums bit for bit
-            self.n_fft = next_fast_len(n_conv)
+        # conv[k - L] and conv[k + L] fall outside the linear
+        # self-convolution's 2n - 1 samples for each k read
+        n_conv = 2 * grid.n_points - 1
+        need = max(grid.n_points, self._hi.max() + 1, n_conv - self._lo.min())
+        self.n_fft = next_fast_len(int(need))
 
     def spectrum(self, apl: np.ndarray) -> np.ndarray:
         """FFT of alpha_p * l_p, zero-padded to the self-convolution."""
@@ -200,14 +192,9 @@ class AdpModel:
     def _sample(self, conv: np.ndarray) -> np.ndarray:
         """The interpolation at sums along the last axis of conv, in C
         order (an index on the last axis alone would leave a stack with
-        that axis outermost in memory); on a signal/idler grid every
-        temporary is a full array, so the products are taken in place."""
-        lower = np.take(conv, self._lo, axis=-1)
-        lower *= self._w_lo
-        upper = np.take(conv, self._hi, axis=-1)
-        upper *= self._w_hi
-        lower += upper
-        return lower
+        that axis outermost in memory)."""
+        lower = np.take(conv, self._lo, axis=-1) * self._w_lo
+        return lower + np.take(conv, self._hi, axis=-1) * self._w_hi
 
 
 def _check_adp_input(values: np.ndarray) -> None:
@@ -234,27 +221,33 @@ def compute_jsa(
     """Assemble and normalize the JSA from its constituent spectra.
 
     pump and l_p must share one grid (the pump integration grid); l_s and
-    l_i define the output grid.  alpha_p * l_p = pump * l_p is rejected
+    l_i define the output grid, whose signal and idler halves must share
+    size and spacing (sum_axis).  alpha_p * l_p = pump * l_p is rejected
     when all zero and warned about when it is not negligible at the grid
     edges.  The JSA is normalize(ADP(w_s + w_i) PMF(w_s, w_i) TDSI): the
-    ADP at the sum frequencies w_s + w_i (AdpModel), the PMF, left out
-    when a zero slope makes it unity, and the TDSI l_s(w_s) l_i(w_i).
+    ADP at the 2n - 1 sum frequencies of sum_axis (AdpModel), read as
+    ADP[j + k] on the grid, the PMF, left out when a zero slope makes it
+    unity, and the TDSI l_s(w_s) l_i(w_i).
     """
     if pump.grid != l_p.grid:
         raise GridError("pump and l_p must share the same grid")
+    grid_s, grid_i = l_s.grid, l_i.grid
+    sums = sum_axis(grid_s, grid_i)[0]
     apl = pump.values * l_p.values
     _check_adp_input(apl)
-    grid_s, grid_i = l_s.grid, l_i.grid
     # ADP * PMF * TDSI in that operand order (numpy's complex product is
-    # not bitwise commutative), in place; the PMF is left out when it is
-    # sinc(0) exp(i 0) = 1 everywhere
-    amp = AdpModel(pump.grid, grid_s.samples[:, None] + grid_i.samples[None, :])(apl)
+    # not bitwise commutative); the ADP over m enters through a zero-copy
+    # Hankel view, and the PMF is left out when it is sinc(0) exp(i 0) = 1
+    # everywhere
+    adp = sliding_window_view(AdpModel(pump.grid, sums)(apl), grid_s.n_points)
     if dispersion.slope != 0.0:
-        amp *= pmf(
+        amp = adp * pmf(
             dispersion,
             (grid_s.samples - grid_s.center)[:, None],
             (grid_i.samples - grid_i.center)[None, :],
         )
+    else:
+        amp = adp.copy()
     amp *= np.outer(l_s.values, l_i.values)
     return normalize(Jsa(grid_s, grid_i, amp), in_place=True)
 

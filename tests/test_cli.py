@@ -353,16 +353,53 @@ def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
         # the pulse energy, 1 mW / 1e-320 Hz, is already inf
         ("pgr", "--config", "bell_phi_minus", "--rep-rate", "1e-320 Hz"),
         ("simulate", "--config", "{avg_power_1e200}", "--grid", "64", "--out", "{tmp}"),
+        # the pulse energy, 1e-320 W / 500 MHz, underflows to 0
+        ("pgr", "--config", "bell_phi_minus", "--avg-power", "1e-320 W"),
+        ("simulate", "--config", "{avg_power_1e-320}", "--grid", "64", "--out", "{tmp}"),
+        # kappa^2 underflows to 0, under Q_ext = w_p0 / kappa^2
+        ("pgr", "--config", "{kappa_1e-200}"),
     ],
 )
 def test_pair_rate_overflow_exits_3(tmp_path, capsys, argv):
-    """A pair rate that overflows, or is not finite, is a numerical
-    failure: exit 3 and nothing on stdout."""
-    config = _preset_with(tmp_path, "pgr", "avg_power", "1e200 W")
-    argv = [a.format(tmp=tmp_path / "o", avg_power_1e200=config) for a in argv]
+    """A pair rate that overflows, or whose inputs leave the
+    floating-point range, is a numerical failure: exit 3 and nothing on
+    stdout."""
+    edits = {
+        "avg_power_1e200": ("pgr", "avg_power", "1e200 W"),
+        "avg_power_1e-320": ("pgr", "avg_power", "1e-320 W"),
+        "kappa_1e-200": ("resonator", "kappa", "1e-200 sqrtTHz"),
+    }
+    configs = {
+        name: _preset_with(tmp_path, *edit)
+        for name, edit in edits.items()
+        if "{" + name + "}" in argv
+    }
+    argv = [a.format(tmp=tmp_path / "o", **configs) for a in argv]
     code, stdout, stderr = run(capsys, *argv)
     assert code == 3
     assert "numerical error" in stderr
+    assert stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--config", "bell_phi_minus", "--grid", "16", "--out", "{file}"),
+        ("optimize", "--config", "bell_phi_minus", "--out", "{file}/x"),
+        ("sweep-mzi", "--config", "bell_phi_minus", "--out", "{file}/x"),
+    ],
+)
+def test_uncreatable_out_directory_exits_2(tmp_path, capsys, argv):
+    """An --out that cannot be made a directory, an existing file or a
+    path under one, is a config error that names it: exit 2, nothing on
+    stdout and no traceback."""
+    existing = tmp_path / "taken"
+    existing.write_text("")
+    argv = [a.format(file=existing) for a in argv]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert "config error" in stderr
+    assert str(existing) in stderr
     assert stdout == ""
 
 

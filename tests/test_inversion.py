@@ -632,6 +632,23 @@ def test_trial_contexts_of_one_template_score_as_fresh_ones():
             assert score(*args) == fresh(*args)
 
 
+def test_trial_contexts_of_one_template_build_one_adp_model(monkeypatch):
+    """The sums and their ADP model do not depend on mu: one template
+    builds one model, however many mu contexts it gives and scores."""
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return AdpModel(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "AdpModel", counting)
+    cfg = load_preset("bell_phi_minus")
+    contexts = _trial_contexts(cfg, _FIT_PUMP_POINTS, _VERIFY_POINTS)
+    for mu in ((0.5e9,), (1.25e9,), (2.0e9,)):
+        contexts(mu)(cfg.pump.sigma_p, *tap_arrays(cfg.pump.taps))
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize(
     "pump_points, n_points", [(512, 128), (2048, 256), (2048, 512)]
 )

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 import oracles
@@ -98,11 +99,12 @@ def test_adp_model_matches_fftconvolve_bitwise(n):
     "lo, hi", [(-0.2, 0.2), (-0.45, 0.45), (-0.9, -0.5), (-1.0, 1.0)]
 )
 def test_cyclic_adp_model_matches_the_linear_one(lo, hi):
-    """A cyclic model, whose FFT only spans the part of the sum grid its
-    sums read (centred or off to one side), gives the linear model's ADP
-    to round-off, for one apl and for a stack of them; it is shorter when
-    the sums cover part of the sum grid, and fftconvolve's length when
-    they reach its ends."""
+    """The model, whose FFT only spans the part of the sum grid its sums
+    read (centred or off to one side), gives fftconvolve's linear
+    self-convolution sampled at the sums to round-off, for one apl and
+    for a stack of them; it is shorter than fftconvolve's length when the
+    sums cover part of the sum grid, and that length when they reach its
+    ends."""
     grid = SpectralGrid(P0, 250e9, 512)
     rng = np.random.default_rng(5)
     # no envelope: every lag of the self-convolution carries weight, so
@@ -110,18 +112,20 @@ def test_cyclic_adp_model_matches_the_linear_one(lo, hi):
     apl = rng.normal(size=(3, 512)) + 1j * rng.normal(size=(3, 512))
     half = _sum_grid(grid).half_span
     sums = 2.0 * P0 + np.linspace(lo * half, hi * half, 129)
-    linear = AdpModel(grid, sums)
-    cyclic = AdpModel(grid, sums, cyclic=True)
-    want = np.array([linear(row) for row in apl])
+    # the interpolation plan's own weights: positions on the sum grid carry
+    # round-off of order 1e-9 of a cell at these absolute frequencies
+    lo_idx, hi_idx, w_lo, w_hi = _interp_plan(grid, sums)
+    conv = np.array([fftconvolve(row, row) for row in apl])
+    want = conv[:, lo_idx] * w_lo + conv[:, hi_idx] * w_hi
+    model = AdpModel(grid, sums)
     scale = np.max(np.abs(want))
-    np.testing.assert_allclose(
-        cyclic(apl[0]), want[0], rtol=0.0, atol=1e-12 * scale
-    )
-    np.testing.assert_allclose(cyclic(apl), want, rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(model(apl[0]), want[0], rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(model(apl), want, rtol=0.0, atol=1e-12 * scale)
+    linear_fft = scipy.fft.next_fast_len(2 * 512 - 1)
     if hi - lo < 2.0:
-        assert cyclic.n_fft < linear.n_fft
+        assert model.n_fft < linear_fft
     else:
-        assert cyclic.n_fft == linear.n_fft
+        assert model.n_fft == linear_fft
 
 
 def test_adp_gaussian_closed_form():
@@ -210,7 +214,8 @@ def test_fast_path_exact_for_asymmetric_linear_pmf(c2):
 
 def test_zero_slope_skips_the_unity_pmf_exactly():
     """With slope 0 the PMF is sinc(0) exp(i 0) = 1, so leaving it out
-    changes no value: the JSA equals ADP * PMF * TDSI, normalized."""
+    changes no value: the JSA equals ADP * PMF * TDSI, normalized, with the
+    ADP taken on the sum index."""
     pump_grid = SpectralGrid(P0, 200e9, 256)
     gs = SpectralGrid(S0, 40e9, 48)
     gi = SpectralGrid(I0, 40e9, 48)
@@ -226,13 +231,52 @@ def test_zero_slope_skips_the_unity_pmf_exactly():
     disp = DispersionModel(c1=1.0, c2=-0.8, slope=0.0, length=7.2e-4)
     d_s = (gs.samples - S0)[:, None]
     d_i = (gi.samples - I0)[None, :]
-    sums = gs.samples[:, None] + gi.samples[None, :]
-    adp = AdpModel(pump_grid, sums)(pump.values * l_p.values)
+    adp = AdpModel(pump_grid, sum_axis(gs, gi)[0])(pump.values * l_p.values)
     want = normalize(
-        Jsa(gs, gi, adp * pmf(disp, d_s, d_i) * np.outer(l_s.values, l_i.values))
+        Jsa(
+            gs, gi,
+            sliding_window_view(adp, 48) * pmf(disp, d_s, d_i)
+            * np.outer(l_s.values, l_i.values),
+        )
     )
     got = compute_jsa(pump, l_p, l_s, l_i, disp)
     assert np.array_equal(got.amplitude, want.amplitude)
+
+
+@pytest.mark.parametrize("n", [64, 65, 128])
+def test_flat_filters_give_one_value_per_antidiagonal(n):
+    """With l_s = l_i = 1 and slope 0 the JSA is the ADP of w_s + w_i
+    alone: every anti-diagonal j + k holds exactly one value, on even and
+    odd grid sizes whose sums fall between the sum grid's nodes."""
+    pump_grid = SpectralGrid(P0, 200e9, 256)
+    gs = SpectralGrid(S0, 40e9, n)
+    gi = SpectralGrid(I0, 40e9, n)
+    rng = np.random.default_rng(n)
+    pump = Field1D(
+        pump_grid,
+        gaussian_field(pump_grid, P0, 25e9).values
+        * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 256)),
+    )
+    l_p = Field1D(pump_grid, 1.0 / (1j * (pump_grid.samples - P0) + 8e9))
+    flat = DispersionModel(c1=1.0, c2=-1.0, slope=0.0, length=7.2e-4)
+    amp = compute_jsa(
+        pump, l_p, Field1D(gs, np.ones(n)), Field1D(gi, np.ones(n)), flat
+    ).amplitude
+    # the value of anti-diagonal m, read along the first row and last column
+    per_m = np.concatenate([amp[0], amp[1:, -1]])
+    assert np.array_equal(amp, sliding_window_view(per_m, n))
+
+
+def test_compute_jsa_rejects_unequal_signal_and_idler_grids():
+    """The ADP is taken on the sum index, which needs signal and idler
+    grids of one size and spacing."""
+    pump_grid = SpectralGrid(P0, 200e9, 256)
+    pump = gaussian_field(pump_grid, P0, 25e9)
+    l_p = Field1D(pump_grid, np.ones(256))
+    l_s = Field1D(SpectralGrid(S0, 40e9, 48), np.ones(48))
+    l_i = Field1D(SpectralGrid(I0, 40e9, 49), np.ones(49))
+    with pytest.raises(GridError):
+        compute_jsa(pump, l_p, l_s, l_i, DispersionModel())
 
 
 def test_jsa_grid_mismatch_rejected():
