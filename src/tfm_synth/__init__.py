@@ -17,7 +17,6 @@ from .config import (
     load_config,
     load_preset,
     preset_path,
-    save_config,
 )
 from .jsa import load_jsa_binary
 from .simulate import SimulationResult, analysis_report, simulate
@@ -34,7 +33,6 @@ __all__ = [
     "load_jsa_binary",
     "load_preset",
     "preset_path",
-    "save_config",
     "simulate",
     "__version__",
 ]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TargetConfig
 from .jsa import Jsa, normalize
 from .spectral import SpectralGrid, hg_mode
 
@@ -25,17 +26,10 @@ class PreconditionError(ValueError):
     """Input violates a documented precondition."""
 
 
-@dataclass(frozen=True)
-class SchmidtResult:
-    """Schmidt weights (descending, summing to 1) of a JSA."""
-
-    weights: np.ndarray
-
-
-def schmidt_decompose(jsa: Jsa) -> SchmidtResult:
-    """Schmidt weights as the eigenvalues of the Gram matrix F F^H dA of
-    the amplitude F, taken on its smaller side; those above 1e-14 are
-    kept.
+def schmidt_decompose(jsa: Jsa) -> np.ndarray:
+    """Schmidt weights (descending, summing to 1) as the eigenvalues of
+    the Gram matrix F F^H dA of the amplitude F, taken on its smaller
+    side; those above 1e-14 are kept.
 
     The weights are the squared singular values of F sqrt(dA).  The
     state is normalized, so the largest weight is at most 1, and the
@@ -52,7 +46,7 @@ def schmidt_decompose(jsa: Jsa) -> SchmidtResult:
     weights = np.linalg.eigvalsh(gram)[::-1]
     np.clip(weights, 0.0, None, out=weights)
     keep = int(np.sum(weights > 1e-14)) or 1
-    return SchmidtResult(weights[:keep])
+    return weights[:keep]
 
 
 def schmidt_number(weights) -> float:
@@ -71,44 +65,21 @@ def purity(weights) -> float:
     return float(np.sum(w * w))
 
 
-@dataclass(frozen=True)
-class TargetState:
-    """Maximally entangled D-dimensional TFM target with alternating signs.
-
-    coefficients c_k = (-1)^k / sqrt(D): the state is
-    sum_k c_k |k>_s |k>_i in the Hermite-Gaussian mode basis of width sigma.
-    """
-
-    dimension: int
-    sigma: float             # rad/s, HG basis width
-    center_s: float
-    center_i: float
-
-    def __post_init__(self):
-        if self.dimension < 1 or self.dimension > 4:
-            raise ValueError(f"dimension must be in 1..4, got {self.dimension}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        d = self.dimension
-        return np.array([(-1.0) ** k for k in range(d)]) / np.sqrt(d)
-
-
-def target_jsa(target: TargetState, grid_s: SpectralGrid, grid_i: SpectralGrid) -> Jsa:
+def target_jsa(target: TargetConfig, grid_s: SpectralGrid, grid_i: SpectralGrid) -> Jsa:
     """Ideal JSA sum_k c_k f_k(dw_s) f_k(dw_i), normalized on the grids."""
     amp = np.zeros((grid_s.n_points, grid_i.n_points), dtype=complex)
     for k, c in enumerate(target.coefficients):
-        fs = hg_mode(k, grid_s, target.center_s, target.sigma)
-        fi = hg_mode(k, grid_i, target.center_i, target.sigma)
+        fs = hg_mode(k, grid_s, grid_s.center, target.sigma)
+        fi = hg_mode(k, grid_i, grid_i.center, target.sigma)
         amp += c * np.outer(fs.values, fi.values)
     return normalize(Jsa(grid_s, grid_i, amp))
 
 
-def hg_basis(dim: int, grid: SpectralGrid, center: float, sigma: float) -> np.ndarray:
-    """The HG modes of orders 0..dim-1 on a grid, one real row each."""
-    return np.array([hg_mode(k, grid, center, sigma).values.real for k in range(dim)])
+def hg_basis(dim: int, grid: SpectralGrid, sigma: float) -> np.ndarray:
+    """The HG modes of orders 0..dim-1 centred on a grid, one real row each."""
+    return np.array(
+        [hg_mode(k, grid, grid.center, sigma).values.real for k in range(dim)]
+    )
 
 
 @dataclass(frozen=True)
@@ -120,22 +91,21 @@ class TfmProjection:
     higher_order_weight: float    # 1 - sum of the first 4 Schmidt weights
 
 
-def project_to_tfm(
-    jsa: Jsa, sigma: float, center_s: float, center_i: float
-) -> TfmProjection:
+def project_to_tfm(jsa: Jsa, sigma: float) -> TfmProjection:
     """HG pair-basis amplitudes c_kl = <f_k x f_l, F> for k, l < 4 (the
-    largest target dimension), the weight they carry, and the weight
-    beyond the first 4 Schmidt modes.  The amplitudes are the matrix
-    product modes_s F modes_i^T dw_s dw_i of the real HG mode rows."""
+    largest target dimension), with the modes centred on the JSA's grids,
+    the weight they carry, and the weight beyond the first 4 Schmidt
+    modes.  The amplitudes are the matrix product modes_s F modes_i^T
+    dw_s dw_i of the real HG mode rows."""
     if not jsa.normalized:
         raise PreconditionError("project_to_tfm requires a normalized JSA")
-    modes_s = hg_basis(4, jsa.grid_s, center_s, sigma)
-    modes_i = hg_basis(4, jsa.grid_i, center_i, sigma)
+    modes_s = hg_basis(4, jsa.grid_s, sigma)
+    modes_i = hg_basis(4, jsa.grid_i, sigma)
     c = modes_s @ jsa.amplitude @ modes_i.T * jsa.cell_area
     weight = float(np.sum(np.abs(c) ** 2))
     if weight < 0.5:
         warnings.warn(f"only {weight:.3f} of the state lies in the 4x4 HG subspace")
-    w = schmidt_decompose(jsa).weights
+    w = schmidt_decompose(jsa)
     higher = float(1.0 - np.sum(w[:4]))
     return TfmProjection(c, weight, higher)
 

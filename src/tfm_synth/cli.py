@@ -27,6 +27,7 @@ from .config import (
     ConfigError,
     DeviceConfig,
     PRESET_NAMES,
+    _GRID_MAX_POINTS,
     load_config,
     load_preset,
 )
@@ -118,8 +119,8 @@ def _make_out_dir(path: str) -> None:
 
 def _grid_override(n_points):
     """--grid, checked like the config's grid.n_points."""
-    if n_points is not None and n_points < 8:
-        raise ConfigError(f"--grid must be >= 8, got {n_points}")
+    if n_points is not None and not 8 <= n_points <= _GRID_MAX_POINTS:
+        raise ConfigError(f"--grid must be 8..{_GRID_MAX_POINTS}, got {n_points}")
     return n_points
 
 
@@ -151,9 +152,10 @@ def _magnitude_csv(
 
 def cmd_simulate(args) -> int:
     cfg = _load(args.config)
+    grid = _grid_override(args.grid)
     out = args.out
     _make_out_dir(out)
-    result = simulate(cfg, n_points=_grid_override(args.grid))
+    result = simulate(cfg, n_points=grid)
 
     _atomic_write(
         os.path.join(out, "jsa.bin"),
@@ -209,9 +211,9 @@ def _taps_fragment(taps) -> list:
 def cmd_optimize(args) -> int:
     cfg = _load(args.config)
     grid = _grid_override(args.grid)
+    search = SearchConfig(restarts=args.restarts, seed=args.seed)
     out = args.out
     _make_out_dir(out)
-    search = SearchConfig(restarts=args.restarts, seed=args.seed)
     result = optimize_state(cfg, search)
     best = result.best_config
 

@@ -1,4 +1,4 @@
-"""Configuration files: parsing, validation, and serialization.
+"""Configuration files: parsing and validation.
 
 A device configuration is a YAML tree whose dimensioned leaves are
 strings with explicit unit suffixes ("1215.07 THz", "75 ps", "0.0985
@@ -14,12 +14,13 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
 import yaml
 
 from .phase_matching import DispersionModel
 from .pulse_shaper import PumpSpec, Tap
 from .resonator import MziCouplerSpec, ResonanceChain
-from .units import UnitError, format_quantity, parse_quantity
+from .units import UnitError, parse_quantity
 
 # libyaml's parser when pyyaml was built with it: the same safe schema,
 # about 9x faster on a preset than the pure-Python one
@@ -34,6 +35,12 @@ PRESET_NAMES = ("bell_phi_minus", "mes_d3", "mes_d4", "separable")
 
 _PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 
+# the most points a signal/idler or pump grid may have: the separable
+# preset's pump grid has 8192, while an 8192^2 JSA is already 1 GiB of
+# complex128, of which simulate holds several, and its Schmidt
+# eigensolve takes minutes; the size is checked before any grid is built
+_GRID_MAX_POINTS = 8192
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -47,6 +54,12 @@ class GridConfig:
             raise ConfigError("grid spans must be > 0")
         if self.n_points < 8 or self.pump_points < 8:
             raise ConfigError("grid sizes must be >= 8")
+        for name in ("n_points", "pump_points"):
+            size = getattr(self, name)
+            if size > _GRID_MAX_POINTS:
+                raise ConfigError(
+                    f"grid.{name} must be <= {_GRID_MAX_POINTS}, got {size}"
+                )
 
 
 @dataclass(frozen=True)
@@ -64,12 +77,25 @@ class PgrConfig:
 
 @dataclass(frozen=True)
 class TargetConfig:
+    """Maximally entangled D-dimensional TFM target with alternating signs:
+    sum_k c_k |k>_s |k>_i, c_k = (-1)^k / sqrt(D), in the Hermite-Gaussian
+    mode basis of width sigma centred on the signal and idler grids."""
+
     dimension: int     # 1..4; 1 denotes the separable target
     sigma: float       # rad/s, HG basis width
 
     def __post_init__(self):
+        if self.dimension < 1 or self.dimension > 4:
+            raise ConfigError(
+                f"key 'target.dimension' must be 1..4, got {self.dimension}"
+            )
         if self.sigma <= 0:
             raise ConfigError(f"target.sigma must be > 0, got {self.sigma}")
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        d = self.dimension
+        return np.array([(-1.0) ** k for k in range(d)]) / np.sqrt(d)
 
 
 @dataclass(frozen=True)
@@ -153,11 +179,9 @@ def parse_config(tree: dict, name_hint: str = "") -> DeviceConfig:
     name = tree.get("name", name_hint or "unnamed")
 
     tc = _get(tree, "target", "")
-    dimension = _integer(tc, "dimension", "target.")
-    if dimension < 1 or dimension > 4:
-        raise ConfigError(f"key 'target.dimension' must be 1..4, got {dimension}")
     target = TargetConfig(
-        dimension, _quantity(tc, "sigma", "angular_frequency", "target.")
+        _integer(tc, "dimension", "target."),
+        _quantity(tc, "sigma", "angular_frequency", "target."),
     )
 
     pc = _get(tree, "pump", "")
@@ -277,78 +301,3 @@ def preset_path(name: str) -> str:
 
 def load_preset(name: str) -> DeviceConfig:
     return load_config(preset_path(name))
-
-
-def _chain_tree(chain: ResonanceChain) -> dict:
-    return {
-        "omega0": format_quantity(chain.omega0, "THz", "angular_frequency"),
-        "decay_rates": [
-            format_quantity(r, "GHz", "angular_frequency") for r in chain.decay_rates
-        ],
-        "couplings": [
-            format_quantity(m, "GHz", "angular_frequency") for m in chain.couplings
-        ],
-    }
-
-
-def serialize_config(cfg: DeviceConfig) -> dict:
-    """Inverse of parse_config up to unit spellings: parse(serialize(c)) == c."""
-    tree = {
-        "name": cfg.name,
-        "target": {
-            "dimension": cfg.target.dimension,
-            "sigma": format_quantity(cfg.target.sigma, "GHz", "angular_frequency"),
-        },
-        "pump": {
-            "sigma_p": format_quantity(cfg.pump.sigma_p, "GHz", "angular_frequency"),
-            "carrier": format_quantity(cfg.pump.carrier, "THz", "angular_frequency"),
-            "base_delay": format_quantity(cfg.pump.base_delay, "ps", "time"),
-            "comb_alignment": cfg.pump.comb_alignment,
-            "taps": [
-                {"amplitude": t.amplitude, "phase": t.phase} for t in cfg.pump.taps
-            ],
-        },
-        "resonator": {
-            "kappa": format_quantity(cfg.idler.kappa, "sqrtTHz", "sqrt_rate"),
-            "perimeter": format_quantity(cfg.idler.perimeter, "m", "length"),
-            "group_velocity": format_quantity(
-                cfg.idler.group_velocity, "m/s", "speed"
-            ),
-            "idler": _chain_tree(cfg.idler),
-            "pump": _chain_tree(cfg.pump_resonance),
-            "signal": _chain_tree(cfg.signal),
-        },
-        "dispersion": {
-            "c1": cfg.dispersion.c1,
-            "c2": cfg.dispersion.c2,
-            "slope": format_quantity(cfg.dispersion.slope, "s/(rad m)", "inverse_slope"),
-            "length": format_quantity(cfg.dispersion.length, "m", "length"),
-        },
-        "grid": {
-            "half_span": format_quantity(
-                cfg.grid.half_span, "GHz", "angular_frequency"
-            ),
-            "n_points": cfg.grid.n_points,
-            "pump_half_span": format_quantity(
-                cfg.grid.pump_half_span, "GHz", "angular_frequency"
-            ),
-            "pump_points": cfg.grid.pump_points,
-        },
-        "pgr": {
-            "n2": format_quantity(cfg.pgr.n2, "m^2/W", "kerr_index"),
-            "a_eff": format_quantity(cfg.pgr.a_eff, "m^2", "area"),
-            "avg_power": format_quantity(cfg.pgr.avg_power, "mW", "power"),
-            "rep_rate": format_quantity(cfg.pgr.rep_rate, "MHz", "frequency_hz"),
-        },
-    }
-    if cfg.mzi is not None:
-        tree["mzi"] = {
-            "k_prime": cfg.mzi.k_prime,
-            "perimeter_aux": format_quantity(cfg.mzi.perimeter_aux, "m", "length"),
-        }
-    return tree
-
-
-def save_config(cfg: DeviceConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(serialize_config(cfg), fh, sort_keys=False)

@@ -58,7 +58,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import (
-    TargetState,
     hg_basis,
     pair_fidelity,
     purity,
@@ -119,6 +118,10 @@ _POLISH_PUMP_POINTS = 2048
 # sweep-mzi's table (about 60 MB) still fit in memory; the count is
 # checked before the grid is allocated
 _MU_GRID_MAX_POINTS = 10**6
+# the most restarts per mu point: 10^4 on the default 21 mu points is
+# 2.1e5 ADP fits, hours of CPU at 20-40 ms a fit, and as many trace
+# records held in memory; the count is checked before any task is built
+_MAX_RESTARTS = 10**4
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,10 @@ class SearchConfig:
     polish_top: int = 2
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+        if not 1 <= self.restarts <= _MAX_RESTARTS:
+            raise ConfigError(
+                f"restarts must be 1..{_MAX_RESTARTS}, got {self.restarts}"
+            )
         if self.polish_top < 1:
             raise ConfigError(f"polish_top must be >= 1, got {self.polish_top}")
         if self.polish_evals < 0:
@@ -442,12 +447,10 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
     chain = chain or field_enhancement_chain
     pump_grid, grid_s, grid_i = build_grids(cfg, n_points)
     pump_grid = SpectralGrid(pump_grid.center, pump_grid.half_span, pump_points)
-    target_coeff = TargetState(
-        cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
-    ).coefficients
+    target_coeff = cfg.target.coefficients
     separable = len(target_coeff) == 1
-    modes_s = hg_basis(4, grid_s, grid_s.center, cfg.target.sigma)
-    modes_i = hg_basis(4, grid_i, grid_i.center, cfg.target.sigma)
+    modes_s = hg_basis(4, grid_s, cfg.target.sigma)
+    modes_i = hg_basis(4, grid_i, cfg.target.sigma)
     phasors = tap_phasors(cfg.pump, pump_grid)
     detuning = pump_grid.samples - cfg.pump.carrier
     detuning2 = detuning * detuning
@@ -496,7 +499,7 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
                     amp = sliding_window_view(a, n) * filt
                     amp *= 1.0 / np.sqrt(norm2)
                     state = Jsa(grid_s, grid_i, amp, normalized=True)
-                    return purity(schmidt_decompose(state).weights)
+                    return purity(schmidt_decompose(state))
                 ckk = overlaps @ a * (cell_area / np.sqrt(norm2))
                 if not np.any(ckk):
                     return 0.0
@@ -561,9 +564,7 @@ def _run_mu_points(args):
     chain = functools.lru_cache(maxsize=None)(field_enhancement_chain)
     pump_grid, grid_s, grid_i = build_grids(cfg)
     fit_grid = SpectralGrid(pump_grid.center, pump_grid.half_span, _FIT_PUMP_POINTS)
-    dim, sigma = cfg.target.dimension, cfg.target.sigma
-    target = TargetState(dim, sigma, grid_s.center, grid_i.center)
-    target = target_jsa(target, grid_s, grid_i)
+    target = target_jsa(cfg.target, grid_s, grid_i)
     trial_grids = (
         (_POLISH_PUMP_POINTS, grid_s.n_points)
         if entangled

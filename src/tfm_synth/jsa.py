@@ -226,8 +226,7 @@ def compute_jsa(
     when all zero and warned about when it is not negligible at the grid
     edges.  The JSA is normalize(ADP(w_s + w_i) PMF(w_s, w_i) TDSI): the
     ADP at the 2n - 1 sum frequencies of sum_axis (AdpModel), read as
-    ADP[j + k] on the grid, the PMF, left out when a zero slope makes it
-    unity, and the TDSI l_s(w_s) l_i(w_i).
+    ADP[j + k] on the grid, the PMF and the TDSI l_s(w_s) l_i(w_i).
     """
     if pump.grid != l_p.grid:
         raise GridError("pump and l_p must share the same grid")
@@ -237,17 +236,13 @@ def compute_jsa(
     _check_adp_input(apl)
     # ADP * PMF * TDSI in that operand order (numpy's complex product is
     # not bitwise commutative); the ADP over m enters through a zero-copy
-    # Hankel view, and the PMF is left out when it is sinc(0) exp(i 0) = 1
-    # everywhere
+    # Hankel view
     adp = sliding_window_view(AdpModel(pump.grid, sums)(apl), grid_s.n_points)
-    if dispersion.slope != 0.0:
-        amp = adp * pmf(
-            dispersion,
-            (grid_s.samples - grid_s.center)[:, None],
-            (grid_i.samples - grid_i.center)[None, :],
-        )
-    else:
-        amp = adp.copy()
+    amp = adp * pmf(
+        dispersion,
+        (grid_s.samples - grid_s.center)[:, None],
+        (grid_i.samples - grid_i.center)[None, :],
+    )
     amp *= np.outer(l_s.values, l_i.values)
     return normalize(Jsa(grid_s, grid_i, amp), in_place=True)
 

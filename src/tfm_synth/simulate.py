@@ -16,8 +16,6 @@ import numpy as np
 
 from .analysis import (
     PgrInput,
-    SchmidtResult,
-    TargetState,
     TfmProjection,
     pair_fidelity,
     pair_generation_rate,
@@ -45,7 +43,7 @@ class SimulationResult:
     l_i: Field1D               # idler field enhancement
     jsa_raw: Jsa               # complex normalized JSA as assembled
     jsa: Jsa                   # reported state: |JSA| with pi flips imposed, real
-    schmidt: SchmidtResult
+    schmidt: np.ndarray        # Schmidt weights, descending
     projection: TfmProjection
     fidelity: float
     k_prime: float
@@ -112,13 +110,8 @@ def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult
     state = reported_state(jsa_raw)
 
     schmidt = schmidt_decompose(state)
-    projection = project_to_tfm(
-        state, cfg.target.sigma, cfg.signal.omega0, cfg.idler.omega0
-    )
-    target = TargetState(
-        cfg.target.dimension, cfg.target.sigma, cfg.signal.omega0, cfg.idler.omega0
-    )
-    fid = pair_fidelity(projection.coefficients, target.coefficients)
+    projection = project_to_tfm(state, cfg.target.sigma)
+    fid = pair_fidelity(projection.coefficients, cfg.target.coefficients)
 
     inp = pgr_input(cfg)
     n_pulse, rate = pair_generation_rate(inp)
@@ -135,8 +128,8 @@ def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult
         schmidt=schmidt,
         projection=projection,
         fidelity=fid,
-        k_prime=schmidt_number(schmidt.weights),
-        purity=purity(schmidt.weights),
+        k_prime=schmidt_number(schmidt),
+        purity=purity(schmidt),
         higher_order_weight=projection.higher_order_weight,
         pgr_input=inp,
         pairs_per_pulse=n_pulse,
@@ -149,7 +142,7 @@ def analysis_report(result: SimulationResult) -> dict:
     c = result.projection.coefficients
     return {
         "name": result.config.name,
-        "lambda": [float(w) for w in result.schmidt.weights[:16]],
+        "lambda": [float(w) for w in result.schmidt[:16]],
         "K_prime": result.k_prime,
         "purity": result.purity,
         "fidelity": result.fidelity,

@@ -10,7 +10,8 @@ None of them runs in the program; test files import them as
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
-from tfm_synth.analysis import PreconditionError, TargetState
+from tfm_synth.analysis import PreconditionError
+from tfm_synth.config import TargetConfig
 from tfm_synth.inversion import _FIT_GTOL, _FIT_MAX_NFEV, _FIT_XTOL, _magnitude_fit
 from tfm_synth.jsa import Jsa, _bilinear, _sum_grid, normalize
 from tfm_synth.phase_matching import DispersionModel, pmf
@@ -221,7 +222,7 @@ def pair_confined_rho(coefficients: np.ndarray, dim: int = 4) -> np.ndarray:
     return np.outer(psi, np.conj(psi))
 
 
-def target_rho(target: TargetState, dim: int = 4) -> np.ndarray:
+def target_rho(target: TargetConfig, dim: int = 4) -> np.ndarray:
     """Ideal density matrix of the target in the d^2 HG pair basis."""
     psi = np.zeros(dim * dim, dtype=complex)
     for k, c in enumerate(target.coefficients):

@@ -7,7 +7,6 @@ import oracles
 from tfm_synth.analysis import (
     PgrInput,
     PreconditionError,
-    TargetState,
     fidelity_pure,
     pair_fidelity,
     pair_generation_rate,
@@ -17,6 +16,7 @@ from tfm_synth.analysis import (
     schmidt_number,
     target_jsa,
 )
+from tfm_synth.config import TargetConfig
 from tfm_synth.jsa import Jsa, normalize
 from tfm_synth.spectral import SpectralGrid, hg_mode
 
@@ -45,8 +45,8 @@ def test_schmidt_requires_normalized():
 def test_schmidt_weights_of_known_state():
     jsa = two_mode_state(np.sqrt(0.7), -np.sqrt(0.3))
     res = schmidt_decompose(jsa)
-    np.testing.assert_allclose(res.weights[:2], [0.7, 0.3], atol=1e-6)
-    assert np.sum(res.weights) == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(res[:2], [0.7, 0.3], atol=1e-6)
+    assert np.sum(res) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_schmidt_number_purity_inverse():
@@ -64,26 +64,26 @@ def test_schmidt_number_limits():
 
 
 def test_target_state_coefficients():
-    t = TargetState(3, SIGMA, S0, I0)
+    t = TargetConfig(3, SIGMA)
     np.testing.assert_allclose(
         t.coefficients, np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
     )
     with pytest.raises(ValueError):
-        TargetState(5, SIGMA, S0, I0)
+        TargetConfig(5, SIGMA)
 
 
 def test_target_jsa_schmidt_spectrum():
-    t = TargetState(2, SIGMA, S0, I0)
+    t = TargetConfig(2, SIGMA)
     jsa = target_jsa(t, GS, GI)
     res = schmidt_decompose(jsa)
-    np.testing.assert_allclose(res.weights[:2], [0.5, 0.5], atol=1e-6)
-    assert schmidt_number(res.weights) == pytest.approx(2.0, abs=1e-4)
+    np.testing.assert_allclose(res[:2], [0.5, 0.5], atol=1e-6)
+    assert schmidt_number(res) == pytest.approx(2.0, abs=1e-4)
 
 
 def test_projection_of_ideal_target():
-    t = TargetState(2, SIGMA, S0, I0)
+    t = TargetConfig(2, SIGMA)
     jsa = target_jsa(t, GS, GI)
-    proj = project_to_tfm(jsa, SIGMA, S0, I0)
+    proj = project_to_tfm(jsa, SIGMA)
     c = proj.coefficients
     assert c[0, 0].real == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-6)
     assert c[1, 1].real == pytest.approx(-1.0 / np.sqrt(2.0), abs=1e-6)
@@ -104,7 +104,7 @@ def test_projection_matrix_product_matches_pairwise_sums():
     modes_s = [hg_mode(k, GS, S0, SIGMA).values for k in range(4)]
     modes_i = [hg_mode(k, GI, I0, SIGMA).values for k in range(4)]
     for jsa in (real, complex_state):
-        proj = project_to_tfm(jsa, SIGMA, S0, I0)
+        proj = project_to_tfm(jsa, SIGMA)
         expect = np.empty((4, 4), dtype=complex)
         for k in range(4):
             for l in range(4):
@@ -118,7 +118,7 @@ def test_projection_matrix_product_matches_pairwise_sums():
 
 
 def test_pair_fidelity_of_target_and_orthogonal_pairs():
-    t = TargetState(3, SIGMA, S0, I0)
+    t = TargetConfig(3, SIGMA)
     c = np.zeros((4, 4))
     c[:3, :3] = np.diag(t.coefficients)
     c[0, 1] = 0.3     # off-diagonal weight is not part of the pair state
@@ -147,7 +147,7 @@ def test_pair_confined_rho_keeps_diagonal_pairs():
 
 
 def test_fidelity_self_is_one():
-    t = TargetState(4, SIGMA, S0, I0)
+    t = TargetConfig(4, SIGMA)
     rho = oracles.target_rho(t)
     assert oracles.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-6)
 

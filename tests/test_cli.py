@@ -317,6 +317,14 @@ def _preset_with(tmp_path, section, key, value):
         ("sweep-mzi", "--config", "bell_phi_minus", "--mu-step", "1e-300"),
         # a finite point count past the mu grid's cap, which no array holds
         ("sweep-mzi", "--config", "bell_phi_minus", "--mu-step", "1e-290"),
+        # a grid or a restart count past its cap, rejected before any grid
+        # or search task is built
+        ("simulate", "--config", "bell_phi_minus", "--grid", "1" + "0" * 30,
+         "--out", "{tmp}"),
+        ("optimize", "--config", "bell_phi_minus", "--grid", "1" + "0" * 30,
+         "--out", "{tmp}"),
+        ("optimize", "--config", "bell_phi_minus", "--restarts", "1" + "0" * 30,
+         "--out", "{tmp}"),
     ],
 )
 def test_bad_flags_exit_2(tmp_path, capsys, argv):
@@ -335,6 +343,8 @@ def test_bad_flags_exit_2(tmp_path, capsys, argv):
         ("dispersion", "c1", float("nan")),
         ("grid", "n_points", float("inf")),
         ("target", "dimension", 2.7),
+        ("grid", "n_points", 10**30),
+        ("grid", "pump_points", 10**30),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):

@@ -1,10 +1,11 @@
-"""Configuration parsing, presets, and serialization round trip."""
+"""Configuration parsing and presets."""
 
 import copy
 
 import pytest
 import yaml
 
+from tfm_synth import config
 from tfm_synth.config import (
     ConfigError,
     PRESET_NAMES,
@@ -12,7 +13,6 @@ from tfm_synth.config import (
     load_preset,
     parse_config,
     preset_path,
-    serialize_config,
 )
 
 
@@ -79,18 +79,6 @@ def test_unknown_preset():
         preset_path("nonexistent")
 
 
-def test_round_trip_identity(bell_tree):
-    cfg = parse_config(bell_tree)
-    back = parse_config(serialize_config(cfg))
-    assert back == cfg
-
-
-def test_round_trip_identity_all_presets():
-    for name in PRESET_NAMES:
-        cfg = load_preset(name)
-        assert parse_config(serialize_config(cfg)) == cfg
-
-
 def test_missing_kappa_names_key(bell_tree):
     tree = copy.deepcopy(bell_tree)
     del tree["resonator"]["kappa"]
@@ -129,6 +117,20 @@ def test_non_integral_count_rejected(bell_tree, section, key):
     tree[section][key] += 0.7
     with pytest.raises(ConfigError, match=f"{key}' must be an integer"):
         parse_config(tree)
+
+
+def test_grid_sizes_up_to_the_cap_accepted(bell_tree):
+    """Every grid size the presets use is admitted, up to the cap, for
+    both grids; one point more is a ConfigError."""
+    cap = config._GRID_MAX_POINTS
+    assert cap >= max(load_preset(name).grid.pump_points for name in PRESET_NAMES)
+    for key in ("n_points", "pump_points"):
+        tree = copy.deepcopy(bell_tree)
+        tree["grid"][key] = cap
+        assert getattr(parse_config(tree).grid, key) == cap
+        tree["grid"][key] = cap + 1
+        with pytest.raises(ConfigError, match=f"grid.{key} must be <= {cap}"):
+            parse_config(tree)
 
 
 def test_coupling_count_mismatch(bell_tree):

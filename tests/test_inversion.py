@@ -14,14 +14,13 @@ from scipy.signal import fftconvolve
 import oracles
 from tfm_synth import inversion
 from tfm_synth.analysis import (
-    TargetState,
     pair_fidelity,
     project_to_tfm,
     purity,
     schmidt_decompose,
     target_jsa,
 )
-from tfm_synth.config import ConfigError, load_preset
+from tfm_synth.config import ConfigError, TargetConfig, load_preset
 from tfm_synth.inversion import (
     _EPSILON,
     _FIT_PROFILE_POINTS,
@@ -77,7 +76,7 @@ def unit_filter(grid):
 
 
 def bell_target_jsa(grid_s=GS, grid_i=GI):
-    return target_jsa(TargetState(2, 6.0e9, S0, I0), grid_s, grid_i)
+    return target_jsa(TargetConfig(2, 6.0e9), grid_s, grid_i)
 
 
 def test_decouple_identity_filter():
@@ -93,7 +92,7 @@ def test_decouple_self_gives_unity_on_support():
     """The separable target divided by its own HG-0 filters is 1 wherever
     the filter is strong."""
     sigma = 6.0e9
-    f = target_jsa(TargetState(1, sigma, S0, I0), GS, GI)
+    f = target_jsa(TargetConfig(1, sigma), GS, GI)
     prof = _target_profile(f, hg_mode(0, GS, S0, sigma), hg_mode(0, GI, I0, sigma))
     f0 = np.exp(-((_profile_offsets(GS, GI) / 2.0) ** 2) / (2.0 * sigma * sigma))
     strong = f0 * f0 > 0.3
@@ -180,13 +179,7 @@ def test_target_profile_is_the_two_step_profile_bit_for_bit(preset, n_points):
     for mu in (swept.couplings, (2.25e9,) * len(swept.couplings)):
         trial_cfg = _swept_chains(cfg, mu)
         _, grid_s, grid_i = build_grids(trial_cfg)
-        target = target_jsa(
-            TargetState(
-                cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
-            ),
-            grid_s,
-            grid_i,
-        )
+        target = target_jsa(cfg.target, grid_s, grid_i)
         l_s = field_enhancement_chain(trial_cfg.signal, grid_s)
         l_i = field_enhancement_chain(trial_cfg.idler, grid_i)
         got = _target_profile(target, l_s, l_i)
@@ -483,15 +476,12 @@ def mu_point_fit_rows(preset, n_rows):
     mu_values = SearchConfig().mu_values
     pump_grid, grid_s, grid_i = build_grids(cfg)
     pump_grid = SpectralGrid(pump_grid.center, pump_grid.half_span, _FIT_PUMP_POINTS)
-    target = TargetState(
-        cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
-    )
     points = []
     for mu in mu_values:
         trial_cfg = _swept_chains(cfg, (mu,) * len(swept.couplings))
         l_p = field_enhancement_chain(trial_cfg.pump_resonance, pump_grid)
         profile = _target_profile(
-            target_jsa(target, grid_s, grid_i),
+            target_jsa(cfg.target, grid_s, grid_i),
             field_enhancement_chain(trial_cfg.signal, grid_s),
             field_enhancement_chain(trial_cfg.idler, grid_i),
         )
@@ -582,12 +572,9 @@ def _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps):
     jsa = normalize(Jsa(grid_s, grid_i, adp * np.outer(l_s.values, l_i.values)))
     state = reported_state(jsa)
     if cfg.target.dimension == 1:
-        return purity(schmidt_decompose(state).weights)
-    target = TargetState(
-        cfg.target.dimension, cfg.target.sigma, grid_s.center, grid_i.center
-    )
-    projection = project_to_tfm(state, cfg.target.sigma, grid_s.center, grid_i.center)
-    return pair_fidelity(projection.coefficients, target.coefficients)
+        return purity(schmidt_decompose(state))
+    projection = project_to_tfm(state, cfg.target.sigma)
+    return pair_fidelity(projection.coefficients, cfg.target.coefficients)
 
 
 @pytest.mark.parametrize(
@@ -853,6 +840,13 @@ def tiny_search(**kw):
 def test_search_config_validation():
     with pytest.raises(ConfigError):
         SearchConfig(restarts=0)
+    # a restart count past the cap is rejected before a task list of that
+    # length is built; the cap admits the default 32
+    cap = inversion._MAX_RESTARTS
+    assert SearchConfig(restarts=cap).restarts == cap >= SearchConfig().restarts
+    for restarts in (cap + 1, 10**30):
+        with pytest.raises(ConfigError, match="restarts"):
+            SearchConfig(restarts=restarts)
     with pytest.raises(ConfigError):
         SearchConfig(mu_step=0.0)
     with pytest.raises(ConfigError):

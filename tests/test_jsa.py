@@ -213,7 +213,7 @@ def test_fast_path_exact_for_asymmetric_linear_pmf(c2):
 
 
 def test_zero_slope_skips_the_unity_pmf_exactly():
-    """With slope 0 the PMF is sinc(0) exp(i 0) = 1, so leaving it out
+    """With slope 0 the PMF is sinc(0) exp(i 0) = 1, so multiplying by it
     changes no value: the JSA equals ADP * PMF * TDSI, normalized, with the
     ADP taken on the sum index."""
     pump_grid = SpectralGrid(P0, 200e9, 256)

@@ -1,19 +1,22 @@
 """The package exports only what the program uses.
 
 Every public top-level function and class in src/tfm_synth is either
-referenced from another place in the package (a name, an attribute or an
-import; a docstring does not count) or re-exported by the package's
-__init__.  Reference implementations that only tests need live in
-tests/oracles.py, and nothing in the package imports them.
+referenced from another module of the package than __init__ (a name, an
+attribute or an import; a docstring does not count), or re-exported by
+the package's __init__ and named in README.md, where a user finds it.  A
+re-export alone is not a use.  Reference implementations that only tests
+need live in tests/oracles.py, and nothing in the package imports them.
 """
 
 import ast
 import pathlib
+import re
 
 import tfm_synth
 
 PACKAGE = pathlib.Path(tfm_synth.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _trees():
@@ -43,6 +46,8 @@ def _references(tree):
 def test_every_public_definition_has_a_caller_in_the_package():
     trees = _trees()
     refs = {module: _references(tree) for module, tree in trees.items()}
+    exported = {name for _, name in refs.pop("__init__")}
+    readme = README.read_text()
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -50,15 +55,19 @@ def test_every_public_definition_has_a_caller_in_the_package():
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ) or node.name.startswith("_"):
                 continue
-            if not any(
+            if any(
                 ref == node.name and (other != module or owner != node.name)
-                for other in trees
+                for other in refs
                 for owner, ref in refs[other]
+            ):
+                continue
+            if node.name not in exported or not re.search(
+                rf"\b{node.name}\b", readme
             ):
                 unused.append(f"tfm_synth.{module}.{node.name}")
     assert not unused, (
         "neither used inside the package nor re-exported by "
-        f"tfm_synth/__init__.py: {', '.join(unused)}"
+        f"tfm_synth/__init__.py and named in README.md: {', '.join(unused)}"
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from tfm_synth import load_preset, pulse_shaper, simulate
-from tfm_synth.analysis import TargetState, purity, schmidt_decompose
+from tfm_synth.analysis import purity, schmidt_decompose
 from tfm_synth.jsa import Jsa, normalize
 from tfm_synth.pulse_shaper import apply_envelope, fir_response
 from tfm_synth.simulate import build_grids
@@ -34,7 +34,7 @@ def assert_weights_match_svd(jsa):
     """schmidt_decompose's Gram-matrix eigenvalues agree with the
     values-only SVD to |d lambda_k| <= 1e-15 + 1e-12 lambda_k for k < 16,
     and on purity to 1e-14 relative."""
-    got = schmidt_decompose(jsa).weights
+    got = schmidt_decompose(jsa)
     want = oracles.svd_weights(jsa)
     k = min(16, got.size, want.size)
     assert k == min(16, want.size)
@@ -73,20 +73,15 @@ def test_values_only_weights_match_full_complex_svd(results):
         state = result.jsa
         a = state.amplitude.astype(complex) * np.sqrt(state.cell_area)
         s = np.linalg.svd(a, full_matrices=False)[1]
-        weights = result.schmidt.weights
+        weights = result.schmidt
         np.testing.assert_allclose(weights, (s * s)[: len(weights)], rtol=0, atol=1e-12)
 
 
 def test_fidelity_matches_uhlmann_oracle(results):
     for result in results.values():
-        cfg = result.config
-        target = TargetState(
-            cfg.target.dimension, cfg.target.sigma,
-            cfg.signal.omega0, cfg.idler.omega0,
-        )
         oracle = oracles.fidelity(
             oracles.pair_confined_rho(result.projection.coefficients),
-            oracles.target_rho(target),
+            oracles.target_rho(result.config.target),
         )
         assert result.fidelity == pytest.approx(oracle, rel=1e-7)
 
@@ -110,7 +105,7 @@ def test_gram_weights_match_svd_on_non_square_jsa(n_s, n_i):
     amp = np.exp(-((d_s + d_i) ** 2) / 0.5 - ((d_s - d_i) ** 2) / 8.0)
     amp = amp * np.exp(1j * (0.3 * d_s**2 - 0.7 * d_s * d_i))
     jsa = normalize(Jsa(grid_s, grid_i, amp))
-    assert schmidt_decompose(jsa).weights.size > 4
+    assert schmidt_decompose(jsa).size > 4
     assert_weights_match_svd(jsa)
 
 
