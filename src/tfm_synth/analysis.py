@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TargetConfig
+from .config import DeviceConfig, TargetConfig
 from .jsa import Jsa, normalize
 from .spectral import SpectralGrid, hg_mode
 
@@ -137,91 +137,59 @@ def fidelity_pure(psi_a: np.ndarray, psi_b: np.ndarray) -> float:
 _C_LIGHT = 299792458.0
 
 
-@dataclass(frozen=True)
-class PgrInput:
-    """Inputs to the pulsed-pump pairs-per-pulse estimate."""
+def pair_generation_rate(cfg: DeviceConfig) -> dict:
+    """Pairs per pulse and per second for the config's pulsed pump, with
+    the quantities derived on the way, keyed as `tfm-synth pgr` prints them.
 
-    gamma: float          # W^-1 m^-1
-    pulse_energy: float   # J
-    group_velocity: float # m/s
-    radius: float         # main-ring radius, m
-    omega_p0: float       # rad/s
-    q_tot: float
-    q_ext: float
-    rep_rate: float       # Hz
+    gamma = n2 w_p0 / (c A_eff), W = P_avg / R_rep, Q_tot = w_p0 / (2 sum
+    1/tau_m,p) over all pump stages (worst case: every resonance split),
+    Q_ext = w_p0 / kappa^2 and R = L_1 / (2 pi) give
 
-    def __post_init__(self):
-        for name in (
-            "gamma", "pulse_energy", "group_velocity", "radius",
-            "omega_p0", "q_tot", "q_ext", "rep_rate",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        N_pulse = 3 gamma^2 W^2 V_g^4 / (8 pi^2 R^2 w_p0^2) * Q_tot^6 / Q_ext^4.
 
-    @classmethod
-    def from_raw(
-        cls,
-        n2: float,
-        a_eff: float,
-        avg_power: float,
-        rep_rate: float,
-        group_velocity: float,
-        radius: float,
-        omega_p0: float,
-        kappa: float,
-        pump_decay_rates,
-    ) -> "PgrInput":
-        """Build from raw device constants.
-
-        Q_tot = w_p0 / (2 sum 1/tau_m,p) over all pump stages (worst case:
-        every resonance split), Q_ext = w_p0 / kappa^2, gamma = n2 w_p0 /
-        (c A_eff), W = P_avg / R_rep.  A derived quantity that underflows
-        to 0 or is not finite is a FloatingPointError.
-        """
-        with np.errstate(divide="ignore", over="ignore"):
-            derived = {
-                "gamma": n2 * omega_p0 / (_C_LIGHT * a_eff),
-                "pulse_energy": avg_power / rep_rate,
-                "q_tot": omega_p0 / (2.0 * np.sum(pump_decay_rates)),
-                # numpy's division: kappa^2 may underflow to 0
-                "q_ext": np.float64(omega_p0) / (kappa * kappa),
-            }
-        for name, value in derived.items():
-            if not 0.0 < value < np.inf:
-                raise FloatingPointError(
-                    f"{name} = {value:g} is out of floating-point range"
-                )
-        return cls(
-            **{name: float(value) for name, value in derived.items()},
-            group_velocity=group_velocity,
-            radius=radius,
-            omega_p0=omega_p0,
-            rep_rate=rep_rate,
-        )
-
-
-def pair_generation_rate(inp: PgrInput):
-    """Pairs per pulse and pairs per second for a pulsed pump.
-
-    N_pulse = 3 gamma^2 W^2 V_g^4 / (8 pi^2 R^2 w_p0^2) * Q_tot^6 / Q_ext^4.
-    A result that is not finite, or a power that overflows on the way, is
-    a FloatingPointError.
+    A derived quantity that underflows to 0 or is not finite, a power that
+    overflows on the way, or a result that is not finite is a
+    FloatingPointError.
     """
+    pgr, chain = cfg.pgr, cfg.pump_resonance
+    omega_p0 = chain.omega0
+    with np.errstate(divide="ignore", over="ignore"):
+        derived = {
+            "gamma": pgr.n2 * omega_p0 / (_C_LIGHT * pgr.a_eff),
+            "pulse_energy": pgr.avg_power / pgr.rep_rate,
+            "q_tot": omega_p0 / (2.0 * np.sum(chain.decay_rates)),
+            # numpy's division: kappa^2 may underflow to 0
+            "q_ext": np.float64(omega_p0) / (chain.kappa * chain.kappa),
+        }
+    for name, value in derived.items():
+        if not 0.0 < value < np.inf:
+            raise FloatingPointError(
+                f"{name} = {value:g} is out of floating-point range"
+            )
+    gamma, pulse_energy, q_tot, q_ext = (float(v) for v in derived.values())
+    radius = chain.perimeter / (2.0 * np.pi)
     try:
         n_pulse = (
             3.0
-            * inp.gamma**2
-            * inp.pulse_energy**2
-            * inp.group_velocity**4
-            / (8.0 * np.pi**2 * inp.radius**2 * inp.omega_p0**2)
-            * inp.q_tot**6
-            / inp.q_ext**4
+            * gamma**2
+            * pulse_energy**2
+            * chain.group_velocity**4
+            / (8.0 * np.pi**2 * radius**2 * omega_p0**2)
+            * q_tot**6
+            / q_ext**4
         )
     except OverflowError as exc:
         raise FloatingPointError(f"pair rate overflows: {exc}") from None
-    rate = n_pulse * inp.rep_rate
+    rate = n_pulse * pgr.rep_rate
     if not (np.isfinite(n_pulse) and np.isfinite(rate)):
         raise FloatingPointError(
             f"pair rate is not finite: {n_pulse} pairs per pulse, {rate} Hz"
         )
-    return n_pulse, rate
+    return {
+        "pairs_per_pulse": n_pulse,
+        "pgr_hz": rate,
+        "q_tot": q_tot,
+        "q_ext": q_ext,
+        "gamma": gamma,
+        "pulse_energy": pulse_energy,
+    }

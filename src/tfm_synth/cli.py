@@ -35,7 +35,7 @@ from .inversion import SearchConfig, mu_grid, optimize_state
 from .jsa import DegenerateFieldError, save_jsa_binary, save_jsa_sidecar
 from .pulse_shaper import DegenerateInputError
 from .resonator import bus_transmission, mzi_max_mu, mzi_phase_for_mu
-from .simulate import analysis_report, pgr_input, simulate
+from .simulate import analysis_report, simulate
 from .spectral import GridError
 from .units import UnitError, format_quantity, parse_quantity
 
@@ -280,16 +280,7 @@ def cmd_pgr(args) -> int:
     if args.rep_rate is not None:
         rep_rate = _power_or_rate(args.rep_rate, "frequency_hz", "--rep-rate")
         cfg = replace(cfg, pgr=replace(cfg.pgr, rep_rate=rep_rate))
-    inp = pgr_input(cfg)
-    n_pulse, rate = pair_generation_rate(inp)
-    print(json.dumps(_round9({
-        "pairs_per_pulse": n_pulse,
-        "pgr_hz": rate,
-        "q_tot": inp.q_tot,
-        "q_ext": inp.q_ext,
-        "gamma": inp.gamma,
-        "pulse_energy": inp.pulse_energy,
-    })))
+    print(json.dumps(_round9(pair_generation_rate(cfg))))
     return 0
 
 

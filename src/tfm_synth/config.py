@@ -177,6 +177,8 @@ def parse_config(tree: dict, name_hint: str = "") -> DeviceConfig:
     if not isinstance(tree, dict):
         raise ConfigError("top level of the config must be a mapping")
     name = tree.get("name", name_hint or "unnamed")
+    if not isinstance(name, str):
+        raise ConfigError(f"key 'name' must be a string, got {name!r}")
 
     tc = _get(tree, "target", "")
     target = TargetConfig(
@@ -281,10 +283,12 @@ def parse_config(tree: dict, name_hint: str = "") -> DeviceConfig:
 
 def load_config(path: str) -> DeviceConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             tree = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path!r} is not valid YAML: {exc}") from exc
     name_hint = os.path.splitext(os.path.basename(path))[0]

@@ -104,24 +104,26 @@ class MziCouplerSpec:
     """
 
     k_prime: float             # power coupling of each coupling region
-    phi_h1: float = 0.0        # upper-arm phase
-    phi_h2: float = 0.0        # lower-arm phase
-    phi_h3: float = 0.0        # output phase compensation
-    perimeter_main: float = 1.0      # L_1, m
-    perimeter_aux: float = 0.5       # L_2, m
-    group_velocity: float = 1.0      # m/s
+    perimeter_main: float      # L_1, m
+    perimeter_aux: float       # L_2, m
+    group_velocity: float      # m/s
 
     def __post_init__(self):
-        if not 0.0 <= self.k_prime < 1.0:
-            raise ValueError(f"k_prime must be in [0, 1), got {self.k_prime}")
+        # k' = 0 reaches no coupling at all: mu_max = 0
+        if not 0.0 < self.k_prime < 1.0:
+            raise ValueError(f"k_prime must be in (0, 1), got {self.k_prime}")
 
 
-def _composed_matrix(spec: MziCouplerSpec) -> np.ndarray:
-    bar = np.sqrt(1.0 - spec.k_prime)
-    cross = -1j * np.sqrt(spec.k_prime)
+def _composed_matrix(
+    k_prime: float, phi_h1: float, phi_h2: float, phi_h3: float
+) -> np.ndarray:
+    """Transfer matrix of the MZI with arm phases phi_h1, phi_h2 and the
+    output phase phi_h3."""
+    bar = np.sqrt(1.0 - k_prime)
+    cross = -1j * np.sqrt(k_prime)
     coupler = np.array([[bar, cross], [cross, bar]])
-    arms = np.diag([np.exp(1j * spec.phi_h1), np.exp(1j * spec.phi_h2)])
-    out = np.diag([np.exp(1j * spec.phi_h3), 1.0])
+    arms = np.diag([np.exp(1j * phi_h1), np.exp(1j * phi_h2)])
+    out = np.diag([np.exp(1j * phi_h3), 1.0])
     return out @ coupler @ arms @ coupler
 
 
@@ -147,7 +149,9 @@ def mzi_phase_for_mu(spec: MziCouplerSpec, target_mu: float) -> MziPhases:
     Convention: the arm phases are split symmetrically, phi_h1 = -phi_h2 =
     delta/2, and phi_h3 compensates the bar-path phase so the ring
     round-trip phase is unchanged.  target_mu = 0 returns the fully-bar
-    branch delta = pi.
+    branch delta = pi.  With r = target_mu / mu_max, phi_h1 = arccos(sqrt r),
+    so the finesse is 1 / (2 mu_max sqrt(r (1 - r))), infinite at r = 0
+    and r = 1.
     """
     mu_max = mzi_max_mu(spec)
     if target_mu < 0 or target_mu > mu_max:
@@ -155,20 +159,11 @@ def mzi_phase_for_mu(spec: MziCouplerSpec, target_mu: float) -> MziPhases:
             f"target mu {target_mu:.6g} outside achievable range [0, {mu_max:.6g}]"
         )
     delta = _delta_for_mu(spec, target_mu)
-    trial = MziCouplerSpec(
-        spec.k_prime, delta / 2.0, -delta / 2.0, 0.0,
-        spec.perimeter_main, spec.perimeter_aux, spec.group_velocity,
-    )
-    bar = _composed_matrix(trial)[0, 0]
+    bar = _composed_matrix(spec.k_prime, delta / 2.0, -delta / 2.0, 0.0)[0, 0]
     phi_h3 = -np.angle(bar) if abs(bar) > 0 else 0.0
-    # local finesse by central finite differences on the arm phase
-    eps = max(1e-9 * mu_max, 1e-30)
-    if 0.0 + eps < target_mu < mu_max - eps:
-        d_hi = _delta_for_mu(spec, target_mu + eps)
-        d_lo = _delta_for_mu(spec, target_mu - eps)
-        finesse = abs(d_hi - d_lo) / (4.0 * eps)
-    else:
-        finesse = np.inf
+    r = target_mu / mu_max
+    slope = 2.0 * mu_max * np.sqrt(r * (1.0 - r))
+    finesse = 1.0 / slope if slope > 0 else np.inf
     return MziPhases(delta / 2.0, -delta / 2.0, phi_h3, finesse)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    PgrInput,
     TfmProjection,
     pair_fidelity,
     pair_generation_rate,
@@ -49,7 +48,6 @@ class SimulationResult:
     k_prime: float
     purity: float
     higher_order_weight: float
-    pgr_input: PgrInput
     pairs_per_pulse: float
     pgr_hz: float
 
@@ -81,21 +79,6 @@ def reported_state(jsa_raw: Jsa) -> Jsa:
     return impose_pi_phase(normalize(mag, in_place=True))
 
 
-def pgr_input(cfg: DeviceConfig) -> PgrInput:
-    radius = cfg.pump_resonance.perimeter / (2.0 * np.pi)
-    return PgrInput.from_raw(
-        n2=cfg.pgr.n2,
-        a_eff=cfg.pgr.a_eff,
-        avg_power=cfg.pgr.avg_power,
-        rep_rate=cfg.pgr.rep_rate,
-        group_velocity=cfg.pump_resonance.group_velocity,
-        radius=radius,
-        omega_p0=cfg.pump_resonance.omega0,
-        kappa=cfg.pump_resonance.kappa,
-        pump_decay_rates=cfg.pump_resonance.decay_rates,
-    )
-
-
 def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult:
     """Run the forward model and compute all figures of merit."""
     pump_grid, grid_s, grid_i = build_grids(cfg, n_points)
@@ -113,8 +96,7 @@ def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult
     projection = project_to_tfm(state, cfg.target.sigma)
     fid = pair_fidelity(projection.coefficients, cfg.target.coefficients)
 
-    inp = pgr_input(cfg)
-    n_pulse, rate = pair_generation_rate(inp)
+    rate = pair_generation_rate(cfg)
 
     return SimulationResult(
         config=cfg,
@@ -131,9 +113,8 @@ def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult
         k_prime=schmidt_number(schmidt),
         purity=purity(schmidt),
         higher_order_weight=projection.higher_order_weight,
-        pgr_input=inp,
-        pairs_per_pulse=n_pulse,
-        pgr_hz=rate,
+        pairs_per_pulse=rate["pairs_per_pulse"],
+        pgr_hz=rate["pgr_hz"],
     )
 
 

@@ -170,14 +170,17 @@ def field_enhancement_two_stage(chain: ResonanceChain, grid: SpectralGrid) -> Fi
     return Field1D(grid, scale * numer / denom)
 
 
-def mzi_effective_mu(spec: MziCouplerSpec) -> float:
-    """Effective mutual coupling mu_12 realized by the MZI coupler, the
-    forward map of resonator.mzi_phase_for_mu.
+def mzi_effective_mu(
+    spec: MziCouplerSpec, phi_h1: float, phi_h2: float, phi_h3: float
+) -> float:
+    """Effective mutual coupling mu_12 realized by the MZI coupler set to
+    the phases phi_h1, phi_h2, phi_h3, the forward map of
+    resonator.mzi_phase_for_mu.
 
     mu_12 = k_12 sqrt(v_g^2 / (L_1 L_2)) with k_12 the power cross-coupling
     of the composed transfer matrix.
     """
-    k12 = abs(_composed_matrix(spec)[0, 1]) ** 2
+    k12 = abs(_composed_matrix(spec.k_prime, phi_h1, phi_h2, phi_h3)[0, 1]) ** 2
     return k12 * np.sqrt(
         spec.group_velocity**2 / (spec.perimeter_main * spec.perimeter_aux)
     )

@@ -1,11 +1,12 @@
 """Schmidt analysis, mode projection, fidelity, and pair rate."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
 from tfm_synth.analysis import (
-    PgrInput,
     PreconditionError,
     fidelity_pure,
     pair_fidelity,
@@ -16,7 +17,7 @@ from tfm_synth.analysis import (
     schmidt_number,
     target_jsa,
 )
-from tfm_synth.config import TargetConfig
+from tfm_synth.config import PgrConfig, TargetConfig, load_preset
 from tfm_synth.jsa import Jsa, normalize
 from tfm_synth.spectral import SpectralGrid, hg_mode
 
@@ -181,41 +182,58 @@ def test_fidelity_requires_unit_trace():
 # ---------------------------------------------------------------------------
 # pair generation rate
 
+def pgr_config(
+    n2, a_eff, avg_power, rep_rate, group_velocity, radius, omega_p0, kappa,
+    pump_decay_rates,
+):
+    """The Bell preset with its pump chain and pair-rate constants replaced."""
+    cfg = load_preset("bell_phi_minus")
+    chain = replace(
+        cfg.pump_resonance,
+        omega0=omega_p0,
+        decay_rates=pump_decay_rates,
+        kappa=kappa,
+        couplings=(0.0,) * (len(pump_decay_rates) - 1),
+        perimeter=2.0 * np.pi * radius,
+        group_velocity=group_velocity,
+    )
+    return replace(
+        cfg, pump_resonance=chain, pgr=PgrConfig(n2, a_eff, avg_power, rep_rate)
+    )
+
+
+# gamma = 100 / (W m), W = 2 pJ, V_g = 7e7 m/s, R = 1e-4 m, w_p0 = 1.2e15
+# rad/s, Q_tot = 3e4, Q_ext = 6e4 and 500 MHz, up to round-off
+ROUND = dict(
+    n2=100.0 * 299792458.0 * 1e-12 / 1.2e15, a_eff=1e-12, rep_rate=5e8,
+    group_velocity=7e7, radius=1e-4, omega_p0=1.2e15, kappa=np.sqrt(2e10),
+    pump_decay_rates=(2e10,),
+)
+
+
 def test_pgr_closed_form_oracle():
     """Hand-evaluated rate formula for simple round numbers."""
-    inp = PgrInput(
-        gamma=100.0,
-        pulse_energy=2e-12,
-        group_velocity=7e7,
-        radius=1e-4,
-        omega_p0=1.2e15,
-        q_tot=3e4,
-        q_ext=6e4,
-        rep_rate=5e8,
-    )
-    n_pulse, rate = pair_generation_rate(inp)
+    rate = pair_generation_rate(pgr_config(avg_power=1e-3, **ROUND))
     expect = (
         3.0 * 100.0**2 * (2e-12) ** 2 * (7e7) ** 4
         / (8.0 * np.pi**2 * (1e-4) ** 2 * (1.2e15) ** 2)
         * (3e4) ** 6
         / (6e4) ** 4
     )
-    assert n_pulse == pytest.approx(expect, rel=1e-12)
-    assert rate == pytest.approx(expect * 5e8, rel=1e-12)
+    assert rate["pairs_per_pulse"] == pytest.approx(expect, rel=1e-12)
+    assert rate["pgr_hz"] == pytest.approx(expect * 5e8, rel=1e-12)
 
 
 def test_pgr_quadratic_in_pulse_energy():
-    base = dict(
-        gamma=100.0, group_velocity=7e7, radius=1e-4, omega_p0=1.2e15,
-        q_tot=3e4, q_ext=6e4, rep_rate=5e8,
+    n1 = pair_generation_rate(pgr_config(avg_power=1e-3, **ROUND))
+    n2 = pair_generation_rate(pgr_config(avg_power=4e-3, **ROUND))
+    assert n2["pairs_per_pulse"] / n1["pairs_per_pulse"] == pytest.approx(
+        16.0, rel=1e-12
     )
-    n1, _ = pair_generation_rate(PgrInput(pulse_energy=2e-12, **base))
-    n2, _ = pair_generation_rate(PgrInput(pulse_energy=8e-12, **base))
-    assert n2 / n1 == pytest.approx(16.0, rel=1e-12)
 
 
 def test_pgr_from_raw_quality_factors():
-    inp = PgrInput.from_raw(
+    rate = pair_generation_rate(pgr_config(
         n2=5.59e-18,
         a_eff=1.91e-13,
         avg_power=1e-3,
@@ -225,18 +243,10 @@ def test_pgr_from_raw_quality_factors():
         omega_p0=1215.075e12,
         kappa=0.0985e6,
         pump_decay_rates=(7.26e9, 2.44e9),
-    )
-    assert inp.q_tot == pytest.approx(1215.075e12 / (2.0 * 9.70e9), rel=1e-12)
-    assert inp.q_ext == pytest.approx(1215.075e12 / 0.0985e6**2, rel=1e-12)
-    assert inp.pulse_energy == pytest.approx(2e-12)
-    assert inp.gamma == pytest.approx(
+    ))
+    assert rate["q_tot"] == pytest.approx(1215.075e12 / (2.0 * 9.70e9), rel=1e-12)
+    assert rate["q_ext"] == pytest.approx(1215.075e12 / 0.0985e6**2, rel=1e-12)
+    assert rate["pulse_energy"] == pytest.approx(2e-12)
+    assert rate["gamma"] == pytest.approx(
         5.59e-18 * 1215.075e12 / (299792458.0 * 1.91e-13), rel=1e-12
     )
-
-
-def test_pgr_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        PgrInput(
-            gamma=0.0, pulse_energy=1e-12, group_velocity=7e7, radius=1e-4,
-            omega_p0=1e15, q_tot=1e4, q_ext=1e4, rep_rate=1e8,
-        )

@@ -16,7 +16,7 @@ import oracles
 from tfm_synth import cli, inversion
 from tfm_synth.cli import main
 from tfm_synth.config import PRESET_NAMES, load_preset, preset_path
-from tfm_synth.resonator import MziCouplerSpec, bus_transmission
+from tfm_synth.resonator import bus_transmission
 from tfm_synth.simulate import simulate
 
 
@@ -239,6 +239,18 @@ def test_malformed_yaml_exits_2(tmp_path, capsys):
     assert "not valid YAML" in stderr
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code, stdout, stderr = run(
+        capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "o")
+    )
+    assert code == 2
+    assert "config error" in stderr
+    assert str(path) in stderr
+    assert stdout == ""
+
+
 def test_unknown_preset_exits_2(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "simulate", "--config", "no_such_preset",
@@ -290,7 +302,7 @@ def test_pgr_bad_power_exits_2(capsys):
 def _preset_with(tmp_path, section, key, value):
     with open(preset_path("bell_phi_minus")) as fh:
         tree = yaml.safe_load(fh)
-    tree[section][key] = value
+    (tree[section] if section else tree)[key] = value
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(tree))
     return str(path)
@@ -345,6 +357,10 @@ def test_bad_flags_exit_2(tmp_path, capsys, argv):
         ("target", "dimension", 2.7),
         ("grid", "n_points", 10**30),
         ("grid", "pump_points", 10**30),
+        ("mzi", "k_prime", 0),
+        (None, "name", ["x"]),
+        (None, "name", 5),
+        (None, "name", None),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
@@ -458,12 +474,7 @@ def test_sweep_mzi_round_trip(capsys):
     spec = _mzi_spec()
     for line in lines[1:]:
         mu, h1, h2, h3, _ = (float(v) for v in line.split(","))
-        realized = oracles.mzi_effective_mu(
-            MziCouplerSpec(
-                spec.k_prime, h1, h2, h3,
-                spec.perimeter_main, spec.perimeter_aux, spec.group_velocity,
-            )
-        )
+        realized = oracles.mzi_effective_mu(spec, h1, h2, h3)
         assert realized == pytest.approx(mu, abs=1e-6 * max(mu, 1e9))
 
 
@@ -476,6 +487,16 @@ def test_sweep_mzi_zero_row_is_bar_state(capsys):
     # delta = pi split symmetrically across the arms
     assert float(first[1]) == pytest.approx(np.pi / 2.0)
     assert float(first[2]) == pytest.approx(-np.pi / 2.0)
+
+
+def test_sweep_mzi_zero_k_prime_exits_2(tmp_path, capsys):
+    """k' = 0 reaches no coupling: a config error, not a sweep of NaN rows."""
+    config = _preset_with(tmp_path, "mzi", "k_prime", 0)
+    code, stdout, stderr = run(capsys, "sweep-mzi", "--config", config)
+    assert code == 2
+    assert "config error" in stderr
+    assert "k_prime" in stderr
+    assert stdout == ""
 
 
 def test_sweep_mzi_truncation_warning(tmp_path, capsys):

@@ -108,10 +108,9 @@ MZI = MziCouplerSpec(
 
 
 def test_mzi_balanced_arms_give_max_coupling():
-    balanced = MziCouplerSpec(
-        0.05, 0.0, 0.0, 0.0, L1, L1 / 2.0, VG
+    assert oracles.mzi_effective_mu(MZI, 0.0, 0.0, 0.0) == pytest.approx(
+        mzi_max_mu(MZI)
     )
-    assert oracles.mzi_effective_mu(balanced) == pytest.approx(mzi_max_mu(balanced))
 
 
 def test_mzi_max_mu_formula():
@@ -123,11 +122,9 @@ def test_mzi_phase_inverse_round_trip():
     """Forward map of the solved phases reproduces the target mu to 1e-6."""
     for mu in [0.0, 0.5e9, 1.45e9, 3.0e9, 5.0e9]:
         phases = mzi_phase_for_mu(MZI, mu)
-        solved = MziCouplerSpec(
-            0.05, phases.phi_h1, phases.phi_h2, phases.phi_h3,
-            L1, L1 / 2.0, VG,
+        got = oracles.mzi_effective_mu(
+            MZI, phases.phi_h1, phases.phi_h2, phases.phi_h3
         )
-        got = oracles.mzi_effective_mu(solved)
         assert abs(got - mu) <= 1e-6 * max(mu, 1.0), mu
 
 
@@ -148,10 +145,9 @@ def test_mzi_output_phase_compensates_bar_path():
     from tfm_synth.resonator import _composed_matrix
 
     phases = mzi_phase_for_mu(MZI, 1.45e9)
-    solved = MziCouplerSpec(
-        0.05, phases.phi_h1, phases.phi_h2, phases.phi_h3, L1, L1 / 2.0, VG
-    )
-    bar = _composed_matrix(solved)[0, 0]
+    bar = _composed_matrix(
+        MZI.k_prime, phases.phi_h1, phases.phi_h2, phases.phi_h3
+    )[0, 0]
     assert abs(np.angle(bar)) < 1e-9
 
 
@@ -166,3 +162,21 @@ def test_mzi_lower_k_prime_higher_finesse():
         f_weak = mzi_phase_for_mu(weak, mu).finesse
         f_strong = mzi_phase_for_mu(strong, mu).finesse
         assert f_weak > f_strong
+
+
+def test_mzi_finesse_is_the_closed_form():
+    """phi_h1 = arccos(sqrt(mu / mu_max)), so |d phi_h1 / d mu| =
+    1 / (mu_max |sin 2 phi_h1|) inside the range and infinite at its ends."""
+    mu_max = mzi_max_mu(MZI)
+    for mu in [1e9, 5e9, 10e9, 20e9, 26e9]:
+        phases = mzi_phase_for_mu(MZI, mu)
+        want = 1.0 / (mu_max * abs(np.sin(2.0 * phases.phi_h1)))
+        assert phases.finesse == pytest.approx(want, rel=1e-10, abs=0.0), mu
+    assert mzi_phase_for_mu(MZI, 0.0).finesse == np.inf
+    assert mzi_phase_for_mu(MZI, mu_max).finesse == np.inf
+
+
+@pytest.mark.parametrize("k_prime", [0.0, 1.0])
+def test_mzi_k_prime_outside_the_open_unit_interval_rejected(k_prime):
+    with pytest.raises(ValueError, match="k_prime"):
+        MziCouplerSpec(k_prime, L1, L1 / 2.0, VG)
