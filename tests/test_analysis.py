@@ -220,7 +220,7 @@ def test_pgr_closed_form_oracle():
         * (3e4) ** 6
         / (6e4) ** 4
     )
-    assert rate["pairs_per_pulse"] == pytest.approx(expect, rel=1e-12)
+    assert rate["pairs_per_pulse"] == pytest.approx(expect, rel=1e-12, abs=0.0)
     assert rate["pgr_hz"] == pytest.approx(expect * 5e8, rel=1e-12)
 
 
@@ -246,7 +246,7 @@ def test_pgr_from_raw_quality_factors():
     ))
     assert rate["q_tot"] == pytest.approx(1215.075e12 / (2.0 * 9.70e9), rel=1e-12)
     assert rate["q_ext"] == pytest.approx(1215.075e12 / 0.0985e6**2, rel=1e-12)
-    assert rate["pulse_energy"] == pytest.approx(2e-12)
+    assert rate["pulse_energy"] == pytest.approx(2e-12, rel=1e-12, abs=0.0)
     assert rate["gamma"] == pytest.approx(
         5.59e-18 * 1215.075e12 / (299792458.0 * 1.91e-13), rel=1e-12
     )

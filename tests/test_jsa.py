@@ -212,35 +212,65 @@ def test_fast_path_exact_for_asymmetric_linear_pmf(c2):
     )
 
 
-def test_zero_slope_skips_the_unity_pmf_exactly():
-    """With slope 0 the PMF is sinc(0) exp(i 0) = 1, so multiplying by it
-    changes no value: the JSA equals ADP * PMF * TDSI, normalized, with the
-    ADP taken on the sum index."""
-    pump_grid = SpectralGrid(P0, 200e9, 256)
-    gs = SpectralGrid(S0, 40e9, 48)
-    gi = SpectralGrid(I0, 40e9, 48)
+def _two_d_product(n, disp, half=40e9):
+    """(pump, l_p, l_s, l_i) of an n^2 device and the JSA computed as
+    ADP * PMF * TDSI with the PMF on the full 2-D grid of detunings,
+    normalized, the ADP taken on the sum index."""
+    pump_grid = SpectralGrid(P0, 5.0 * half, 256)
+    gs = SpectralGrid(S0, half, n)
+    gi = SpectralGrid(I0, half, n)
     rng = np.random.default_rng(2)
     pump = Field1D(
         pump_grid,
-        gaussian_field(pump_grid, P0, 25e9).values
+        gaussian_field(pump_grid, P0, 0.625 * half).values
         * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 256)),
     )
-    l_p = Field1D(pump_grid, 1.0 / (1j * (pump_grid.samples - P0) + 8e9))
-    l_s = Field1D(gs, 1.0 / (1j * (gs.samples - S0) + 6e9))
-    l_i = Field1D(gi, 1.0 / (1j * (gi.samples - I0) + 6e9))
-    disp = DispersionModel(c1=1.0, c2=-0.8, slope=0.0, length=7.2e-4)
+    l_p = Field1D(pump_grid, 1.0 / (1j * (pump_grid.samples - P0) + 0.2 * half))
+    l_s = Field1D(gs, 1.0 / (1j * (gs.samples - S0) + 0.15 * half))
+    l_i = Field1D(gi, 1.0 / (1j * (gi.samples - I0) + 0.15 * half))
     d_s = (gs.samples - S0)[:, None]
     d_i = (gi.samples - I0)[None, :]
     adp = AdpModel(pump_grid, sum_axis(gs, gi)[0])(pump.values * l_p.values)
     want = normalize(
         Jsa(
             gs, gi,
-            sliding_window_view(adp, 48) * pmf(disp, d_s, d_i)
+            sliding_window_view(adp, n) * pmf(disp, d_s, d_i)
             * np.outer(l_s.values, l_i.values),
         )
     )
-    got = compute_jsa(pump, l_p, l_s, l_i, disp)
-    assert np.array_equal(got.amplitude, want.amplitude)
+    return (pump, l_p, l_s, l_i), want.amplitude
+
+
+def test_zero_slope_skips_the_unity_pmf_exactly():
+    """With slope 0 the PMF is sinc(0) exp(i 0) = 1, so multiplying by it
+    changes no value: the JSA equals ADP * PMF * TDSI, normalized, with the
+    ADP taken on the sum index."""
+    disp = DispersionModel(c1=1.0, c2=-0.8, slope=0.0, length=7.2e-4)
+    spectra, want = _two_d_product(48, disp)
+    assert np.array_equal(compute_jsa(*spectra, disp).amplitude, want)
+
+
+def test_asymmetric_pmf_stays_on_the_two_d_grid():
+    """With c1 != -c2 the PMF is not a function of w_s - w_i, and
+    compute_jsa evaluates it on the 2-D grid: the JSA equals the 2-D
+    product bit for bit."""
+    disp = DispersionModel(c1=1.0, c2=-0.8, slope=1e-9, length=7.2e-4)
+    spectra, want = _two_d_product(64, disp)
+    assert np.array_equal(compute_jsa(*spectra, disp).amplitude, want)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("c1", [1.0, 0.7])
+def test_antisymmetric_pmf_read_on_the_differences(c1, n):
+    """With c1 = -c2 compute_jsa takes the PMF at the 2n - 1 differences
+    (j - k) dw and reads it through a Toeplitz view.  It agrees with the
+    2-D product to 1e-12 of the peak, on even and odd grids.  The span is
+    like the presets': the 2-D route's detunings carry the round-off of
+    absolute frequencies near 1.2e15 rad/s, under 1e-12 of this span."""
+    disp = DispersionModel(c1=c1, c2=-c1, slope=1e-9, length=7.2e-4)
+    spectra, want = _two_d_product(n, disp, half=350e9)
+    got = compute_jsa(*spectra, disp).amplitude
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("n", [64, 65, 128])
@@ -515,3 +545,28 @@ def test_save_binary_bytes_follow_documented_layout(tmp_path, dtype):
     meta = json.loads(meta_path.read_text())
     assert meta["dtype"] == "<f8"
     assert meta["shape"] == [3, 5, 2]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "negated real"])
+def test_save_binary_matches_the_interleaved_staging_array(tmp_path, kind):
+    """jsa.bin holds the bytes of an (idler, signal, 2) '<f8' array of
+    (re, im) pairs, the signal index fastest, for real amplitudes (whose
+    imaginary parts are written as +0.0), complex ones and negated real
+    ones (whose zeros are -0.0)."""
+    gs = SpectralGrid(S0, 40e9, 37)
+    gi = SpectralGrid(I0, 40e9, 29)
+    rng = np.random.default_rng(11)
+    amp = rng.normal(size=(37, 29))
+    amp[::5, ::3] = 0.0
+    if kind == "complex":
+        amp = amp + 1j * rng.normal(size=(37, 29))
+    elif kind == "negated real":
+        amp = -amp
+    jsa = Jsa(gs, gi, amp)
+    staged = np.empty((29, 37, 2))
+    staged[:, :, 0] = jsa.amplitude.real.T
+    staged[:, :, 1] = jsa.amplitude.imag.T
+    bin_path = tmp_path / "jsa.bin"
+    with open(bin_path, "wb") as fh:
+        save_jsa_binary(jsa, fh)
+    assert bin_path.read_bytes() == staged.astype("<f8").tobytes()
