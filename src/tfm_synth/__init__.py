@@ -11,13 +11,13 @@ for a requested target state.
 """
 
 from .config import (
-    ConfigError,
     DeviceConfig,
     PRESET_NAMES,
     load_config,
     load_preset,
     preset_path,
 )
+from .errors import ConfigError, NumericalError
 from .jsa import load_jsa_binary
 from .simulate import SimulationResult, analysis_report, simulate
 
@@ -26,6 +26,7 @@ __version__ = "1.0.0"
 __all__ = [
     "ConfigError",
     "DeviceConfig",
+    "NumericalError",
     "PRESET_NAMES",
     "SimulationResult",
     "analysis_report",

@@ -18,12 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DeviceConfig, TargetConfig
+from .errors import NumericalError
 from .jsa import Jsa, normalize
 from .spectral import SpectralGrid, hg_mode
-
-
-class PreconditionError(ValueError):
-    """Input violates a documented precondition."""
 
 
 def schmidt_decompose(jsa: Jsa) -> np.ndarray:
@@ -37,7 +34,7 @@ def schmidt_decompose(jsa: Jsa) -> np.ndarray:
     about eps * lambda_max, the scale the 1e-14 threshold assumes.
     """
     if not jsa.normalized:
-        raise PreconditionError("schmidt_decompose requires a normalized JSA")
+        raise NumericalError("schmidt_decompose requires a normalized JSA")
     a = jsa.amplitude
     if a.shape[0] > a.shape[1]:
         a = a.T
@@ -53,7 +50,7 @@ def schmidt_number(weights) -> float:
     """Practical Schmidt number K' = 1 / sum(lambda_k^2)."""
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
-        raise PreconditionError("empty weight list")
+        raise NumericalError("empty weight list")
     return float(1.0 / np.sum(w * w))
 
 
@@ -61,7 +58,7 @@ def purity(weights) -> float:
     """Spectral purity P = sum(lambda_k^2) = 1 / K'."""
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
-        raise PreconditionError("empty weight list")
+        raise NumericalError("empty weight list")
     return float(np.sum(w * w))
 
 
@@ -98,7 +95,7 @@ def project_to_tfm(jsa: Jsa, sigma: float) -> TfmProjection:
     modes.  The amplitudes are the matrix product modes_s F modes_i^T
     dw_s dw_i of the real HG mode rows."""
     if not jsa.normalized:
-        raise PreconditionError("project_to_tfm requires a normalized JSA")
+        raise NumericalError("project_to_tfm requires a normalized JSA")
     modes_s = hg_basis(4, jsa.grid_s, sigma)
     modes_i = hg_basis(4, jsa.grid_i, sigma)
     c = modes_s @ jsa.amplitude @ modes_i.T * jsa.cell_area
@@ -120,7 +117,7 @@ def pair_fidelity(coefficients: np.ndarray, target_coefficients) -> float:
     ckk = np.diagonal(np.asarray(coefficients))
     w = float(np.sum(np.abs(ckk) ** 2))
     if w == 0.0:
-        raise PreconditionError("state has no weight on the HG pair modes")
+        raise NumericalError("state has no weight on the HG pair modes")
     t = np.zeros(ckk.size)
     t[: len(target_coefficients)] = target_coefficients
     return fidelity_pure(t, ckk) / w
@@ -149,7 +146,7 @@ def pair_generation_rate(cfg: DeviceConfig) -> dict:
 
     A derived quantity that underflows to 0 or is not finite, a power that
     overflows on the way, or a result that is not finite is a
-    FloatingPointError.
+    NumericalError.
     """
     pgr, chain = cfg.pgr, cfg.pump_resonance
     omega_p0 = chain.omega0
@@ -163,7 +160,7 @@ def pair_generation_rate(cfg: DeviceConfig) -> dict:
         }
     for name, value in derived.items():
         if not 0.0 < value < np.inf:
-            raise FloatingPointError(
+            raise NumericalError(
                 f"{name} = {value:g} is out of floating-point range"
             )
     gamma, pulse_energy, q_tot, q_ext = (float(v) for v in derived.values())
@@ -179,10 +176,10 @@ def pair_generation_rate(cfg: DeviceConfig) -> dict:
             / q_ext**4
         )
     except OverflowError as exc:
-        raise FloatingPointError(f"pair rate overflows: {exc}") from None
+        raise NumericalError(f"pair rate overflows: {exc}") from None
     rate = n_pulse * pgr.rep_rate
     if not (np.isfinite(n_pulse) and np.isfinite(rate)):
-        raise FloatingPointError(
+        raise NumericalError(
             f"pair rate is not finite: {n_pulse} pairs per pulse, {rate} Hz"
         )
     return {

@@ -1,6 +1,7 @@
 """Command-line interface: simulate, optimize, pgr, sweep-mzi.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (errors.ConfigError), 3
+numerical failure (errors.NumericalError or numpy's LinAlgError).
 All floating-point values in emitted files and stdout are written with
 9 significant digits.  File writes are atomic (temp file + rename), and
 the files are created with mode 0666 less the umask.  `simulate` formats
@@ -22,33 +23,20 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from .analysis import PreconditionError, pair_generation_rate
+from .analysis import pair_generation_rate
 from .config import (
-    ConfigError,
     DeviceConfig,
     PRESET_NAMES,
     _GRID_MAX_POINTS,
     load_config,
     load_preset,
 )
+from .errors import ConfigError, NumericalError
 from .inversion import SearchConfig, mu_grid, optimize_state
-from .jsa import DegenerateFieldError, save_jsa_binary, save_jsa_sidecar
-from .pulse_shaper import DegenerateInputError
+from .jsa import save_jsa_binary, save_jsa_sidecar
 from .resonator import bus_transmission, mzi_max_mu, mzi_phase_for_mu
 from .simulate import analysis_report, simulate
-from .spectral import GridError
-from .units import UnitError, format_quantity, parse_quantity
-
-
-_CONFIG_ERRORS = (ConfigError, UnitError)
-_NUMERICAL_ERRORS = (
-    GridError,
-    DegenerateFieldError,
-    DegenerateInputError,
-    PreconditionError,
-    FloatingPointError,
-    np.linalg.LinAlgError,
-)
+from .units import format_quantity, parse_quantity
 
 
 def _round9(obj):
@@ -100,7 +88,7 @@ def _power_or_rate(raw: str, kind: str, field: str) -> float:
     """Parse a flag quantity, accepting both '4 mW' and '4mW' spellings."""
     try:
         return parse_quantity(raw, kind, field=field)
-    except UnitError:
+    except ConfigError:
         m = re.fullmatch(r"\s*([0-9eE.+-]+)\s*([A-Za-z/^()0-9 ]+?)\s*", raw)
         if m:
             return parse_quantity(f"{m.group(1)} {m.group(2)}", kind, field=field)
@@ -406,10 +394,10 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"tfm-synth: config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"tfm-synth: numerical error: {exc}", file=sys.stderr)
         return 3
 

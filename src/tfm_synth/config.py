@@ -17,18 +17,15 @@ from typing import Optional
 import numpy as np
 import yaml
 
+from .errors import ConfigError
 from .phase_matching import DispersionModel
 from .pulse_shaper import PumpSpec, Tap
 from .resonator import MziCouplerSpec, ResonanceChain
-from .units import UnitError, parse_quantity
+from .units import parse_quantity
 
 # libyaml's parser when pyyaml was built with it: the same safe schema,
 # about 9x faster on a preset than the pure-Python one
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-class ConfigError(ValueError):
-    """Invalid or incomplete configuration; the message names the key."""
 
 
 PRESET_NAMES = ("bell_phi_minus", "mes_d3", "mes_d4", "separable")
@@ -119,11 +116,7 @@ def _get(tree, key, context):
 
 
 def _quantity(tree, key, kind, context):
-    raw = _get(tree, key, context)
-    try:
-        return parse_quantity(raw, kind, field=context + key)
-    except UnitError as exc:
-        raise ConfigError(str(exc)) from exc
+    return parse_quantity(_get(tree, key, context), kind, field=context + key)
 
 
 def _number(tree, key, context):
@@ -147,23 +140,17 @@ def _chain(tree, label, kappa, perimeter, group_velocity, context):
     rates_raw = _get(tree, "decay_rates", context)
     if not isinstance(rates_raw, list) or not rates_raw:
         raise ConfigError(f"key '{context}decay_rates' must be a non-empty list")
-    try:
-        rates = tuple(
-            parse_quantity(r, "angular_frequency", field=f"{context}decay_rates[{i}]")
-            for i, r in enumerate(rates_raw)
-        )
-    except UnitError as exc:
-        raise ConfigError(str(exc)) from exc
+    rates = tuple(
+        parse_quantity(r, "angular_frequency", field=f"{context}decay_rates[{i}]")
+        for i, r in enumerate(rates_raw)
+    )
     couplings_raw = _get(tree, "couplings", context)
     if not isinstance(couplings_raw, list):
         raise ConfigError(f"key '{context}couplings' must be a list")
-    try:
-        couplings = tuple(
-            parse_quantity(c, "angular_frequency", field=f"{context}couplings[{i}]")
-            for i, c in enumerate(couplings_raw)
-        )
-    except UnitError as exc:
-        raise ConfigError(str(exc)) from exc
+    couplings = tuple(
+        parse_quantity(c, "angular_frequency", field=f"{context}couplings[{i}]")
+        for i, c in enumerate(couplings_raw)
+    )
     try:
         return ResonanceChain(
             label, omega0, rates, kappa, couplings, perimeter, group_velocity

@@ -34,14 +34,14 @@ reports for the design.  With it unity, the reported trial state is
 sum frequency times a product, so every trial score (each restart's
 record and every polish step) starts from the 2n - 1 sum frequencies of
 the n^2 grid: an entangled target reads its HG pair amplitudes off them,
-and the separable target's purity takes the Schmidt weights of the n^2
-state built from them.  An entangled target's trial score, on the
-configured grid and the polish's pump grid, agrees with the verification
-to a few 1e-5, so the mu points are ranked by it and only the polish's
-leaders and their polished parameters are verified.  The separable
-target's purity depends on the phase matching the trial score leaves
-out, so its mu points are ranked by the verification of each point's
-best restart.
+and the separable target's purity is the squared Frobenius norm of the
+Gram matrix of the n^2 state built from them.  An entangled target's
+trial score, on the configured grid and the polish's pump grid, agrees
+with the verification to a few 1e-5, so the mu points are ranked by it
+and only the polish's leaders and their polished parameters are
+verified.  The separable target's purity depends on the phase matching
+the trial score leaves out, so its mu points are ranked by the
+verification of each point's best restart.
 """
 
 from __future__ import annotations
@@ -57,24 +57,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis import (
-    hg_basis,
-    pair_fidelity,
-    purity,
-    schmidt_decompose,
-    target_jsa,
-)
-from .config import ConfigError, DeviceConfig
+from .analysis import hg_basis, pair_fidelity, target_jsa
+from .config import DeviceConfig
+from .errors import ConfigError, NumericalError
 from .jsa import (
     AdpModel,
-    DegenerateFieldError,
     Jsa,
     _bilinear,
     _check_adp_input,
     flip_signs,
     sum_axis,
 )
-from .pulse_shaper import DegenerateInputError, PumpSpec, Tap, tap_phasors, tap_sum
+from .pulse_shaper import PumpSpec, Tap, tap_phasors, tap_sum
 from .resonator import field_enhancement_chain
 from .simulate import build_grids, simulate
 from .spectral import Field1D, SpectralGrid
@@ -163,9 +157,10 @@ class SearchConfig:
 
 
 def mu_grid(mu_min: float, mu_max: float, mu_step: float) -> np.ndarray:
-    """mu_min, mu_min + mu_step, ... up to mu_max, which a step may
-    overshoot by 1e-9 of itself; an empty range, or a step so small that
-    the grid would pass _MU_GRID_MAX_POINTS, is a ConfigError."""
+    """mu_min, mu_min + mu_step, ... up to mu_max; a last point that
+    overshoots mu_max by up to 1e-9 of a step is clipped to it, so no point
+    passes mu_max.  An empty range, or a step so small that the grid would
+    pass _MU_GRID_MAX_POINTS, is a ConfigError."""
     steps = np.floor((mu_max - mu_min) / mu_step + 1e-9)
     if not steps < _MU_GRID_MAX_POINTS:
         raise ConfigError(
@@ -177,7 +172,7 @@ def mu_grid(mu_min: float, mu_max: float, mu_step: float) -> np.ndarray:
         raise ConfigError(
             f"empty mu grid: min {mu_min}, max {mu_max}, step {mu_step}"
         )
-    return mu_min + mu_step * np.arange(n)
+    return np.minimum(mu_min + mu_step * np.arange(n), mu_max)
 
 
 @dataclass(frozen=True)
@@ -218,7 +213,7 @@ def _target_profile(target: Jsa, l_s: Field1D, l_i: Field1D) -> np.ndarray:
     mag2 = np.abs(tdsi) ** 2
     peak = np.max(mag2)
     if peak == 0.0:
-        raise DegenerateInputError("TDSI is identically zero")
+        raise NumericalError("TDSI is identically zero")
     g = target.amplitude * np.conj(tdsi) / (mag2 + _EPSILON * _EPSILON * peak)
     grid_s, grid_i = target.grid_s, target.grid_i
     u = _profile_offsets(grid_s, grid_i)
@@ -270,7 +265,7 @@ def _magnitude_fit(profiles, sums, template: PumpSpec, grid: SpectralGrid, l_ps)
     reduction runs along a contiguous last axis.
     """
     if not np.all(np.any(profiles, axis=-1)):
-        raise DegenerateInputError("profile is identically zero")
+        raise NumericalError("profile is identically zero")
     data_mag = np.abs(
         profiles / np.sqrt(np.sum(np.abs(profiles) ** 2, axis=-1))[:, None]
     )
@@ -439,9 +434,12 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
     pair_fidelity of c_kk = dA C_k.(s |ADP|) / N, the diagonal pair
     amplitudes (Brecht et al., PRX 5, 041017 (2015)).  A target of one
     coefficient (the separable target) scores the purity, which needs the
-    Schmidt weights of the whole state: the score builds the n^2 state
-    s |ADP|[j + k] |l_s[j]| |l_i[k]| / N through a Hankel view of the
-    sums and takes its weights from schmidt_decompose, as simulate does.
+    whole state: the score builds the n^2 state A = s |ADP|[j + k] |l_s[j]|
+    |l_i[k]| / N through a Hankel view of the sums and returns the sum of
+    the squared Schmidt weights as ||G||_F^2 of the real Gram matrix
+    G = A A^T dA.  A is normalized before the product: scaling the
+    product by (dA / N^2)^2 instead gives NaN once N^2 is tiny (1.3e-203
+    on one restart of the separable search).
     It raises what simulate raises on degenerate input.
     """
     chain = chain or field_enhancement_chain
@@ -488,7 +486,7 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
                 a = np.abs(adp(apl))
                 norm2 = cell_area * np.dot(weight, a * a)
                 if norm2 == 0.0:
-                    raise DegenerateFieldError("cannot normalize an all-zero JSA")
+                    raise NumericalError("cannot normalize an all-zero JSA")
                 cut = np.empty(2 * n - 1)
                 cut[0::2] = a[0::2] * node
                 cut[1::2] = (
@@ -498,8 +496,9 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
                 if separable:
                     amp = sliding_window_view(a, n) * filt
                     amp *= 1.0 / np.sqrt(norm2)
-                    state = Jsa(grid_s, grid_i, amp, normalized=True)
-                    return purity(schmidt_decompose(state))
+                    g = amp @ amp.T
+                    g *= cell_area
+                    return float(np.sum(g * g))
                 ckk = overlaps @ a * (cell_area / np.sqrt(norm2))
                 if not np.any(ckk):
                     return 0.0
@@ -516,8 +515,11 @@ def _mu_record(mu: tuple) -> dict:
 
 def _verified_score(cfg: DeviceConfig, mu: tuple, sigma_p: float, taps) -> float:
     """Score of a candidate from simulate on the configured grid: the
-    fidelity it reports, or its purity for the separable target, whose
-    pair-confined fidelity is trivially 1."""
+    fidelity it reports, or its purity for the separable target.  That
+    target's fidelity is no use as a score: pair_fidelity pads the one
+    coefficient to d = 4, so it reads |c_00|^2 / sum_{k<4} |c_kk|^2, the
+    weight of HG 00 among the first four pair modes, not the state's
+    separability."""
     design = apply_free_params(cfg, mu, sigma_p, taps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -26,8 +26,9 @@ import numpy as np
 from numpy.fft import fft, ifft
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import NumericalError
 from .phase_matching import DispersionModel, pmf
-from .spectral import Field1D, GridError, SpectralGrid
+from .spectral import Field1D, SpectralGrid
 
 
 # alpha_p * l_p above this fraction of its peak at a grid edge truncates
@@ -36,10 +37,6 @@ _EDGE_THRESHOLD = 1e-4
 # a cut minimum is a node when it lies below this fraction of the lower of
 # its two flanking maxima
 _PROMINENCE = 0.5
-
-
-class DegenerateFieldError(ValueError):
-    """All-zero amplitude where a nonzero field is required."""
 
 
 @dataclass(frozen=True)
@@ -58,12 +55,12 @@ class Jsa:
         dtype = complex if np.iscomplexobj(self.amplitude) else float
         amp = np.asarray(self.amplitude, dtype=dtype)
         if amp.shape != (self.grid_s.n_points, self.grid_i.n_points):
-            raise GridError(
+            raise NumericalError(
                 f"amplitude shape {amp.shape} does not match grids "
                 f"({self.grid_s.n_points}, {self.grid_i.n_points})"
             )
         if not np.all(np.isfinite(amp)):
-            raise GridError("JSA contains non-finite entries")
+            raise NumericalError("JSA contains non-finite entries")
         object.__setattr__(self, "amplitude", amp)
 
     @property
@@ -84,7 +81,7 @@ def normalize(jsa: Jsa, in_place: bool = False) -> Jsa:
     """
     n2 = jsa.norm_squared()
     if n2 == 0.0:
-        raise DegenerateFieldError("cannot normalize an all-zero JSA")
+        raise NumericalError("cannot normalize an all-zero JSA")
     # the reciprocal rounds a real amplitude exactly as numpy's complex
     # division rounds the same values held as complex
     scale = 1.0 / np.sqrt(n2)
@@ -206,7 +203,7 @@ def _check_adp_input(values: np.ndarray) -> None:
     the grid edges."""
     peak = np.max(np.abs(values))
     if peak == 0.0:
-        raise DegenerateFieldError("alpha_p * l_p is identically zero")
+        raise NumericalError("alpha_p * l_p is identically zero")
     edge = max(abs(values[0]), abs(values[-1]))
     if edge > _EDGE_THRESHOLD * peak:
         warnings.warn(
@@ -236,7 +233,7 @@ def compute_jsa(
     Toeplitz view; other (c1, c2) evaluate it on the n^2 grid.
     """
     if pump.grid != l_p.grid:
-        raise GridError("pump and l_p must share the same grid")
+        raise NumericalError("pump and l_p must share the same grid")
     grid_s, grid_i = l_s.grid, l_i.grid
     sums = sum_axis(grid_s, grid_i)[0]
     apl = pump.values * l_p.values
@@ -282,7 +279,7 @@ def sum_axis(grid_s: SpectralGrid, grid_i: SpectralGrid):
     as (sums, offsets, u, cell).
 
     Equal sizes and spacings, which build_grids always gives, make
-    w_s + w_i a function of m alone; other grids are a GridError.  sums
+    w_s + w_i a function of m alone; other grids are a NumericalError.  sums
     is w_s + w_i at m's node nearest the diagonal, (m // 2, m - m // 2),
     and offsets its distance from w_s0 + w_i0.  u is the centre cut's
     axis, the same offsets evenly spaced, and cell = dw_s + dw_i the
@@ -290,7 +287,7 @@ def sum_axis(grid_s: SpectralGrid, grid_i: SpectralGrid):
     """
     n = grid_s.n_points
     if grid_i.n_points != n or grid_i.spacing != grid_s.spacing:
-        raise GridError("signal and idler grids must share size and spacing")
+        raise NumericalError("signal and idler grids must share size and spacing")
     m = np.arange(2 * n - 1)
     sums = grid_s.samples[m // 2] + grid_i.samples[m - m // 2]
     offsets = sums - (grid_s.center + grid_i.center)

@@ -20,11 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .spectral import Field1D, SpectralGrid, gaussian_envelope
-
-
-class DegenerateInputError(ValueError):
-    """All-zero or otherwise vacuous input."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ def fir_response(spec: PumpSpec, grid: SpectralGrid) -> Field1D:
     amplitudes everywhere.
     """
     if all(tap.amplitude == 0.0 for tap in spec.taps):
-        raise DegenerateInputError("all tap amplitudes are zero")
+        raise NumericalError("all tap amplitudes are zero")
     alphas = np.array([tap.amplitude for tap in spec.taps])
     phis = np.array([tap.phase for tap in spec.taps])
     return Field1D(grid, tap_sum(alphas * np.exp(1j * phis), tap_phasors(spec, grid)))

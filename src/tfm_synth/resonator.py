@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .spectral import Field1D, SpectralGrid
 
 
@@ -77,7 +78,7 @@ def _solve_chain_a1(chain: ResonanceChain, omega: np.ndarray) -> np.ndarray:
         d_eff = d[m] + (mu * mu) / d_eff
     a1 = -1j * chain.kappa / d_eff
     if not np.all(np.isfinite(a1)):
-        raise FloatingPointError("singular coupled-mode system")
+        raise NumericalError("singular coupled-mode system")
     return a1
 
 

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-
-class GridError(ValueError):
-    """Shape or grid-compatibility violation."""
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -28,11 +26,11 @@ class SpectralGrid:
 
     def __post_init__(self):
         if self.n_points < 2:
-            raise GridError(f"n_points must be >= 2, got {self.n_points}")
+            raise NumericalError(f"n_points must be >= 2, got {self.n_points}")
         if not np.isfinite(self.center) or not np.isfinite(self.half_span):
-            raise GridError("grid bounds must be finite")
+            raise NumericalError("grid bounds must be finite")
         if self.half_span <= 0:
-            raise GridError(f"half_span must be > 0, got {self.half_span}")
+            raise NumericalError(f"half_span must be > 0, got {self.half_span}")
 
     @property
     def samples(self) -> np.ndarray:
@@ -56,12 +54,12 @@ class Field1D:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (self.grid.n_points,):
-            raise GridError(
+            raise NumericalError(
                 f"values shape {values.shape} does not match grid "
                 f"({self.grid.n_points},)"
             )
         if not np.all(np.isfinite(values)):
-            raise GridError("field contains non-finite entries")
+            raise NumericalError("field contains non-finite entries")
         object.__setattr__(self, "values", values)
 
 

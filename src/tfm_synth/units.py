@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import math
 
-
-class UnitError(ValueError):
-    """Raised when a dimensioned value is missing or has a wrong unit."""
+from .errors import ConfigError
 
 
 # unit kind -> {suffix: multiplier to canonical}
@@ -76,34 +74,35 @@ def parse_quantity(raw, kind: str, field: str = "") -> float:
     """Parse ``"value unit"`` into a float in canonical units.
 
     Bare numbers are rejected for dimensioned fields so that a config file
-    can never silently mix THz with GHz.
+    can never silently mix THz with GHz.  The value must be finite after
+    the unit scales it: "1e300 THz" is a ConfigError, not inf rad/s.
     """
     table = _UNIT_TABLES[kind]
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        raise UnitError(
+        raise ConfigError(
             f"field '{field}' needs an explicit unit "
             f"(one of {sorted(table)}), got bare number {raw!r}"
         )
     if not isinstance(raw, str):
-        raise UnitError(f"field '{field}': cannot parse {raw!r} as a quantity")
+        raise ConfigError(f"field '{field}': cannot parse {raw!r} as a quantity")
     parts = raw.strip().split(None, 1)
     if len(parts) != 2:
-        raise UnitError(
+        raise ConfigError(
             f"field '{field}': expected '<value> <unit>', got {raw!r}"
         )
     value_str, unit = parts
     if unit not in table:
-        raise UnitError(
+        raise ConfigError(
             f"field '{field}': unknown unit {unit!r} "
             f"(expected one of {sorted(table)})"
         )
     try:
-        value = float(value_str)
+        value = float(value_str) * table[unit]
     except ValueError as exc:
-        raise UnitError(f"field '{field}': bad number {value_str!r}") from exc
+        raise ConfigError(f"field '{field}': bad number {value_str!r}") from exc
     if not math.isfinite(value):
-        raise UnitError(f"field '{field}': value must be finite, got {value_str!r}")
-    return value * table[unit]
+        raise ConfigError(f"field '{field}': value must be finite, got {raw!r}")
+    return value
 
 
 def format_quantity(value: float, unit: str, kind: str) -> str:

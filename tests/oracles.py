@@ -10,14 +10,14 @@ None of them runs in the program; test files import them as
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
-from tfm_synth.analysis import PreconditionError
 from tfm_synth.config import TargetConfig
+from tfm_synth.errors import NumericalError
 from tfm_synth.inversion import _FIT_GTOL, _FIT_MAX_NFEV, _FIT_XTOL, _magnitude_fit
 from tfm_synth.jsa import Jsa, _bilinear, _sum_grid, normalize
 from tfm_synth.phase_matching import DispersionModel, pmf
 from tfm_synth.pulse_shaper import Tap
 from tfm_synth.resonator import MziCouplerSpec, ResonanceChain, _composed_matrix
-from tfm_synth.spectral import Field1D, GridError, SpectralGrid
+from tfm_synth.spectral import Field1D, SpectralGrid
 
 
 def make_taps(amplitudes, phases) -> tuple:
@@ -31,7 +31,7 @@ def inner_product(a, b) -> complex:
     """Grid quadrature <a, b> = sum conj(a) b dw of two Field1D;
     conjugate-linear in a."""
     if a.grid != b.grid:
-        raise GridError("inner_product requires identical grids")
+        raise NumericalError("inner_product requires identical grids")
     return complex(np.sum(np.conj(a.values) * b.values) * a.grid.spacing)
 
 
@@ -212,13 +212,13 @@ def pair_confined_rho(coefficients: np.ndarray, dim: int = 4) -> np.ndarray:
     """
     c = np.asarray(coefficients)
     if c.shape != (dim, dim):
-        raise PreconditionError(
+        raise NumericalError(
             f"coefficient matrix shape {c.shape} does not match dim {dim}"
         )
     diag = np.diagonal(c)
     w = float(np.sum(np.abs(diag) ** 2))
     if w == 0.0:
-        raise PreconditionError("state has no weight on the HG pair modes")
+        raise NumericalError("state has no weight on the HG pair modes")
     psi = np.zeros(dim * dim, dtype=complex)
     for k in range(dim):
         psi[k * dim + k] = diag[k] / np.sqrt(w)
@@ -237,7 +237,7 @@ def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     """Uhlmann fidelity [Tr sqrt(sqrt(a) b sqrt(a))]^2 via eigendecomposition."""
     for name, rho in (("first", rho_a), ("second", rho_b)):
         if abs(np.trace(rho).real - 1.0) > 1e-6:
-            raise PreconditionError(f"{name} density matrix is not unit trace")
+            raise NumericalError(f"{name} density matrix is not unit trace")
     evals, evecs = np.linalg.eigh(rho_a)
     evals = np.clip(evals.real, 0.0, None)
     sqrt_a = (evecs * np.sqrt(evals)) @ np.conj(evecs.T)

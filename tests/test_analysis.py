@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from tfm_synth.analysis import (
-    PreconditionError,
     fidelity_pure,
     pair_fidelity,
     pair_generation_rate,
@@ -18,6 +17,7 @@ from tfm_synth.analysis import (
     target_jsa,
 )
 from tfm_synth.config import PgrConfig, TargetConfig, load_preset
+from tfm_synth.errors import NumericalError
 from tfm_synth.jsa import Jsa, normalize
 from tfm_synth.spectral import SpectralGrid, hg_mode
 
@@ -39,7 +39,7 @@ def two_mode_state(c0, c1):
 
 def test_schmidt_requires_normalized():
     jsa = Jsa(GS, GI, np.ones((256, 256)))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(NumericalError):
         schmidt_decompose(jsa)
 
 
@@ -126,7 +126,7 @@ def test_pair_fidelity_of_target_and_orthogonal_pairs():
     assert pair_fidelity(c, t.coefficients) == pytest.approx(1.0, abs=1e-15)
     c = np.diag([0.0, 0.0, 0.0, 1.0])
     assert pair_fidelity(c, t.coefficients) == 0.0
-    with pytest.raises(PreconditionError):
+    with pytest.raises(NumericalError):
         pair_fidelity(np.zeros((4, 4)), t.coefficients)
 
 
@@ -141,9 +141,9 @@ def test_pair_confined_rho_keeps_diagonal_pairs():
     assert rho[0, 0].real == pytest.approx(0.36 / w)
     assert rho[5, 5].real == pytest.approx(0.16 / w)
     assert rho[1, 1].real == pytest.approx(0.0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(NumericalError):
         oracles.pair_confined_rho(np.zeros((4, 4)))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(NumericalError):
         oracles.pair_confined_rho(np.zeros((3, 4)))
 
 
@@ -175,7 +175,7 @@ def test_fidelity_matches_pure_overlap():
 
 
 def test_fidelity_requires_unit_trace():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(NumericalError):
         oracles.fidelity(np.eye(4), np.eye(4) / 4.0)
 
 

@@ -16,6 +16,7 @@ import oracles
 from tfm_synth import cli, inversion
 from tfm_synth.cli import main
 from tfm_synth.config import PRESET_NAMES, load_preset, preset_path
+from tfm_synth.errors import NumericalError
 from tfm_synth.resonator import bus_transmission
 from tfm_synth.simulate import simulate
 
@@ -361,6 +362,8 @@ def test_bad_flags_exit_2(tmp_path, capsys, argv):
         (None, "name", ["x"]),
         (None, "name", 5),
         (None, "name", None),
+        # finite as written, but inf in rad/s: the scaled value is checked
+        ("grid", "half_span", "1e300 THz"),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
@@ -430,10 +433,8 @@ def test_uncreatable_out_directory_exits_2(tmp_path, capsys, argv):
 
 
 def test_numerical_failure_exits_3(capsys, monkeypatch):
-    from tfm_synth.jsa import DegenerateFieldError
-
     def degenerate(_):
-        raise DegenerateFieldError("all-zero field")
+        raise NumericalError("all-zero field")
 
     monkeypatch.setattr(cli, "pair_generation_rate", degenerate)
     code, _, stderr = run(capsys, "pgr", "--config", "bell_phi_minus")
@@ -512,6 +513,23 @@ def test_sweep_mzi_truncation_warning(tmp_path, capsys):
     from tfm_synth.resonator import mzi_max_mu
 
     assert last_mu <= mzi_max_mu(_mzi_spec())
+
+
+def test_sweep_mzi_last_step_at_the_reach(capsys):
+    """A step whose last multiple passes the MZI reach by round-off, with
+    the range truncated to that reach: the last row is clipped to it
+    instead of failing outside the achievable range."""
+    code, stdout, stderr = run(
+        capsys, "sweep-mzi", "--config", "bell_phi_minus",
+        "--mu-max", "1e12", "--mu-step", "267281406.35757124",
+    )
+    assert code == 0
+    assert "truncated" in stderr
+    rows = stdout.strip().split("\n")[1:]
+    assert len(rows) == 101
+    from tfm_synth.resonator import mzi_max_mu
+
+    assert float(rows[-1].split(",")[0]) <= mzi_max_mu(_mzi_spec())
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from tfm_synth.analysis import (
     target_jsa,
 )
 from tfm_synth.config import ConfigError, TargetConfig, load_preset
+from tfm_synth.errors import NumericalError
 from tfm_synth.inversion import (
     _EPSILON,
     _FIT_PROFILE_POINTS,
@@ -42,9 +43,8 @@ from tfm_synth.inversion import (
     apply_free_params,
     optimize_state,
 )
-from tfm_synth.jsa import AdpModel, DegenerateFieldError, Jsa, normalize
+from tfm_synth.jsa import AdpModel, Jsa, normalize
 from tfm_synth.pulse_shaper import (
-    DegenerateInputError,
     PumpSpec,
     apply_envelope,
     fir_response,
@@ -127,7 +127,7 @@ def test_decouple_round_trip():
 def test_decouple_rejects_bad_inputs():
     f = bell_target_jsa()
     zero = Field1D(GS, np.zeros(GS.n_points))
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(NumericalError):
         _target_profile(f, zero, unit_filter(GI))
 
 
@@ -325,7 +325,7 @@ def test_fit_single_tap_gaussian_sigma_recovery():
 
 def test_fit_zero_profile_rejected():
     prof = Profile(np.linspace(-1e9, 1e9, 33), np.zeros(33))
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(NumericalError):
         fit_one(prof, pump_template(), flat_lp(), 20e9, [0.5] * 6, [0.0] * 6)
 
 
@@ -674,7 +674,7 @@ def test_trial_score_rejects_an_all_zero_pump(preset):
     cfg = load_preset(preset)
     score = tap_score(cfg, (1.0e9,), _FIT_PUMP_POINTS, _VERIFY_POINTS)
     taps = oracles.make_taps([0.0] * len(cfg.pump.taps), [0.3] * len(cfg.pump.taps))
-    with pytest.raises(DegenerateFieldError):
+    with pytest.raises(NumericalError):
         score(cfg.pump.sigma_p, taps)
 
 
@@ -704,6 +704,22 @@ def test_separable_trial_score_is_the_purity_of_the_full_grid_state(
     ]:
         want = _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps)
         assert abs(score(sigma_p, taps) - want) <= 1e-10
+
+
+def test_separable_trial_score_of_a_tiny_norm_is_finite():
+    """A restart of `optimize --config separable --seed 0` (mu = 3.75 GHz,
+    restart 9) whose squared norm N^2 is 1.3e-203: the state is normalized
+    before its Gram product, so the purity stays finite (scaled by
+    (dA / N^2)^2 after the product, it read NaN) and equals the purity of
+    its Schmidt weights."""
+    cfg = load_preset("separable")
+    score = _trial_contexts(cfg, _FIT_PUMP_POINTS, _VERIFY_POINTS)((3.75e9,))
+    alpha = [0.279408107, 0.355907574, 0.627134146, 0.280478043, 0.192264541,
+             0.967887832]
+    phi = [5.44590485, 4.40387311, 1.77651204, 5.15550354, 1.3057015, 2.96029558]
+    got = score(349319230.0, np.array(alpha), np.array(phi))
+    assert np.isfinite(got)
+    assert abs(got - 0.7899905660503396) <= 1e-10
 
 
 @pytest.mark.parametrize("n_points", [256, 512])
@@ -835,6 +851,20 @@ def tiny_search(**kw):
     )
     defaults.update(kw)
     return SearchConfig(**defaults)
+
+
+def test_mu_grid_stops_at_its_max():
+    """A last point that a step overshoots by round-off is clipped to
+    mu_max, while grids of exact multiples, the default among them, keep
+    every point as mu_min + k mu_step."""
+    step = 267281406.35757124
+    top = 100 * step * (1.0 - 5e-12)
+    grid = inversion.mu_grid(0.0, top, step)
+    assert grid.size == 101
+    assert grid[-1] == top
+    assert np.array_equal(grid[:-1], step * np.arange(100))
+    assert np.array_equal(SearchConfig().mu_values, 0.25e9 * np.arange(21))
+    assert np.array_equal(tiny_search().mu_values, [1.25e9, 1.5e9])
 
 
 def test_search_config_validation():

@@ -6,9 +6,12 @@ attribute or an import; a docstring does not count), or re-exported by
 the package's __init__ and named in README.md, where a user finds it.  A
 re-export alone is not a use.  Reference implementations that only tests
 need live in tests/oracles.py, and nothing in the package imports them.
+Its exception classes are the two of tfm_synth.errors, one per CLI exit
+code, and the search's private budget signal.
 """
 
 import ast
+import builtins
 import pathlib
 import re
 
@@ -85,3 +88,53 @@ def test_the_package_imports_no_test_code():
                 assert root not in ("oracles", "tests", "conftest"), (
                     f"tfm_synth.{module} imports {name}"
                 )
+
+
+# the exit-code contract of tfm_synth.errors: one class per exit code, and
+# the search's private budget signal, which never leaves inversion
+EXCEPTION_CLASSES = {
+    ("errors", "ConfigError"),
+    ("errors", "NumericalError"),
+    ("inversion", "_BudgetSpent"),
+}
+
+
+def _is_exception_base(base):
+    name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+    return re.search(r"(Error|Exception|Warning)$", name) is not None
+
+
+def test_the_package_defines_two_error_classes():
+    """Every exception class in the package is ConfigError (exit 2),
+    NumericalError (exit 3) or inversion._BudgetSpent: a class named like
+    an error, or derived from an exception class, counts wherever it is
+    defined."""
+    found = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and (
+                node.name.endswith("Error")
+                or any(_is_exception_base(base) for base in node.bases)
+            ):
+                found.add((module, node.name))
+    assert found == EXCEPTION_CLASSES
+
+
+def test_numerical_failures_raise_numerical_error():
+    """No module raises a builtin arithmetic error (FloatingPointError,
+    OverflowError, ZeroDivisionError): a numerical failure is a
+    NumericalError, which the CLI maps to exit 3."""
+    arithmetic = {
+        name
+        for name, obj in vars(builtins).items()
+        if isinstance(obj, type) and issubclass(obj, ArithmeticError)
+    }
+    raised = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in arithmetic:
+                raised.append(f"tfm_synth.{module}:{node.lineno} raises {exc.id}")
+    assert not raised, "; ".join(raised)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from tfm_synth.errors import NumericalError
 from tfm_synth.spectral import (
     Field1D,
-    GridError,
     SpectralGrid,
     gaussian_envelope,
     hg_mode,
@@ -26,11 +26,11 @@ def test_grid_samples_and_spacing():
 
 
 def test_grid_validation():
-    with pytest.raises(GridError):
+    with pytest.raises(NumericalError):
         SpectralGrid(0.0, -1.0, 10)
-    with pytest.raises(GridError):
+    with pytest.raises(NumericalError):
         SpectralGrid(0.0, 1.0, 1)
-    with pytest.raises(GridError):
+    with pytest.raises(NumericalError):
         Field1D(SpectralGrid(0.0, 1.0, 4), np.ones(5))
 
 

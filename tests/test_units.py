@@ -2,7 +2,8 @@
 
 import pytest
 
-from tfm_synth.units import UnitError, format_quantity, parse_quantity
+from tfm_synth.errors import ConfigError
+from tfm_synth.units import format_quantity, parse_quantity
 
 
 def test_ghz_is_1e9_per_second():
@@ -32,18 +33,27 @@ def test_unit_with_internal_spaces():
 
 
 def test_bare_number_rejected():
-    with pytest.raises(UnitError, match="explicit unit"):
+    with pytest.raises(ConfigError, match="explicit unit"):
         parse_quantity(7.26, "angular_frequency", field="decay")
 
 
 def test_unknown_unit_rejected():
-    with pytest.raises(UnitError, match="unknown unit"):
+    with pytest.raises(ConfigError, match="unknown unit"):
         parse_quantity("3 parsec", "length", field="perimeter")
 
 
 def test_bad_number_rejected():
-    with pytest.raises(UnitError, match="bad number"):
+    with pytest.raises(ConfigError, match="bad number"):
         parse_quantity("abc GHz", "angular_frequency")
+
+
+@pytest.mark.parametrize("raw", ["nan GHz", "-inf THz", "1e300 THz"])
+def test_non_finite_quantity_rejected(raw):
+    """The value is checked after the unit scales it: 1e300 is finite, but
+    1e300 THz is inf rad/s.  The error names the field."""
+    with pytest.raises(ConfigError, match="grid.half_span.*must be finite"):
+        parse_quantity(raw, "angular_frequency", field="grid.half_span")
+    assert parse_quantity("1e300 rad/s", "angular_frequency") == 1e300
 
 
 def test_format_round_trip():
