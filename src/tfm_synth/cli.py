@@ -141,9 +141,10 @@ def _magnitude_csv(
 def cmd_simulate(args) -> int:
     cfg = _load(args.config)
     grid = _grid_override(args.grid)
+    result = simulate(cfg, n_points=grid)
+    # made once simulate has succeeded: a run that fails leaves no directory
     out = args.out
     _make_out_dir(out)
-    result = simulate(cfg, n_points=grid)
 
     _atomic_write(
         os.path.join(out, "jsa.bin"),

@@ -3,9 +3,9 @@
 The pipeline evaluates the shaped pump on a wide pump grid, the three
 resonance filters, the joint spectral amplitude, and the reported state:
 the magnitude of the JSA with the pi phase flips imposed at the
-anti-diagonal magnitude minima.  All figures of merit (Schmidt spectrum,
-practical Schmidt number, purity, fidelity, higher-order weight, pair
-generation rate) are computed from that state.
+anti-diagonal magnitude minima.  All figures of merit (leading Schmidt
+weights, practical Schmidt number, purity, fidelity, higher-order
+weight, pair generation rate) are computed from that state.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from .analysis import (
     pair_fidelity,
     pair_generation_rate,
     project_to_tfm,
-    purity,
     schmidt_decompose,
-    schmidt_number,
 )
 from .config import DeviceConfig
 from .jsa import Jsa, compute_jsa, impose_pi_phase, normalize
@@ -42,7 +40,7 @@ class SimulationResult:
     l_i: Field1D               # idler field enhancement
     jsa_raw: Jsa               # complex normalized JSA as assembled
     jsa: Jsa                   # reported state: |JSA| with pi flips imposed, real
-    schmidt: np.ndarray        # Schmidt weights, descending
+    schmidt: np.ndarray        # leading Schmidt weights (<= 16), descending
     projection: TfmProjection
     fidelity: float
     k_prime: float
@@ -92,7 +90,7 @@ def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult
     jsa_raw = compute_jsa(pump, l_p, l_s, l_i, cfg.dispersion)
     state = reported_state(jsa_raw)
 
-    schmidt = schmidt_decompose(state)
+    schmidt, purity = schmidt_decompose(state)
     projection = project_to_tfm(state, cfg.target.sigma)
     fid = pair_fidelity(projection.coefficients, cfg.target.coefficients)
 
@@ -110,8 +108,8 @@ def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult
         schmidt=schmidt,
         projection=projection,
         fidelity=fid,
-        k_prime=schmidt_number(schmidt),
-        purity=purity(schmidt),
+        k_prime=1.0 / purity,
+        purity=purity,
         higher_order_weight=projection.higher_order_weight,
         pairs_per_pulse=rate["pairs_per_pulse"],
         pgr_hz=rate["pgr_hz"],

@@ -192,8 +192,8 @@ def mzi_effective_mu(
 def svd_weights(jsa: Jsa) -> np.ndarray:
     """Schmidt weights as the squared singular values of the
     quadrature-weighted amplitude, from a values-only SVD, those above
-    1e-14 kept: the reference for analysis.schmidt_decompose's
-    eigensolve of the Gram matrix."""
+    1e-14 kept: the reference for analysis.schmidt_decompose's leading
+    weights, and through sum lambda^2 for its purity."""
     a = jsa.amplitude * np.sqrt(jsa.grid_s.spacing * jsa.grid_i.spacing)
     s = np.linalg.svd(a, compute_uv=False)
     weights = s * s

@@ -7,13 +7,12 @@ import pytest
 
 import oracles
 from tfm_synth.analysis import (
+    _DIRECT_MAX_N,
     fidelity_pure,
     pair_fidelity,
     pair_generation_rate,
     project_to_tfm,
-    purity,
     schmidt_decompose,
-    schmidt_number,
     target_jsa,
 )
 from tfm_synth.config import PgrConfig, TargetConfig, load_preset
@@ -45,23 +44,34 @@ def test_schmidt_requires_normalized():
 
 def test_schmidt_weights_of_known_state():
     jsa = two_mode_state(np.sqrt(0.7), -np.sqrt(0.3))
-    res = schmidt_decompose(jsa)
+    res, _ = schmidt_decompose(jsa)
     np.testing.assert_allclose(res[:2], [0.7, 0.3], atol=1e-6)
     assert np.sum(res) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_schmidt_number_purity_inverse():
-    """K' * P = 1 for any weight vector."""
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        w = rng.random(8)
-        w /= w.sum()
-        assert schmidt_number(w) * purity(w) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_schmidt_number_limits():
-    assert schmidt_number([1.0]) == pytest.approx(1.0)
-    assert schmidt_number([0.25] * 4) == pytest.approx(4.0)
+@pytest.mark.parametrize(
+    "n, krylov", [(_DIRECT_MAX_N, False), (2 * _DIRECT_MAX_N, True)]
+)
+def test_flat_spectrum_weights_are_the_full_eigensolve(n, krylov, monkeypatch):
+    """A seeded Gaussian state has a flat spectrum.  On the small-grid
+    route, and above it, where the Krylov basis does not resolve the
+    spectrum and falls back, the weights are the full eigensolve's top 16
+    of the same Gram matrix, to the bit."""
+    rng = np.random.default_rng(5)
+    grid_s, grid_i = SpectralGrid(S0, 56e9, n), SpectralGrid(I0, 56e9, n)
+    jsa = normalize(Jsa(grid_s, grid_i, rng.standard_normal((n, n))))
+    gram = jsa.amplitude @ jsa.amplitude.T
+    gram *= jsa.cell_area
+    spectrum = np.linalg.eigvalsh(gram)[::-1]
+    ritz = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda a: ritz.append(a.shape) or eigh(a)
+    )
+    weights, purity = schmidt_decompose(jsa)
+    assert bool(ritz) == krylov
+    assert np.array_equal(weights, spectrum[:16])
+    assert purity == pytest.approx(np.sum(spectrum**2), rel=1e-14, abs=0)
 
 
 def test_target_state_coefficients():
@@ -76,9 +86,9 @@ def test_target_state_coefficients():
 def test_target_jsa_schmidt_spectrum():
     t = TargetConfig(2, SIGMA)
     jsa = target_jsa(t, GS, GI)
-    res = schmidt_decompose(jsa)
+    res, purity = schmidt_decompose(jsa)
     np.testing.assert_allclose(res[:2], [0.5, 0.5], atol=1e-6)
-    assert schmidt_number(res) == pytest.approx(2.0, abs=1e-4)
+    assert 1.0 / purity == pytest.approx(2.0, abs=1e-4)
 
 
 def test_projection_of_ideal_target():

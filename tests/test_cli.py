@@ -410,6 +410,19 @@ def test_pair_rate_overflow_exits_3(tmp_path, capsys, argv):
     assert stdout == ""
 
 
+def test_failed_simulate_creates_no_out_directory(tmp_path, capsys):
+    """simulate makes --out only once the simulation has succeeded: a pair
+    rate that overflows exits 3 and leaves no directory behind."""
+    config = _preset_with(tmp_path, "pgr", "avg_power", "1e200 W")
+    out = tmp_path / "o"
+    code, stdout, _ = run(
+        capsys, "simulate", "--config", config, "--grid", "64", "--out", str(out)
+    )
+    assert code == 3
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -16,8 +16,6 @@ from tfm_synth import inversion
 from tfm_synth.analysis import (
     pair_fidelity,
     project_to_tfm,
-    purity,
-    schmidt_decompose,
     target_jsa,
 )
 from tfm_synth.config import ConfigError, TargetConfig, load_preset
@@ -572,7 +570,8 @@ def _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps):
     jsa = normalize(Jsa(grid_s, grid_i, adp * np.outer(l_s.values, l_i.values)))
     state = reported_state(jsa)
     if cfg.target.dimension == 1:
-        return purity(schmidt_decompose(state))
+        weights = oracles.svd_weights(state)
+        return float(np.sum(weights * weights))
     projection = project_to_tfm(state, cfg.target.sigma)
     return pair_fidelity(projection.coefficients, cfg.target.coefficients)
 

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from tfm_synth import load_preset, pulse_shaper, simulate
-from tfm_synth.analysis import purity, schmidt_decompose
+from tfm_synth.analysis import schmidt_decompose
 from tfm_synth.jsa import Jsa, normalize
 from tfm_synth.pulse_shaper import apply_envelope, fir_response
 from tfm_synth.simulate import build_grids
@@ -31,16 +31,16 @@ def results_96():
 
 
 def assert_weights_match_svd(jsa):
-    """schmidt_decompose's Gram-matrix eigenvalues agree with the
-    values-only SVD to |d lambda_k| <= 1e-15 + 1e-12 lambda_k for k < 16,
-    and on purity to 1e-14 relative."""
-    got = schmidt_decompose(jsa)
+    """schmidt_decompose's leading weights agree with the values-only
+    SVD to |d lambda_k| <= 1e-15 + 1e-12 lambda_k for k < 16, and its
+    purity with the SVD's sum lambda^2 to 1e-14 relative."""
+    got, purity = schmidt_decompose(jsa)
     want = oracles.svd_weights(jsa)
     k = min(16, got.size, want.size)
     assert k == min(16, want.size)
     err = np.abs(got[:k] - want[:k])
     assert np.all(err <= 1e-15 + 1e-12 * want[:k]), err
-    assert purity(got) == pytest.approx(purity(want), rel=1e-14, abs=0)
+    assert purity == pytest.approx(np.sum(want * want), rel=1e-14, abs=0)
 
 
 def test_reported_state_is_real(results):
@@ -105,8 +105,24 @@ def test_gram_weights_match_svd_on_non_square_jsa(n_s, n_i):
     amp = np.exp(-((d_s + d_i) ** 2) / 0.5 - ((d_s - d_i) ** 2) / 8.0)
     amp = amp * np.exp(1j * (0.3 * d_s**2 - 0.7 * d_s * d_i))
     jsa = normalize(Jsa(grid_s, grid_i, amp))
-    assert schmidt_decompose(jsa).size > 4
+    assert schmidt_decompose(jsa)[0].size > 4
     assert_weights_match_svd(jsa)
+
+
+@pytest.mark.parametrize("name", ["bell_phi_minus", "mes_d4"])
+def test_krylov_weights_match_svd_at_1024(name, monkeypatch):
+    """At 1024^2 the leading weights come from the block Krylov method,
+    with no full eigensolve, on the reported state and on the complex
+    raw JSA, and they and the purity match the SVD as on smaller grids."""
+    result = simulate(load_preset(name), n_points=1024)
+    full = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: full.append(a.shape) or eigvalsh(a)
+    )
+    for jsa in (result.jsa, result.jsa_raw):
+        assert_weights_match_svd(jsa)
+    assert full == []
 
 
 def test_one_fir_evaluation_per_simulate(monkeypatch):
