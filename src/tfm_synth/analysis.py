@@ -115,20 +115,20 @@ def _leading_eigenvalues(gram: np.ndarray) -> np.ndarray:
 
 
 def target_jsa(target: TargetConfig, grid_s: SpectralGrid, grid_i: SpectralGrid) -> Jsa:
-    """Ideal JSA sum_k c_k f_k(dw_s) f_k(dw_i), normalized on the grids."""
+    """Ideal JSA sum_k c_k f_k(dw_s) f_k(dw_i), normalized on the grids,
+    the f_k taken from hg_basis."""
+    coefficients = target.coefficients
+    modes_s = hg_basis(coefficients.size, grid_s, target.sigma)
+    modes_i = hg_basis(coefficients.size, grid_i, target.sigma)
     amp = np.zeros((grid_s.n_points, grid_i.n_points), dtype=complex)
-    for k, c in enumerate(target.coefficients):
-        fs = hg_mode(k, grid_s, grid_s.center, target.sigma)
-        fi = hg_mode(k, grid_i, grid_i.center, target.sigma)
-        amp += c * np.outer(fs.values, fi.values)
+    for c, fs, fi in zip(coefficients, modes_s, modes_i):
+        amp += c * np.outer(fs, fi)
     return normalize(Jsa(grid_s, grid_i, amp))
 
 
 def hg_basis(dim: int, grid: SpectralGrid, sigma: float) -> np.ndarray:
     """The HG modes of orders 0..dim-1 centred on a grid, one real row each."""
-    return np.array(
-        [hg_mode(k, grid, grid.center, sigma).values.real for k in range(dim)]
-    )
+    return np.array([hg_mode(k, grid, sigma).values.real for k in range(dim)])
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,7 @@ def _chain(tree, label, kappa, perimeter, group_velocity, context):
     )
     try:
         return ResonanceChain(
-            label, omega0, rates, kappa, couplings, perimeter, group_velocity
+            omega0, rates, kappa, couplings, perimeter, group_velocity
         )
     except ValueError as exc:
         raise ConfigError(f"resonance '{label}': {exc}") from exc

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -64,6 +65,7 @@ from .jsa import (
     AdpModel,
     Jsa,
     _bilinear,
+    _centre_cut,
     _check_adp_input,
     flip_signs,
     sum_axis,
@@ -422,13 +424,16 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
     the cell area dA do not depend on mu and are built here, once.  A
     context builds the chains and what depends on them: C_k = (f_k |l_s|)
     * (f_k |l_i|) (linear convolutions) for the HG orders k, D = |l_s|^2
-    * |l_i|^2, the weights of jsa._centre_cut's samples on the sums, and
-    for a target of one coefficient the product |l_s| |l_i|.
+    * |l_i|^2, the weights of jsa._centre_cut's samples (|l_s[h]| |l_i[h]|
+    on the centre diagonal, |l_s[h + 1]| |l_i[h]| + |l_s[h]| |l_i[h + 1]|
+    beside it), and for a target of one coefficient the product
+    |l_s| |l_i|.
     chain(spec, grid) builds the chains, field_enhancement_chain by
     default, or a task's cache of it that the fit's inputs share.
 
     A score evaluates the shaped pump times l_p, takes |ADP| at the sums,
-    multiplies the cut's sign field into it and takes N^2 = dA D.|ADP|^2;
+    hands _centre_cut the diagonals |ADP| times those weights,
+    multiplies the cut's sign field into |ADP| and takes N^2 = dA D.|ADP|^2;
     the taps come as arrays (see _split), so a search vector is scored
     without building Tap tuples.  An entangled target's score is
     pair_fidelity of c_kk = dA C_k.(s |ADP|) / N, the diagonal pair
@@ -469,8 +474,7 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
         )
         weight = np.convolve(mag_s * mag_s, mag_i * mag_i)
         node = mag_s * mag_i
-        corner = 0.25 * node
-        cross = 0.25 * (mag_s[1:] * mag_i[:-1] + mag_s[:-1] * mag_i[1:])
+        cross = mag_s[1:] * mag_i[:-1] + mag_s[:-1] * mag_i[1:]
         if separable:
             filt = np.outer(mag_s, mag_i)
 
@@ -487,11 +491,7 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
                 norm2 = cell_area * np.dot(weight, a * a)
                 if norm2 == 0.0:
                     raise NumericalError("cannot normalize an all-zero JSA")
-                cut = np.empty(2 * n - 1)
-                cut[0::2] = a[0::2] * node
-                cut[1::2] = (
-                    a[0:-1:2] * corner[:-1] + a[1::2] * cross + a[2::2] * corner[1:]
-                )
+                cut = _centre_cut(a[0::2] * node, a[1::2] * cross)
                 flip_signs(a, u, cut, offsets, cell)
                 if separable:
                     amp = sliding_window_view(a, n) * filt
@@ -847,11 +847,8 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     if stages == [1]:
         raise ConfigError(f"swept {swept} with one ring: no coupling to sweep")
     n_swept = stages[0] - 1
-    axis = search.mu_values
-    grids = np.meshgrid(*([axis] * n_swept), indexing="ij")
-    mu_points = [
-        tuple(float(g.flat[i]) for g in grids) for i in range(grids[0].size)
-    ]
+    # the last coupling varies fastest
+    mu_points = list(itertools.product(search.mu_values.tolist(), repeat=n_swept))
     workers = _worker_count(len(mu_points))
     tasks = [
         (cfg, search, [(i, mu_points[i]) for i in chunk])

@@ -340,13 +340,13 @@ def flip_signs(values, u, cut, offsets, cell):
     return minima
 
 
-def _centre_cut(amplitude: np.ndarray) -> np.ndarray:
+def _centre_cut(node: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """|F| along the centre cut w_s - w_i = w_s0 - w_i0 of an n^2 grid, at
-    sum_axis's u: node (h, h) at even samples 2h, the mean of the four
-    corners of cell (h, h) at odd samples 2h + 1.  It reads the three
-    centre diagonals only."""
-    node = np.abs(np.diagonal(amplitude))
-    cross = np.abs(np.diagonal(amplitude, 1)) + np.abs(np.diagonal(amplitude, -1))
+    sum_axis's u, from its three centre diagonals: node = |F[h, h]| and
+    cross = |F[h, h + 1]| + |F[h + 1, h]|.  Node (h, h) is the even
+    sample 2h, the mean of the four corners of cell (h, h) the odd
+    sample 2h + 1.  impose_pi_phase and the inverse loop's trial score
+    both read the cut here."""
     cut = np.empty(2 * node.size - 1)
     cut[0::2] = node
     cut[1::2] = 0.25 * (node[:-1] + cross + node[1:])
@@ -359,20 +359,26 @@ def impose_pi_phase(jsa: Jsa) -> Jsa:
     The field is multiplied by a sign field of the sum index m = j + k
     alone, one factor per anti-diagonal: (-1)^(number of nodes below
     w_s + w_i), the nodes being the prominent minima of |F| along the
-    centre cut (_centre_cut).  Within +-(dw_s + dw_i) of a node, four
-    anti-diagonals, the sign crosses zero linearly (flip_signs), which
-    reproduces the node of the field there and keeps the Schmidt spectrum
-    stable under grid refinement.  The signal and idler grids must share
-    size and spacing (sum_axis).  With no detected minima this is the
-    identity.
+    centre cut, which _centre_cut reads from |F|'s three centre
+    diagonals.  Within +-(dw_s + dw_i) of a node, four anti-diagonals,
+    the sign crosses zero linearly (flip_signs), which reproduces the
+    node of the field there and keeps the Schmidt spectrum stable under
+    grid refinement.  The signal and idler grids must share size and
+    spacing (sum_axis).  The flipped field is a new Jsa; with no
+    detected minima jsa itself is returned.
     """
     _, offsets, u, cell = sum_axis(jsa.grid_s, jsa.grid_i)
+    amp = jsa.amplitude
+    cut = _centre_cut(
+        np.abs(np.diagonal(amp)),
+        np.abs(np.diagonal(amp, 1)) + np.abs(np.diagonal(amp, -1)),
+    )
     signs = np.ones(u.size)
-    if not flip_signs(signs, u, _centre_cut(jsa.amplitude), offsets, cell):
+    if not flip_signs(signs, u, cut, offsets, cell):
         return jsa
     # a zero-copy Hankel view: signs over m read as signs[j + k] on the grid
     hankel = sliding_window_view(signs, jsa.grid_s.n_points)
-    return Jsa(jsa.grid_s, jsa.grid_i, jsa.amplitude * hankel, jsa.normalized)
+    return Jsa(jsa.grid_s, jsa.grid_i, amp * hankel, jsa.normalized)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .spectral import Field1D, SpectralGrid
 class ResonanceChain:
     """One resonance (idler/pump/signal) of the M-stage coupled-ring chain."""
 
-    label: str                 # "i", "p" or "s"
     omega0: float              # rad/s
     decay_rates: tuple         # 1/tau_m for m = 1..M, s^-1
     kappa: float               # bus field coupling, sqrt(rad/s)
@@ -115,19 +114,6 @@ class MziCouplerSpec:
             raise ValueError(f"k_prime must be in (0, 1), got {self.k_prime}")
 
 
-def _composed_matrix(
-    k_prime: float, phi_h1: float, phi_h2: float, phi_h3: float
-) -> np.ndarray:
-    """Transfer matrix of the MZI with arm phases phi_h1, phi_h2 and the
-    output phase phi_h3."""
-    bar = np.sqrt(1.0 - k_prime)
-    cross = -1j * np.sqrt(k_prime)
-    coupler = np.array([[bar, cross], [cross, bar]])
-    arms = np.diag([np.exp(1j * phi_h1), np.exp(1j * phi_h2)])
-    out = np.diag([np.exp(1j * phi_h3), 1.0])
-    return out @ coupler @ arms @ coupler
-
-
 def mzi_max_mu(spec: MziCouplerSpec) -> float:
     """Largest mu_12 reachable for the given k_prime (balanced arms)."""
     k12_max = 4.0 * spec.k_prime * (1.0 - spec.k_prime)
@@ -149,29 +135,22 @@ def mzi_phase_for_mu(spec: MziCouplerSpec, target_mu: float) -> MziPhases:
 
     Convention: the arm phases are split symmetrically, phi_h1 = -phi_h2 =
     delta/2, and phi_h3 compensates the bar-path phase so the ring
-    round-trip phase is unchanged.  target_mu = 0 returns the fully-bar
-    branch delta = pi.  With r = target_mu / mu_max, phi_h1 = arccos(sqrt r),
-    so the finesse is 1 / (2 mu_max sqrt(r (1 - r))), infinite at r = 0
-    and r = 1.
+    round-trip phase is unchanged.  With r = target_mu / mu_max the
+    balanced MZI's bar amplitude is (1 - 2k') sqrt(r) + i sqrt(1 - r) at
+    phi_h1 = arccos(sqrt r), so phi_h3 = -atan2(sqrt(1 - r),
+    (1 - 2k') sqrt(r)).  target_mu = 0 returns the fully-bar branch
+    delta = pi.  The finesse is 1 / (2 mu_max sqrt(r (1 - r))), infinite
+    at r = 0 and r = 1.
     """
     mu_max = mzi_max_mu(spec)
     if target_mu < 0 or target_mu > mu_max:
         raise ValueError(
             f"target mu {target_mu:.6g} outside achievable range [0, {mu_max:.6g}]"
         )
-    delta = _delta_for_mu(spec, target_mu)
-    bar = _composed_matrix(spec.k_prime, delta / 2.0, -delta / 2.0, 0.0)[0, 0]
-    phi_h3 = -np.angle(bar) if abs(bar) > 0 else 0.0
     r = target_mu / mu_max
+    root = np.sqrt(r)
+    phi_h1 = np.arccos(root)
+    phi_h3 = -np.arctan2(np.sqrt(1.0 - r), (1.0 - 2.0 * spec.k_prime) * root)
     slope = 2.0 * mu_max * np.sqrt(r * (1.0 - r))
     finesse = 1.0 / slope if slope > 0 else np.inf
-    return MziPhases(delta / 2.0, -delta / 2.0, phi_h3, finesse)
-
-
-def _delta_for_mu(spec: MziCouplerSpec, mu: float) -> float:
-    """Arm phase difference delta whose balanced MZI gives mu_12 = mu."""
-    geometry = np.sqrt(
-        spec.group_velocity**2 / (spec.perimeter_main * spec.perimeter_aux)
-    )
-    ratio = (mu / geometry) / (4.0 * spec.k_prime * (1.0 - spec.k_prime))
-    return 2.0 * np.arccos(np.sqrt(np.clip(ratio, 0.0, 1.0)))
+    return MziPhases(phi_h1, -phi_h1, phi_h3, finesse)

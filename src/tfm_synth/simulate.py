@@ -22,7 +22,7 @@ from .analysis import (
     schmidt_decompose,
 )
 from .config import DeviceConfig
-from .jsa import Jsa, compute_jsa, impose_pi_phase, normalize
+from .jsa import Jsa, compute_jsa, impose_pi_phase
 from .pulse_shaper import apply_envelope, fir_response
 from .resonator import field_enhancement_chain
 from .spectral import Field1D, SpectralGrid
@@ -66,15 +66,19 @@ def build_grids(cfg: DeviceConfig, n_points: int | None = None):
 
 
 def reported_state(jsa_raw: Jsa) -> Jsa:
-    """Magnitude of the JSA, renormalized, with the pi phase flips imposed.
+    """Magnitude of the JSA with the pi phase flips imposed.
 
     The generated field carries residual spectral phase from the pump comb
     and the resonances; the physically meaningful sign structure is the
     sequence of pi flips at the anti-diagonal nodes, which is re-imposed
-    on the magnitude.
+    on the magnitude.  |F| has the norm of F, so the magnitude of a
+    normalized JSA (compute_jsa's) is normalized as it stands and is not
+    scaled a second time.
     """
-    mag = Jsa(jsa_raw.grid_s, jsa_raw.grid_i, np.abs(jsa_raw.amplitude))
-    return impose_pi_phase(normalize(mag, in_place=True))
+    mag = Jsa(
+        jsa_raw.grid_s, jsa_raw.grid_i, np.abs(jsa_raw.amplitude), jsa_raw.normalized
+    )
+    return impose_pi_phase(mag)
 
 
 def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult:

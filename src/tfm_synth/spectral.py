@@ -63,18 +63,19 @@ class Field1D:
         object.__setattr__(self, "values", values)
 
 
-def hg_mode(n: int, grid: SpectralGrid, center: float, sigma: float) -> Field1D:
-    """n-th order spectral Hermite-Gaussian mode, unit L2 norm.
+def hg_mode(n: int, grid: SpectralGrid, sigma: float) -> Field1D:
+    """n-th order spectral Hermite-Gaussian mode centred on grid, unit L2
+    norm.
 
     f_n(d) = (2^n n! sqrt(pi) sigma)^(-1/2) H_n(d/sigma) exp(-d^2 / 2 sigma^2)
-    with d = omega - center.  Real-valued; the sign structure carries the
-    pi phase information, so the signed values are stored as-is.
+    with d = omega - grid.center.  Real-valued; the sign structure carries
+    the pi phase information, so the signed values are stored as-is.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     if n < 0 or n > 10:
         raise ValueError(f"mode order must be in 0..10, got {n}")
-    x = (grid.samples - center) / sigma
+    x = (grid.samples - grid.center) / sigma
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     norm = 1.0 / np.sqrt(float(math.factorial(n)) * 2.0**n * np.sqrt(np.pi) * sigma)

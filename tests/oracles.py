@@ -16,7 +16,7 @@ from tfm_synth.inversion import _FIT_GTOL, _FIT_MAX_NFEV, _FIT_XTOL, _magnitude_
 from tfm_synth.jsa import Jsa, _bilinear, _sum_grid, normalize
 from tfm_synth.phase_matching import DispersionModel, pmf
 from tfm_synth.pulse_shaper import Tap
-from tfm_synth.resonator import MziCouplerSpec, ResonanceChain, _composed_matrix
+from tfm_synth.resonator import MziCouplerSpec, ResonanceChain
 from tfm_synth.spectral import Field1D, SpectralGrid
 
 
@@ -168,6 +168,20 @@ def field_enhancement_two_stage(chain: ResonanceChain, grid: SpectralGrid) -> Fi
     denom = (1j * delta + g1) * (1j * delta + g2) + mu * mu
     scale = np.sqrt(chain.group_velocity / chain.perimeter)
     return Field1D(grid, scale * numer / denom)
+
+
+def _composed_matrix(
+    k_prime: float, phi_h1: float, phi_h2: float, phi_h3: float
+) -> np.ndarray:
+    """Transfer matrix of the MZI with arm phases phi_h1, phi_h2 and the
+    output phase phi_h3: two couplers of bar amplitude sqrt(1 - k') and
+    cross amplitude -i sqrt(k') around the arms."""
+    bar = np.sqrt(1.0 - k_prime)
+    cross = -1j * np.sqrt(k_prime)
+    coupler = np.array([[bar, cross], [cross, bar]])
+    arms = np.diag([np.exp(1j * phi_h1), np.exp(1j * phi_h2)])
+    out = np.diag([np.exp(1j * phi_h3), 1.0])
+    return out @ coupler @ arms @ coupler
 
 
 def mzi_effective_mu(

@@ -29,9 +29,9 @@ GI = SpectralGrid(I0, 56e9, 256)
 
 def two_mode_state(c0, c1):
     amp = c0 * np.outer(
-        hg_mode(0, GS, S0, SIGMA).values, hg_mode(0, GI, I0, SIGMA).values
+        hg_mode(0, GS, SIGMA).values, hg_mode(0, GI, SIGMA).values
     ) + c1 * np.outer(
-        hg_mode(1, GS, S0, SIGMA).values, hg_mode(1, GI, I0, SIGMA).values
+        hg_mode(1, GS, SIGMA).values, hg_mode(1, GI, SIGMA).values
     )
     return normalize(Jsa(GS, GI, amp))
 
@@ -91,6 +91,23 @@ def test_target_jsa_schmidt_spectrum():
     assert 1.0 / purity == pytest.approx(2.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("n_points", [64, 65])
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_target_jsa_is_the_per_mode_outer_product_sum(dimension, n_points):
+    """target_jsa, built from hg_basis rows, equals the sum of the
+    per-mode hg_mode outer products bit for bit, signed zeros included."""
+    t = TargetConfig(dimension, SIGMA)
+    gs = SpectralGrid(S0, 56e9, n_points)
+    gi = SpectralGrid(I0, 56e9, n_points)
+    amp = np.zeros((n_points, n_points), dtype=complex)
+    for k, c in enumerate(t.coefficients):
+        amp += c * np.outer(hg_mode(k, gs, SIGMA).values, hg_mode(k, gi, SIGMA).values)
+    want = normalize(Jsa(gs, gi, amp)).amplitude
+    got = target_jsa(t, gs, gi).amplitude
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_projection_of_ideal_target():
     t = TargetConfig(2, SIGMA)
     jsa = target_jsa(t, GS, GI)
@@ -112,8 +129,8 @@ def test_projection_matrix_product_matches_pairwise_sums():
     complex_state = normalize(
         Jsa(GS, GI, real.amplitude + 0.05 * np.max(real.amplitude) * noise)
     )
-    modes_s = [hg_mode(k, GS, S0, SIGMA).values for k in range(4)]
-    modes_i = [hg_mode(k, GI, I0, SIGMA).values for k in range(4)]
+    modes_s = [hg_mode(k, GS, SIGMA).values for k in range(4)]
+    modes_i = [hg_mode(k, GI, SIGMA).values for k in range(4)]
     for jsa in (real, complex_state):
         proj = project_to_tfm(jsa, SIGMA)
         expect = np.empty((4, 4), dtype=complex)

@@ -41,7 +41,7 @@ from tfm_synth.inversion import (
     apply_free_params,
     optimize_state,
 )
-from tfm_synth.jsa import AdpModel, Jsa, normalize
+from tfm_synth.jsa import AdpModel, Jsa, flip_signs, normalize
 from tfm_synth.pulse_shaper import (
     PumpSpec,
     apply_envelope,
@@ -91,7 +91,7 @@ def test_decouple_self_gives_unity_on_support():
     the filter is strong."""
     sigma = 6.0e9
     f = target_jsa(TargetConfig(1, sigma), GS, GI)
-    prof = _target_profile(f, hg_mode(0, GS, S0, sigma), hg_mode(0, GI, I0, sigma))
+    prof = _target_profile(f, hg_mode(0, GS, sigma), hg_mode(0, GI, sigma))
     f0 = np.exp(-((_profile_offsets(GS, GI) / 2.0) ** 2) / (2.0 * sigma * sigma))
     strong = f0 * f0 > 0.3
     assert np.count_nonzero(strong) > 5
@@ -145,8 +145,8 @@ def test_extract_pure_sum_function_exact_at_nodes():
 def test_extract_gaussian_product_closed_form():
     """f0(dw_s) f0(dw_i) along the cut equals f0(u/2)^2."""
     sigma = 10e9
-    f0s = hg_mode(0, GS, S0, sigma).values
-    f0i = hg_mode(0, GI, I0, sigma).values
+    f0s = hg_mode(0, GS, sigma).values
+    f0i = hg_mode(0, GI, sigma).values
     f = Jsa(GS, GI, np.outer(f0s, f0i))
     prof = _target_profile(f, unit_filter(GS), unit_filter(GI))
     norm = 1.0 / np.sqrt(np.sqrt(np.pi) * sigma)
@@ -633,6 +633,66 @@ def test_trial_contexts_of_one_template_build_one_adp_model(monkeypatch):
     for mu in ((0.5e9,), (1.25e9,), (2.0e9,)):
         contexts(mu)(cfg.pump.sigma_p, *tap_arrays(cfg.pump.taps))
     assert len(built) == 1
+
+
+def inline_trial_cut(a, mag_s, mag_i):
+    """The centre cut as the trial score read it inline before it called
+    jsa._centre_cut: |ADP| at the sums against the filter weights, the
+    quarter taken into the weights."""
+    node = mag_s * mag_i
+    corner = 0.25 * node
+    cross = 0.25 * (mag_s[1:] * mag_i[:-1] + mag_s[:-1] * mag_i[1:])
+    cut = np.empty(a.size)
+    cut[0::2] = a[0::2] * node
+    cut[1::2] = a[0:-1:2] * corner[:-1] + a[1::2] * cross + a[2::2] * corner[1:]
+    return cut
+
+
+@pytest.mark.parametrize(
+    "preset, n_points, nodes",
+    [("bell_phi_minus", 256, 2), ("mes_d3", 128, 4), ("separable", 128, 0)],
+)
+def test_trial_score_hands_flip_signs_the_inline_cut(
+    monkeypatch, preset, n_points, nodes
+):
+    """The cut the trial score reads through jsa._centre_cut and hands to
+    flip_signs is inline_trial_cut's bit for bit, at the preset's pump
+    and at seeded pump widths and taps.  The preset's own pump puts nodes
+    on the entangled targets' cuts, so the flips are exercised."""
+    handed = []
+
+    def recording(values, u, cut, offsets, cell):
+        a = values.copy()
+        minima = flip_signs(values, u, cut, offsets, cell)
+        handed.append((a, cut.copy(), len(minima)))
+        return minima
+
+    cfg = load_preset(preset)
+    swept = cfg.signal if cfg.target.dimension >= 2 else cfg.pump_resonance
+    mu = swept.couplings
+    trial_cfg = _swept_chains(cfg, mu)
+    _, grid_s, grid_i = build_grids(cfg, n_points)
+    mag_s = np.abs(field_enhancement_chain(trial_cfg.signal, grid_s).values)
+    mag_i = np.abs(field_enhancement_chain(trial_cfg.idler, grid_i).values)
+    score = tap_score(cfg, mu, _FIT_PUMP_POINTS, n_points)
+    n_taps = len(cfg.pump.taps)
+    rng = np.random.default_rng([n_points, n_taps])
+    trials = [(cfg.pump.sigma_p, cfg.pump.taps)] + [
+        (
+            cfg.pump.sigma_p * rng.uniform(0.7, 1.3),
+            oracles.make_taps(
+                rng.uniform(0.1, 1.0, n_taps), rng.uniform(0.0, 2.0 * np.pi, n_taps)
+            ),
+        )
+        for _ in range(3)
+    ]
+    monkeypatch.setattr(inversion, "flip_signs", recording)
+    for sigma_p, taps in trials:
+        score(sigma_p, taps)
+    assert len(handed) == len(trials)
+    for a, cut, _ in handed:
+        assert cut.tobytes() == inline_trial_cut(a, mag_s, mag_i).tobytes()
+    assert handed[0][2] == nodes
 
 
 @pytest.mark.parametrize(

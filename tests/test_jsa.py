@@ -321,6 +321,38 @@ def test_jsa_grid_mismatch_rejected():
         compute_jsa(pump, l_p, l_s, l_s, disp)
 
 
+def centre_diagonals(amplitude):
+    """_centre_cut's arguments for an n^2 amplitude: |F[h, h]| and
+    |F[h, h + 1]| + |F[h + 1, h]|."""
+    node = np.abs(np.diagonal(amplitude))
+    cross = np.abs(np.diagonal(amplitude, 1)) + np.abs(np.diagonal(amplitude, -1))
+    return node, cross
+
+
+def full_grid_centre_cut(amplitude):
+    """The centre cut read from the whole amplitude array, as _centre_cut
+    read it before it took the diagonals."""
+    node = np.abs(np.diagonal(amplitude))
+    cross = np.abs(np.diagonal(amplitude, 1)) + np.abs(np.diagonal(amplitude, -1))
+    cut = np.empty(2 * node.size - 1)
+    cut[0::2] = node
+    cut[1::2] = 0.25 * (node[:-1] + cross + node[1:])
+    return cut
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_centre_cut_of_the_diagonals_is_the_full_grid_reader(kind, n):
+    """The cut from the three centre diagonals equals the full-grid
+    reader's bit for bit, on seeded real and complex arrays."""
+    rng = np.random.default_rng(n)
+    amp = rng.standard_normal((n, n))
+    if kind is complex:
+        amp = amp + 1j * rng.standard_normal((n, n))
+    got = _centre_cut(*centre_diagonals(amp))
+    assert got.tobytes() == full_grid_centre_cut(amp).tobytes()
+
+
 def test_antidiagonal_cut_of_sum_function():
     """For F depending only on w_s + w_i the cut reproduces it exactly."""
     gs = SpectralGrid(S0, 50e9, 129)
@@ -330,7 +362,7 @@ def test_antidiagonal_cut_of_sum_function():
     amp = np.exp(-((sums - (S0 + I0)) ** 2) / (2.0 * sigma * sigma))
     jsa = normalize(Jsa(gs, gi, amp))
     _, _, u, _ = sum_axis(gs, gi)
-    mag = _centre_cut(jsa.amplitude)
+    mag = _centre_cut(*centre_diagonals(jsa.amplitude))
     peak = np.max(np.abs(jsa.amplitude))
     expect = peak * np.exp(-(u * u) / (2.0 * sigma * sigma))
     # even cut samples coincide with grid nodes and are exact; odd
@@ -469,8 +501,8 @@ def test_impose_pi_phase_rejects_unequal_grids(gi):
 def test_impose_pi_phase_identity_without_minima():
     gs = SpectralGrid(S0, 50e9, 65)
     gi = SpectralGrid(I0, 50e9, 65)
-    f0s = hg_mode(0, gs, S0, 10e9).values
-    f0i = hg_mode(0, gi, I0, 10e9).values
+    f0s = hg_mode(0, gs, 10e9).values
+    f0i = hg_mode(0, gi, 10e9).values
     jsa = normalize(Jsa(gs, gi, np.outer(f0s, f0i)))
     out = impose_pi_phase(jsa)
     np.testing.assert_allclose(out.amplitude, jsa.amplitude, atol=1e-15)

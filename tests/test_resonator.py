@@ -22,7 +22,7 @@ GRID = SpectralGrid(OMEGA0, 56e9, 1024)
 
 
 def chain(rates, mus):
-    return ResonanceChain("s", OMEGA0, tuple(rates), KAPPA, tuple(mus), L1, VG)
+    return ResonanceChain(OMEGA0, tuple(rates), KAPPA, tuple(mus), L1, VG)
 
 
 def test_validation():
@@ -33,7 +33,7 @@ def test_validation():
     with pytest.raises(ValueError):
         chain([7.26e9, 2.44e9], [])          # M-1 couplings required
     with pytest.raises(ValueError):
-        ResonanceChain("s", OMEGA0, (1e9,), -1.0, (), L1, VG)
+        ResonanceChain(OMEGA0, (1e9,), -1.0, (), L1, VG)
 
 
 def test_two_stage_matches_closed_form():
@@ -142,13 +142,26 @@ def test_mzi_out_of_range_rejected():
 def test_mzi_output_phase_compensates_bar_path():
     """With phi_h3 applied the bar transmission is real and positive:
     the coupler leaves the ring round-trip phase unchanged."""
-    from tfm_synth.resonator import _composed_matrix
-
     phases = mzi_phase_for_mu(MZI, 1.45e9)
-    bar = _composed_matrix(
+    bar = oracles._composed_matrix(
         MZI.k_prime, phases.phi_h1, phases.phi_h2, phases.phi_h3
     )[0, 0]
     assert abs(np.angle(bar)) < 1e-9
+
+
+@pytest.mark.parametrize("k_prime", [0.05, 0.5, 0.9])
+def test_mzi_closed_form_phases_through_the_transfer_matrix(k_prime):
+    """The closed-form phases, set on the composed transfer matrix, give
+    back the target mu and a bar amplitude of phase 0 over the whole
+    reach, both ends included."""
+    spec = MziCouplerSpec(k_prime, L1, L1 / 2.0, VG)
+    mu_max = mzi_max_mu(spec)
+    for mu in np.linspace(0.0, mu_max, 201):
+        phases = mzi_phase_for_mu(spec, mu)
+        h = (phases.phi_h1, phases.phi_h2, phases.phi_h3)
+        assert abs(oracles.mzi_effective_mu(spec, *h) - mu) <= 1e-12 * mu_max, mu
+        bar = oracles._composed_matrix(k_prime, *h)[0, 0]
+        assert abs(np.angle(bar)) <= 1e-12, mu
 
 
 def test_mzi_lower_k_prime_higher_finesse():

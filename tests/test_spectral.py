@@ -36,7 +36,7 @@ def test_grid_validation():
 
 def test_hg_orthonormality():
     """<f_m, f_n> = delta_mn to better than 1e-5 on an adequate grid."""
-    modes = [hg_mode(n, GRID, 0.0, SIGMA) for n in range(5)]
+    modes = [hg_mode(n, GRID, SIGMA) for n in range(5)]
     for m in range(5):
         for n in range(5):
             ip = oracles.inner_product(modes[m], modes[n])
@@ -45,7 +45,7 @@ def test_hg_orthonormality():
 
 
 def test_hg_ground_state_is_gaussian():
-    f0 = hg_mode(0, GRID, 0.0, SIGMA)
+    f0 = hg_mode(0, GRID, SIGMA)
     x = GRID.samples / SIGMA
     expect = np.exp(-0.5 * x * x) / np.sqrt(np.sqrt(np.pi) * SIGMA)
     np.testing.assert_allclose(f0.values.real, expect, atol=1e-12)
@@ -53,14 +53,14 @@ def test_hg_ground_state_is_gaussian():
 
 def test_hg_parity():
     for n in range(5):
-        f = hg_mode(n, GRID, 0.0, SIGMA).values.real
+        f = hg_mode(n, GRID, SIGMA).values.real
         np.testing.assert_allclose(f, (-1.0) ** n * f[::-1], atol=1e-12)
 
 
 def test_hg_sign_structure():
     """n-th mode has exactly n sign changes."""
     for n in range(5):
-        f = hg_mode(n, GRID, 0.0, SIGMA).values.real
+        f = hg_mode(n, GRID, SIGMA).values.real
         big = f[np.abs(f) > 1e-4 * np.max(np.abs(f))]
         changes = np.sum(np.abs(np.diff(np.sign(big))) > 1)
         assert changes == n
@@ -68,16 +68,16 @@ def test_hg_sign_structure():
 
 def test_hg_rejects_bad_order_and_sigma():
     with pytest.raises(ValueError):
-        hg_mode(-1, GRID, 0.0, SIGMA)
+        hg_mode(-1, GRID, SIGMA)
     with pytest.raises(ValueError):
-        hg_mode(11, GRID, 0.0, SIGMA)
+        hg_mode(11, GRID, SIGMA)
     with pytest.raises(ValueError):
-        hg_mode(0, GRID, 0.0, -1.0)
+        hg_mode(0, GRID, -1.0)
 
 
 def test_narrow_grid_warns_via_field():
     narrow = SpectralGrid(0.0, 0.5 * SIGMA, 64)
-    f = hg_mode(0, narrow, 0.0, SIGMA)
+    f = hg_mode(0, narrow, SIGMA)
     assert f.warning is not None
 
 
