@@ -32,7 +32,7 @@ from .config import (
     load_preset,
 )
 from .errors import ConfigError, NumericalError
-from .inversion import SearchConfig, mu_grid, optimize_state
+from .inversion import SearchConfig, mu_grid, optimize_state, swept_chains
 from .jsa import save_jsa_binary, save_jsa_sidecar
 from .resonator import bus_transmission, mzi_max_mu, mzi_phase_for_mu
 from .simulate import analysis_report, simulate
@@ -178,23 +178,13 @@ def cmd_simulate(args) -> int:
             f"transmission_{name}.csv",
             bus_transmission(chain, field.grid), "abs_t_squared", squared=True,
         )
-    _write_json(os.path.join(out, "report.json"), analysis_report(result))
+    report = analysis_report(result)
+    _write_json(os.path.join(out, "report.json"), report)
     print(json.dumps(_round9({
-        "fidelity": result.fidelity,
-        "K_prime": result.k_prime,
-        "purity": result.purity,
-        "higher_order_weight": result.higher_order_weight,
-        "pgr_hz": result.pgr_hz,
+        key: report[key]
+        for key in ("fidelity", "K_prime", "purity", "higher_order_weight", "pgr_hz")
     })))
     return 0
-
-
-def _taps_fragment(taps) -> list:
-    return [
-        {"amplitude": float(f"{t.amplitude:.9g}"),
-         "phase": float(f"{np.mod(t.phase, 2.0 * np.pi):.9g}")}
-        for t in taps
-    ]
 
 
 def cmd_optimize(args) -> int:
@@ -206,26 +196,28 @@ def cmd_optimize(args) -> int:
     result = optimize_state(cfg, search)
     best = result.best_config
 
+    # every swept chain gets its own list of couplings: a list shared
+    # between two chains would be written as a YAML anchor and an alias
     fragment = {
         "pump": {
             "sigma_p": format_quantity(
                 best.pump.sigma_p, "GHz", "angular_frequency"
             ),
-            "taps": _taps_fragment(best.pump.taps),
+            "taps": [
+                {"amplitude": t.amplitude, "phase": np.mod(t.phase, 2.0 * np.pi)}
+                for t in best.pump.taps
+            ],
         },
-        "resonator": {},
+        "resonator": {
+            key: {"couplings": [
+                format_quantity(m, "GHz", "angular_frequency") for m in result.best_mu
+            ]}
+            for key, _ in swept_chains(cfg)
+        },
     }
-    mu_fragment = [
-        format_quantity(m, "GHz", "angular_frequency") for m in result.best_mu
-    ]
-    if cfg.target.dimension >= 2:
-        fragment["resonator"]["signal"] = {"couplings": mu_fragment}
-        fragment["resonator"]["idler"] = {"couplings": mu_fragment}
-    else:
-        fragment["resonator"]["pump"] = {"couplings": mu_fragment}
     _write_text(
         os.path.join(out, "best_params.yaml"),
-        yaml.safe_dump(fragment, sort_keys=False),
+        yaml.safe_dump(_round9(fragment), sort_keys=False),
     )
 
     trace_path = os.path.join(out, "trace.jsonl")

@@ -1,13 +1,15 @@
 """Inverse design: recover free parameters that realize a target state.
 
 The six-step procedure: (1) fix the device constants and the target
-state; (2) pick a value of the inter-ring coupling mu and build the
-signal-idler filter TDSI; (3) divide the target JSA by the TDSI
-(regularized) and read its anti-diagonal profile (_target_profile, at
-the offsets _profile_offsets), reducing the problem to one dimension;
-(4) least-squares fit the
+state; (2) pick a value of the inter-ring coupling mu for the chains
+swept_chains names and build the signal-idler filter TDSI; (3) divide
+the target JSA by the TDSI (regularized) and read its anti-diagonal
+profile (_target_profile, at the offsets _profile_offsets, the quotient
+taken only at the grid nodes the profile's bilinear read needs),
+reducing the problem to one dimension; (4) least-squares fit the
 magnitude of the pump-side model (envelope width sigma_p and the FIR
-taps, through the ADP model the forward path uses and its exact
+taps, the shaped pump of pulse_shaper.shaped_pump that simulate
+evaluates, through the ADP model the forward path uses and its exact
 derivative) to that profile's magnitude; (5) repeat the fit from many
 random initial tap settings; (6) sweep mu, rank the mu points by their
 best restart's trial score, refine the leading ones with a
@@ -64,13 +66,12 @@ from .errors import ConfigError, NumericalError
 from .jsa import (
     AdpModel,
     Jsa,
-    _bilinear,
     _centre_cut,
     _check_adp_input,
     flip_signs,
     sum_axis,
 )
-from .pulse_shaper import PumpSpec, Tap, tap_phasors, tap_sum
+from .pulse_shaper import PumpSpec, Tap, shaped_pump, tap_phasors
 from .resonator import field_enhancement_chain
 from .simulate import build_grids, simulate
 from .spectral import Field1D, SpectralGrid
@@ -208,22 +209,38 @@ def _target_profile(target: Jsa, l_s: Field1D, l_i: Field1D) -> np.ndarray:
     regularized: G = F conj(T) / (|T|^2 + eps^2 max|T|^2); where |T| >>
     eps this approaches F / T, and the regularization keeps the quotient
     bounded in the filter's nulls.  The profile is u -> G(w_s0 + u/2,
-    w_i0 + u/2), bilinearly interpolated; the cut runs along the main
-    diagonal, on which the anti-diagonal coordinate is constant.
+    w_i0 + u/2), bilinearly interpolated, real and imaginary parts apart;
+    the cut runs along the main diagonal, on which the anti-diagonal
+    coordinate is constant.  max|T|^2 takes all of T, but G is evaluated
+    only at the four nodes around each offset, the corners the
+    interpolation reads.
     """
     tdsi = np.outer(l_s.values, l_i.values)
     mag2 = np.abs(tdsi) ** 2
     peak = np.max(mag2)
     if peak == 0.0:
         raise NumericalError("TDSI is identically zero")
-    g = target.amplitude * np.conj(tdsi) / (mag2 + _EPSILON * _EPSILON * peak)
     grid_s, grid_i = target.grid_s, target.grid_i
     u = _profile_offsets(grid_s, grid_i)
-    ws = grid_s.center + u / 2.0
-    wi = grid_i.center + u / 2.0
-    return _bilinear(g.real, grid_s, grid_i, ws, wi) + 1j * _bilinear(
-        g.imag, grid_s, grid_i, ws, wi
+    fs = (grid_s.center + u / 2.0 - grid_s.samples[0]) / grid_s.spacing
+    fi = (grid_i.center + u / 2.0 - grid_i.samples[0]) / grid_i.spacing
+    j = np.clip(np.floor(fs).astype(int), 0, grid_s.n_points - 2)
+    k = np.clip(np.floor(fi).astype(int), 0, grid_i.n_points - 2)
+    ts = np.clip(fs - j, 0.0, 1.0)
+    ti = np.clip(fi - k, 0.0, 1.0)
+    # rows: the corners (j, k), (j + 1, k), (j, k + 1), (j + 1, k + 1); each
+    # weight enters as two factors and the corners add left to right, the
+    # order of a bilinear read of the whole quotient, so the bytes match it
+    j = j + np.array([[0], [1], [0], [1]])
+    k = k + np.array([[0], [0], [1], [1]])
+    g = target.amplitude[j, k] * np.conj(tdsi[j, k]) / (
+        mag2[j, k] + _EPSILON * _EPSILON * peak
     )
+    w_s = np.array([1 - ts, ts, 1 - ts, ts])
+    w_i = np.array([1 - ti, 1 - ti, ti, ti])
+    re = g.real * w_s * w_i
+    im = g.imag * w_s * w_i
+    return (re[0] + re[1] + re[2] + re[3]) + 1j * (im[0] + im[1] + im[2] + im[3])
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +280,8 @@ def _magnitude_fit(profiles, sums, template: PumpSpec, grid: SpectralGrid, l_ps)
     l_p, its spectrum, the ADP, |ADP| and c); jacobian(rows, x, point) is
     the residual's exact Jacobian from that evaluation, so alpha_p l_p is
     built and transformed once per search point.  A row's numbers do not
-    depend on the rows around it: tap_sum sums tap by tap, and every row
-    reduction runs along a contiguous last axis.
+    depend on the rows around it: shaped_pump sums tap by tap, and every
+    row reduction runs along a contiguous last axis.
     """
     if not np.all(np.any(profiles, axis=-1)):
         raise NumericalError("profile is identically zero")
@@ -273,17 +290,19 @@ def _magnitude_fit(profiles, sums, template: PumpSpec, grid: SpectralGrid, l_ps)
     )
     n_taps = len(template.taps)
 
-    # the shaped pump's envelope and FIR factors on the pump grid, and the
-    # ADP model at the profiles' sum frequencies, set up once per batch; the
-    # model's FFT only spans the part of the sum grid the profile reads
+    # the squared detunings and tap phasors shaped_pump takes on the pump
+    # grid, and the ADP model at the profiles' sum frequencies, set up once
+    # per batch; the model's FFT only spans the part of the sum grid the
+    # profile reads
     detuning2 = (grid.samples - template.carrier) ** 2
     phasors = tap_phasors(template, grid)
     adp = AdpModel(grid, sums)
 
     def residual(rows, x):
-        sigma_p = np.exp(x[:, :1])
-        env = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
-        fir = tap_sum(x[:, 1 : 1 + n_taps] * np.exp(1j * x[:, 1 + n_taps :]), phasors)
+        env, fir = shaped_pump(
+            detuning2, np.exp(x[:, :1]), x[:, 1 : 1 + n_taps], x[:, 1 + n_taps :],
+            phasors,
+        )
         # alpha_p l_p, zero-padded for the FFT in place
         padded = np.zeros((len(rows), adp.n_fft), dtype=complex)
         apl = padded[:, : grid.n_points]
@@ -389,15 +408,22 @@ def _fit_batch(profiles, sums, template: PumpSpec, grid: SpectralGrid, l_ps, x0)
 # ---------------------------------------------------------------------------
 # steps (5)-(6): multi-start search over the mu grid
 
-def _swept_chains(cfg: DeviceConfig, mu: tuple):
-    """Apply a coupling tuple symmetrically: signal/idler chains for an
-    entangled target, the pump chain for the separable (D=1) target."""
+def swept_chains(cfg: DeviceConfig) -> tuple:
+    """The chains the coupling mu sweeps, as (key under the config's
+    resonator section, DeviceConfig field) pairs: the signal and idler
+    chains for an entangled target, the pump chain for the separable
+    (D = 1) target."""
     if cfg.target.dimension >= 2:
-        signal = replace(cfg.signal, couplings=mu)
-        idler = replace(cfg.idler, couplings=mu)
-        return replace(cfg, signal=signal, idler=idler)
-    pump_res = replace(cfg.pump_resonance, couplings=mu)
-    return replace(cfg, pump_resonance=pump_res)
+        return (("signal", "signal"), ("idler", "idler"))
+    return (("pump", "pump_resonance"),)
+
+
+def _swept_chains(cfg: DeviceConfig, mu: tuple):
+    """The config with the coupling tuple mu on every swept chain."""
+    return replace(cfg, **{
+        field: replace(getattr(cfg, field), couplings=mu)
+        for _, field in swept_chains(cfg)
+    })
 
 
 def apply_free_params(
@@ -455,8 +481,7 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
     modes_s = hg_basis(4, grid_s, cfg.target.sigma)
     modes_i = hg_basis(4, grid_i, cfg.target.sigma)
     phasors = tap_phasors(cfg.pump, pump_grid)
-    detuning = pump_grid.samples - cfg.pump.carrier
-    detuning2 = detuning * detuning
+    detuning2 = (pump_grid.samples - cfg.pump.carrier) ** 2
     n = grid_s.n_points
     sums, offsets, u, cell = sum_axis(grid_s, grid_i)
     # the 2n - 1 sums span half the sum grid: the model reads them off a
@@ -481,10 +506,9 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
         def score(sigma_p, amplitudes, phases):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                # the shaped pump (apply_envelope): the Gaussian envelope
-                # times the FIR response
-                env = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
-                fir = tap_sum(amplitudes * np.exp(1j * phases), phasors)
+                env, fir = shaped_pump(
+                    detuning2, sigma_p, amplitudes, phases, phasors
+                )
                 apl = env * fir * l_p
                 _check_adp_input(apl)
                 a = np.abs(adp(apl))
@@ -830,19 +854,18 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     trial scores; for the separable target also the verification of each
     point's best candidate) and then one task per leading mu point: its
     verification and its polish; with one worker everything runs in this
-    process.  A config whose swept chains (see _swept_chains) have no
-    coupling, or signal and idler chains of different stage counts, is a
-    ConfigError, raised before any task is built.
+    process.  A config whose swept chains (see swept_chains) have no
+    coupling, or different stage counts, is a ConfigError, raised before
+    any task is built.
     """
-    if cfg.target.dimension >= 2:
-        swept, chains = "signal and idler chains", (cfg.signal, cfg.idler)
-    else:
-        swept, chains = "pump chain", (cfg.pump_resonance,)
+    keys, fields = zip(*swept_chains(cfg))
+    swept = " and ".join(keys) + (" chains" if len(keys) > 1 else " chain")
+    chains = [getattr(cfg, field) for field in fields]
     stages = sorted({chain.stages for chain in chains})
     if len(stages) > 1:
         raise ConfigError(
             f"the swept {swept} share one coupling tuple but have "
-            f"{cfg.signal.stages} and {cfg.idler.stages} stages"
+            f"{' and '.join(str(chain.stages) for chain in chains)} stages"
         )
     if stages == [1]:
         raise ConfigError(f"swept {swept} with one ring: no coupling to sweep")

@@ -258,22 +258,6 @@ def compute_jsa(
     return normalize(Jsa(grid_s, grid_i, amp), in_place=True)
 
 
-def _bilinear(values, grid_s, grid_i, ws, wi):
-    """Bilinear interpolation of values at (ws, wi)."""
-    fs = (ws - grid_s.samples[0]) / grid_s.spacing
-    fi = (wi - grid_i.samples[0]) / grid_i.spacing
-    j0 = np.clip(np.floor(fs).astype(int), 0, grid_s.n_points - 2)
-    k0 = np.clip(np.floor(fi).astype(int), 0, grid_i.n_points - 2)
-    ts = np.clip(fs - j0, 0.0, 1.0)
-    ti = np.clip(fi - k0, 0.0, 1.0)
-    return (
-        values[j0, k0] * (1 - ts) * (1 - ti)
-        + values[j0 + 1, k0] * ts * (1 - ti)
-        + values[j0, k0 + 1] * (1 - ts) * ti
-        + values[j0 + 1, k0 + 1] * ts * ti
-    )
-
-
 def sum_axis(grid_s: SpectralGrid, grid_i: SpectralGrid):
     """The 2n - 1 sum indices m = j + k of an n^2 signal/idler grid pair,
     as (sums, offsets, u, cell).

@@ -12,6 +12,12 @@ frequency instead of the detuning shifts tap n by n * (carrier * tau mod
 2 pi), so the alignment of the FIR comb against the resonance grid is
 set by digits of the carrier far below its quoted precision.  It is
 therefore kept as an explicit calibration input (zero by default).
+
+The shaped pump is the Gaussian input pulse times H,
+alpha_p(omega) = exp[-(omega - carrier)^2 / 2 sigma_p^2] H(omega).
+shaped_pump is the one place that evaluates it: simulate calls it once
+per run, the inverse loop's ADP fit for a batch of search vectors at a
+time, and its trial score once per candidate.
 """
 
 from __future__ import annotations
@@ -20,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-from .spectral import Field1D, SpectralGrid, gaussian_envelope
+from .spectral import SpectralGrid
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ class PumpSpec:
 def tap_phasors(spec: PumpSpec, grid: SpectralGrid) -> np.ndarray:
     """Per-tap delay phasors exp[i n (theta - (omega - carrier) tau)].
 
-    Row n - 1 belongs to tap n; H is tap_sum(weights, phasors).
+    Row n - 1 belongs to tap n; shaped_pump sums them into H.
     """
     detuning = grid.samples - spec.carrier
     n_idx = np.arange(1, len(spec.taps) + 1)
@@ -71,38 +76,24 @@ def tap_phasors(spec: PumpSpec, grid: SpectralGrid) -> np.ndarray:
     )
 
 
-def tap_sum(weights: np.ndarray, phasors: np.ndarray) -> np.ndarray:
-    """H = sum_n c_n phasors[n - 1] of the complex tap weights
-    c_n = alpha_n exp(i phi_n); a stack of weight rows gives one H per row.
+def shaped_pump(detuning2, sigma_p, amplitudes, phases, phasors):
+    """The shaped pump's two factors, (envelope, response): the Gaussian
+    envelope exp(-d^2 / 2 sigma_p^2) at the squared detunings detuning2,
+    with peak 1 and 1/sqrt(e) half-width sigma_p, and the FIR response
+    H = sum_n alpha_n exp(i phi_n) phasors[n - 1] (see tap_phasors).  The
+    pump is their product.
 
-    The products are summed tap by tap, so a row's H does not depend on
-    the rows around it.  As a matrix product this would be a complex gemv
-    with a handful of rows, which OpenBLAS splits over threads from a few
-    thousand frequencies on, and the threads cost more than the sum
-    itself.
+    One parameter set is a scalar sigma_p and 1-D amplitudes and phases; a
+    batch is a column of sigma_p and rows of taps, and gives one envelope
+    and one response per row.  H is summed tap by tap, so a row's numbers
+    do not depend on the rows around it.  As a matrix product this would
+    be a complex gemv with a handful of rows, which OpenBLAS splits over
+    threads from a few thousand frequencies on, and the threads cost more
+    than the sum itself.
     """
-    h = weights[..., :1] * phasors[0]
+    envelope = np.exp(-detuning2 / (2.0 * sigma_p * sigma_p))
+    weights = amplitudes * np.exp(1j * phases)
+    response = weights[..., :1] * phasors[0]
     for n in range(1, len(phasors)):
-        h += weights[..., n : n + 1] * phasors[n]
-    return h
-
-
-def fir_response(spec: PumpSpec, grid: SpectralGrid) -> Field1D:
-    """Complex FIR transfer function H on the grid.
-
-    Periodic in omega with period 2 pi / base_delay; |H| <= sum of tap
-    amplitudes everywhere.
-    """
-    if all(tap.amplitude == 0.0 for tap in spec.taps):
-        raise NumericalError("all tap amplitudes are zero")
-    alphas = np.array([tap.amplitude for tap in spec.taps])
-    phis = np.array([tap.phase for tap in spec.taps])
-    return Field1D(grid, tap_sum(alphas * np.exp(1j * phis), tap_phasors(spec, grid)))
-
-
-def apply_envelope(spec: PumpSpec, response: Field1D) -> Field1D:
-    """Shaped pump spectrum from a FIR response already evaluated on its
-    grid: the Gaussian envelope times the response."""
-    grid = response.grid
-    envelope = gaussian_envelope(grid, spec.carrier, spec.sigma_p)
-    return Field1D(grid, envelope.values * response.values)
+        response += weights[..., n : n + 1] * phasors[n]
+    return envelope, response

@@ -22,8 +22,9 @@ from .analysis import (
     schmidt_decompose,
 )
 from .config import DeviceConfig
+from .errors import NumericalError
 from .jsa import Jsa, compute_jsa, impose_pi_phase
-from .pulse_shaper import apply_envelope, fir_response
+from .pulse_shaper import shaped_pump, tap_phasors
 from .resonator import field_enhancement_chain
 from .spectral import Field1D, SpectralGrid
 
@@ -84,10 +85,17 @@ def reported_state(jsa_raw: Jsa) -> Jsa:
 def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult:
     """Run the forward model and compute all figures of merit."""
     pump_grid, grid_s, grid_i = build_grids(cfg, n_points)
-    # the FIR response is evaluated once: it is an output of its own and
-    # the factor of the shaped pump
-    fir = fir_response(cfg.pump, pump_grid)
-    pump = apply_envelope(cfg.pump, fir)
+    # the FIR response is an output of its own and a factor of the pump
+    spec = cfg.pump
+    amplitudes = np.array([tap.amplitude for tap in spec.taps])
+    if not np.any(amplitudes):
+        raise NumericalError("all tap amplitudes are zero")
+    envelope, response = shaped_pump(
+        (pump_grid.samples - spec.carrier) ** 2, spec.sigma_p, amplitudes,
+        np.array([tap.phase for tap in spec.taps]), tap_phasors(spec, pump_grid),
+    )
+    fir = Field1D(pump_grid, response)
+    pump = Field1D(pump_grid, envelope * response)
     l_p = field_enhancement_chain(cfg.pump_resonance, pump_grid)
     l_s = field_enhancement_chain(cfg.signal, grid_s)
     l_i = field_enhancement_chain(cfg.idler, grid_i)

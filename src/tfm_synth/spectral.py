@@ -88,11 +88,3 @@ def hg_mode(n: int, grid: SpectralGrid, sigma: float) -> Field1D:
             f"integral |f|^2 = {norm_sq:.6g}"
         )
     return Field1D(grid, values, warning=warning)
-
-
-def gaussian_envelope(grid: SpectralGrid, center: float, sigma_p: float) -> Field1D:
-    """Gaussian pump envelope with peak value 1 and 1/sqrt(e) half-width sigma_p."""
-    if sigma_p <= 0:
-        raise ValueError(f"sigma_p must be > 0, got {sigma_p}")
-    d = grid.samples - center
-    return Field1D(grid, np.exp(-(d * d) / (2.0 * sigma_p * sigma_p)))

@@ -13,7 +13,7 @@ from scipy.optimize import least_squares, minimize
 from tfm_synth.config import TargetConfig
 from tfm_synth.errors import NumericalError
 from tfm_synth.inversion import _FIT_GTOL, _FIT_MAX_NFEV, _FIT_XTOL, _magnitude_fit
-from tfm_synth.jsa import Jsa, _bilinear, _sum_grid, normalize
+from tfm_synth.jsa import Jsa, _sum_grid, normalize
 from tfm_synth.phase_matching import DispersionModel, pmf
 from tfm_synth.pulse_shaper import Tap
 from tfm_synth.resonator import MziCouplerSpec, ResonanceChain
@@ -98,6 +98,24 @@ def decoupled_target(target: Jsa, l_s: Field1D, l_i: Field1D, epsilon: float):
     return target.amplitude * np.conj(tdsi) / (mag2 + epsilon * epsilon * peak)
 
 
+def bilinear(values, grid_s, grid_i, ws, wi):
+    """Bilinear interpolation of the n^2 array values at (ws, wi): the
+    reference for inversion._target_profile's read of its quotient at the
+    four corners of each sample."""
+    fs = (ws - grid_s.samples[0]) / grid_s.spacing
+    fi = (wi - grid_i.samples[0]) / grid_i.spacing
+    j0 = np.clip(np.floor(fs).astype(int), 0, grid_s.n_points - 2)
+    k0 = np.clip(np.floor(fi).astype(int), 0, grid_i.n_points - 2)
+    ts = np.clip(fs - j0, 0.0, 1.0)
+    ti = np.clip(fi - k0, 0.0, 1.0)
+    return (
+        values[j0, k0] * (1 - ts) * (1 - ti)
+        + values[j0 + 1, k0] * ts * (1 - ti)
+        + values[j0, k0 + 1] * (1 - ts) * ti
+        + values[j0 + 1, k0 + 1] * ts * ti
+    )
+
+
 def diagonal_profile(g, grid_s: SpectralGrid, grid_i: SpectralGrid, n_points: int):
     """(u, g(w_s0 + u/2, w_i0 + u/2)) at n_points offsets u spanning the
     grid, bilinearly interpolated, real and imaginary parts apart."""
@@ -105,7 +123,7 @@ def diagonal_profile(g, grid_s: SpectralGrid, grid_i: SpectralGrid, n_points: in
     u = np.linspace(-span, span, n_points)
     ws = grid_s.center + u / 2.0
     wi = grid_i.center + u / 2.0
-    values = _bilinear(g.real, grid_s, grid_i, ws, wi) + 1j * _bilinear(
+    values = bilinear(g.real, grid_s, grid_i, ws, wi) + 1j * bilinear(
         g.imag, grid_s, grid_i, ws, wi
     )
     return u, values

@@ -599,6 +599,35 @@ def test_optimize_unsweepable_config_exits_2(tmp_path, capsys, preset, edits):
     assert stdout == ""
 
 
+@pytest.mark.parametrize(
+    "preset, keys", [("bell_phi_minus", ["signal", "idler"]), ("separable", ["pump"])]
+)
+def test_best_params_yaml_has_no_aliases(tmp_path, capsys, monkeypatch, preset, keys):
+    """best_params.yaml gives every swept chain its own couplings list:
+    the file holds no YAML anchor or alias, so each chain's block reads
+    alone, and the lists are equal.  The search is replaced by the
+    preset's own design."""
+    cfg = load_preset(preset)
+    mu = getattr(cfg, inversion.swept_chains(cfg)[0][1]).couplings
+    result = inversion.OptimizeResult(
+        best_config=cfg, best_mu=mu, fidelity=1.0, residual=0.0, trace=(),
+        fits={"converged_frac": 1.0, "nfev_median": 1.0, "njev_median": 1.0},
+    )
+    monkeypatch.setattr(cli, "optimize_state", lambda cfg, search: result)
+    code, _, _ = run(
+        capsys, "optimize", "--config", preset, "--grid", "16",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 0
+    text = (tmp_path / "o" / "best_params.yaml").read_text()
+    assert "&" not in text and "*" not in text
+    resonator = yaml.safe_load(text)["resonator"]
+    assert list(resonator) == keys
+    couplings = [resonator[key]["couplings"] for key in keys]
+    assert couplings == [couplings[0]] * len(keys)
+    assert len(couplings[0]) == len(mu)
+
+
 def test_optimize_reports_the_verified_score(tmp_path, capsys):
     """The score the search verified its winner by is the figure simulate
     reports for the written design: report.json's fidelity is its search

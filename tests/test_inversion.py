@@ -40,13 +40,10 @@ from tfm_synth.inversion import (
     _verified_score,
     apply_free_params,
     optimize_state,
+    swept_chains,
 )
-from tfm_synth.jsa import AdpModel, Jsa, flip_signs, normalize
-from tfm_synth.pulse_shaper import (
-    PumpSpec,
-    apply_envelope,
-    fir_response,
-)
+from tfm_synth.jsa import AdpModel, Jsa, _check_adp_input, flip_signs, normalize
+from tfm_synth.pulse_shaper import PumpSpec, shaped_pump, tap_phasors
 from tfm_synth.resonator import field_enhancement_chain
 from tfm_synth.simulate import build_grids, reported_state, simulate
 from tfm_synth.spectral import Field1D, SpectralGrid, hg_mode
@@ -168,13 +165,16 @@ def test_extract_symmetry():
     "preset", ["bell_phi_minus", "mes_d3", "mes_d4", "separable"]
 )
 def test_target_profile_is_the_two_step_profile_bit_for_bit(preset, n_points):
-    """The fit's input, as _run_mu_points builds it, equals the reference's
-    regularized division by the outer-product filter followed by the
-    diagonal read, at the preset's couplings and at one swept mu."""
+    """The fit's input, as _run_mu_points builds it from the quotient at
+    the bilinear interpolation's corners only, equals, byte for byte, the
+    reference's regularized division of the whole grid by the
+    outer-product filter followed by the bilinear diagonal read, at the
+    preset's couplings and at two swept mu."""
     cfg = load_preset(preset)
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=n_points))
-    swept = cfg.signal if cfg.target.dimension >= 2 else cfg.pump_resonance
-    for mu in (swept.couplings, (2.25e9,) * len(swept.couplings)):
+    swept = getattr(cfg, swept_chains(cfg)[0][1])
+    n_mu = len(swept.couplings)
+    for mu in (swept.couplings, (0.75e9,) * n_mu, (2.25e9,) * n_mu):
         trial_cfg = _swept_chains(cfg, mu)
         _, grid_s, grid_i = build_grids(trial_cfg)
         target = target_jsa(cfg.target, grid_s, grid_i)
@@ -184,7 +184,7 @@ def test_target_profile_is_the_two_step_profile_bit_for_bit(preset, n_points):
         g = oracles.decoupled_target(target, l_s, l_i, _EPSILON)
         u, values = oracles.diagonal_profile(g, grid_s, grid_i, _FIT_PROFILE_POINTS)
         assert np.array_equal(_profile_offsets(grid_s, grid_i), u)
-        assert np.array_equal(got, values)
+        assert got.tobytes() == values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +212,19 @@ def lorentzian_lp():
     return Field1D(PUMP_GRID, 1.0 / (1j * delta + 9.7e9))
 
 
+def pump_of(spec, grid):
+    """The shaped pump of spec on grid, envelope times FIR response."""
+    envelope, response = shaped_pump(
+        (grid.samples - spec.carrier) ** 2, spec.sigma_p, *tap_arrays(spec.taps),
+        tap_phasors(spec, grid),
+    )
+    return envelope * response
+
+
 def synth_adp(spec, l_p, u):
     """ADP of the shaped, resonance-filtered pump at sum offsets u, through
     the model the forward path and the fit share."""
-    pump = apply_envelope(spec, fir_response(spec, l_p.grid))
-    return AdpModel(l_p.grid, 2.0 * P0 + u)(pump.values * l_p.values)
+    return AdpModel(l_p.grid, 2.0 * P0 + u)(pump_of(spec, l_p.grid) * l_p.values)
 
 
 def unit_magnitude(values):
@@ -470,7 +478,7 @@ def mu_point_fit_rows(preset, n_rows):
     in turn, each row with its own restart's start, at a 128^2 grid."""
     cfg = load_preset(preset)
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=128))
-    swept = cfg.signal if cfg.target.dimension >= 2 else cfg.pump_resonance
+    swept = getattr(cfg, swept_chains(cfg)[0][1])
     mu_values = SearchConfig().mu_values
     pump_grid, grid_s, grid_i = build_grids(cfg)
     pump_grid = SpectralGrid(pump_grid.center, pump_grid.half_span, _FIT_PUMP_POINTS)
@@ -555,8 +563,7 @@ def _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps):
     l_s = field_enhancement_chain(trial_cfg.signal, grid_s)
     l_i = field_enhancement_chain(trial_cfg.idler, grid_i)
     spec = replace(cfg.pump, sigma_p=sigma_p, taps=taps)
-    pump = apply_envelope(spec, fir_response(spec, pump_grid))
-    apl = pump.values * l_p.values
+    apl = pump_of(spec, pump_grid) * l_p.values
     conv = fftconvolve(apl, apl) * pump_grid.spacing
     axis = np.linspace(
         2.0 * pump_grid.center - 2.0 * pump_grid.half_span,
@@ -668,7 +675,7 @@ def test_trial_score_hands_flip_signs_the_inline_cut(
         return minima
 
     cfg = load_preset(preset)
-    swept = cfg.signal if cfg.target.dimension >= 2 else cfg.pump_resonance
+    swept = getattr(cfg, swept_chains(cfg)[0][1])
     mu = swept.couplings
     trial_cfg = _swept_chains(cfg, mu)
     _, grid_s, grid_i = build_grids(cfg, n_points)
@@ -737,6 +744,70 @@ def test_trial_score_rejects_an_all_zero_pump(preset):
         score(cfg.pump.sigma_p, taps)
 
 
+@pytest.mark.parametrize("pump_points", [_FIT_PUMP_POINTS, _POLISH_PUMP_POINTS])
+@pytest.mark.parametrize("preset", ["bell_phi_minus", "separable"])
+def test_fit_and_trial_score_shape_the_pump_as_simulate(
+    monkeypatch, preset, pump_points
+):
+    """alpha_p l_p as the ADP fit's residual builds it and as the trial
+    score hands it to the ADP model are each simulate's pump.values *
+    l_p.values, bit for bit, at the config's own pump width and taps on
+    simulate's pump grid.  The search vector carries log sigma_p, so
+    simulate gets the width that gives back."""
+    cfg = load_preset(preset)
+    x = _pack(cfg.pump.sigma_p, *tap_arrays(cfg.pump.taps))
+    cfg = replace(
+        cfg,
+        pump=replace(cfg.pump, sigma_p=float(np.exp(x[0]))),
+        grid=replace(cfg.grid, n_points=64, pump_points=pump_points),
+    )
+    result = simulate(cfg)
+    want = (result.pump.values * result.l_p.values).tobytes()
+
+    grid_s, grid_i = result.jsa.grid_s, result.jsa.grid_i
+    sums = grid_s.center + grid_i.center + _profile_offsets(grid_s, grid_i)
+    residual, _ = _magnitude_fit(
+        np.ones((1, sums.size)), sums, cfg.pump, result.l_p.grid,
+        result.l_p.values[None, :],
+    )
+    _, (_, apl, *_) = residual(np.array([0]), x[None, :])
+    assert apl[0].tobytes() == want
+
+    handed = []
+
+    def recording(values):
+        handed.append(values.copy())
+        _check_adp_input(values)
+
+    monkeypatch.setattr(inversion, "_check_adp_input", recording)
+    mu = getattr(cfg, swept_chains(cfg)[0][1]).couplings
+    _trial_contexts(cfg, pump_points, 64)(mu)(*_split(x))
+    assert [a.tobytes() for a in handed] == [want]
+
+
+@pytest.mark.parametrize(
+    "preset, fields",
+    [
+        ("bell_phi_minus", ("signal", "idler")),
+        ("mes_d3", ("signal", "idler")),
+        ("mes_d4", ("signal", "idler")),
+        ("separable", ("pump_resonance",)),
+    ],
+)
+def test_swept_chains_follow_the_target_dimension(preset, fields):
+    """mu sweeps the signal and idler chains of a d >= 2 target and the
+    pump chain of the d = 1 target, each under its key in the config's
+    resonator section; _swept_chains puts mu on those chains only."""
+    cfg = load_preset(preset)
+    keys = {"signal": "signal", "idler": "idler", "pump_resonance": "pump"}
+    assert swept_chains(cfg) == tuple((keys[f], f) for f in fields)
+    mu = (0.5e9,) * len(getattr(cfg, fields[0]).couplings)
+    swept = _swept_chains(cfg, mu)
+    for field in ("signal", "idler", "pump_resonance"):
+        want = mu if field in fields else getattr(cfg, field).couplings
+        assert getattr(swept, field).couplings == want
+
+
 @pytest.mark.parametrize(
     "pump_points, n_points",
     [(_FIT_PUMP_POINTS, _VERIFY_POINTS), (_POLISH_PUMP_POINTS, 512)],
@@ -790,7 +861,7 @@ def test_verified_score_equals_simulate(preset, n_points):
     the fidelity, or the purity for the separable target."""
     cfg = load_preset(preset)
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=n_points))
-    swept = cfg.signal if cfg.target.dimension >= 2 else cfg.pump_resonance
+    swept = getattr(cfg, swept_chains(cfg)[0][1])
     mu = swept.couplings
     got = _verified_score(cfg, mu, cfg.pump.sigma_p, cfg.pump.taps)
     full = simulate(apply_free_params(cfg, mu, cfg.pump.sigma_p, cfg.pump.taps))
@@ -849,7 +920,7 @@ def test_verified_score_goes_through_simulates_chain(monkeypatch, preset):
     counting(simulate_module, "reported_state")
     cfg = load_preset(preset)
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=128))
-    swept = cfg.signal if cfg.target.dimension >= 2 else cfg.pump_resonance
+    swept = getattr(cfg, swept_chains(cfg)[0][1])
     _verified_score(cfg, swept.couplings, cfg.pump.sigma_p, cfg.pump.taps)
     assert calls == {"simulate": 1, "compute_jsa": 1, "reported_state": 1}
 

@@ -14,7 +14,6 @@ from tfm_synth.errors import NumericalError
 from tfm_synth.jsa import (
     AdpModel,
     Jsa,
-    _bilinear,
     _centre_cut,
     _interp_plan,
     _sum_grid,
@@ -408,7 +407,7 @@ def _impose_pi_phase_reference(jsa, prominence=0.5):
     span = 2.0 * min(jsa.grid_s.half_span, jsa.grid_i.half_span)
     n_cut = 2 * max(jsa.grid_s.n_points, jsa.grid_i.n_points) - 1
     u = np.linspace(-span, span, n_cut)
-    mag = _bilinear(
+    mag = oracles.bilinear(
         np.abs(jsa.amplitude), jsa.grid_s, jsa.grid_i,
         jsa.grid_s.center + u / 2.0, jsa.grid_i.center + u / 2.0,
     )

@@ -1,4 +1,7 @@
-"""FIR pump shaper oracles and properties."""
+"""FIR pump shaper oracles and properties, read from shaped_pump, the one
+evaluation of the shaped pump."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,13 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from tfm_synth import load_preset, simulate
 from tfm_synth.errors import NumericalError
-from tfm_synth.pulse_shaper import (
-    PumpSpec,
-    Tap,
-    apply_envelope,
-    fir_response,
-)
+from tfm_synth.pulse_shaper import PumpSpec, Tap, shaped_pump, tap_phasors
 from tfm_synth.spectral import SpectralGrid
 
 TAU = 75e-12
@@ -29,6 +28,22 @@ def spec_with(amplitudes, phases, theta=0.0, sigma_p=25e9):
     )
 
 
+def factors(spec, grid):
+    """shaped_pump's (envelope, response) of spec on grid."""
+    return shaped_pump(
+        (grid.samples - spec.carrier) ** 2,
+        spec.sigma_p,
+        np.array([tap.amplitude for tap in spec.taps]),
+        np.array([tap.phase for tap in spec.taps]),
+        tap_phasors(spec, grid),
+    )
+
+
+def fir(spec, grid):
+    """The FIR response H of spec on grid."""
+    return factors(spec, grid)[1]
+
+
 def test_tap_amplitude_bounds():
     Tap(0.0, 1.0)
     Tap(1.0, -3.0)
@@ -39,15 +54,18 @@ def test_tap_amplitude_bounds():
 
 
 def test_all_zero_taps_rejected():
-    spec = spec_with([0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(NumericalError):
-        fir_response(spec, SpectralGrid(CARRIER, 100e9, 64))
+    """simulate rejects a pump whose taps all have amplitude 0."""
+    cfg = load_preset("bell_phi_minus")
+    zero = tuple(Tap(0.0, tap.phase) for tap in cfg.pump.taps)
+    cfg = replace(cfg, pump=replace(cfg.pump, taps=zero))
+    with pytest.raises(NumericalError, match="all tap amplitudes are zero"):
+        simulate(cfg, n_points=16)
 
 
 def test_single_tap_flat_magnitude():
     spec = spec_with([0.7], [1.2])
     grid = SpectralGrid(CARRIER, 100e9, 257)
-    h = fir_response(spec, grid).values
+    h = fir(spec, grid)
     np.testing.assert_allclose(np.abs(h), 0.7, atol=1e-14)
 
 
@@ -59,7 +77,7 @@ def test_two_tap_closed_form():
     theta = 0.7
     spec = spec_with([a1, a2], [p1, p2], theta=theta)
     grid = SpectralGrid(CARRIER, 100e9, 1025)
-    h = fir_response(spec, grid).values
+    h = fir(spec, grid)
     delta = grid.samples - CARRIER
     expect = (
         a1 * a1
@@ -80,14 +98,14 @@ def test_periodicity():
     delta = np.linspace(-period, period, 401)
     grid_a = SpectralGrid(CARRIER, period, 401)
     shifted = SpectralGrid(CARRIER + period, period, 401)
-    h_a = fir_response(spec, grid_a).values
-    h_b = fir_response(spec, shifted).values
+    h_a = fir(spec, grid_a)
+    h_b = fir(spec, shifted)
     np.testing.assert_allclose(h_a, h_b, atol=1e-10 * np.max(np.abs(h_a)))
     assert delta.shape == h_a.shape
 
 
 def test_response_matches_per_tap_sum():
-    """The phasor-matrix product against the per-tap sum
+    """The response against the per-tap sum
     sum_n alpha_n exp[i (phi_n + n theta - n delta tau)], to 1e-12."""
     amps = [0.216, 0.805, 0.123, 0.995, 0.754, 0.523]
     phases = [1.590, 1.187, 2.670, 4.860, 1.108, 6.282]
@@ -98,14 +116,14 @@ def test_response_matches_per_tap_sum():
         a * np.exp(1j * (p + n * (theta - delta * TAU)))
         for n, (a, p) in enumerate(zip(amps, phases), start=1)
     )
-    h = fir_response(spec_with(amps, phases, theta=theta), grid).values
+    h = fir(spec_with(amps, phases, theta=theta), grid)
     np.testing.assert_allclose(h, expect, rtol=0.0, atol=1e-12)
 
 
 def test_magnitude_bounded_by_tap_sum():
     spec = spec_with([0.9, 0.4, 0.6], [0.1, 2.0, 4.0])
     grid = SpectralGrid(CARRIER, 300e9, 2048)
-    h = fir_response(spec, grid).values
+    h = fir(spec, grid)
     assert np.max(np.abs(h)) <= 0.9 + 0.4 + 0.6 + 1e-12
 
 
@@ -121,19 +139,33 @@ def test_global_phase_invariance(shift, seed):
     amps = rng.uniform(0.1, 1.0, 4)
     phases = rng.uniform(0.0, 2.0 * np.pi, 4)
     grid = SpectralGrid(CARRIER, 150e9, 257)
-    h0 = fir_response(spec_with(amps, phases), grid).values
-    h1 = fir_response(spec_with(amps, phases + shift), grid).values
+    h0 = fir(spec_with(amps, phases), grid)
+    h1 = fir(spec_with(amps, phases + shift), grid)
     np.testing.assert_allclose(np.abs(h0), np.abs(h1), atol=1e-10)
 
 
 def test_shaped_pump_is_envelope_times_response():
+    """The envelope is the unit-peak Gaussian exp(-delta^2 / 2 sigma_p^2),
+    to 1e-14, and the factors of a batch (a column of sigma_p, rows of
+    taps) are those of each row evaluated alone, bit for bit."""
     spec = spec_with([0.8, 0.5], [0.0, 1.0])
     grid = SpectralGrid(CARRIER, 120e9, 513)
-    h = fir_response(spec, grid)
-    pump = apply_envelope(spec, h).values
+    env, _ = factors(spec, grid)
     delta = grid.samples - CARRIER
-    env = np.exp(-(delta**2) / (2.0 * spec.sigma_p**2))
-    np.testing.assert_allclose(pump, env * h.values, atol=1e-14)
+    np.testing.assert_allclose(
+        env, np.exp(-(delta**2) / (2.0 * spec.sigma_p**2)), rtol=0.0, atol=1e-14
+    )
+    rows = [spec, spec_with([0.3, 0.9], [2.0, 5.0], sigma_p=17e9)]
+    batch = shaped_pump(
+        (grid.samples - CARRIER) ** 2,
+        np.array([[row.sigma_p] for row in rows]),
+        np.array([[tap.amplitude for tap in row.taps] for row in rows]),
+        np.array([[tap.phase for tap in row.taps] for row in rows]),
+        tap_phasors(spec, grid),
+    )
+    for r, row in enumerate(rows):
+        for got, want in zip(batch, factors(row, grid)):
+            assert got[r].tobytes() == want.tobytes()
 
 
 def test_comb_alignment_shifts_comb():
@@ -143,7 +175,7 @@ def test_comb_alignment_shifts_comb():
     phases = [0.2, 1.4, 3.3]
     theta = 0.8
     grid = SpectralGrid(CARRIER, 100e9, 1001)
-    h_theta = fir_response(spec_with(amps, phases, theta=theta), grid).values
+    h_theta = fir(spec_with(amps, phases, theta=theta), grid)
     shifted_grid = SpectralGrid(CARRIER - theta / TAU, 100e9, 1001)
-    h_shift = fir_response(spec_with(amps, phases, theta=0.0), shifted_grid).values
+    h_shift = fir(spec_with(amps, phases, theta=0.0), shifted_grid)
     np.testing.assert_allclose(h_theta, h_shift, atol=1e-9)

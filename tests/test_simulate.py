@@ -10,7 +10,6 @@ import oracles
 from tfm_synth import load_preset, pulse_shaper, simulate
 from tfm_synth.analysis import schmidt_decompose
 from tfm_synth.jsa import Jsa, normalize
-from tfm_synth.pulse_shaper import apply_envelope, fir_response
 from tfm_synth.simulate import build_grids
 from tfm_synth.spectral import SpectralGrid
 
@@ -124,27 +123,39 @@ def test_krylov_weights_match_svd_at_1024(name, monkeypatch):
 
 
 def test_one_fir_evaluation_per_simulate(monkeypatch):
-    """simulate evaluates the FIR response once, counted through both the
-    simulate module's binding and the pulse shaper's own."""
+    """simulate evaluates the shaped pump, envelope and FIR response, once,
+    counted through both the simulate module's binding and the pulse
+    shaper's own."""
     calls = []
-    original = pulse_shaper.fir_response
+    original = pulse_shaper.shaped_pump
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(simulate_module, "fir_response", counted)
-    monkeypatch.setattr(pulse_shaper, "fir_response", counted)
+    monkeypatch.setattr(simulate_module, "shaped_pump", counted)
+    monkeypatch.setattr(pulse_shaper, "shaped_pump", counted)
     simulate(load_preset("bell_phi_minus"), n_points=32)
     assert len(calls) == 1
 
 
 def test_pump_is_the_shaped_pump_bit_for_bit(results):
+    """The FIR response and the pump equal, bit for bit, the per-tap
+    formula H = sum_n alpha_n exp(i phi_n) exp[i n (theta - delta tau)],
+    summed from tap 1 on, times the envelope exp(-delta^2 / 2 sigma_p^2)."""
     for result in results.values():
-        cfg = result.config
-        pump_grid = build_grids(cfg)[0]
+        spec = result.config.pump
+        pump_grid = build_grids(result.config)[0]
         assert result.pump.grid == result.fir.grid == pump_grid
-        assert np.array_equal(
-            result.pump.values,
-            apply_envelope(cfg.pump, fir_response(cfg.pump, pump_grid)).values,
-        )
+        delta = pump_grid.samples - spec.carrier
+        envelope = np.exp(-(delta * delta) / (2.0 * spec.sigma_p * spec.sigma_p))
+        terms = [
+            np.array([tap.amplitude * np.exp(1j * tap.phase)])
+            * np.exp(1j * n * (spec.comb_alignment - delta * spec.base_delay))
+            for n, tap in enumerate(spec.taps, start=1)
+        ]
+        response = terms[0]
+        for term in terms[1:]:
+            response = response + term
+        assert result.fir.values.tobytes() == response.tobytes()
+        assert result.pump.values.tobytes() == (envelope * response).tobytes()

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import oracles
 from tfm_synth.errors import NumericalError
+from tfm_synth.pulse_shaper import shaped_pump
 from tfm_synth.spectral import (
     Field1D,
     SpectralGrid,
-    gaussian_envelope,
     hg_mode,
 )
 
@@ -82,14 +82,17 @@ def test_narrow_grid_warns_via_field():
 
 
 def test_gaussian_envelope_width_convention():
-    """Value at detuning sigma_p is 1/sqrt(e): the full width at
-    sqrt(1/e) of the maximum is 2 sigma_p."""
+    """The shaped pump's envelope at detuning sigma_p is 1/sqrt(e): the
+    full width at sqrt(1/e) of the maximum is 2 sigma_p."""
     sigma_p = 25.0e9
     g = SpectralGrid(100.0e12, 100e9, 4001)
-    env = gaussian_envelope(g, 100.0e12, sigma_p)
-    at_sigma = np.interp(100.0e12 + sigma_p, g.samples, env.values.real)
+    env, _ = shaped_pump(
+        (g.samples - 100.0e12) ** 2, sigma_p, np.ones(1), np.zeros(1),
+        np.ones((1, g.n_points)),
+    )
+    at_sigma = np.interp(100.0e12 + sigma_p, g.samples, env)
     assert at_sigma == pytest.approx(np.exp(-0.5), rel=1e-6)
-    assert np.max(np.abs(env.values)) == pytest.approx(1.0)
+    assert np.max(np.abs(env)) == pytest.approx(1.0)
 
 
 @given(
