@@ -32,7 +32,7 @@ from .config import (
     load_preset,
 )
 from .errors import ConfigError, NumericalError
-from .inversion import SearchConfig, mu_grid, optimize_state, swept_chains
+from .inversion import _MU_RANGE, SearchConfig, mu_grid, optimize_state, swept_chains
 from .jsa import save_jsa_binary, save_jsa_sidecar
 from .resonator import bus_transmission, mzi_max_mu, mzi_phase_for_mu
 from .simulate import analysis_report, simulate
@@ -55,15 +55,24 @@ def _atomic_write(path: str, writer, binary: bool = False) -> None:
 
     The temp file is created 0666 less the umask, like a file that open()
     creates, under a name no other writer holds (O_EXCL), and opened in
-    binary mode if binary is set.
+    binary mode if binary is set.  An OSError from creating the temp file
+    or renaming it to path (a directory, say) is a ConfigError naming
+    path; one that writer raises propagates as it is.
     """
+
+    def placed(call, *args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    fd = placed(os.open, tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb" if binary else "w") as fh:
             writer(fh)
-        os.replace(tmp, path)
+        placed(os.replace, tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -362,15 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(p_mzi)
     p_mzi.add_argument("--out", default=None, help="output directory (default stdout)")
-    p_mzi.add_argument(
-        "--mu-min", type=float, default=0.0, help="sweep start, rad/s"
-    )
-    p_mzi.add_argument(
-        "--mu-max", type=float, default=5.0e9, help="sweep end, rad/s"
-    )
-    p_mzi.add_argument(
-        "--mu-step", type=float, default=0.25e9, help="sweep step, rad/s"
-    )
+    # by default, the couplings optimize sweeps
+    for flag, default, text in zip(
+        ("--mu-min", "--mu-max", "--mu-step"), _MU_RANGE,
+        ("sweep start, rad/s", "sweep end, rad/s", "sweep step, rad/s"),
+    ):
+        p_mzi.add_argument(flag, type=float, default=default, help=text)
     p_mzi.set_defaults(func=lambda args: cmd_sweep_mzi(args))
     return parser
 

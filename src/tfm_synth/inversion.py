@@ -11,10 +11,10 @@ magnitude of the pump-side model (envelope width sigma_p and the FIR
 taps, the shaped pump of pulse_shaper.shaped_pump that simulate
 evaluates, through the ADP model the forward path uses and its exact
 derivative) to that profile's magnitude; (5) repeat the fit from many
-random initial tap settings; (6) sweep mu, rank the mu points by their
-best restart's trial score, refine the leading ones with a
-derivative-free polish at the configured resolution, and keep the
-candidate whose simulate figure is best.
+random initial tap settings; (6) sweep mu over _MU_VALUES, rank the mu
+points by their best restart's trial score, refine the _POLISH_TOP
+leading ones with a derivative-free polish at the configured resolution,
+and keep the candidate whose simulate figure is best.
 
 The fits of steps (4)-(5) for the mu points of one task, every restart
 of each, are the rows of one batch: one vectorized
@@ -123,40 +123,18 @@ _MAX_RESTARTS = 10**4
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Multi-start / mu-sweep settings for the inverse loop."""
+    """Multi-start settings for the inverse loop."""
 
     restarts: int = 32
-    mu_min: float = 0.0          # rad/s (1 GHz = 1e9 s^-1, no 2 pi)
-    mu_max: float = 5.0e9
-    mu_step: float = 0.25e9
     seed: int = 0
-    # derivative-free refinement of the top candidates, run at the
-    # configured grid size (0 evals disables the stage; the polish_top
-    # leading mu points are verified either way)
-    polish_evals: int = 400
-    polish_top: int = 2
 
     def __post_init__(self):
         if not 1 <= self.restarts <= _MAX_RESTARTS:
             raise ConfigError(
                 f"restarts must be 1..{_MAX_RESTARTS}, got {self.restarts}"
             )
-        if self.polish_top < 1:
-            raise ConfigError(f"polish_top must be >= 1, got {self.polish_top}")
-        if self.polish_evals < 0:
-            raise ConfigError(f"polish_evals must be >= 0, got {self.polish_evals}")
-        if self.mu_step <= 0:
-            raise ConfigError(f"mu_step must be > 0, got {self.mu_step}")
-        for name in ("mu_min", "mu_max"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    @property
-    def mu_values(self) -> np.ndarray:
-        return mu_grid(self.mu_min, self.mu_max, self.mu_step)
 
 
 def mu_grid(mu_min: float, mu_max: float, mu_step: float) -> np.ndarray:
@@ -176,6 +154,16 @@ def mu_grid(mu_min: float, mu_max: float, mu_step: float) -> np.ndarray:
             f"empty mu grid: min {mu_min}, max {mu_max}, step {mu_step}"
         )
     return np.minimum(mu_min + mu_step * np.arange(n), mu_max)
+
+
+# each swept coupling's values, (min, max, step) in rad/s (1 GHz = 1e9
+# s^-1, no 2 pi); sweep-mzi tabulates the same points by default
+_MU_RANGE = (0.0, 5.0e9, 0.25e9)
+_MU_VALUES = mu_grid(*_MU_RANGE)
+# the polish of the leading mu points, on the configured grid: evaluations
+# per leader (0 disables it) and the leaders, verified either way
+_POLISH_EVALS = 400
+_POLISH_TOP = 2
 
 
 @dataclass(frozen=True)
@@ -648,7 +636,8 @@ def _run_mu_points(args):
 
 def _polish_candidate(args):
     """One leading mu point's verified candidates: its best restart, then
-    the polished parameters when the polish is on.
+    the polished parameters when the task's evals (the polish's budget,
+    _POLISH_EVALS in optimize_state's process) is not 0.
 
     The polish maximizes the trial score directly (Nelder-Mead over the
     pump width and taps) on the configured signal/idler grid, where the
@@ -661,18 +650,18 @@ def _polish_candidate(args):
     and is verified here for an entangled one.  Returns the candidates
     (verified score, residual, x, mu), the leader's first.
     """
-    cfg, search, (rank, residual, x, mu) = args
+    cfg, evals, (rank, residual, x, mu) = args
     if cfg.target.dimension >= 2:
         rank = _verified_score(cfg, mu, *_unpack(x))
     verified = [(rank, residual, x, mu)]
-    if search.polish_evals > 0:
+    if evals > 0:
         score = _trial_contexts(cfg, _POLISH_PUMP_POINTS, cfg.grid.n_points)(mu)
         # the start is the vector of the leader's parameters as scored and
         # verified: exp, log and the amplitude clip need not give back x
         polished = _nelder_mead(
             lambda v: -score(*_split(v)),
             _pack(*_split(x)),
-            maxfev=search.polish_evals, xatol=1e-6, fatol=1e-10,
+            maxfev=evals, xatol=1e-6, fatol=1e-10,
         )
         verified.append(
             (_verified_score(cfg, mu, *_unpack(polished)), residual, polished, mu)
@@ -844,7 +833,8 @@ def _chunks(n_points: int, restarts: int, workers: int) -> list:
 
 
 def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
-    """Full inverse loop over the mu grid with seeded multi-start fits.
+    """Full inverse loop with seeded multi-start fits, each swept coupling
+    taking the values of _MU_VALUES.
 
     The trace is deterministic for a fixed seed: each restart draws from
     an RNG keyed by (seed, mu index, restart), the draw order is sigma_p,
@@ -852,11 +842,13 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     regardless of execution order.  One process pool, of at most
     TFM_SYNTH_THREADS workers, runs the mu points (the fits and their
     trial scores; for the separable target also the verification of each
-    point's best candidate) and then one task per leading mu point: its
-    verification and its polish; with one worker everything runs in this
-    process.  A config whose swept chains (see swept_chains) have no
-    coupling, or different stage counts, is a ConfigError, raised before
-    any task is built.
+    point's best candidate) and then one task for each of the _POLISH_TOP
+    leading mu points: its verification and its polish; with one worker
+    everything runs in this process.  Only this process reads the mu grid
+    and the polish constants; a task carries what it needs of them.  A
+    config whose swept chains (see swept_chains) have no coupling, or
+    different stage counts, is a ConfigError, raised before any task is
+    built.
     """
     keys, fields = zip(*swept_chains(cfg))
     swept = " and ".join(keys) + (" chains" if len(keys) > 1 else " chain")
@@ -871,7 +863,7 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
         raise ConfigError(f"swept {swept} with one ring: no coupling to sweep")
     n_swept = stages[0] - 1
     # the last coupling varies fastest
-    mu_points = list(itertools.product(search.mu_values.tolist(), repeat=n_swept))
+    mu_points = list(itertools.product(_MU_VALUES.tolist(), repeat=n_swept))
     workers = _worker_count(len(mu_points))
     tasks = [
         (cfg, search, [(i, mu_points[i]) for i in chunk])
@@ -905,7 +897,7 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
         scored.sort(key=lambda s: -s[0])
         verified = list(run(
             _polish_candidate,
-            [(cfg, search, lead) for lead in scored[: search.polish_top]],
+            [(cfg, _POLISH_EVALS, lead) for lead in scored[:_POLISH_TOP]],
         ))
     # the leaders first: max keeps the first of equal scores
     candidates = [lead for lead, *_ in verified]

@@ -133,7 +133,7 @@ def analysis_report(result: SimulationResult) -> dict:
     c = result.projection.coefficients
     return {
         "name": result.config.name,
-        "lambda": [float(w) for w in result.schmidt[:16]],
+        "lambda": [float(w) for w in result.schmidt],
         "K_prime": result.k_prime,
         "purity": result.purity,
         "fidelity": result.fidelity,

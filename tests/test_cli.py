@@ -445,6 +445,35 @@ def test_uncreatable_out_directory_exits_2(tmp_path, capsys, argv):
     assert stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("simulate", "--config", "bell_phi_minus", "--grid", "16"), "jsa.bin"),
+        (("sweep-mzi", "--config", "bell_phi_minus"), "mzi_sweep.csv"),
+        (
+            ("optimize", "--config", "bell_phi_minus", "--grid", "16"),
+            "best_params.yaml",
+        ),
+    ],
+)
+def test_output_file_taken_by_a_directory_exits_2(
+    tmp_path, capsys, monkeypatch, argv, name
+):
+    """An output file that cannot be placed in --out, because a directory
+    there has its name, is a config error that names the path: exit 2,
+    nothing on stdout, no traceback and no temp file left in --out.
+    optimize's search is replaced by the preset's own design."""
+    _search_returns_the_preset(monkeypatch, "bell_phi_minus")
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert "config error" in stderr
+    assert str(out / name) in stderr
+    assert stdout == ""
+    assert [f.name for f in out.iterdir() if f.name.startswith(".tmp-")] == []
+
+
 def test_numerical_failure_exits_3(capsys, monkeypatch):
     def degenerate(_):
         raise NumericalError("all-zero field")
@@ -490,6 +519,19 @@ def test_sweep_mzi_round_trip(capsys):
         mu, h1, h2, h3, _ = (float(v) for v in line.split(","))
         realized = oracles.mzi_effective_mu(spec, h1, h2, h3)
         assert realized == pytest.approx(mu, abs=1e-6 * max(mu, 1e9))
+
+
+def test_sweep_mzi_defaults_are_the_optimize_mu_grid(capsys):
+    """With its default flags, sweep-mzi tabulates the couplings optimize
+    sweeps: mu_grid over those flags is the search's grid, and so are the
+    table's rows."""
+    args = cli.build_parser().parse_args(["sweep-mzi", "--config", "bell_phi_minus"])
+    grid = inversion.mu_grid(args.mu_min, args.mu_max, args.mu_step)
+    assert np.array_equal(grid, inversion._MU_VALUES)
+    code, stdout, _ = run(capsys, "sweep-mzi", "--config", "bell_phi_minus")
+    assert code == 0
+    rows = stdout.strip().split("\n")[1:]
+    assert [float(row.split(",")[0]) for row in rows] == grid.tolist()
 
 
 def test_sweep_mzi_zero_row_is_bar_state(capsys):
@@ -599,6 +641,19 @@ def test_optimize_unsweepable_config_exits_2(tmp_path, capsys, preset, edits):
     assert stdout == ""
 
 
+def _search_returns_the_preset(monkeypatch, preset):
+    """Replace optimize's search by one that returns the preset's own
+    design."""
+    cfg = load_preset(preset)
+    mu = getattr(cfg, inversion.swept_chains(cfg)[0][1]).couplings
+    result = inversion.OptimizeResult(
+        best_config=cfg, best_mu=mu, fidelity=1.0, residual=0.0, trace=(),
+        fits={"converged_frac": 1.0, "nfev_median": 1.0, "njev_median": 1.0},
+    )
+    monkeypatch.setattr(cli, "optimize_state", lambda cfg, search: result)
+    return mu
+
+
 @pytest.mark.parametrize(
     "preset, keys", [("bell_phi_minus", ["signal", "idler"]), ("separable", ["pump"])]
 )
@@ -607,13 +662,7 @@ def test_best_params_yaml_has_no_aliases(tmp_path, capsys, monkeypatch, preset, 
     the file holds no YAML anchor or alias, so each chain's block reads
     alone, and the lists are equal.  The search is replaced by the
     preset's own design."""
-    cfg = load_preset(preset)
-    mu = getattr(cfg, inversion.swept_chains(cfg)[0][1]).couplings
-    result = inversion.OptimizeResult(
-        best_config=cfg, best_mu=mu, fidelity=1.0, residual=0.0, trace=(),
-        fits={"converged_frac": 1.0, "nfev_median": 1.0, "njev_median": 1.0},
-    )
-    monkeypatch.setattr(cli, "optimize_state", lambda cfg, search: result)
+    mu = _search_returns_the_preset(monkeypatch, preset)
     code, _, _ = run(
         capsys, "optimize", "--config", preset, "--grid", "16",
         "--out", str(tmp_path / "o"),
