@@ -15,7 +15,6 @@ Uhlmann form on density matrices is kept in the tests as the reference.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,25 +137,29 @@ class TfmProjection:
     coefficients: np.ndarray      # c_kl, 4 x 4; real for a real JSA
     subspace_weight: float        # sum |c_kl|^2
     higher_order_weight: float    # 1 - sum of the first 4 Schmidt weights
+    mode_norm_error: float        # max over the 8 HG rows of |1 - sum f^2 dw|
 
 
 def project_to_tfm(jsa: Jsa, sigma: float) -> TfmProjection:
     """HG pair-basis amplitudes c_kl = <f_k x f_l, F> for k, l < 4 (the
     largest target dimension), with the modes centred on the JSA's grids,
-    the weight they carry, and the weight beyond the first 4 Schmidt
-    modes.  The amplitudes are the matrix product modes_s F modes_i^T
-    dw_s dw_i of the real HG mode rows."""
+    the weight they carry, the weight beyond the first 4 Schmidt modes,
+    and how far the grids' HG rows are from unit norm.  The amplitudes
+    are the matrix product modes_s F modes_i^T dw_s dw_i of the real HG
+    mode rows."""
     if not jsa.normalized:
         raise NumericalError("project_to_tfm requires a normalized JSA")
     modes_s = hg_basis(4, jsa.grid_s, sigma)
     modes_i = hg_basis(4, jsa.grid_i, sigma)
     c = modes_s @ jsa.amplitude @ modes_i.T * jsa.cell_area
     weight = float(np.sum(np.abs(c) ** 2))
-    if weight < 0.5:
-        warnings.warn(f"only {weight:.3f} of the state lies in the 4x4 HG subspace")
     w, _ = schmidt_decompose(jsa)
     higher = float(1.0 - np.sum(w[:4]))
-    return TfmProjection(c, weight, higher)
+    norm_error = max(
+        float(np.max(np.abs(1.0 - np.sum(modes * modes, axis=1) * grid.spacing)))
+        for modes, grid in ((modes_s, jsa.grid_s), (modes_i, jsa.grid_i))
+    )
+    return TfmProjection(c, weight, higher, norm_error)
 
 
 def pair_fidelity(coefficients: np.ndarray, target_coefficients) -> float:

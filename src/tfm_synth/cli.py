@@ -17,7 +17,6 @@ import json
 import os
 import re
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -390,9 +389,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return args.func(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"tfm-synth: config error: {exc}", file=sys.stderr)
         return 2

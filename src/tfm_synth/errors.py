@@ -1,5 +1,8 @@
 """The package's two error classes, one per CLI exit code.
 
+The package raises one of the two or returns numbers; it never warns
+(what a grid does to the result is reported in report.json's diagnostics).
+
 ConfigError (exit 2): an input the user can fix: a config key, a flag,
 a quantity, an output path.  The message names the key or flag.
 

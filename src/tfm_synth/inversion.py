@@ -52,7 +52,6 @@ import ctypes
 import functools
 import itertools
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -492,29 +491,25 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
             filt = np.outer(mag_s, mag_i)
 
         def score(sigma_p, amplitudes, phases):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                env, fir = shaped_pump(
-                    detuning2, sigma_p, amplitudes, phases, phasors
-                )
-                apl = env * fir * l_p
-                _check_adp_input(apl)
-                a = np.abs(adp(apl))
-                norm2 = cell_area * np.dot(weight, a * a)
-                if norm2 == 0.0:
-                    raise NumericalError("cannot normalize an all-zero JSA")
-                cut = _centre_cut(a[0::2] * node, a[1::2] * cross)
-                flip_signs(a, u, cut, offsets, cell)
-                if separable:
-                    amp = sliding_window_view(a, n) * filt
-                    amp *= 1.0 / np.sqrt(norm2)
-                    g = amp @ amp.T
-                    g *= cell_area
-                    return float(np.sum(g * g))
-                ckk = overlaps @ a * (cell_area / np.sqrt(norm2))
-                if not np.any(ckk):
-                    return 0.0
-                return pair_fidelity(np.diag(ckk), target_coeff)
+            env, fir = shaped_pump(detuning2, sigma_p, amplitudes, phases, phasors)
+            apl = env * fir * l_p
+            _check_adp_input(apl)
+            a = np.abs(adp(apl))
+            norm2 = cell_area * np.dot(weight, a * a)
+            if norm2 == 0.0:
+                raise NumericalError("cannot normalize an all-zero JSA")
+            cut = _centre_cut(a[0::2] * node, a[1::2] * cross)
+            flip_signs(a, u, cut, offsets, cell)
+            if separable:
+                amp = sliding_window_view(a, n) * filt
+                amp *= 1.0 / np.sqrt(norm2)
+                g = amp @ amp.T
+                g *= cell_area
+                return float(np.sum(g * g))
+            ckk = overlaps @ a * (cell_area / np.sqrt(norm2))
+            if not np.any(ckk):
+                return 0.0
+            return pair_fidelity(np.diag(ckk), target_coeff)
 
         return score
 
@@ -532,10 +527,7 @@ def _verified_score(cfg: DeviceConfig, mu: tuple, sigma_p: float, taps) -> float
     coefficient to d = 4, so it reads |c_00|^2 / sum_{k<4} |c_kk|^2, the
     weight of HG 00 among the first four pair modes, not the state's
     separability."""
-    design = apply_free_params(cfg, mu, sigma_p, taps)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = simulate(design)
+    result = simulate(apply_free_params(cfg, mu, sigma_p, taps))
     return result.purity if cfg.target.dimension == 1 else result.fidelity
 
 

@@ -19,21 +19,17 @@ tests/oracles.py as the reference for this route.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fft, ifft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .phase_matching import DispersionModel, pmf
 from .spectral import Field1D, SpectralGrid
 
 
-# alpha_p * l_p above this fraction of its peak at a grid edge truncates
-# the self-convolution
-_EDGE_THRESHOLD = 1e-4
 # a cut minimum is a node when it lies below this fraction of the lower of
 # its two flanking maxima
 _PROMINENCE = 0.5
@@ -198,18 +194,14 @@ class AdpModel:
         return lower + np.take(conv, self._hi, axis=-1) * self._w_hi
 
 
-def _check_adp_input(values: np.ndarray) -> None:
-    """Reject an all-zero alpha_p * l_p; warn when it is not negligible at
-    the grid edges."""
+def _check_adp_input(values: np.ndarray) -> float:
+    """Reject an all-zero alpha_p * l_p; return its edge fraction
+    max(|v[0]|, |v[-1]|) / max |v|, which is not negligible (above about
+    1e-4) when the grid truncates the self-convolution."""
     peak = np.max(np.abs(values))
     if peak == 0.0:
         raise NumericalError("alpha_p * l_p is identically zero")
-    edge = max(abs(values[0]), abs(values[-1]))
-    if edge > _EDGE_THRESHOLD * peak:
-        warnings.warn(
-            f"input not negligible at grid edges ({edge / peak:.3g} of peak); "
-            "the self-convolution is truncated"
-        )
+    return float(max(abs(values[0]), abs(values[-1])) / peak)
 
 
 def compute_jsa(
@@ -224,13 +216,13 @@ def compute_jsa(
     pump and l_p must share one grid (the pump integration grid); l_s and
     l_i define the output grid, whose signal and idler halves must share
     size and spacing (sum_axis).  alpha_p * l_p = pump * l_p is rejected
-    when all zero and warned about when it is not negligible at the grid
-    edges.  The JSA is normalize(ADP(w_s + w_i) PMF(w_s, w_i) TDSI): the
-    ADP at the 2n - 1 sum frequencies of sum_axis (AdpModel), read as
-    ADP[j + k] on the grid, the PMF and the TDSI l_s(w_s) l_i(w_i).  With
-    c1 = -c2 the PMF is taken at the 2n - 1 index differences
-    d = (j - k) dw and read as P[j - k + n - 1] through a zero-copy
-    Toeplitz view; other (c1, c2) evaluate it on the n^2 grid.
+    when all zero; simulate reports its edge fraction.  The JSA is
+    normalize(ADP(w_s + w_i) PMF(w_s, w_i) TDSI): the ADP at the 2n - 1
+    sum frequencies of sum_axis (AdpModel), read as ADP[j + k] on the
+    grid, the PMF and the TDSI l_s(w_s) l_i(w_i).  With c1 = -c2 the PMF
+    is taken at the 2n - 1 index differences d = (j - k) dw and read as
+    P[j - k + n - 1] through a zero-copy Toeplitz view; other (c1, c2)
+    evaluate it on the n^2 grid.
     """
     if pump.grid != l_p.grid:
         raise NumericalError("pump and l_p must share the same grid")
@@ -398,10 +390,18 @@ def save_jsa_sidecar(jsa: Jsa, fh) -> None:
 
 
 def load_jsa_binary(bin_path: str, sidecar_path: str) -> Jsa:
+    """The Jsa that save_jsa_binary and save_jsa_sidecar wrote; a dump
+    whose size is not the sidecar's shape is a ConfigError naming both."""
     with open(sidecar_path) as fh:
         meta = json.load(fh)
     shape = tuple(meta["shape"])
-    raw = np.fromfile(bin_path, dtype="<f8").reshape(shape)
+    raw = np.fromfile(bin_path, dtype="<f8")
+    if raw.size != np.prod(shape):
+        raise ConfigError(
+            f"{bin_path} holds {raw.size} float64 values, but {sidecar_path} "
+            f"gives shape {list(shape)}"
+        )
+    raw = raw.reshape(shape)
     amp = (raw[:, :, 0] + 1j * raw[:, :, 1]).T
     gs = meta["grid_signal"]
     gi = meta["grid_idler"]

@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .config import DeviceConfig
 from .errors import NumericalError
-from .jsa import Jsa, compute_jsa, impose_pi_phase
+from .jsa import Jsa, _check_adp_input, compute_jsa, impose_pi_phase
 from .pulse_shaper import shaped_pump, tap_phasors
 from .resonator import field_enhancement_chain
 from .spectral import Field1D, SpectralGrid
@@ -49,6 +49,7 @@ class SimulationResult:
     higher_order_weight: float
     pairs_per_pulse: float
     pgr_hz: float
+    adp_edge: float            # alpha_p * l_p at the pump grid's edges / its peak
 
 
 def build_grids(cfg: DeviceConfig, n_points: int | None = None):
@@ -100,6 +101,7 @@ def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult
     l_s = field_enhancement_chain(cfg.signal, grid_s)
     l_i = field_enhancement_chain(cfg.idler, grid_i)
     jsa_raw = compute_jsa(pump, l_p, l_s, l_i, cfg.dispersion)
+    adp_edge = _check_adp_input(pump.values * l_p.values)
     state = reported_state(jsa_raw)
 
     schmidt, purity = schmidt_decompose(state)
@@ -125,11 +127,15 @@ def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult
         higher_order_weight=projection.higher_order_weight,
         pairs_per_pulse=rate["pairs_per_pulse"],
         pgr_hz=rate["pgr_hz"],
+        adp_edge=adp_edge,
     )
 
 
 def analysis_report(result: SimulationResult) -> dict:
-    """JSON-serializable summary of a simulation result."""
+    """JSON-serializable summary of a simulation result; its diagnostics
+    flag a pump grid that truncates the ADP (adp_edge above about 1e-4)
+    and grids too narrow or coarse for the HG basis (hg_norm_error above
+    1e-3)."""
     c = result.projection.coefficients
     return {
         "name": result.config.name,
@@ -143,4 +149,8 @@ def analysis_report(result: SimulationResult) -> dict:
         "c_kl_im": [[float(v.imag) for v in row] for row in c],
         "pairs_per_pulse": result.pairs_per_pulse,
         "pgr_hz": result.pgr_hz,
+        "diagnostics": {
+            "adp_edge": result.adp_edge,
+            "hg_norm_error": result.projection.mode_norm_error,
+        },
     }

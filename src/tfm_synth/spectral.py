@@ -49,7 +49,6 @@ class Field1D:
 
     grid: SpectralGrid
     values: np.ndarray
-    warning: str | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -64,8 +63,9 @@ class Field1D:
 
 
 def hg_mode(n: int, grid: SpectralGrid, sigma: float) -> Field1D:
-    """n-th order spectral Hermite-Gaussian mode centred on grid, unit L2
-    norm.
+    """n-th order spectral Hermite-Gaussian mode centred on grid, of unit
+    L2 norm on the real line (on a grid too narrow or too coarse for it
+    the sampled norm differs, which project_to_tfm reports).
 
     f_n(d) = (2^n n! sqrt(pi) sigma)^(-1/2) H_n(d/sigma) exp(-d^2 / 2 sigma^2)
     with d = omega - grid.center.  Real-valued; the sign structure carries
@@ -80,11 +80,4 @@ def hg_mode(n: int, grid: SpectralGrid, sigma: float) -> Field1D:
     coeffs[n] = 1.0
     norm = 1.0 / np.sqrt(float(math.factorial(n)) * 2.0**n * np.sqrt(np.pi) * sigma)
     values = norm * hermval(x, coeffs) * np.exp(-0.5 * x * x)
-    warning = None
-    norm_sq = np.sum(np.abs(values) ** 2) * grid.spacing
-    if abs(norm_sq - 1.0) > 1e-3:
-        warning = (
-            f"grid too narrow to normalize mode n={n}: "
-            f"integral |f|^2 = {norm_sq:.6g}"
-        )
-    return Field1D(grid, values, warning=warning)
+    return Field1D(grid, values)

@@ -752,6 +752,42 @@ def test_optimize_bit_reproducible(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# diagnostics, not warnings
+
+@pytest.mark.parametrize(
+    "argv, sigma_p",
+    [
+        (("simulate", "--grid", "64"), None),
+        # alpha_p * l_p at 1.35e-3 of its peak at the pump grid's edges
+        (("simulate", "--grid", "64"), "101 GHz"),
+        pytest.param(
+            ("optimize", "--grid", "64", "--restarts", "1"), None,
+            marks=pytest.mark.slow,
+        ),
+    ],
+)
+def test_success_writes_nothing_to_stderr(tmp_path, capfd, monkeypatch, argv, sigma_p):
+    """A run that succeeds writes nothing to fd 2, from the main process
+    or from the pool's two workers (a warning from package code is an
+    error under the pytest configuration's filter, in the forked workers
+    too).  A pump too wide for its grid shows in the report's
+    diagnostics.adp_edge instead."""
+    monkeypatch.setenv("TFM_SYNTH_THREADS", "2")
+    config = (
+        "bell_phi_minus" if sigma_p is None
+        else _preset_with(tmp_path, "pump", "sigma_p", sigma_p)
+    )
+    out = tmp_path / "out"
+    code = main([*argv, "--config", config, "--out", str(out)])
+    captured = capfd.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    diagnostics = json.loads((out / "report.json").read_text())["diagnostics"]
+    assert diagnostics["hg_norm_error"] < 1e-9
+    assert (diagnostics["adp_edge"] > 1e-4) == (sigma_p is not None)
+
+
+# ---------------------------------------------------------------------------
 # run-time dependencies
 
 # a fresh interpreter in which every scipy import fails; it runs simulate and

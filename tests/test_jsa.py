@@ -10,11 +10,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 import oracles
-from tfm_synth.errors import NumericalError
+from tfm_synth.errors import ConfigError, NumericalError
 from tfm_synth.jsa import (
     AdpModel,
     Jsa,
     _centre_cut,
+    _check_adp_input,
     _interp_plan,
     _sum_grid,
     compute_jsa,
@@ -150,12 +151,19 @@ def _unit_filters(pump_grid):
     )
 
 
-def test_adp_warns_on_truncation():
+def test_adp_edge_fraction_reports_truncation():
+    """A pump far wider than its grid is assembled, and its edge fraction
+    max(|v[0]|, |v[-1]|) / max |v|, which simulate reports, reads the
+    truncation."""
     grid = SpectralGrid(P0, 30e9, 256)
-    with pytest.warns(UserWarning, match="truncated"):
-        compute_jsa(
-            gaussian_field(grid, P0, 100e9), *_unit_filters(grid), DispersionModel()
-        )
+    pump = gaussian_field(grid, P0, 100e9)
+    compute_jsa(pump, *_unit_filters(grid), DispersionModel())
+    edge = _check_adp_input(pump.values)
+    assert edge > 1e-4
+    # the peak sample of an even grid lies half a spacing off centre
+    peak_d = 0.5 * grid.spacing
+    want = np.exp(-(30e9**2 - peak_d**2) / (2.0 * 100e9**2))
+    assert edge == pytest.approx(want, rel=1e-12)
 
 
 def test_adp_rejects_zero_input():
@@ -551,6 +559,22 @@ def test_save_load_binary_round_trip(tmp_path):
     assert back.grid_s == jsa.grid_s
     assert back.grid_i == jsa.grid_i
     assert back.normalized
+
+
+def test_load_truncated_binary_is_a_config_error(tmp_path):
+    """A jsa.bin shorter than its sidecar's shape says (a 16^2 dump cut
+    to 125 float64 values) is a ConfigError naming both files, not a
+    bare ValueError from the reshape."""
+    grid = SpectralGrid(S0, 40e9, 16)
+    jsa = normalize(Jsa(grid, grid, np.ones((16, 16))))
+    bin_path = tmp_path / "jsa.bin"
+    meta_path = tmp_path / "jsa.json"
+    _save(jsa, bin_path, meta_path)
+    bin_path.write_bytes(bin_path.read_bytes()[: 125 * 8])
+    with pytest.raises(ConfigError) as info:
+        load_jsa_binary(str(bin_path), str(meta_path))
+    assert str(bin_path) in str(info.value)
+    assert str(meta_path) in str(info.value)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from tfm_synth.analysis import project_to_tfm
 from tfm_synth.errors import NumericalError
+from tfm_synth.jsa import Jsa, normalize
 from tfm_synth.pulse_shaper import shaped_pump
 from tfm_synth.spectral import (
     Field1D,
@@ -75,10 +77,19 @@ def test_hg_rejects_bad_order_and_sigma():
         hg_mode(0, GRID, -1.0)
 
 
-def test_narrow_grid_warns_via_field():
+def test_narrow_grid_reports_mode_norm_error():
+    """A grid of +/- sigma/2 holds too little of the HG basis to
+    normalize it, and the projection's mode_norm_error says so; the
+    adequate grid's is at round-off."""
     narrow = SpectralGrid(0.0, 0.5 * SIGMA, 64)
-    f = hg_mode(0, narrow, SIGMA)
-    assert f.warning is not None
+
+    def norm_error(grid):
+        f0 = hg_mode(0, grid, SIGMA).values
+        state = normalize(Jsa(grid, grid, np.outer(f0, f0)))
+        return project_to_tfm(state, SIGMA).mode_norm_error
+
+    assert norm_error(narrow) > 1e-3
+    assert norm_error(GRID) < 1e-9
 
 
 def test_gaussian_envelope_width_convention():
