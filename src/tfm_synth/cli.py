@@ -113,13 +113,6 @@ def _make_out_dir(path: str) -> None:
         ) from exc
 
 
-def _grid_override(n_points):
-    """--grid, checked like the config's grid.n_points."""
-    if n_points is not None and not 8 <= n_points <= _GRID_MAX_POINTS:
-        raise ConfigError(f"--grid must be 8..{_GRID_MAX_POINTS}, got {n_points}")
-    return n_points
-
-
 def _omega_column(grid) -> list[str]:
     """The grid's frequencies as '%.9g' strings, formatted in one pass."""
     samples = grid.samples.tolist()
@@ -148,8 +141,10 @@ def _magnitude_csv(
 
 def cmd_simulate(args) -> int:
     cfg = _load(args.config)
-    grid = _grid_override(args.grid)
-    result = simulate(cfg, n_points=grid)
+    # --grid is checked like the config's grid.n_points
+    if args.grid is not None and not 8 <= args.grid <= _GRID_MAX_POINTS:
+        raise ConfigError(f"--grid must be 8..{_GRID_MAX_POINTS}, got {args.grid}")
+    result = simulate(cfg, n_points=args.grid)
     # made once simulate has succeeded: a run that fails leaves no directory
     out = args.out
     _make_out_dir(out)
@@ -197,7 +192,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = _load(args.config)
-    grid = _grid_override(args.grid)
     search = SearchConfig(restarts=args.restarts, seed=args.seed)
     out = args.out
     _make_out_dir(out)
@@ -236,7 +230,7 @@ def cmd_optimize(args) -> int:
         ),
     )
 
-    verification = simulate(best, n_points=grid)
+    verification = simulate(best)
     report = analysis_report(verification)
     report["search"] = {
         "seed": search.seed,
@@ -245,8 +239,7 @@ def cmd_optimize(args) -> int:
         "trial_fidelity": result.fidelity,
         "fit_residual": result.residual,
         "fits": result.fits,
-        # the search and polish run on the config's grid whatever --grid
-        # says, so that the trace does not depend on --grid
+        # the search, the polish and the verification above all run on it
         "grid_points": cfg.grid.n_points,
     }
     _write_json(os.path.join(out, "report.json"), report)
@@ -256,7 +249,6 @@ def cmd_optimize(args) -> int:
         "verified_purity": verification.purity,
         "best_mu": [float(m) for m in result.best_mu],
         "search_grid": cfg.grid.n_points,
-        "verified_grid": verification.jsa.grid_s.n_points,
     })))
     return 0
 
@@ -343,15 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.set_defaults(func=lambda args: cmd_simulate(args))
 
-    p_opt = sub.add_parser("optimize", help="inverse design of free parameters")
+    p_opt = sub.add_parser(
+        "optimize", help="inverse design of free parameters on the config's grid"
+    )
     add_common(p_opt)
     p_opt.add_argument("--out", required=True, help="output directory")
     p_opt.add_argument("--seed", type=int, default=0, help="search RNG seed")
     p_opt.add_argument(
         "--restarts", type=int, default=32, help="random restarts per mu point"
-    )
-    p_opt.add_argument(
-        "--grid", type=int, default=None, help="verification grid size override"
     )
     p_opt.set_defaults(func=lambda args: cmd_optimize(args))
 

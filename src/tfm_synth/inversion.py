@@ -187,6 +187,17 @@ def _profile_offsets(grid_s: SpectralGrid, grid_i: SpectralGrid) -> np.ndarray:
     return np.linspace(-span, span, _FIT_PROFILE_POINTS)
 
 
+def _filter_peak(l_s: np.ndarray, l_i: np.ndarray) -> float:
+    """max |l_s[j] l_i[k]|^2 over all (j, k), bit for bit the maximum over
+    the n^2 outer product, taken over the pairs whose factors each lie
+    within 1e-12 of their own largest magnitude: rounding moves a product
+    by a few 1e-16, so the pair that holds the maximum is among them."""
+    a_s, a_i = np.abs(l_s), np.abs(l_i)
+    js = np.flatnonzero(a_s >= (1.0 - 1e-12) * a_s.max())
+    ks = np.flatnonzero(a_i >= (1.0 - 1e-12) * a_i.max())
+    return np.max(np.abs(l_s[js, None] * l_i[ks]) ** 2)
+
+
 def _target_profile(target: Jsa, l_s: Field1D, l_i: Field1D) -> np.ndarray:
     """The target's complex anti-diagonal profile with the signal-idler
     filter divided out, at the sum-frequency offsets _profile_offsets
@@ -198,13 +209,11 @@ def _target_profile(target: Jsa, l_s: Field1D, l_i: Field1D) -> np.ndarray:
     bounded in the filter's nulls.  The profile is u -> G(w_s0 + u/2,
     w_i0 + u/2), bilinearly interpolated, real and imaginary parts apart;
     the cut runs along the main diagonal, on which the anti-diagonal
-    coordinate is constant.  max|T|^2 takes all of T, but G is evaluated
-    only at the four nodes around each offset, the corners the
-    interpolation reads.
+    coordinate is constant.  T is formed only at the four nodes around
+    each offset, the corners the interpolation reads, and at the few
+    nodes that can hold max|T|^2 (_filter_peak).
     """
-    tdsi = np.outer(l_s.values, l_i.values)
-    mag2 = np.abs(tdsi) ** 2
-    peak = np.max(mag2)
+    peak = _filter_peak(l_s.values, l_i.values)
     if peak == 0.0:
         raise NumericalError("TDSI is identically zero")
     grid_s, grid_i = target.grid_s, target.grid_i
@@ -220,8 +229,9 @@ def _target_profile(target: Jsa, l_s: Field1D, l_i: Field1D) -> np.ndarray:
     # order of a bilinear read of the whole quotient, so the bytes match it
     j = j + np.array([[0], [1], [0], [1]])
     k = k + np.array([[0], [0], [1], [1]])
-    g = target.amplitude[j, k] * np.conj(tdsi[j, k]) / (
-        mag2[j, k] + _EPSILON * _EPSILON * peak
+    tdsi = l_s.values[j] * l_i.values[k]
+    g = target.amplitude[j, k] * np.conj(tdsi) / (
+        np.abs(tdsi) ** 2 + _EPSILON * _EPSILON * peak
     )
     w_s = np.array([1 - ts, ts, 1 - ts, ts])
     w_i = np.array([1 - ti, 1 - ti, ti, ti])

@@ -31,22 +31,21 @@ from .spectral import Field1D, SpectralGrid
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Everything the forward model produces for one configuration."""
+    """What the forward model reports for one configuration: the fields
+    the CLI writes, the reported state and its figures of merit.  The
+    shaped pump and the complex JSA stay inside simulate."""
 
     config: DeviceConfig
-    pump: Field1D              # shaped pump spectrum on the pump grid
     fir: Field1D               # FIR transfer function on the pump grid
     l_p: Field1D               # pump field enhancement
     l_s: Field1D               # signal field enhancement
     l_i: Field1D               # idler field enhancement
-    jsa_raw: Jsa               # complex normalized JSA as assembled
     jsa: Jsa                   # reported state: |JSA| with pi flips imposed, real
     schmidt: np.ndarray        # leading Schmidt weights (<= 16), descending
     projection: TfmProjection
     fidelity: float
     k_prime: float
     purity: float
-    higher_order_weight: float
     pairs_per_pulse: float
     pgr_hz: float
     adp_edge: float            # alpha_p * l_p at the pump grid's edges / its peak
@@ -112,19 +111,16 @@ def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult
 
     return SimulationResult(
         config=cfg,
-        pump=pump,
         fir=fir,
         l_p=l_p,
         l_s=l_s,
         l_i=l_i,
-        jsa_raw=jsa_raw,
         jsa=state,
         schmidt=schmidt,
         projection=projection,
         fidelity=fid,
         k_prime=1.0 / purity,
         purity=purity,
-        higher_order_weight=projection.higher_order_weight,
         pairs_per_pulse=rate["pairs_per_pulse"],
         pgr_hz=rate["pgr_hz"],
         adp_edge=adp_edge,
@@ -143,7 +139,7 @@ def analysis_report(result: SimulationResult) -> dict:
         "K_prime": result.k_prime,
         "purity": result.purity,
         "fidelity": result.fidelity,
-        "higher_order_weight": result.higher_order_weight,
+        "higher_order_weight": result.projection.higher_order_weight,
         "subspace_weight": result.projection.subspace_weight,
         "c_kl_re": [[float(v.real) for v in row] for row in c],
         "c_kl_im": [[float(v.imag) for v in row] for row in c],

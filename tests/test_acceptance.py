@@ -78,7 +78,7 @@ def test_criterion_3_higher_order_weight(sims, capsys):
     details = []
     ok = True
     for name in ENTANGLED:
-        hw = sims[name].higher_order_weight
+        hw = sims[name].projection.higher_order_weight
         good = abs(hw - REF_HIGHER_ORDER[name]) <= 0.015
         ok = ok and good
         details.append(f"{name} hw={hw:.4f} (ref {REF_HIGHER_ORDER[name]})")
@@ -155,8 +155,7 @@ def test_criterion_6_optimize(tmp_path, capsys):
     out_b = tmp_path / "opt_b"
     code_b = cli_main([
         "optimize", "--config", "bell_phi_minus",
-        "--seed", "0", "--restarts", "1", "--grid", "128",
-        "--out", str(out_b),
+        "--seed", "0", "--restarts", "1", "--out", str(out_b),
     ])
     capsys.readouterr()
     assert code_b == 0

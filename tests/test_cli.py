@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import copy
+import dataclasses
 import json
 import os
 import stat
@@ -319,7 +320,6 @@ def _preset_with(tmp_path, section, key, value):
         ("sweep-mzi", "--config", "bell_phi_minus", "--mu-step", "0"),
         ("simulate", "--config", "bell_phi_minus", "--grid", "1", "--out", "{tmp}"),
         ("optimize", "--config", "bell_phi_minus", "--seed=-1", "--out", "{tmp}"),
-        ("optimize", "--config", "bell_phi_minus", "--grid", "0", "--out", "{tmp}"),
         ("sweep-mzi", "--config", "bell_phi_minus", "--mu-step", "nan"),
         ("sweep-mzi", "--config", "bell_phi_minus", "--mu-min", "nan"),
         ("sweep-mzi", "--config", "bell_phi_minus", "--mu-max", "nan"),
@@ -333,8 +333,6 @@ def _preset_with(tmp_path, section, key, value):
         # a grid or a restart count past its cap, rejected before any grid
         # or search task is built
         ("simulate", "--config", "bell_phi_minus", "--grid", "1" + "0" * 30,
-         "--out", "{tmp}"),
-        ("optimize", "--config", "bell_phi_minus", "--grid", "1" + "0" * 30,
          "--out", "{tmp}"),
         ("optimize", "--config", "bell_phi_minus", "--restarts", "1" + "0" * 30,
          "--out", "{tmp}"),
@@ -451,7 +449,7 @@ def test_uncreatable_out_directory_exits_2(tmp_path, capsys, argv):
         (("simulate", "--config", "bell_phi_minus", "--grid", "16"), "jsa.bin"),
         (("sweep-mzi", "--config", "bell_phi_minus"), "mzi_sweep.csv"),
         (
-            ("optimize", "--config", "bell_phi_minus", "--grid", "16"),
+            ("optimize", "--config", "bell_phi_minus"),
             "best_params.yaml",
         ),
     ],
@@ -643,14 +641,18 @@ def test_optimize_unsweepable_config_exits_2(tmp_path, capsys, preset, edits):
 
 def _search_returns_the_preset(monkeypatch, preset):
     """Replace optimize's search by one that returns the preset's own
-    design."""
+    couplings and the config it was given, the preset's own design when
+    that config is the preset."""
     cfg = load_preset(preset)
     mu = getattr(cfg, inversion.swept_chains(cfg)[0][1]).couplings
     result = inversion.OptimizeResult(
         best_config=cfg, best_mu=mu, fidelity=1.0, residual=0.0, trace=(),
         fits={"converged_frac": 1.0, "nfev_median": 1.0, "njev_median": 1.0},
     )
-    monkeypatch.setattr(cli, "optimize_state", lambda cfg, search: result)
+    monkeypatch.setattr(
+        cli, "optimize_state",
+        lambda cfg, search: dataclasses.replace(result, best_config=cfg),
+    )
     return mu
 
 
@@ -664,8 +666,7 @@ def test_best_params_yaml_has_no_aliases(tmp_path, capsys, monkeypatch, preset, 
     preset's own design."""
     mu = _search_returns_the_preset(monkeypatch, preset)
     code, _, _ = run(
-        capsys, "optimize", "--config", preset, "--grid", "16",
-        "--out", str(tmp_path / "o"),
+        capsys, "optimize", "--config", preset, "--out", str(tmp_path / "o"),
     )
     assert code == 0
     text = (tmp_path / "o" / "best_params.yaml").read_text()
@@ -694,30 +695,49 @@ def test_optimize_reports_the_verified_score(tmp_path, capsys):
     assert report["fidelity"] == report["search"]["trial_fidelity"]
 
 
-@pytest.mark.slow
-def test_optimize_reports_the_search_and_verified_grids(tmp_path, capsys):
-    """--grid sets the verification's grid only; the search runs on the
-    config's, and both are reported."""
+def test_optimize_takes_no_grid_flag(tmp_path, capsys):
+    """optimize has no --grid: argparse rejects it, exit 2, before --out
+    is made."""
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--config", "bell_phi_minus", "--grid", "64",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_optimize_verifies_on_the_config_grid(tmp_path, capsys, monkeypatch):
+    """The design is simulated once, on the config's grid, which the
+    report and the summary name.  The search is replaced by the preset's
+    own design."""
+    _search_returns_the_preset(monkeypatch, "bell_phi_minus")
+    grids = []
+
+    def recording(cfg, *args):
+        result = simulate(cfg, *args)
+        grids.append(result.jsa.grid_s.n_points)
+        return result
+
+    monkeypatch.setattr(cli, "simulate", recording)
+    config = _preset_with(tmp_path, "grid", "n_points", 64)
     code, out, _ = run(
-        capsys, "optimize", "--config", "bell_phi_minus",
-        "--seed", "0", "--restarts", "1", "--grid", "128",
-        "--out", str(tmp_path / "o"),
+        capsys, "optimize", "--config", config, "--out", str(tmp_path / "o"),
     )
     assert code == 0
-    searched = load_preset("bell_phi_minus").grid.n_points
+    assert grids == [64]
     summary = json.loads(out)
-    assert summary["search_grid"] == searched != 128
-    assert summary["verified_grid"] == 128
+    assert summary["search_grid"] == 64
+    assert "verified_grid" not in summary
     report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert report["search"]["grid_points"] == searched
+    assert report["search"]["grid_points"] == 64
 
 
 @pytest.mark.slow
 def test_optimize_bit_reproducible(tmp_path, capsys):
     """Two runs with the same seed emit byte-identical traces."""
     args = [
-        "optimize", "--config", "bell_phi_minus",
-        "--seed", "0", "--restarts", "1", "--grid", "128",
+        "optimize", "--config", "bell_phi_minus", "--seed", "0", "--restarts", "1",
     ]
     code_a, out_a, _ = run(capsys, *args, "--out", str(tmp_path / "a"))
     code_b, out_b, _ = run(capsys, *args, "--out", str(tmp_path / "b"))
@@ -761,7 +781,7 @@ def test_optimize_bit_reproducible(tmp_path, capsys):
         # alpha_p * l_p at 1.35e-3 of its peak at the pump grid's edges
         (("simulate", "--grid", "64"), "101 GHz"),
         pytest.param(
-            ("optimize", "--grid", "64", "--restarts", "1"), None,
+            ("optimize", "--restarts", "1"), None,
             marks=pytest.mark.slow,
         ),
     ],
@@ -799,8 +819,7 @@ from tfm_synth.cli import main
 out = sys.argv[1]
 for argv in (
     ["simulate", "--config", "bell_phi_minus", "--grid", "64", "--out", out + "/sim"],
-    ["optimize", "--config", "bell_phi_minus", "--grid", "64", "--restarts", "1",
-     "--out", out + "/opt"],
+    ["optimize", "--config", "bell_phi_minus", "--restarts", "1", "--out", out + "/opt"],
 ):
     code = main(argv)
     if code != 0:

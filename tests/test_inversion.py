@@ -23,10 +23,12 @@ from tfm_synth.errors import NumericalError
 from tfm_synth.inversion import (
     _EPSILON,
     _FIT_PROFILE_POINTS,
+    _MU_VALUES,
     _FIT_PUMP_POINTS,
     _POLISH_PUMP_POINTS,
     _VERIFY_POINTS,
     SearchConfig,
+    _filter_peak,
     _fit_batch,
     _magnitude_fit,
     _pack,
@@ -185,6 +187,28 @@ def test_target_profile_is_the_two_step_profile_bit_for_bit(preset, n_points):
         u, values = oracles.diagonal_profile(g, grid_s, grid_i, _FIT_PROFILE_POINTS)
         assert np.array_equal(_profile_offsets(grid_s, grid_i), u)
         assert got.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("n_points", [256, 512])
+@pytest.mark.parametrize(
+    "preset", ["bell_phi_minus", "mes_d3", "mes_d4", "separable"]
+)
+def test_filter_peak_is_the_outer_product_maximum_bit_for_bit(preset, n_points):
+    """max |l_s[j] l_i[k]|^2, read from the few pairs near both maxima,
+    equals the maximum over the whole n^2 outer product, to the bit, at
+    every swept mu of the search's grid with all couplings equal.  The
+    product of the two largest magnitudes squared differs from it in the
+    last bits, so it could not stand in."""
+    cfg = load_preset(preset)
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=n_points))
+    n_mu = len(getattr(cfg, swept_chains(cfg)[0][1]).couplings)
+    _, grid_s, grid_i = build_grids(cfg)
+    for m in _MU_VALUES.tolist():
+        trial_cfg = _swept_chains(cfg, (m,) * n_mu)
+        l_s = field_enhancement_chain(trial_cfg.signal, grid_s).values
+        l_i = field_enhancement_chain(trial_cfg.idler, grid_i).values
+        want = np.max(np.abs(np.outer(l_s, l_i)) ** 2)
+        assert _filter_peak(l_s, l_i).tobytes() == want.tobytes(), m
 
 
 # ---------------------------------------------------------------------------
@@ -750,10 +774,10 @@ def test_fit_and_trial_score_shape_the_pump_as_simulate(
     monkeypatch, preset, pump_points
 ):
     """alpha_p l_p as the ADP fit's residual builds it and as the trial
-    score hands it to the ADP model are each simulate's pump.values *
-    l_p.values, bit for bit, at the config's own pump width and taps on
-    simulate's pump grid.  The search vector carries log sigma_p, so
-    simulate gets the width that gives back."""
+    score hands it to the ADP model are each what simulate hands
+    _check_adp_input, its pump times l_p, bit for bit, at the config's own
+    pump width and taps on simulate's pump grid.  The search vector
+    carries log sigma_p, so simulate gets the width that gives back."""
     cfg = load_preset(preset)
     x = _pack(cfg.pump.sigma_p, *tap_arrays(cfg.pump.taps))
     cfg = replace(
@@ -761,8 +785,15 @@ def test_fit_and_trial_score_shape_the_pump_as_simulate(
         pump=replace(cfg.pump, sigma_p=float(np.exp(x[0]))),
         grid=replace(cfg.grid, n_points=64, pump_points=pump_points),
     )
+    handed = []
+
+    def recording(values):
+        handed.append(values.copy())
+        return _check_adp_input(values)
+
+    monkeypatch.setattr(simulate_module, "_check_adp_input", recording)
     result = simulate(cfg)
-    want = (result.pump.values * result.l_p.values).tobytes()
+    [want] = [a.tobytes() for a in handed]
 
     grid_s, grid_i = result.jsa.grid_s, result.jsa.grid_i
     sums = grid_s.center + grid_i.center + _profile_offsets(grid_s, grid_i)
@@ -773,12 +804,7 @@ def test_fit_and_trial_score_shape_the_pump_as_simulate(
     _, (_, apl, *_) = residual(np.array([0]), x[None, :])
     assert apl[0].tobytes() == want
 
-    handed = []
-
-    def recording(values):
-        handed.append(values.copy())
-        _check_adp_input(values)
-
+    handed.clear()
     monkeypatch.setattr(inversion, "_check_adp_input", recording)
     mu = getattr(cfg, swept_chains(cfg)[0][1]).couplings
     _trial_contexts(cfg, pump_points, 64)(mu)(*_split(x))

@@ -138,3 +138,54 @@ def test_numerical_failures_raise_numerical_error():
             if isinstance(exc, ast.Name) and exc.id in arithmetic:
                 raised.append(f"tfm_synth.{module}:{node.lineno} raises {exc.id}")
     assert not raised, "; ".join(raised)
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_simulation_result_field_is_read_by_the_program():
+    """Each field of SimulationResult is read by a function of the
+    package, as an attribute of a name bound to a result there: a
+    parameter annotated SimulationResult or a name assigned a simulate(...)
+    call.  A field that only tests read is not kept on the result."""
+    trees = _trees()
+    [result_class] = [
+        node for node in trees["simulate"].body
+        if isinstance(node, ast.ClassDef) and node.name == "SimulationResult"
+    ]
+    fields = {
+        node.target.id for node in result_class.body
+        if isinstance(node, ast.AnnAssign)
+    }
+    read = set()
+    for tree in trees.values():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = {
+                arg.arg for arg in func.args.args
+                if isinstance(arg.annotation, ast.Name)
+                and arg.annotation.id == "SimulationResult"
+            }
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and _called_name(node.value) == "simulate"
+                ):
+                    bound.update(
+                        t.id for t in node.targets if isinstance(t, ast.Name)
+                    )
+            read.update(
+                node.attr for node in ast.walk(func)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound
+            )
+    assert len(fields) > 10
+    assert fields <= read, (
+        "SimulationResult fields no program path reads: "
+        + ", ".join(sorted(fields - read))
+    )

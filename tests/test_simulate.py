@@ -9,8 +9,8 @@ import pytest
 import oracles
 from tfm_synth import load_preset, pulse_shaper, simulate
 from tfm_synth.analysis import schmidt_decompose
-from tfm_synth.jsa import Jsa, normalize
-from tfm_synth.simulate import build_grids
+from tfm_synth.jsa import Jsa, compute_jsa, normalize
+from tfm_synth.simulate import build_grids, reported_state
 from tfm_synth.spectral import SpectralGrid
 
 # the package's `simulate` attribute is the function, not the module
@@ -19,14 +19,38 @@ simulate_module = importlib.import_module("tfm_synth.simulate")
 PRESETS = ("bell_phi_minus", "mes_d3", "mes_d4", "separable")
 
 
+def simulate_keeping_inputs(cfg, n_points):
+    """(result, pump, raw): simulate's result, the shaped pump it hands
+    compute_jsa and the complex JSA it hands reported_state, two arrays
+    the result does not keep."""
+    handed = []
+
+    def first_argument(call):
+        def recording(*args):
+            handed.append(args[0])
+            return call(*args)
+        return recording
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate_module, "compute_jsa", first_argument(compute_jsa))
+        mp.setattr(simulate_module, "reported_state", first_argument(reported_state))
+        result = simulate(cfg, n_points=n_points)
+    pump, raw = handed
+    return result, pump, raw
+
+
 @pytest.fixture(scope="module")
 def results():
-    return {name: simulate(load_preset(name), n_points=512) for name in PRESETS}
+    return {
+        name: simulate_keeping_inputs(load_preset(name), 512) for name in PRESETS
+    }
 
 
 @pytest.fixture(scope="module")
 def results_96():
-    return {name: simulate(load_preset(name), n_points=96) for name in PRESETS}
+    return {
+        name: simulate_keeping_inputs(load_preset(name), 96) for name in PRESETS
+    }
 
 
 def assert_weights_match_svd(jsa):
@@ -43,7 +67,7 @@ def assert_weights_match_svd(jsa):
 
 
 def test_reported_state_is_real(results):
-    for result in results.values():
+    for result, _, _ in results.values():
         assert result.jsa.amplitude.dtype == np.float64
 
 
@@ -53,9 +77,9 @@ def test_reported_state_has_one_sign_factor_per_antidiagonal(name):
     anti-diagonal the reported state is |F| times one factor s, to the
     bit.  The quotient state / |F| may round an ulp off s, so s is taken
     among the quotients and checked through the product."""
-    result = simulate(load_preset(name), n_points=128)
+    result, _, raw = simulate_keeping_inputs(load_preset(name), 128)
     state = result.jsa
-    mag = np.abs(result.jsa_raw.amplitude)
+    mag = np.abs(raw.amplitude)
     n = mag.shape[0]
     for m in range(2 * n - 1):
         j = np.arange(max(0, m - n + 1), min(m, n - 1) + 1)
@@ -66,7 +90,7 @@ def test_reported_state_has_one_sign_factor_per_antidiagonal(name):
 
 
 def test_values_only_weights_match_full_complex_svd(results):
-    for result in results.values():
+    for result, _, _ in results.values():
         state = result.jsa
         a = state.amplitude.astype(complex) * np.sqrt(state.cell_area)
         s = np.linalg.svd(a, full_matrices=False)[1]
@@ -75,7 +99,7 @@ def test_values_only_weights_match_full_complex_svd(results):
 
 
 def test_fidelity_matches_uhlmann_oracle(results):
-    for result in results.values():
+    for result, _, _ in results.values():
         oracle = oracles.fidelity(
             oracles.pair_confined_rho(result.projection.coefficients),
             oracles.target_rho(result.config.target),
@@ -85,10 +109,10 @@ def test_fidelity_matches_uhlmann_oracle(results):
 
 @pytest.mark.parametrize("grid", ["results", "results_96"])
 def test_gram_weights_match_svd_on_reported_and_raw_states(grid, request):
-    for result in request.getfixturevalue(grid).values():
-        assert np.iscomplexobj(result.jsa_raw.amplitude)
+    for result, _, raw in request.getfixturevalue(grid).values():
+        assert np.iscomplexobj(raw.amplitude)
         assert_weights_match_svd(result.jsa)
-        assert_weights_match_svd(result.jsa_raw)
+        assert_weights_match_svd(raw)
 
 
 @pytest.mark.parametrize("n_s, n_i", [(160, 96), (96, 160)])
@@ -111,13 +135,13 @@ def test_krylov_weights_match_svd_at_1024(name, monkeypatch):
     """At 1024^2 the leading weights come from the block Krylov method,
     with no full eigensolve, on the reported state and on the complex
     raw JSA, and they and the purity match the SVD as on smaller grids."""
-    result = simulate(load_preset(name), n_points=1024)
+    result, _, raw = simulate_keeping_inputs(load_preset(name), 1024)
     full = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(
         np.linalg, "eigvalsh", lambda a: full.append(a.shape) or eigvalsh(a)
     )
-    for jsa in (result.jsa, result.jsa_raw):
+    for jsa in (result.jsa, raw):
         assert_weights_match_svd(jsa)
     assert full == []
 
@@ -140,13 +164,14 @@ def test_one_fir_evaluation_per_simulate(monkeypatch):
 
 
 def test_pump_is_the_shaped_pump_bit_for_bit(results):
-    """The FIR response and the pump equal, bit for bit, the per-tap
-    formula H = sum_n alpha_n exp(i phi_n) exp[i n (theta - delta tau)],
-    summed from tap 1 on, times the envelope exp(-delta^2 / 2 sigma_p^2)."""
-    for result in results.values():
+    """The FIR response, and the pump simulate hands compute_jsa, equal,
+    bit for bit, the per-tap formula H = sum_n alpha_n exp(i phi_n)
+    exp[i n (theta - delta tau)], summed from tap 1 on, and that times the
+    envelope exp(-delta^2 / 2 sigma_p^2)."""
+    for result, pump, _ in results.values():
         spec = result.config.pump
         pump_grid = build_grids(result.config)[0]
-        assert result.pump.grid == result.fir.grid == pump_grid
+        assert pump.grid == result.fir.grid == pump_grid
         delta = pump_grid.samples - spec.carrier
         envelope = np.exp(-(delta * delta) / (2.0 * spec.sigma_p * spec.sigma_p))
         terms = [
@@ -158,4 +183,4 @@ def test_pump_is_the_shaped_pump_bit_for_bit(results):
         for term in terms[1:]:
             response = response + term
         assert result.fir.values.tobytes() == response.tobytes()
-        assert result.pump.values.tobytes() == (envelope * response).tobytes()
+        assert pump.values.tobytes() == (envelope * response).tobytes()
