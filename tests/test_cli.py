@@ -336,6 +336,10 @@ def _preset_with(tmp_path, section, key, value):
          "--out", "{tmp}"),
         ("optimize", "--config", "bell_phi_minus", "--restarts", "1" + "0" * 30,
          "--out", "{tmp}"),
+        # a restart count below its floor, and a negative repetition rate
+        ("optimize", "--config", "bell_phi_minus", "--restarts", "0",
+         "--out", "{tmp}"),
+        ("pgr", "--config", "bell_phi_minus", "--rep-rate=-5 MHz"),
     ],
 )
 def test_bad_flags_exit_2(tmp_path, capsys, argv):
