@@ -193,10 +193,12 @@ def cmd_simulate(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = _load(args.config)
     search = SearchConfig(restarts=args.restarts, seed=args.seed)
+    result = optimize_state(cfg, search)
+    verification = result.verification
+    best = verification.config
+    # made once the search has succeeded: a run that fails leaves no directory
     out = args.out
     _make_out_dir(out)
-    result = optimize_state(cfg, search)
-    best = result.best_config
 
     # every swept chain gets its own list of couplings: a list shared
     # between two chains would be written as a YAML anchor and an alias
@@ -230,7 +232,6 @@ def cmd_optimize(args) -> int:
         ),
     )
 
-    verification = simulate(best)
     report = analysis_report(verification)
     report["search"] = {
         "seed": search.seed,
@@ -239,7 +240,7 @@ def cmd_optimize(args) -> int:
         "trial_fidelity": result.fidelity,
         "fit_residual": result.residual,
         "fits": result.fits,
-        # the search, the polish and the verification above all run on it
+        # the search, the polish and the verification all run on it
         "grid_points": cfg.grid.n_points,
     }
     _write_json(os.path.join(out, "report.json"), report)

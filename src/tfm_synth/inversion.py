@@ -25,13 +25,14 @@ one it gets alone, so the trace does not depend on how the mu points are
 split among the pool's workers.  The profiles and l_p enter the fit as
 arrays, one row per fit, and a candidate stays the search vector x =
 (log sigma_p, tap amplitudes, tap phases) of _pack from the fit through
-the trial scores and the polish; it becomes a DeviceConfig only where
-one is built, for a verification or the final design (_unpack).
+the trial scores and the polish; it becomes a DeviceConfig only for a
+verification (_unpack), whose result carries the final design.
 
 The phase-matching function is treated as unity inside the loop (the
-factorized model) and enters only in the verification (_verified_score),
-which is a simulate call: a verified score is the figure simulate
-reports for the design.  With it unity, the reported trial state is
+factorized model) and enters only in the verification (_verification),
+which is a simulate call in the calling process: a verified score is
+the figure simulate reports for the design, and the winner's
+verification is the report.  With it unity, the reported trial state is
 |ADP(w_s + w_i)| |l_s| |l_i| times the pi-flip signs, a function of the
 sum frequency times a product, so every trial score (each restart's
 record and every polish step) starts from the 2n - 1 sum frequencies of
@@ -43,13 +44,15 @@ with the verification to a few 1e-5, so the mu points are ranked by it
 and only the polish's leaders and their polished parameters are
 verified.  The separable target's purity depends on the phase matching
 the trial score leaves out, so its mu points are ranked by the
-verification of each point's best restart.
+verification of each point's best restart.  The pool's workers fit,
+score and polish; every verification runs in the calling process.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import heapq
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -72,7 +75,7 @@ from .jsa import (
 )
 from .pulse_shaper import PumpSpec, Tap, shaped_pump, tap_phasors
 from .resonator import field_enhancement_chain
-from .simulate import build_grids, simulate
+from .simulate import SimulationResult, build_grids, simulate
 from .spectral import Field1D, SpectralGrid
 from .trf import least_squares_trf
 
@@ -122,7 +125,7 @@ _MAX_RESTARTS = 10**4
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Multi-start settings for the inverse loop."""
+    """Multi-start settings for the inverse loop, checked when built."""
 
     restarts: int = 32
     seed: int = 0
@@ -167,7 +170,7 @@ _POLISH_TOP = 2
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    best_config: DeviceConfig    # template with the best free parameters applied
+    verification: SimulationResult  # simulate of the winning design
     best_mu: tuple               # rad/s, the swept coupling values
     fidelity: float              # full-grid verified score of the winner
     residual: float
@@ -530,15 +533,16 @@ def _mu_record(mu: tuple) -> dict:
     return {f"mu_{m + 1}{m + 2}": float(v) for m, v in enumerate(mu)}
 
 
-def _verified_score(cfg: DeviceConfig, mu: tuple, sigma_p: float, taps) -> float:
-    """Score of a candidate from simulate on the configured grid: the
+def _verification(
+    cfg: DeviceConfig, mu: tuple, sigma_p: float, taps
+) -> SimulationResult:
+    """simulate of a candidate, on the configured grid.  Its score is the
     fidelity it reports, or its purity for the separable target.  That
     target's fidelity is no use as a score: pair_fidelity pads the one
     coefficient to d = 4, so it reads |c_00|^2 / sum_{k<4} |c_kk|^2, the
     weight of HG 00 among the first four pair modes, not the state's
     separability."""
-    result = simulate(apply_free_params(cfg, mu, sigma_p, taps))
-    return result.purity if cfg.target.dimension == 1 else result.fidelity
+    return simulate(apply_free_params(cfg, mu, sigma_p, taps))
 
 
 def _start(seed: int, mu_idx: int, restart: int, n_taps: int) -> np.ndarray:
@@ -555,7 +559,7 @@ def _start(seed: int, mu_idx: int, restart: int, n_taps: int) -> np.ndarray:
 
 def _run_mu_points(args):
     """All restarts of one task's mu points, and each point's best
-    candidate with the score that ranks it.
+    candidate.
 
     The task takes the mu points numbered mu_idx, as (mu_idx, mu) pairs.
     It builds the target JSA once, and each resonance chain once per grid
@@ -566,24 +570,22 @@ def _run_mu_points(args):
     runs in.  Every restart gets a trial score, the record's fidelity: an
     entangled target's on the configured grid and the polish's pump grid
     (_POLISH_PUMP_POINTS), which ranks the point; the separable target's
-    on the reduced (_FIT_PUMP_POINTS, _VERIFY_POINTS) grids, after which
-    the point's best restart is verified, and that ranks it.  Returns,
-    per point, (mu_idx, records, candidate, fits): candidate is (ranking
-    score, residual, x, mu) of the restart with the best trial score, x
-    its fitted search vector, and fits holds each restart's (converged,
-    nfev, njev) as a row.
+    on the reduced (_FIT_PUMP_POINTS, _VERIFY_POINTS) grids, which only
+    picks the point's best restart.  Returns, per point, (mu_idx,
+    records, candidate, fits): candidate is (trial score, residual, x, mu)
+    of the restart with the best trial score, x its fitted search vector,
+    and fits holds each restart's (converged, nfev, njev) as a row.
     """
     cfg, search, points = args
     restarts = search.restarts
     n_taps = len(cfg.pump.taps)
-    entangled = cfg.target.dimension >= 2
     chain = functools.lru_cache(maxsize=None)(field_enhancement_chain)
     pump_grid, grid_s, grid_i = build_grids(cfg)
     fit_grid = SpectralGrid(pump_grid.center, pump_grid.half_span, _FIT_PUMP_POINTS)
     target = target_jsa(cfg.target, grid_s, grid_i)
     trial_grids = (
         (_POLISH_PUMP_POINTS, grid_s.n_points)
-        if entangled
+        if cfg.target.dimension >= 2
         else (_FIT_PUMP_POINTS, _VERIFY_POINTS)
     )
     context = _trial_contexts(cfg, *trial_grids, chain)
@@ -630,16 +632,14 @@ def _run_mu_points(args):
             })
             if best is None or trial > best[0]:
                 best = (trial, float(residual[r]), x[r], mu)
-        if not entangled:
-            best = (_verified_score(cfg, mu, *_unpack(best[2])), *best[1:])
         results.append((mu_idx, records, best, fits[rows]))
     return results
 
 
 def _polish_candidate(args):
-    """One leading mu point's verified candidates: its best restart, then
-    the polished parameters when the task's evals (the polish's budget,
-    _POLISH_EVALS in optimize_state's process) is not 0.
+    """The polished search vector of one leading mu point: a Nelder-Mead
+    polish of the trial score from the point's best restart x, spending
+    the task's evals (_POLISH_EVALS in optimize_state's process).
 
     The polish maximizes the trial score directly (Nelder-Mead over the
     pump width and taps) on the configured signal/idler grid, where the
@@ -647,28 +647,18 @@ def _polish_candidate(args):
     phase-matching function; coarse grids admit spurious optima that do
     not survive verification, so the polish must run at full resolution.
     Each step scores its search vector from the 2n - 1 sum frequencies of
-    that n^2 grid (_trial_contexts).  The leader arrives with its ranking
-    score, which is already its verification for the separable target
-    and is verified here for an entangled one.  Returns the candidates
-    (verified score, residual, x, mu), the leader's first.
+    that n^2 grid (_trial_contexts).  The calling process verifies the
+    polished vector.
     """
-    cfg, evals, (rank, residual, x, mu) = args
-    if cfg.target.dimension >= 2:
-        rank = _verified_score(cfg, mu, *_unpack(x))
-    verified = [(rank, residual, x, mu)]
-    if evals > 0:
-        score = _trial_contexts(cfg, _POLISH_PUMP_POINTS, cfg.grid.n_points)(mu)
-        # the start is the vector of the leader's parameters as scored and
-        # verified: exp, log and the amplitude clip need not give back x
-        polished = _nelder_mead(
-            lambda v: -score(*_split(v)),
-            _pack(*_split(x)),
-            maxfev=evals, xatol=1e-6, fatol=1e-10,
-        )
-        verified.append(
-            (_verified_score(cfg, mu, *_unpack(polished)), residual, polished, mu)
-        )
-    return verified
+    cfg, evals, x, mu = args
+    score = _trial_contexts(cfg, _POLISH_PUMP_POINTS, cfg.grid.n_points)(mu)
+    # the start is the vector of the leader's parameters as scored and
+    # verified: exp, log and the amplitude clip need not give back x
+    return _nelder_mead(
+        lambda v: -score(*_split(v)),
+        _pack(*_split(x)),
+        maxfev=evals, xatol=1e-6, fatol=1e-10,
+    )
 
 
 class _BudgetSpent(Exception):
@@ -775,10 +765,10 @@ def _one_blas_thread() -> None:
     """Pool initializer: one thread for every OpenBLAS the worker has loaded.
 
     The workers already fill the cores.  A threaded BLAS call in one of
-    them (the separable target's Gram eigensolve, the HG overlaps of a
-    512^2 verification) leaves OpenBLAS threads spinning on the cores the
-    other workers compute on.  Where no OpenBLAS is found (another BLAS,
-    no /proc), this does nothing.
+    them (a trial score's Gram product or HG overlaps) leaves OpenBLAS
+    threads spinning on the cores the other workers compute on; the
+    verifications run in the calling process, on its threads.  Where no
+    OpenBLAS is found (another BLAS, no /proc), this does nothing.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -843,14 +833,17 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     amplitudes, phases, and records are merged by (mu index, restart)
     regardless of execution order.  One process pool, of at most
     TFM_SYNTH_THREADS workers, runs the mu points (the fits and their
-    trial scores; for the separable target also the verification of each
-    point's best candidate) and then one task for each of the _POLISH_TOP
-    leading mu points: its verification and its polish; with one worker
-    everything runs in this process.  Only this process reads the mu grid
-    and the polish constants; a task carries what it needs of them.  A
-    config whose swept chains (see swept_chains) have no coupling, or
-    different stage counts, is a ConfigError, raised before any task is
-    built.
+    trial scores) and then the polish of each of the _POLISH_TOP leading
+    mu points; with one worker everything runs in this process.  Every
+    verification (a simulate call, _verification) runs in this process:
+    for the separable target, of each mu point's best restart, which
+    ranks the points; then, once the pool has polished the leaders, of
+    the leaders and their polished vectors; the winner's is returned.
+    At most _POLISH_TOP + 1 verifications are held at a time (one of
+    8192^2 holds 512 MB).  Only this process reads the mu grid and the
+    polish constants; a task carries what it needs of them.  A config
+    whose swept chains (see swept_chains) have no coupling, or different
+    stage counts, is a ConfigError, raised before any task is built.
     """
     keys, fields = zip(*swept_chains(cfg))
     swept = " and ".join(keys) + (" chains" if len(keys) > 1 else " chain")
@@ -871,6 +864,13 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
         (cfg, search, [(i, mu_points[i]) for i in chunk])
         for chunk in _chunks(len(mu_points), search.restarts, workers)
     ]
+    separable = cfg.target.dimension == 1
+
+    def verified(residual, x, mu):
+        result = _verification(cfg, mu, *_unpack(x))
+        score = result.purity if separable else result.fidelity
+        return score, residual, x, mu, result
+
     with ExitStack() as stack:
         if workers == 1:
             run = map
@@ -891,25 +891,37 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
             scored.append(candidate)
             fits.append(point_fits)
         # an entangled target's mu points are ranked by their best trial
-        # score, on the configured grid, the separable target's by their
-        # verified purity (see _run_mu_points); only the leaders the polish
-        # takes are verified, next to their polished parameters, and a
-        # polished parameter set wins only if it verifies better than every
-        # leader
-        scored.sort(key=lambda s: -s[0])
-        verified = list(run(
-            _polish_candidate,
-            [(cfg, _POLISH_EVALS, lead) for lead in scored[:_POLISH_TOP]],
-        ))
-    # the leaders first: max keeps the first of equal scores
-    candidates = [lead for lead, *_ in verified]
-    candidates += [p for _, *polished in verified for p in polished]
-    best = max(candidates, key=lambda candidate: candidate[0])
+        # score, on the configured grid, the separable target's by the
+        # verified purity of their best restart (see _run_mu_points);
+        # nlargest keeps sort's order of equal scores
+        if separable:
+            scored = (verified(*candidate[1:]) for candidate in scored)
+        leaders = heapq.nlargest(_POLISH_TOP, scored, key=lambda c: c[0])
+        polished = []
+        if _POLISH_EVALS > 0:
+            polished = list(run(
+                _polish_candidate,
+                [(cfg, _POLISH_EVALS, x, mu) for _, _, x, mu, *_ in leaders],
+            ))
+    # the leaders first: max keeps the first of equal scores, so a polished
+    # parameter set wins only if it verifies better than every leader.  No
+    # verification runs next to the polish: there, this process's threaded
+    # BLAS competed with the busy workers for the cores, and one 256^2
+    # verification took 0.15-0.39 s instead of 0.015 s (two workers,
+    # 2-vCPU VM)
+    best = max(
+        leaders if separable else (verified(*lead[1:]) for lead in leaders),
+        key=lambda c: c[0],
+    )
+    # only the best verification so far is kept while the polished sets
+    # are verified
+    leaders = [lead[:4] for lead in leaders]
+    for x, (_, residual, _, mu) in zip(polished, leaders):
+        best = max(best, verified(residual, x, mu), key=lambda c: c[0])
+    score, residual, _, mu, verification = best
     converged, nfev, njev = np.concatenate(fits).T
-    score, residual, x, mu = best
-    best_cfg = apply_free_params(cfg, mu, *_unpack(x))
     return OptimizeResult(
-        best_config=best_cfg,
+        verification=verification,
         best_mu=tuple(mu),
         fidelity=score,
         residual=residual,

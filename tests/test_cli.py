@@ -1,7 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import copy
-import dataclasses
 import json
 import os
 import stat
@@ -19,7 +18,7 @@ from tfm_synth.cli import main
 from tfm_synth.config import PRESET_NAMES, load_preset, preset_path
 from tfm_synth.errors import NumericalError
 from tfm_synth.resonator import bus_transmission
-from tfm_synth.simulate import simulate
+from tfm_synth.simulate import analysis_report, simulate
 
 
 def run(capsys, *argv):
@@ -594,14 +593,16 @@ def test_sweep_mzi_last_step_at_the_reach(capsys):
 
 @pytest.mark.parametrize("threads", ["abc", "0", "1.5"])
 def test_optimize_invalid_threads_exits_2(tmp_path, capsys, monkeypatch, threads):
-    """The worker count is read before any fit runs."""
+    """The worker count is read before any fit runs, and the failed run
+    leaves no --out behind."""
     monkeypatch.setenv("TFM_SYNTH_THREADS", threads)
+    out = tmp_path / "o"
     code, _, stderr = run(
-        capsys, "optimize", "--config", "bell_phi_minus",
-        "--out", str(tmp_path / "o"),
+        capsys, "optimize", "--config", "bell_phi_minus", "--out", str(out),
     )
     assert code == 2
     assert "TFM_SYNTH_THREADS" in stderr
+    assert not out.exists()
 
 
 def _single_ring(chain):
@@ -626,7 +627,8 @@ def _three_stages(chain):
 )
 def test_optimize_unsweepable_config_exits_2(tmp_path, capsys, preset, edits):
     """A config whose swept chains optimize cannot sweep is a config
-    error, raised before any fit runs."""
+    error, raised before any fit runs; the failed run leaves no --out
+    behind."""
     with open(preset_path(preset)) as fh:
         tree = yaml.safe_load(fh)
     tree["grid"]["n_points"] = 64
@@ -634,30 +636,42 @@ def test_optimize_unsweepable_config_exits_2(tmp_path, capsys, preset, edits):
         edit(tree["resonator"][name])
     config = tmp_path / "unsweepable.yaml"
     config.write_text(yaml.safe_dump(tree))
+    out = tmp_path / "o"
     code, stdout, stderr = run(
         capsys, "optimize", "--config", str(config),
-        "--restarts", "1", "--out", str(tmp_path / "o"),
+        "--restarts", "1", "--out", str(out),
     )
     assert code == 2
     assert "config error" in stderr
     assert stdout == ""
+    assert not out.exists()
 
 
 def _search_returns_the_preset(monkeypatch, preset):
     """Replace optimize's search by one that returns the preset's own
-    couplings and the config it was given, the preset's own design when
-    that config is the preset."""
+    couplings and the verification of the config it was given, the
+    preset's own design when that config is the preset; its score is the
+    verification's fidelity, or its purity for the separable target.
+    Returns the couplings and the list the searches' results go to."""
     cfg = load_preset(preset)
     mu = getattr(cfg, inversion.swept_chains(cfg)[0][1]).couplings
-    result = inversion.OptimizeResult(
-        best_config=cfg, best_mu=mu, fidelity=1.0, residual=0.0, trace=(),
-        fits={"converged_frac": 1.0, "nfev_median": 1.0, "njev_median": 1.0},
-    )
-    monkeypatch.setattr(
-        cli, "optimize_state",
-        lambda cfg, search: dataclasses.replace(result, best_config=cfg),
-    )
-    return mu
+    results = []
+
+    def search(cfg, _):
+        verification = simulate(cfg)
+        results.append(inversion.OptimizeResult(
+            verification=verification, best_mu=mu,
+            fidelity=(
+                verification.purity if cfg.target.dimension == 1
+                else verification.fidelity
+            ),
+            residual=0.0, trace=(),
+            fits={"converged_frac": 1.0, "nfev_median": 1.0, "njev_median": 1.0},
+        ))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "optimize_state", search)
+    return mu, results
 
 
 @pytest.mark.parametrize(
@@ -668,7 +682,7 @@ def test_best_params_yaml_has_no_aliases(tmp_path, capsys, monkeypatch, preset, 
     the file holds no YAML anchor or alias, so each chain's block reads
     alone, and the lists are equal.  The search is replaced by the
     preset's own design."""
-    mu = _search_returns_the_preset(monkeypatch, preset)
+    mu, _ = _search_returns_the_preset(monkeypatch, preset)
     code, _, _ = run(
         capsys, "optimize", "--config", preset, "--out", str(tmp_path / "o"),
     )
@@ -712,29 +726,32 @@ def test_optimize_takes_no_grid_flag(tmp_path, capsys):
 
 
 def test_optimize_verifies_on_the_config_grid(tmp_path, capsys, monkeypatch):
-    """The design is simulated once, on the config's grid, which the
-    report and the summary name.  The search is replaced by the preset's
-    own design."""
-    _search_returns_the_preset(monkeypatch, "bell_phi_minus")
-    grids = []
-
-    def recording(cfg, *args):
-        result = simulate(cfg, *args)
-        grids.append(result.jsa.grid_s.n_points)
-        return result
-
-    monkeypatch.setattr(cli, "simulate", recording)
+    """The CLI simulates nothing: report.json and the summary are the
+    search's own verification of the design, on the config's grid, which
+    the report and the summary name.  The search is replaced by the
+    preset's own design."""
+    _, results = _search_returns_the_preset(monkeypatch, "bell_phi_minus")
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
     config = _preset_with(tmp_path, "grid", "n_points", 64)
     code, out, _ = run(
         capsys, "optimize", "--config", config, "--out", str(tmp_path / "o"),
     )
     assert code == 0
-    assert grids == [64]
+    assert calls == []
+    [result] = results
+    verification = result.verification
+    assert verification.jsa.grid_s.n_points == 64
     summary = json.loads(out)
     assert summary["search_grid"] == 64
     assert "verified_grid" not in summary
+    assert summary["verified_fidelity"] == cli._round9(verification.fidelity)
+    assert summary["verified_purity"] == cli._round9(verification.purity)
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["search"]["grid_points"] == 64
+    assert report.pop("search")["trial_fidelity"] == cli._round9(result.fidelity)
+    want = json.loads(json.dumps(cli._round9(analysis_report(verification))))
+    assert report == want
 
 
 @pytest.mark.slow

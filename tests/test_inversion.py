@@ -1,24 +1,27 @@
 """Inverse-design pipeline: decoupling, extraction, fitting, search."""
 
 import ctypes
+import gc
 import importlib
 import os
+import weakref
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from scipy.signal import fftconvolve
 
 import oracles
-from tfm_synth import inversion
+from tfm_synth import cli, inversion
 from tfm_synth.analysis import (
     pair_fidelity,
     project_to_tfm,
     target_jsa,
 )
-from tfm_synth.config import ConfigError, TargetConfig, load_preset
+from tfm_synth.config import ConfigError, TargetConfig, load_preset, preset_path
 from tfm_synth.errors import NumericalError
 from tfm_synth.inversion import (
     _EPSILON,
@@ -39,7 +42,7 @@ from tfm_synth.inversion import (
     _target_profile,
     _trial_contexts,
     _unpack,
-    _verified_score,
+    _verification,
     apply_free_params,
     optimize_state,
     swept_chains,
@@ -47,7 +50,7 @@ from tfm_synth.inversion import (
 from tfm_synth.jsa import AdpModel, Jsa, _check_adp_input, flip_signs, normalize
 from tfm_synth.pulse_shaper import PumpSpec, shaped_pump, tap_phasors
 from tfm_synth.resonator import field_enhancement_chain
-from tfm_synth.simulate import build_grids, reported_state, simulate
+from tfm_synth.simulate import analysis_report, build_grids, reported_state, simulate
 from tfm_synth.spectral import Field1D, SpectralGrid, hg_mode
 
 S0 = 1215.70e12
@@ -883,16 +886,20 @@ def test_separable_trial_score_of_a_tiny_norm_is_finite():
     "preset", ["bell_phi_minus", "mes_d3", "mes_d4", "separable"]
 )
 def test_verified_score_equals_simulate(preset, n_points):
-    """The verification computes exactly the figure simulate reports:
-    the fidelity, or the purity for the separable target."""
+    """The verification is exactly what simulate reports for the
+    candidate's config: its report, its reported state and so the score
+    read from it, the fidelity, or the purity for the separable target."""
     cfg = load_preset(preset)
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=n_points))
     swept = getattr(cfg, swept_chains(cfg)[0][1])
     mu = swept.couplings
-    got = _verified_score(cfg, mu, cfg.pump.sigma_p, cfg.pump.taps)
-    full = simulate(apply_free_params(cfg, mu, cfg.pump.sigma_p, cfg.pump.taps))
-    want = full.purity if cfg.target.dimension == 1 else full.fidelity
-    assert got == want
+    got = _verification(cfg, mu, cfg.pump.sigma_p, cfg.pump.taps)
+    design = apply_free_params(cfg, mu, cfg.pump.sigma_p, cfg.pump.taps)
+    full = simulate(design)
+    assert got.config == design
+    assert analysis_report(got) == analysis_report(full)
+    assert got.jsa.amplitude.tobytes() == full.jsa.amplitude.tobytes()
+    assert (got.purity, got.fidelity) == (full.purity, full.fidelity)
 
 
 @pytest.mark.parametrize("n_points", [256, 512])
@@ -922,7 +929,7 @@ def test_trial_score_ranks_as_the_verification(preset, n_points):
         for _ in range(4)
     ]
     for sigma_p, taps, tol in trials:
-        want = _verified_score(cfg, mu, sigma_p, taps)
+        want = _verification(cfg, mu, sigma_p, taps).fidelity
         assert abs(score(sigma_p, taps) - want) <= tol, (sigma_p, taps)
 
 
@@ -947,7 +954,7 @@ def test_verified_score_goes_through_simulates_chain(monkeypatch, preset):
     cfg = load_preset(preset)
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=128))
     swept = getattr(cfg, swept_chains(cfg)[0][1])
-    _verified_score(cfg, swept.couplings, cfg.pump.sigma_p, cfg.pump.taps)
+    _verification(cfg, swept.couplings, cfg.pump.sigma_p, cfg.pump.taps)
     assert calls == {"simulate": 1, "compute_jsa": 1, "reported_state": 1}
 
 
@@ -1083,22 +1090,110 @@ def test_optimize_verifies_only_the_polish_leaders(
     """The full forward model runs on the polish's leaders and on their
     polished parameters only, except for the separable target, whose mu
     points are ranked by it; the winner is one of the verified
-    candidates."""
+    candidates, and its verification is the one returned."""
     calls = []
 
     def counting(*args):
-        calls.append(_verified_score(*args))
+        calls.append(_verification(*args))
         return calls[-1]
 
     monkeypatch.setenv("TFM_SYNTH_THREADS", "1")
-    monkeypatch.setattr(inversion, "_verified_score", counting)
+    monkeypatch.setattr(inversion, "_verification", counting)
     cfg = load_preset(preset)
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=64))
     search = tiny_search(restarts=1, mu_max=2.0e9, polish_evals=polish_evals)
     assert len(inversion._MU_VALUES) == 4
     res = optimize_state(cfg, search)
     assert len(calls) == want
-    assert res.fidelity == max(calls)
+    scores = [c.purity if preset == "separable" else c.fidelity for c in calls]
+    assert res.fidelity == max(scores)
+    assert res.verification is calls[scores.index(max(scores))]
+
+
+def test_cli_optimize_simulates_each_verified_candidate_once(
+    tmp_path, capsys, monkeypatch, tiny_search
+):
+    """optimize through the CLI simulates the 2 leaders and their 2
+    polished parameter sets, once each, in the search, and nothing else:
+    report.json is the winner's own verification (Bell at 64^2, 2 mu
+    points, one restart, one process)."""
+    calls = []
+
+    def counting(module):
+        original = module.simulate
+
+        def wrapper(*args, **kwargs):
+            calls.append(module.__name__)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, "simulate", wrapper)
+
+    counting(inversion)
+    counting(cli)
+    monkeypatch.setenv("TFM_SYNTH_THREADS", "1")
+    tiny_search(polish_evals=20)
+    with open(preset_path("bell_phi_minus")) as fh:
+        tree = yaml.safe_load(fh)
+    tree["grid"]["n_points"] = 64
+    config = tmp_path / "bell_64.yaml"
+    config.write_text(yaml.safe_dump(tree))
+    code = cli.main([
+        "optimize", "--config", str(config), "--restarts", "1",
+        "--out", str(tmp_path / "o"),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == ["tfm_synth.inversion"] * 4
+
+
+@pytest.mark.parametrize("preset", ["bell_phi_minus", "separable"])
+def test_optimize_verifies_in_the_calling_process(monkeypatch, tiny_search, preset):
+    """On a pool of two workers every verification still runs in this
+    process: a simulate that fails in any other process is never called,
+    for the entangled target's leaders and the separable target's ranking
+    alike, and the polished sets are verified here too (64^2, 2 mu
+    points, one restart, polish on)."""
+    pid = os.getpid()
+    calls = []
+
+    def here_only(*args, **kwargs):
+        if os.getpid() != pid:
+            raise AssertionError(f"simulate in process {os.getpid()}")
+        calls.append(None)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "simulate", here_only)
+    monkeypatch.setenv("TFM_SYNTH_THREADS", "2")
+    cfg = load_preset(preset)
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=64))
+    optimize_state(cfg, tiny_search(restarts=1, polish_evals=20))
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("preset", ["bell_phi_minus", "separable"])
+def test_optimize_holds_few_verifications(monkeypatch, tiny_search, preset):
+    """At most _POLISH_TOP + 1 verifications are alive at once, the one
+    just made included, though the separable target ranks 4 mu points by
+    theirs and the polish adds 2 (64^2, one restart, one process)."""
+    live = set()
+    peak = []
+
+    def tracking(*args, **kwargs):
+        gc.collect()
+        result = simulate(*args, **kwargs)
+        live.add(id(result))
+        weakref.finalize(result, live.discard, id(result))
+        peak.append(len(live))
+        return result
+
+    monkeypatch.setattr(inversion, "simulate", tracking)
+    monkeypatch.setenv("TFM_SYNTH_THREADS", "1")
+    cfg = load_preset(preset)
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=64))
+    optimize_state(
+        cfg, tiny_search(restarts=1, mu_max=2.0e9, polish_evals=20)
+    )
+    assert len(peak) == (6 if preset == "separable" else 4)
+    assert max(peak) <= inversion._POLISH_TOP + 1
 
 
 def test_trace_records_are_the_candidates_own_numbers(monkeypatch, tiny_search):
@@ -1118,7 +1213,7 @@ def test_trace_records_are_the_candidates_own_numbers(monkeypatch, tiny_search):
         score = context((rec["mu"]["mu_12"],))
         got = score(rec["sigma_p"], np.array(rec["alpha"]), np.array(rec["phi"]))
         assert got == rec["fidelity"]
-    pump = res.best_config.pump
+    pump = res.verification.config.pump
     taps = ([t.amplitude for t in pump.taps], [t.phase for t in pump.taps])
     assert any(
         (rec["sigma_p"], rec["alpha"], rec["phi"]) == (pump.sigma_p, *taps)
@@ -1162,20 +1257,26 @@ def test_optimize_trace_deterministic(tiny_search):
 @pytest.mark.slow
 def test_optimize_same_result_in_process_and_on_the_pool(monkeypatch, tiny_search):
     """One worker runs everything in this process, two run the mu points
-    and the polish on a pool; both give the same result."""
-    cfg = load_preset("bell_phi_minus")
-    search = tiny_search(polish_evals=40)
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("TFM_SYNTH_THREADS", threads)
-        runs.append(optimize_state(cfg, search))
-    serial, pooled = runs
-    assert len(serial.trace) == 4
-    assert serial.trace == pooled.trace
-    assert serial.best_mu == pooled.best_mu
-    assert serial.fidelity == pooled.fidelity
-    assert serial.fits == pooled.fits
-    assert serial.best_config == pooled.best_config
+    and the polish on a pool; both give the same result, the winner's
+    report included, for the entangled target (ranked by trial score) and
+    the separable one (ranked by verification)."""
+    for preset in ("bell_phi_minus", "separable"):
+        cfg = load_preset(preset)
+        search = tiny_search(polish_evals=40)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("TFM_SYNTH_THREADS", threads)
+            runs.append(optimize_state(cfg, search))
+        serial, pooled = runs
+        assert len(serial.trace) == 4
+        assert serial.trace == pooled.trace
+        assert serial.best_mu == pooled.best_mu
+        assert serial.fidelity == pooled.fidelity
+        assert serial.fits == pooled.fits
+        assert serial.verification.config == pooled.verification.config
+        assert analysis_report(serial.verification) == analysis_report(
+            pooled.verification
+        )
 
 
 @pytest.mark.slow
@@ -1187,7 +1288,8 @@ def test_optimize_trace_ordering_and_verified_score(tiny_search):
     keys = [(r["mu"]["mu_12"], r["restart"]) for r in res.trace]
     assert keys == sorted(keys)
     # the reported score is the winner's full-grid verified fidelity
-    ver = simulate(res.best_config)
+    assert res.fidelity == res.verification.fidelity
+    ver = simulate(res.verification.config)
     assert res.fidelity == pytest.approx(ver.fidelity, rel=1e-12)
 
 
@@ -1201,8 +1303,9 @@ def test_optimize_separable_end_to_end(tiny_search):
     res = optimize_state(
         cfg, tiny_search(mu_min=3.25e9, mu_max=3.5e9, polish_evals=40)
     )
+    assert res.fidelity == res.verification.purity
     assert res.fidelity == pytest.approx(
-        simulate(res.best_config).purity, rel=1e-12
+        simulate(res.verification.config).purity, rel=1e-12
     )
     assert res.fidelity > 0.95
 
@@ -1213,8 +1316,8 @@ def test_optimize_best_reaches_known_quality(tiny_search):
     cfg = load_preset("bell_phi_minus")
     res = optimize_state(cfg, tiny_search(restarts=3))
     assert res.fidelity > 0.9
-    assert res.best_config.pump.sigma_p > 0
-    assert len(res.best_config.pump.taps) == 6
+    assert res.verification.config.pump.sigma_p > 0
+    assert len(res.verification.config.pump.taps) == 6
 
 
 @pytest.mark.slow
@@ -1276,7 +1379,7 @@ def test_optimize_subspace_weight_of_best(tiny_search):
 
     cfg = load_preset("bell_phi_minus")
     res = optimize_state(cfg, tiny_search(restarts=2))
-    verified = simulate(res.best_config, n_points=128)
+    verified = simulate(res.verification.config, n_points=128)
     assert verified.projection.subspace_weight >= 0.7
 
 
