@@ -38,14 +38,11 @@ sum frequency times a product, so every trial score (each restart's
 record and every polish step) starts from the 2n - 1 sum frequencies of
 the n^2 grid: an entangled target reads its HG pair amplitudes off them,
 and the separable target's purity is the squared Frobenius norm of the
-Gram matrix of the n^2 state built from them.  An entangled target's
-trial score, on the configured grid and the polish's pump grid, agrees
-with the verification to a few 1e-5, so the mu points are ranked by it
-and only the polish's leaders and their polished parameters are
-verified.  The separable target's purity depends on the phase matching
-the trial score leaves out, so its mu points are ranked by the
-verification of each point's best restart.  The pool's workers fit,
-score and polish; every verification runs in the calling process.
+Gram matrix of the n^2 state built from them.  Every target's mu points
+are ranked by their best restart's trial score, and only the polish's
+leaders and their polished parameters are verified: 2 simulate calls
+per leader, or 1 with the polish off.  The pool's workers fit, score and
+polish; every verification runs in the calling process.
 """
 
 from __future__ import annotations
@@ -103,14 +100,15 @@ _FIT_BATCH = 64
 # TDSI decoupling regularization
 _EPSILON = 1e-3
 # internal working resolutions of the search loop: the fit's pump grid
-# and profile; the separable target's reduced trial grid, whose score only
-# picks each mu point's best restart; and the pump grid of every other
+# and profile; the signal/idler points of the separable target's trial
+# grid, whose pump grid is the fit's (a purity on the configured grid
+# costs 6-8 ms a restart at 512^2); and the pump grid of every other
 # trial score.  On 512 pump points the fitted Bell candidate at 0.25 GHz
 # (256^2, seed 0) scores 0.836 against 0.9097 verified; on 2048 each of
 # that design's 21 candidates scores within 9e-5 of its verification.
 _FIT_PUMP_POINTS = 512
 _FIT_PROFILE_POINTS = 129
-_VERIFY_POINTS = 128
+_SEPARABLE_TRIAL_POINTS = 128
 _POLISH_PUMP_POINTS = 2048
 # the most points a mu grid may have: a 26.7 GHz MZI reach in steps of
 # 27 kHz, far finer than any design needs, while the grid (8 MB) and
@@ -518,7 +516,9 @@ def _trial_contexts(cfg: DeviceConfig, pump_points: int, n_points: int, chain=No
                 amp *= 1.0 / np.sqrt(norm2)
                 g = amp @ amp.T
                 g *= cell_area
-                return float(np.sum(g * g))
+                # no n^2 temporary, and unlike a BLAS dot, a sum that does
+                # not depend on the BLAS thread count
+                return float(np.einsum("ij,ij->", g, g))
             ckk = overlaps @ a * (cell_area / np.sqrt(norm2))
             if not np.any(ckk):
                 return 0.0
@@ -567,11 +567,11 @@ def _run_mu_points(args):
     chains that mu does not sweep are built once per task).  The fits of
     every (mu point, restart) run as rows of _fit_batch, at most
     _FIT_BATCH rows at a time; a row's fit does not depend on the batch it
-    runs in.  Every restart gets a trial score, the record's fidelity: an
-    entangled target's on the configured grid and the polish's pump grid
-    (_POLISH_PUMP_POINTS), which ranks the point; the separable target's
-    on the reduced (_FIT_PUMP_POINTS, _VERIFY_POINTS) grids, which only
-    picks the point's best restart.  Returns, per point, (mu_idx,
+    runs in.  Every restart gets a trial score, the record's fidelity,
+    and the best one ranks the point: an entangled target's on the
+    configured grid and the polish's pump grid (_POLISH_PUMP_POINTS), the
+    separable target's on the reduced (_FIT_PUMP_POINTS,
+    _SEPARABLE_TRIAL_POINTS) grids.  Returns, per point, (mu_idx,
     records, candidate, fits): candidate is (trial score, residual, x, mu)
     of the restart with the best trial score, x its fitted search vector,
     and fits holds each restart's (converged, nfev, njev) as a row.
@@ -586,7 +586,7 @@ def _run_mu_points(args):
     trial_grids = (
         (_POLISH_PUMP_POINTS, grid_s.n_points)
         if cfg.target.dimension >= 2
-        else (_FIT_PUMP_POINTS, _VERIFY_POINTS)
+        else (_FIT_PUMP_POINTS, _SEPARABLE_TRIAL_POINTS)
     )
     context = _trial_contexts(cfg, *trial_grids, chain)
     sums = grid_s.center + grid_i.center + _profile_offsets(grid_s, grid_i)
@@ -835,15 +835,15 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     TFM_SYNTH_THREADS workers, runs the mu points (the fits and their
     trial scores) and then the polish of each of the _POLISH_TOP leading
     mu points; with one worker everything runs in this process.  Every
-    verification (a simulate call, _verification) runs in this process:
-    for the separable target, of each mu point's best restart, which
-    ranks the points; then, once the pool has polished the leaders, of
-    the leaders and their polished vectors; the winner's is returned.
-    At most _POLISH_TOP + 1 verifications are held at a time (one of
-    8192^2 holds 512 MB).  Only this process reads the mu grid and the
-    polish constants; a task carries what it needs of them.  A config
-    whose swept chains (see swept_chains) have no coupling, or different
-    stage counts, is a ConfigError, raised before any task is built.
+    target's mu points are ranked by their best restart's trial score.
+    Every verification (a simulate call, _verification) runs in this
+    process once the pool has polished the leaders: of the leaders, then
+    of their polished vectors; the winner's is returned.  At most two
+    verifications are held at a time (one of 8192^2 holds 512 MB).  Only
+    this process reads the mu grid and the polish constants; a task
+    carries what it needs of them.  A config whose swept chains (see
+    swept_chains) have no coupling, or different stage counts, is a
+    ConfigError, raised before any task is built.
     """
     keys, fields = zip(*swept_chains(cfg))
     swept = " and ".join(keys) + (" chains" if len(keys) > 1 else " chain")
@@ -890,32 +890,23 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
             trace.extend(records)
             scored.append(candidate)
             fits.append(point_fits)
-        # an entangled target's mu points are ranked by their best trial
-        # score, on the configured grid, the separable target's by the
-        # verified purity of their best restart (see _run_mu_points);
-        # nlargest keeps sort's order of equal scores
-        if separable:
-            scored = (verified(*candidate[1:]) for candidate in scored)
+        # the mu points are ranked by their best trial score (see
+        # _run_mu_points); nlargest keeps sort's order of equal scores
         leaders = heapq.nlargest(_POLISH_TOP, scored, key=lambda c: c[0])
         polished = []
         if _POLISH_EVALS > 0:
             polished = list(run(
                 _polish_candidate,
-                [(cfg, _POLISH_EVALS, x, mu) for _, _, x, mu, *_ in leaders],
+                [(cfg, _POLISH_EVALS, x, mu) for _, _, x, mu in leaders],
             ))
     # the leaders first: max keeps the first of equal scores, so a polished
-    # parameter set wins only if it verifies better than every leader.  No
+    # parameter set wins only if it verifies better than every leader, and
+    # only the best verification so far is kept while the next is made.  No
     # verification runs next to the polish: there, this process's threaded
     # BLAS competed with the busy workers for the cores, and one 256^2
     # verification took 0.15-0.39 s instead of 0.015 s (two workers,
     # 2-vCPU VM)
-    best = max(
-        leaders if separable else (verified(*lead[1:]) for lead in leaders),
-        key=lambda c: c[0],
-    )
-    # only the best verification so far is kept while the polished sets
-    # are verified
-    leaders = [lead[:4] for lead in leaders]
+    best = max((verified(*lead[1:]) for lead in leaders), key=lambda c: c[0])
     for x, (_, residual, _, mu) in zip(polished, leaders):
         best = max(best, verified(residual, x, mu), key=lambda c: c[0])
     score, residual, _, mu, verification = best

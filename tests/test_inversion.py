@@ -29,7 +29,7 @@ from tfm_synth.inversion import (
     _MU_VALUES,
     _FIT_PUMP_POINTS,
     _POLISH_PUMP_POINTS,
-    _VERIFY_POINTS,
+    _SEPARABLE_TRIAL_POINTS,
     SearchConfig,
     _filter_peak,
     _fit_batch,
@@ -612,7 +612,7 @@ def _parent_trial_score(cfg, mu, pump_points, n_points, sigma_p, taps):
 
 @pytest.mark.parametrize(
     "pump_points, n_points",
-    [(_FIT_PUMP_POINTS, _VERIFY_POINTS), (_POLISH_PUMP_POINTS, 256)],
+    [(_FIT_PUMP_POINTS, _SEPARABLE_TRIAL_POINTS), (_POLISH_PUMP_POINTS, 256)],
 )
 def test_trial_context_score_matches_the_rebuilt_chain(pump_points, n_points):
     """The context's score, with its grid constants built once, equals the
@@ -663,7 +663,7 @@ def test_trial_contexts_of_one_template_build_one_adp_model(monkeypatch):
 
     monkeypatch.setattr(inversion, "AdpModel", counting)
     cfg = load_preset("bell_phi_minus")
-    contexts = _trial_contexts(cfg, _FIT_PUMP_POINTS, _VERIFY_POINTS)
+    contexts = _trial_contexts(cfg, _FIT_PUMP_POINTS, _SEPARABLE_TRIAL_POINTS)
     for mu in ((0.5e9,), (1.25e9,), (2.0e9,)):
         contexts(mu)(cfg.pump.sigma_p, *tap_arrays(cfg.pump.taps))
     assert len(built) == 1
@@ -765,7 +765,7 @@ def test_trial_score_rejects_an_all_zero_pump(preset):
     """All-zero tap amplitudes raise on the sum-index score as on the
     full-grid one the separable target keeps."""
     cfg = load_preset(preset)
-    score = tap_score(cfg, (1.0e9,), _FIT_PUMP_POINTS, _VERIFY_POINTS)
+    score = tap_score(cfg, (1.0e9,), _FIT_PUMP_POINTS, _SEPARABLE_TRIAL_POINTS)
     taps = oracles.make_taps([0.0] * len(cfg.pump.taps), [0.3] * len(cfg.pump.taps))
     with pytest.raises(NumericalError):
         score(cfg.pump.sigma_p, taps)
@@ -839,7 +839,7 @@ def test_swept_chains_follow_the_target_dimension(preset, fields):
 
 @pytest.mark.parametrize(
     "pump_points, n_points",
-    [(_FIT_PUMP_POINTS, _VERIFY_POINTS), (_POLISH_PUMP_POINTS, 512)],
+    [(_FIT_PUMP_POINTS, _SEPARABLE_TRIAL_POINTS), (_POLISH_PUMP_POINTS, 512)],
 )
 def test_separable_trial_score_is_the_purity_of_the_full_grid_state(
     pump_points, n_points
@@ -872,7 +872,7 @@ def test_separable_trial_score_of_a_tiny_norm_is_finite():
     (dA / N^2)^2 after the product, it read NaN) and equals the purity of
     its Schmidt weights."""
     cfg = load_preset("separable")
-    score = _trial_contexts(cfg, _FIT_PUMP_POINTS, _VERIFY_POINTS)((3.75e9,))
+    score = _trial_contexts(cfg, _FIT_PUMP_POINTS, _SEPARABLE_TRIAL_POINTS)((3.75e9,))
     alpha = [0.279408107, 0.355907574, 0.627134146, 0.280478043, 0.192264541,
              0.967887832]
     phi = [5.44590485, 4.40387311, 1.77651204, 5.15550354, 1.3057015, 2.96029558]
@@ -1078,19 +1078,19 @@ def test_mu_points_split_into_chunks_per_worker(n_points, restarts, workers):
 
 @pytest.mark.parametrize(
     "preset, polish_evals, want",
-    # an entangled target verifies the 2 leaders and, with the polish on,
-    # their 2 polished parameter sets; the separable one each of the 4 mu
-    # points, and the 2 polished sets
+    # every target verifies the 2 leaders and, with the polish on, their 2
+    # polished parameter sets, though it sweeps 4 mu points
     [("bell_phi_minus", 20, 4), ("bell_phi_minus", 0, 2),
-     ("separable", 20, 6), ("separable", 0, 4)],
+     ("separable", 20, 4), ("separable", 0, 2)],
 )
 def test_optimize_verifies_only_the_polish_leaders(
     monkeypatch, tiny_search, preset, polish_evals, want
 ):
     """The full forward model runs on the polish's leaders and on their
-    polished parameters only, except for the separable target, whose mu
-    points are ranked by it; the winner is one of the verified
-    candidates, and its verification is the one returned."""
+    polished parameters only, for every target: the leaders are the
+    _POLISH_TOP mu points whose best trial score in the trace is highest,
+    verified in that order; the winner is one of the verified candidates,
+    and its verification is the one returned."""
     calls = []
 
     def counting(*args):
@@ -1105,6 +1105,14 @@ def test_optimize_verifies_only_the_polish_leaders(
     assert len(inversion._MU_VALUES) == 4
     res = optimize_state(cfg, search)
     assert len(calls) == want
+    best = {}
+    for rec in res.trace:
+        mu = rec["mu"]["mu_12"]
+        best[mu] = max(best.get(mu, -np.inf), rec["fidelity"])
+    leaders = sorted(best, key=best.get, reverse=True)[: inversion._POLISH_TOP]
+    swept = "pump_resonance" if preset == "separable" else "signal"
+    verified_mu = [getattr(c.config, swept).couplings[0] for c in calls]
+    assert verified_mu == (leaders * 2 if polish_evals else leaders)
     scores = [c.purity if preset == "separable" else c.fidelity for c in calls]
     assert res.fidelity == max(scores)
     assert res.verification is calls[scores.index(max(scores))]
@@ -1149,9 +1157,9 @@ def test_cli_optimize_simulates_each_verified_candidate_once(
 def test_optimize_verifies_in_the_calling_process(monkeypatch, tiny_search, preset):
     """On a pool of two workers every verification still runs in this
     process: a simulate that fails in any other process is never called,
-    for the entangled target's leaders and the separable target's ranking
-    alike, and the polished sets are verified here too (64^2, 2 mu
-    points, one restart, polish on)."""
+    for the leaders of the entangled and the separable target alike, and
+    the polished sets are verified here too (64^2, 2 mu points, one
+    restart, polish on)."""
     pid = os.getpid()
     calls = []
 
@@ -1171,9 +1179,9 @@ def test_optimize_verifies_in_the_calling_process(monkeypatch, tiny_search, pres
 
 @pytest.mark.parametrize("preset", ["bell_phi_minus", "separable"])
 def test_optimize_holds_few_verifications(monkeypatch, tiny_search, preset):
-    """At most _POLISH_TOP + 1 verifications are alive at once, the one
-    just made included, though the separable target ranks 4 mu points by
-    theirs and the polish adds 2 (64^2, one restart, one process)."""
+    """At most two verifications are alive at once, the best so far and
+    the one just made, of the 2 leaders' and the 2 polished sets' (4 mu
+    points, 64^2, one restart, one process)."""
     live = set()
     peak = []
 
@@ -1192,8 +1200,8 @@ def test_optimize_holds_few_verifications(monkeypatch, tiny_search, preset):
     optimize_state(
         cfg, tiny_search(restarts=1, mu_max=2.0e9, polish_evals=20)
     )
-    assert len(peak) == (6 if preset == "separable" else 4)
-    assert max(peak) <= inversion._POLISH_TOP + 1
+    assert len(peak) == 4
+    assert max(peak) <= 2
 
 
 def test_trace_records_are_the_candidates_own_numbers(monkeypatch, tiny_search):
@@ -1258,8 +1266,7 @@ def test_optimize_trace_deterministic(tiny_search):
 def test_optimize_same_result_in_process_and_on_the_pool(monkeypatch, tiny_search):
     """One worker runs everything in this process, two run the mu points
     and the polish on a pool; both give the same result, the winner's
-    report included, for the entangled target (ranked by trial score) and
-    the separable one (ranked by verification)."""
+    report included, for the entangled target and the separable one."""
     for preset in ("bell_phi_minus", "separable"):
         cfg = load_preset(preset)
         search = tiny_search(polish_evals=40)
