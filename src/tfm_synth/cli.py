@@ -31,7 +31,7 @@ from .config import (
     load_preset,
 )
 from .errors import ConfigError, NumericalError
-from .inversion import _MU_RANGE, SearchConfig, mu_grid, optimize_state, swept_chains
+from .inversion import _MU_RANGE, mu_grid, optimize_state, swept_chains
 from .jsa import save_jsa_binary, save_jsa_sidecar
 from .resonator import bus_transmission, mzi_max_mu, mzi_phase_for_mu
 from .simulate import analysis_report, simulate
@@ -192,10 +192,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = _load(args.config)
-    search = SearchConfig(restarts=args.restarts, seed=args.seed)
-    result = optimize_state(cfg, search)
+    result = optimize_state(cfg, restarts=args.restarts, seed=args.seed)
     verification = result.verification
     best = verification.config
+    chains = swept_chains(cfg)
+    # every swept chain holds the one coupling tuple the search picked
+    best_mu = list(getattr(best, chains[0][1]).couplings)
     # made once the search has succeeded: a run that fails leaves no directory
     out = args.out
     _make_out_dir(out)
@@ -214,9 +216,9 @@ def cmd_optimize(args) -> int:
         },
         "resonator": {
             key: {"couplings": [
-                format_quantity(m, "GHz", "angular_frequency") for m in result.best_mu
+                format_quantity(m, "GHz", "angular_frequency") for m in best_mu
             ]}
-            for key, _ in swept_chains(cfg)
+            for key, _ in chains
         },
     }
     _write_text(
@@ -234,21 +236,18 @@ def cmd_optimize(args) -> int:
 
     report = analysis_report(verification)
     report["search"] = {
-        "seed": search.seed,
-        "restarts": search.restarts,
-        "best_mu": [float(m) for m in result.best_mu],
-        "trial_fidelity": result.fidelity,
-        "fit_residual": result.residual,
+        "seed": args.seed,
+        "restarts": args.restarts,
+        "best_mu": best_mu,
         "fits": result.fits,
         # the search, the polish and the verification all run on it
         "grid_points": cfg.grid.n_points,
     }
     _write_json(os.path.join(out, "report.json"), report)
     print(json.dumps(_round9({
-        "best_fidelity": result.fidelity,
         "verified_fidelity": verification.fidelity,
         "verified_purity": verification.purity,
-        "best_mu": [float(m) for m in result.best_mu],
+        "best_mu": best_mu,
         "search_grid": cfg.grid.n_points,
     })))
     return 0

@@ -14,7 +14,9 @@ derivative) to that profile's magnitude; (5) repeat the fit from many
 random initial tap settings; (6) sweep mu over _MU_VALUES, rank the mu
 points by their best restart's trial score, refine the _POLISH_TOP
 leading ones with a derivative-free polish at the configured resolution,
-and keep the candidate whose simulate figure is best.
+and keep the candidate whose simulate figure is best.  optimize_state
+returns that simulate result, the design and its verified figures, with
+the trace and the fits' statistics, and no other copy of a figure.
 
 The fits of steps (4)-(5) for the mu points of one task, every restart
 of each, are the rows of one batch: one vectorized
@@ -100,9 +102,10 @@ _FIT_BATCH = 64
 # TDSI decoupling regularization
 _EPSILON = 1e-3
 # internal working resolutions of the search loop: the fit's pump grid
-# and profile; the signal/idler points of the separable target's trial
-# grid, whose pump grid is the fit's (a purity on the configured grid
-# costs 6-8 ms a restart at 512^2); and the pump grid of every other
+# and profile; the most signal/idler points of the separable target's
+# trial grid, whose pump grid is the fit's (a purity on the configured
+# grid costs 6-8 ms a restart at 512^2; a coarser configured grid is
+# scored on its own points); and the pump grid of every other
 # trial score.  On 512 pump points the fitted Bell candidate at 0.25 GHz
 # (256^2, seed 0) scores 0.836 against 0.9097 verified; on 2048 each of
 # that design's 21 candidates scores within 9e-5 of its verification.
@@ -119,22 +122,6 @@ _MU_GRID_MAX_POINTS = 10**6
 # 2.1e5 ADP fits, hours of CPU at 20-40 ms a fit, and as many trace
 # records held in memory; the count is checked before any task is built
 _MAX_RESTARTS = 10**4
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Multi-start settings for the inverse loop, checked when built."""
-
-    restarts: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.restarts <= _MAX_RESTARTS:
-            raise ConfigError(
-                f"restarts must be 1..{_MAX_RESTARTS}, got {self.restarts}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def mu_grid(mu_min: float, mu_max: float, mu_step: float) -> np.ndarray:
@@ -169,9 +156,6 @@ _POLISH_TOP = 2
 @dataclass(frozen=True)
 class OptimizeResult:
     verification: SimulationResult  # simulate of the winning design
-    best_mu: tuple               # rad/s, the swept coupling values
-    fidelity: float              # full-grid verified score of the winner
-    residual: float
     trace: tuple                 # of dict, ordered by (mu index, restart)
     fits: dict                   # the ADP fits' converged fraction and
                                  # median nfev and njev
@@ -570,14 +554,14 @@ def _run_mu_points(args):
     runs in.  Every restart gets a trial score, the record's fidelity,
     and the best one ranks the point: an entangled target's on the
     configured grid and the polish's pump grid (_POLISH_PUMP_POINTS), the
-    separable target's on the reduced (_FIT_PUMP_POINTS,
-    _SEPARABLE_TRIAL_POINTS) grids.  Returns, per point, (mu_idx,
-    records, candidate, fits): candidate is (trial score, residual, x, mu)
-    of the restart with the best trial score, x its fitted search vector,
-    and fits holds each restart's (converged, nfev, njev) as a row.
+    separable target's on the reduced grids: _FIT_PUMP_POINTS pump
+    points, and _SEPARABLE_TRIAL_POINTS signal/idler points or the
+    configured count where that is smaller.  Returns, per point, (mu_idx,
+    records, candidate, fits): candidate is (trial score, x, mu) of the
+    restart with the best trial score, x its fitted search vector, and
+    fits holds each restart's (converged, nfev, njev) as a row.
     """
-    cfg, search, points = args
-    restarts = search.restarts
+    cfg, restarts, seed, points = args
     n_taps = len(cfg.pump.taps)
     chain = functools.lru_cache(maxsize=None)(field_enhancement_chain)
     pump_grid, grid_s, grid_i = build_grids(cfg)
@@ -586,7 +570,7 @@ def _run_mu_points(args):
     trial_grids = (
         (_POLISH_PUMP_POINTS, grid_s.n_points)
         if cfg.target.dimension >= 2
-        else (_FIT_PUMP_POINTS, _SEPARABLE_TRIAL_POINTS)
+        else (_FIT_PUMP_POINTS, min(_SEPARABLE_TRIAL_POINTS, grid_s.n_points))
     )
     context = _trial_contexts(cfg, *trial_grids, chain)
     sums = grid_s.center + grid_i.center + _profile_offsets(grid_s, grid_i)
@@ -600,7 +584,7 @@ def _run_mu_points(args):
         profiles.extend([profile] * restarts)
         l_ps.extend([chain(trial_cfg.pump_resonance, fit_grid).values] * restarts)
         starts.extend(
-            _start(search.seed, mu_idx, restart, n_taps)
+            _start(seed, mu_idx, restart, n_taps)
             for restart in range(restarts)
         )
     batches = [
@@ -631,7 +615,7 @@ def _run_mu_points(args):
                 "converged": bool(converged[r]),
             })
             if best is None or trial > best[0]:
-                best = (trial, float(residual[r]), x[r], mu)
+                best = (trial, x[r], mu)
         results.append((mu_idx, records, best, fits[rows]))
     return results
 
@@ -824,9 +808,9 @@ def _chunks(n_points: int, restarts: int, workers: int) -> list:
     return [range(c, n_points, n_chunks) for c in range(n_chunks)]
 
 
-def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
+def optimize_state(cfg: DeviceConfig, restarts: int, seed: int) -> OptimizeResult:
     """Full inverse loop with seeded multi-start fits, each swept coupling
-    taking the values of _MU_VALUES.
+    taking the values of _MU_VALUES, restarts of them per mu point.
 
     The trace is deterministic for a fixed seed: each restart draws from
     an RNG keyed by (seed, mu index, restart), the draw order is sigma_p,
@@ -838,13 +822,19 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     target's mu points are ranked by their best restart's trial score.
     Every verification (a simulate call, _verification) runs in this
     process once the pool has polished the leaders: of the leaders, then
-    of their polished vectors; the winner's is returned.  At most two
+    of their polished vectors; the winner's is returned, and its config
+    is the design, the swept couplings included.  At most two
     verifications are held at a time (one of 8192^2 holds 512 MB).  Only
     this process reads the mu grid and the polish constants; a task
-    carries what it needs of them.  A config whose swept chains (see
-    swept_chains) have no coupling, or different stage counts, is a
-    ConfigError, raised before any task is built.
+    carries what it needs of them.  A restart count outside
+    1.._MAX_RESTARTS, a negative seed, and a config whose swept chains
+    (see swept_chains) have no coupling, or different stage counts, are
+    ConfigErrors, raised before any task is built.
     """
+    if not 1 <= restarts <= _MAX_RESTARTS:
+        raise ConfigError(f"restarts must be 1..{_MAX_RESTARTS}, got {restarts}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     keys, fields = zip(*swept_chains(cfg))
     swept = " and ".join(keys) + (" chains" if len(keys) > 1 else " chain")
     chains = [getattr(cfg, field) for field in fields]
@@ -861,15 +851,14 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     mu_points = list(itertools.product(_MU_VALUES.tolist(), repeat=n_swept))
     workers = _worker_count(len(mu_points))
     tasks = [
-        (cfg, search, [(i, mu_points[i]) for i in chunk])
-        for chunk in _chunks(len(mu_points), search.restarts, workers)
+        (cfg, restarts, seed, [(i, mu_points[i]) for i in chunk])
+        for chunk in _chunks(len(mu_points), restarts, workers)
     ]
     separable = cfg.target.dimension == 1
 
-    def verified(residual, x, mu):
+    def verified(x, mu):
         result = _verification(cfg, mu, *_unpack(x))
-        score = result.purity if separable else result.fidelity
-        return score, residual, x, mu, result
+        return result.purity if separable else result.fidelity, result
 
     with ExitStack() as stack:
         if workers == 1:
@@ -897,7 +886,7 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
         if _POLISH_EVALS > 0:
             polished = list(run(
                 _polish_candidate,
-                [(cfg, _POLISH_EVALS, x, mu) for _, _, x, mu in leaders],
+                [(cfg, _POLISH_EVALS, x, mu) for _, x, mu in leaders],
             ))
     # the leaders first: max keeps the first of equal scores, so a polished
     # parameter set wins only if it verifies better than every leader, and
@@ -906,16 +895,12 @@ def optimize_state(cfg: DeviceConfig, search: SearchConfig) -> OptimizeResult:
     # BLAS competed with the busy workers for the cores, and one 256^2
     # verification took 0.15-0.39 s instead of 0.015 s (two workers,
     # 2-vCPU VM)
-    best = max((verified(*lead[1:]) for lead in leaders), key=lambda c: c[0])
-    for x, (_, residual, _, mu) in zip(polished, leaders):
-        best = max(best, verified(residual, x, mu), key=lambda c: c[0])
-    score, residual, _, mu, verification = best
+    best = max((verified(x, mu) for _, x, mu in leaders), key=lambda c: c[0])
+    for x, (_, _, mu) in zip(polished, leaders):
+        best = max(best, verified(x, mu), key=lambda c: c[0])
     converged, nfev, njev = np.concatenate(fits).T
     return OptimizeResult(
-        verification=verification,
-        best_mu=tuple(mu),
-        fidelity=score,
-        residual=residual,
+        verification=best[1],
         trace=tuple(trace),
         fits={
             "converged_frac": float(np.mean(converged)),

@@ -33,7 +33,8 @@ from .spectral import Field1D, SpectralGrid
 class SimulationResult:
     """What the forward model reports for one configuration: the fields
     the CLI writes, the reported state and its figures of merit.  The
-    shaped pump and the complex JSA stay inside simulate."""
+    shaped pump and the complex JSA stay inside simulate, and the Schmidt
+    number K' = 1 / purity is taken where it is reported."""
 
     config: DeviceConfig
     fir: Field1D               # FIR transfer function on the pump grid
@@ -44,7 +45,6 @@ class SimulationResult:
     schmidt: np.ndarray        # leading Schmidt weights (<= 16), descending
     projection: TfmProjection
     fidelity: float
-    k_prime: float
     purity: float
     pairs_per_pulse: float
     pgr_hz: float
@@ -119,7 +119,6 @@ def simulate(cfg: DeviceConfig, n_points: int | None = None) -> SimulationResult
         schmidt=schmidt,
         projection=projection,
         fidelity=fid,
-        k_prime=1.0 / purity,
         purity=purity,
         pairs_per_pulse=rate["pairs_per_pulse"],
         pgr_hz=rate["pgr_hz"],
@@ -136,7 +135,7 @@ def analysis_report(result: SimulationResult) -> dict:
     return {
         "name": result.config.name,
         "lambda": [float(w) for w in result.schmidt],
-        "K_prime": result.k_prime,
+        "K_prime": 1.0 / result.purity,
         "purity": result.purity,
         "fidelity": result.fidelity,
         "higher_order_weight": result.projection.higher_order_weight,

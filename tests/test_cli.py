@@ -648,24 +648,17 @@ def test_optimize_unsweepable_config_exits_2(tmp_path, capsys, preset, edits):
 
 
 def _search_returns_the_preset(monkeypatch, preset):
-    """Replace optimize's search by one that returns the preset's own
-    couplings and the verification of the config it was given, the
-    preset's own design when that config is the preset; its score is the
-    verification's fidelity, or its purity for the separable target.
-    Returns the couplings and the list the searches' results go to."""
+    """Replace optimize's search by one that returns the verification of
+    the config it was given, the preset's own design when that config is
+    the preset.  Returns the preset's swept couplings and the list the
+    searches' results go to."""
     cfg = load_preset(preset)
     mu = getattr(cfg, inversion.swept_chains(cfg)[0][1]).couplings
     results = []
 
-    def search(cfg, _):
-        verification = simulate(cfg)
+    def search(cfg, restarts, seed):
         results.append(inversion.OptimizeResult(
-            verification=verification, best_mu=mu,
-            fidelity=(
-                verification.purity if cfg.target.dimension == 1
-                else verification.fidelity
-            ),
-            residual=0.0, trace=(),
+            verification=simulate(cfg), trace=(),
             fits={"converged_frac": 1.0, "nfev_median": 1.0, "njev_median": 1.0},
         ))
         return results[-1]
@@ -697,10 +690,11 @@ def test_best_params_yaml_has_no_aliases(tmp_path, capsys, monkeypatch, preset, 
 
 
 def test_optimize_reports_the_verified_score(tmp_path, capsys):
-    """The score the search verified its winner by is the figure simulate
-    reports for the written design: report.json's fidelity is its search
-    trial_fidelity, and stdout's best_fidelity its verified_fidelity
-    (Bell at 64^2, one restart, no --grid)."""
+    """The stdout summary and report.json's search block carry no score
+    of their own: their keys are exactly these, and the summary's
+    verified_fidelity is report.json's fidelity, the figure simulate
+    reports for the written design (Bell at 64^2, one restart, no
+    --grid)."""
     config = _preset_with(tmp_path, "grid", "n_points", 64)
     code, stdout, _ = run(
         capsys, "optimize", "--config", config, "--restarts", "1",
@@ -708,9 +702,16 @@ def test_optimize_reports_the_verified_score(tmp_path, capsys):
     )
     assert code == 0
     summary = json.loads(stdout)
-    assert summary["best_fidelity"] == summary["verified_fidelity"]
+    assert list(summary) == [
+        "verified_fidelity", "verified_purity", "best_mu", "search_grid"
+    ]
     report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert report["fidelity"] == report["search"]["trial_fidelity"]
+    assert list(report["search"]) == [
+        "seed", "restarts", "best_mu", "fits", "grid_points"
+    ]
+    assert summary["verified_fidelity"] == report["fidelity"]
+    assert summary["verified_purity"] == report["purity"]
+    assert summary["best_mu"] == report["search"]["best_mu"]
 
 
 def test_optimize_takes_no_grid_flag(tmp_path, capsys):
@@ -730,7 +731,7 @@ def test_optimize_verifies_on_the_config_grid(tmp_path, capsys, monkeypatch):
     search's own verification of the design, on the config's grid, which
     the report and the summary name.  The search is replaced by the
     preset's own design."""
-    _, results = _search_returns_the_preset(monkeypatch, "bell_phi_minus")
+    mu, results = _search_returns_the_preset(monkeypatch, "bell_phi_minus")
     calls = []
     monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
     config = _preset_with(tmp_path, "grid", "n_points", 64)
@@ -749,7 +750,8 @@ def test_optimize_verifies_on_the_config_grid(tmp_path, capsys, monkeypatch):
     assert summary["verified_purity"] == cli._round9(verification.purity)
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["search"]["grid_points"] == 64
-    assert report.pop("search")["trial_fidelity"] == cli._round9(result.fidelity)
+    # the design's couplings, read off the verification's config
+    assert report.pop("search")["best_mu"] == cli._round9(list(mu))
     want = json.loads(json.dumps(cli._round9(analysis_report(verification))))
     assert report == want
 

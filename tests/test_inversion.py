@@ -30,7 +30,6 @@ from tfm_synth.inversion import (
     _FIT_PUMP_POINTS,
     _POLISH_PUMP_POINTS,
     _SEPARABLE_TRIAL_POINTS,
-    SearchConfig,
     _filter_peak,
     _fit_batch,
     _magnitude_fit,
@@ -1001,7 +1000,7 @@ def test_search_pool_workers_run_one_blas_thread(monkeypatch, tiny_search):
     monkeypatch.setenv("TFM_SYNTH_THREADS", "2")
     cfg = load_preset("bell_phi_minus")
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=64))
-    optimize_state(cfg, tiny_search(restarts=1))
+    optimize_state(cfg, **tiny_search(restarts=1))
     assert len(probed) == 1
     assert probed[0]
     assert all(c == 1 for c in probed[0])
@@ -1010,14 +1009,14 @@ def test_search_pool_workers_run_one_blas_thread(monkeypatch, tiny_search):
 @pytest.fixture
 def tiny_search(monkeypatch):
     """A small search: sets the inverse loop's mu grid, mu_min to mu_max in
-    0.25 GHz steps, and its polish budget, then returns
-    SearchConfig(restarts, seed)."""
+    0.25 GHz steps, and its polish budget, then returns optimize_state's
+    keyword arguments restarts and seed."""
 
     def search(restarts=2, seed=0, mu_min=1.25e9, mu_max=1.5e9, polish_evals=0):
         mu_values = inversion.mu_grid(mu_min, mu_max, 0.25e9)
         monkeypatch.setattr(inversion, "_MU_VALUES", mu_values)
         monkeypatch.setattr(inversion, "_POLISH_EVALS", polish_evals)
-        return SearchConfig(restarts=restarts, seed=seed)
+        return {"restarts": restarts, "seed": seed}
 
     return search
 
@@ -1037,18 +1036,38 @@ def test_mu_grid_stops_at_its_max(tiny_search):
     assert np.array_equal(inversion._MU_VALUES, [1.25e9, 1.5e9])
 
 
-def test_search_config_validation():
-    with pytest.raises(ConfigError):
-        SearchConfig(restarts=0)
-    # a restart count past the cap is rejected before a task list of that
-    # length is built; the cap admits the default 32
+def test_optimize_state_checks_restarts_and_seed_before_any_task(monkeypatch):
+    """A restart count outside 1.._MAX_RESTARTS or a negative seed is a
+    ConfigError raised before any task is built: _run_mu_points is never
+    called, so a restart count past the cap never becomes a task list of
+    that length.  The cap itself is searched, and it admits the CLI's
+    default of 32."""
+    tasks = []
+
+    class TaskBuilt(Exception):
+        pass
+
+    def recording(task):
+        tasks.append(task)
+        raise TaskBuilt
+
+    monkeypatch.setenv("TFM_SYNTH_THREADS", "1")
+    monkeypatch.setattr(inversion, "_run_mu_points", recording)
+    cfg = load_preset("bell_phi_minus")
     cap = inversion._MAX_RESTARTS
-    assert SearchConfig(restarts=cap).restarts == cap >= SearchConfig().restarts
-    for restarts in (cap + 1, 10**30):
-        with pytest.raises(ConfigError, match="restarts"):
-            SearchConfig(restarts=restarts)
-    with pytest.raises(ConfigError, match="seed"):
-        SearchConfig(seed=-1)
+    for restarts, seed, match in (
+        (0, 0, "restarts"), (cap + 1, 0, "restarts"), (10**30, 0, "restarts"),
+        (32, -1, "seed"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            optimize_state(cfg, restarts=restarts, seed=seed)
+    assert tasks == []
+    with pytest.raises(TaskBuilt):
+        optimize_state(cfg, restarts=cap, seed=0)
+    [(_, restarts, seed, _)] = tasks
+    assert (restarts, seed) == (cap, 0)
+    args = cli.build_parser().parse_args(["optimize", "--config", "x", "--out", "y"])
+    assert cap >= args.restarts == 32
 
 
 @pytest.mark.parametrize(
@@ -1103,7 +1122,7 @@ def test_optimize_verifies_only_the_polish_leaders(
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=64))
     search = tiny_search(restarts=1, mu_max=2.0e9, polish_evals=polish_evals)
     assert len(inversion._MU_VALUES) == 4
-    res = optimize_state(cfg, search)
+    res = optimize_state(cfg, **search)
     assert len(calls) == want
     best = {}
     for rec in res.trace:
@@ -1114,7 +1133,6 @@ def test_optimize_verifies_only_the_polish_leaders(
     verified_mu = [getattr(c.config, swept).couplings[0] for c in calls]
     assert verified_mu == (leaders * 2 if polish_evals else leaders)
     scores = [c.purity if preset == "separable" else c.fidelity for c in calls]
-    assert res.fidelity == max(scores)
     assert res.verification is calls[scores.index(max(scores))]
 
 
@@ -1173,7 +1191,7 @@ def test_optimize_verifies_in_the_calling_process(monkeypatch, tiny_search, pres
     monkeypatch.setenv("TFM_SYNTH_THREADS", "2")
     cfg = load_preset(preset)
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=64))
-    optimize_state(cfg, tiny_search(restarts=1, polish_evals=20))
+    optimize_state(cfg, **tiny_search(restarts=1, polish_evals=20))
     assert len(calls) == 4
 
 
@@ -1198,7 +1216,7 @@ def test_optimize_holds_few_verifications(monkeypatch, tiny_search, preset):
     cfg = load_preset(preset)
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=64))
     optimize_state(
-        cfg, tiny_search(restarts=1, mu_max=2.0e9, polish_evals=20)
+        cfg, **tiny_search(restarts=1, mu_max=2.0e9, polish_evals=20)
     )
     assert len(peak) == 4
     assert max(peak) <= 2
@@ -1214,7 +1232,7 @@ def test_trace_records_are_the_candidates_own_numbers(monkeypatch, tiny_search):
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=64))
     search = tiny_search(restarts=2, polish_evals=0)
     assert len(inversion._MU_VALUES) == 2
-    res = optimize_state(cfg, search)
+    res = optimize_state(cfg, **search)
     assert len(res.trace) == 4
     context = _trial_contexts(cfg, _POLISH_PUMP_POINTS, 64)
     for rec in res.trace:
@@ -1237,28 +1255,30 @@ def test_optimize_trace_does_not_depend_on_the_fit_batches(monkeypatch, tiny_sea
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=64))
     search = tiny_search(restarts=3)
     monkeypatch.setenv("TFM_SYNTH_THREADS", "1")
-    whole = optimize_state(cfg, search)
+    whole = optimize_state(cfg, **search)
     monkeypatch.setattr(inversion, "_FIT_BATCH", 2)
-    split = optimize_state(cfg, search)
+    split = optimize_state(cfg, **search)
     monkeypatch.setenv("TFM_SYNTH_THREADS", "2")
-    pooled = optimize_state(cfg, search)
+    pooled = optimize_state(cfg, **search)
     assert len(whole.trace) == 6
     assert whole.trace == split.trace == pooled.trace
     assert whole.fits == split.fits == pooled.fits
-    assert whole.fidelity == split.fidelity == pooled.fidelity
+    for other in (split, pooled):
+        assert other.verification.config == whole.verification.config
+        assert other.verification.fidelity == whole.verification.fidelity
 
 
 @pytest.mark.slow
 def test_optimize_trace_deterministic(tiny_search):
     """Identical seeds give identical traces, field by field."""
     cfg = load_preset("bell_phi_minus")
-    a = optimize_state(cfg, tiny_search())
-    b = optimize_state(cfg, tiny_search())
+    a = optimize_state(cfg, **tiny_search())
+    b = optimize_state(cfg, **tiny_search())
     assert len(a.trace) == len(b.trace) == 4
     for ra, rb in zip(a.trace, b.trace):
         assert ra == rb
-    assert a.fidelity == b.fidelity
-    assert a.best_mu == b.best_mu
+    assert a.verification.config == b.verification.config
+    assert a.verification.fidelity == b.verification.fidelity
     assert a.fits == b.fits
 
 
@@ -1273,12 +1293,10 @@ def test_optimize_same_result_in_process_and_on_the_pool(monkeypatch, tiny_searc
         runs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("TFM_SYNTH_THREADS", threads)
-            runs.append(optimize_state(cfg, search))
+            runs.append(optimize_state(cfg, **search))
         serial, pooled = runs
         assert len(serial.trace) == 4
         assert serial.trace == pooled.trace
-        assert serial.best_mu == pooled.best_mu
-        assert serial.fidelity == pooled.fidelity
         assert serial.fits == pooled.fits
         assert serial.verification.config == pooled.verification.config
         assert analysis_report(serial.verification) == analysis_report(
@@ -1291,13 +1309,12 @@ def test_optimize_trace_ordering_and_verified_score(tiny_search):
     from tfm_synth.simulate import simulate
 
     cfg = load_preset("bell_phi_minus")
-    res = optimize_state(cfg, tiny_search(restarts=3))
+    res = optimize_state(cfg, **tiny_search(restarts=3))
     keys = [(r["mu"]["mu_12"], r["restart"]) for r in res.trace]
     assert keys == sorted(keys)
-    # the reported score is the winner's full-grid verified fidelity
-    assert res.fidelity == res.verification.fidelity
+    # the winner's verification is simulate's figure for its design
     ver = simulate(res.verification.config)
-    assert res.fidelity == pytest.approx(ver.fidelity, rel=1e-12)
+    assert res.verification.fidelity == pytest.approx(ver.fidelity, rel=1e-12)
 
 
 @pytest.mark.slow
@@ -1308,21 +1325,20 @@ def test_optimize_separable_end_to_end(tiny_search):
     was written; the floor of 0.95 leaves 0.005 of headroom."""
     cfg = load_preset("separable")
     res = optimize_state(
-        cfg, tiny_search(mu_min=3.25e9, mu_max=3.5e9, polish_evals=40)
+        cfg, **tiny_search(mu_min=3.25e9, mu_max=3.5e9, polish_evals=40)
     )
-    assert res.fidelity == res.verification.purity
-    assert res.fidelity == pytest.approx(
+    assert res.verification.purity == pytest.approx(
         simulate(res.verification.config).purity, rel=1e-12
     )
-    assert res.fidelity > 0.95
+    assert res.verification.purity > 0.95
 
 
 @pytest.mark.slow
 def test_optimize_best_reaches_known_quality(tiny_search):
     """A small sweep around the known optimum already beats 0.9."""
     cfg = load_preset("bell_phi_minus")
-    res = optimize_state(cfg, tiny_search(restarts=3))
-    assert res.fidelity > 0.9
+    res = optimize_state(cfg, **tiny_search(restarts=3))
+    assert res.verification.fidelity > 0.9
     assert res.verification.config.pump.sigma_p > 0
     assert len(res.verification.config.pump.taps) == 6
 
@@ -1331,9 +1347,9 @@ def test_optimize_best_reaches_known_quality(tiny_search):
 def test_optimize_restart_monotone(tiny_search):
     """Best fidelity is non-decreasing in the number of restarts."""
     cfg = load_preset("bell_phi_minus")
-    one = optimize_state(cfg, tiny_search(restarts=1, mu_max=1.25e9))
-    three = optimize_state(cfg, tiny_search(restarts=3, mu_max=1.25e9))
-    assert three.fidelity >= one.fidelity - 1e-12
+    one = optimize_state(cfg, **tiny_search(restarts=1, mu_max=1.25e9))
+    three = optimize_state(cfg, **tiny_search(restarts=3, mu_max=1.25e9))
+    assert three.verification.fidelity >= one.verification.fidelity - 1e-12
 
 
 @pytest.mark.slow
@@ -1342,12 +1358,12 @@ def test_optimize_polish_improves_or_keeps_score(tiny_search):
     unpolished winner (it keeps the better of the two)."""
     cfg = load_preset("bell_phi_minus")
     base = optimize_state(
-        cfg, tiny_search(restarts=1, mu_min=1.5e9, mu_max=1.5e9)
+        cfg, **tiny_search(restarts=1, mu_min=1.5e9, mu_max=1.5e9)
     )
     polished = optimize_state(
-        cfg, tiny_search(restarts=1, mu_min=1.5e9, mu_max=1.5e9, polish_evals=200)
+        cfg, **tiny_search(restarts=1, mu_min=1.5e9, mu_max=1.5e9, polish_evals=200)
     )
-    assert polished.fidelity >= base.fidelity - 1e-12
+    assert polished.verification.fidelity >= base.verification.fidelity - 1e-12
 
 
 @pytest.mark.slow
@@ -1369,8 +1385,8 @@ def test_fit_budget_keeps_the_design_quality(monkeypatch):
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=256))
     n_mu = len(inversion._MU_VALUES)
     for seed in range(4):
-        res = optimize_state(cfg, SearchConfig(seed=seed, restarts=1))
-        assert res.fidelity >= 0.9995, (seed, res.fidelity)
+        res = optimize_state(cfg, restarts=1, seed=seed)
+        assert res.verification.fidelity >= 0.9995, (seed, res.verification.fidelity)
     assert len(nfevs) == 4 * n_mu
     assert max(nfevs) <= inversion._FIT_MAX_NFEV
 
@@ -1385,7 +1401,7 @@ def test_optimize_subspace_weight_of_best(tiny_search):
     from tfm_synth.simulate import simulate
 
     cfg = load_preset("bell_phi_minus")
-    res = optimize_state(cfg, tiny_search(restarts=2))
+    res = optimize_state(cfg, **tiny_search(restarts=2))
     verified = simulate(res.verification.config, n_points=128)
     assert verified.projection.subspace_weight >= 0.7
 
@@ -1421,15 +1437,13 @@ def assert_nelder_mead_is_scipys(f, x0, maxfev, xatol=1e-6, fatol=1e-10):
     return len(points)
 
 
-def test_nelder_mead_port_polishes_a_bell_candidate_as_scipy_does(tiny_search):
+def test_nelder_mead_port_polishes_a_bell_candidate_as_scipy_does():
     """The real polish objective: the Bell trial score at one mu point, on
     the polish's pump grid, from the mu point's fitted candidate."""
     cfg = load_preset("bell_phi_minus")
     cfg = replace(cfg, grid=replace(cfg.grid, n_points=128))
     mu = (1.5e9,)
-    [(_, _, (_, _, x, _), _)] = inversion._run_mu_points(
-        (cfg, tiny_search(restarts=1), [(1, mu)])
-    )
+    [(_, _, (_, x, _), _)] = inversion._run_mu_points((cfg, 1, 0, [(1, mu)]))
     score = _trial_contexts(cfg, _POLISH_PUMP_POINTS, 128)(mu)
     # the polish's start (_polish_candidate)
     x0 = _pack(*_split(x))

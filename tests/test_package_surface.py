@@ -15,6 +15,8 @@ import builtins
 import pathlib
 import re
 
+import pytest
+
 import tfm_synth
 
 PACKAGE = pathlib.Path(tfm_synth.__file__).parent
@@ -145,15 +147,25 @@ def _called_name(call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def test_every_simulation_result_field_is_read_by_the_program():
-    """Each field of SimulationResult is read by a function of the
-    package, as an attribute of a name bound to a result there: a
-    parameter annotated SimulationResult or a name assigned a simulate(...)
-    call.  A field that only tests read is not kept on the result."""
+@pytest.mark.parametrize(
+    "module, result, producer, least",
+    [
+        ("simulate", "SimulationResult", "simulate", 11),
+        ("inversion", "OptimizeResult", "optimize_state", 3),
+    ],
+    ids=["SimulationResult", "OptimizeResult"],
+)
+def test_every_result_field_is_read_by_the_program(module, result, producer, least):
+    """Each field of a result class (SimulationResult, OptimizeResult) is
+    read by a function of the package, as an attribute of a name bound
+    to a result there: a parameter annotated with the class or a name
+    assigned a call of the function that makes it (simulate,
+    optimize_state).  A field that only tests read is not kept on the
+    result."""
     trees = _trees()
     [result_class] = [
-        node for node in trees["simulate"].body
-        if isinstance(node, ast.ClassDef) and node.name == "SimulationResult"
+        node for node in trees[module].body
+        if isinstance(node, ast.ClassDef) and node.name == result
     ]
     fields = {
         node.target.id for node in result_class.body
@@ -167,13 +179,13 @@ def test_every_simulation_result_field_is_read_by_the_program():
             bound = {
                 arg.arg for arg in func.args.args
                 if isinstance(arg.annotation, ast.Name)
-                and arg.annotation.id == "SimulationResult"
+                and arg.annotation.id == result
             }
             for node in ast.walk(func):
                 if (
                     isinstance(node, ast.Assign)
                     and isinstance(node.value, ast.Call)
-                    and _called_name(node.value) == "simulate"
+                    and _called_name(node.value) == producer
                 ):
                     bound.update(
                         t.id for t in node.targets if isinstance(t, ast.Name)
@@ -184,8 +196,8 @@ def test_every_simulation_result_field_is_read_by_the_program():
                 and isinstance(node.value, ast.Name)
                 and node.value.id in bound
             )
-    assert len(fields) > 10
+    assert len(fields) >= least
     assert fields <= read, (
-        "SimulationResult fields no program path reads: "
+        f"{result} fields no program path reads: "
         + ", ".join(sorted(fields - read))
     )
